@@ -32,6 +32,7 @@ from .config import RunConfig, load_config
 from .dynamics import aggregate_pi, influence_weights, settle, simulate
 from .errors import (
     ConfigError,
+    DegenerateStubbornness,
     EmptyInput,
     MissingLabels,
     MissingParams,
@@ -272,9 +273,11 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     )
     per_sample = []
     reports = []
+    capped = 0
     for traj in trajs:
         report = fit_sample(traj, fit_config)
         reports.append(report)
+        capped += report.termination == "max_iters"
         per_sample.append(
             {
                 "sample_id": traj.sample_id,
@@ -284,6 +287,8 @@ def cmd_fit(args, cfg: RunConfig) -> int:
                 "restart_index": report.restart_index,
                 "iterations": len(report.objective_curve) - 1,
                 "flat": report.flat,
+                "termination": report.termination,
+                "kkt_residual": report.kkt_residual,
                 "params": fio.params_to_dict(report.params),
             }
         )
@@ -298,6 +303,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
         groups = _group_by(trajs, "pool")
         for pool in sorted(groups):
             report = fit_global(groups[pool], fit_config)
+            capped += report.termination == "max_iters"
             pooled.append(
                 {
                     "pool": pool,
@@ -306,6 +312,8 @@ def cmd_fit(args, cfg: RunConfig) -> int:
                     "mse": report.mse,
                     "restart_index": report.restart_index,
                     "flat": report.flat,
+                    "termination": report.termination,
+                    "kkt_residual": report.kkt_residual,
                     "params": fio.params_to_dict(report.params),
                 }
             )
@@ -331,6 +339,12 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     out_path = os.path.join(args.output_dir, "fits.json")
     fio.atomic_write_json(out_path, document)
     _say(args, f"wrote {out_path} ({len(reports)} fits)")
+    if not args.quiet:
+        total = len(reports) + len(document.get("global", []))
+        print(
+            f"fjlab: {capped} of {total} fits hit the iteration cap ({sec.max_iters})",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -545,7 +559,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         try:
             pi = aggregate_pi(influence_weights(params), eta_arr).pi
             influence_mix = np.stack([pi @ t.innate for t in labeled])
-        except NotContractive:
+        except (NotContractive, DegenerateStubbornness):
             influence_mix = np.stack(
                 [eta_arr @ settle(params, t.innate, sec.fallback_rounds) for t in labeled]
             )

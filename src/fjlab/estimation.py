@@ -6,22 +6,25 @@ the observed B(t+1), either by mean squared error over (round, agent,
 entry) or by KL(observed || predicted) averaged over (round, agent)
 with a 1e-12 floor inside the log.
 
-Constraints (gamma, alpha in [0, 1]; masked row-stochastic W) are
-handled by reparameterization: logistic maps for gamma and alpha and a
-row-wise softmax over the allowed entries of W.  In the natural
-convex-combination coordinates the one-step objective is convex per
-agent, so plain gradient descent with Armijo backtracking converges;
-random restarts guard against saturated-logistic plateaus.  Every run
-is deterministic given the seed: restarts draw from
-numpy.random.default_rng(seed + restart_index) in a fixed order.
+Agent i's coefficients c_i = (gamma_i, (1 - gamma_i) alpha_i,
+(1 - gamma_i)(1 - alpha_i) w_ij for each permitted j) lie on a simplex
+and predict X_i c_i, with columns s_i, b_i(t) and b_j(t) over the
+stacked rows (a zero "sink" column stands in for an empty
+neighbourhood).  With the regularizer reg_lambda * sum_i ||c_i - c_i0||^2
+around c_i0 = (1/2, 1/4, 1/4 * uniform w), the image of gamma = alpha =
+1/2 and uniform w, the fit is n independent convex problems: mse is
+least squares on the simplex, solved exactly by an active-set KKT solve,
+and kl runs Newton's method with the analytic Hessian from there.  Then
+gamma = c_0, alpha = c_1 / (1 - c_0) (1/2 when gamma = 1) and w_i. is
+proportional to the peer coefficients (uniform when they are all 0).
+Nothing is random, so FitConfig.restarts and seed have no effect.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .constants import LOG_FLOOR
 from .errors import (
@@ -31,6 +34,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .model import DeliberationTrajectory, FJParameters
+from .scenarios import project_simplex
 
 __all__ = [
     "FitConfig",
@@ -44,11 +48,16 @@ __all__ = [
 ]
 
 _FLAT_TOL = 1e-12
+_TERMINATIONS = ("converged", "step_underflow", "max_iters")  # mildest first
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings; the defaults suit pools of short trajectories."""
+    """Solver settings; the defaults suit pools of short trajectories.
+
+    An agent's Newton iterations stop once the predicted decrease of the
+    objective is at most tol.  restarts and seed are validated but unused.
+    """
 
     objective: str = "kl"
     max_iters: int = 500
@@ -56,8 +65,6 @@ class FitConfig:
     reg_lambda: float = 1e-3
     restarts: int = 5
     seed: int = 0
-    step0: float = 1.0
-    step_max: float = 50.0
 
     def __post_init__(self):
         if self.objective not in ("kl", "mse"):
@@ -72,11 +79,14 @@ class FitConfig:
 class FitReport:
     """Result of one fit: parameters plus both unregularized objectives.
 
-    kl and mse are averages over all predicted (agent, round) pairs of
-    the winning restart's parameters, independent of which objective was
-    optimized.  objective_curve lists the regularized objective at the
-    start and after every accepted step (non-increasing).  flat marks a
-    trajectory whose snapshots never move.
+    kl and mse are averages over all predicted (agent, round) pairs,
+    whichever objective was optimized.  objective_curve holds the total
+    regularized objective at the start and after every Newton iteration
+    (non-increasing); its length minus one is the most iterations any
+    agent took.  restart_index is always 0.  flat marks a trajectory whose
+    snapshots never move.  termination is "converged", or "max_iters" /
+    "step_underflow" if any agent hit the cap / found no decrease, and
+    kkt_residual is the worst agent's sup norm of c - P(c - gradient).
     """
 
     params: FJParameters
@@ -86,6 +96,8 @@ class FitReport:
     restart_index: int
     flat: bool = False
     sample_id: str = ""
+    termination: str = "converged"
+    kkt_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -108,19 +120,6 @@ def _stack_io(traj: DeliberationTrajectory) -> tuple[np.ndarray, np.ndarray, np.
     return snaps[0], snaps[:-1], snaps[1:]
 
 
-def _predict(
-    gamma: np.ndarray, alpha: np.ndarray, w: np.ndarray, innate: np.ndarray, b_in: np.ndarray
-) -> np.ndarray:
-    """Teacher-forced one-step predictions, (T, n, d)."""
-    coef_self = (1.0 - gamma) * alpha
-    coef_peer = (1.0 - gamma) * (1.0 - alpha)
-    return (
-        gamma[:, None] * innate
-        + coef_self[:, None] * b_in
-        + coef_peer[:, None] * (w @ b_in)
-    )
-
-
 def one_step_predictions(
     params: FJParameters, traj: DeliberationTrajectory
 ) -> np.ndarray:
@@ -128,10 +127,24 @@ def one_step_predictions(
     if params.n != traj.n:
         raise ShapeMismatch(f"params n={params.n} but trajectory n={traj.n}")
     innate, b_in, _ = _stack_io(traj)
-    return _predict(params.gamma, params.alpha, params.w, innate, b_in)
+    gamma, alpha = params.gamma, params.alpha
+    coef_self = (1.0 - gamma) * alpha
+    coef_peer = (1.0 - gamma) * (1.0 - alpha)
+    return (
+        gamma[:, None] * innate
+        + coef_self[:, None] * b_in
+        + coef_peer[:, None] * (params.w @ b_in)
+    )
 
 
-def _data_value(pred: np.ndarray, b_out: np.ndarray, objective: str) -> float:
+def fit_objective(
+    params: FJParameters, traj: DeliberationTrajectory, objective: str = "kl"
+) -> float:
+    """Unregularized teacher-forced one-step objective of given parameters."""
+    if objective not in ("kl", "mse"):
+        raise ShapeMismatch(f"objective must be 'kl' or 'mse', got {objective!r}")
+    pred = one_step_predictions(params, traj)
+    b_out = traj.snapshots[1:]
     if objective == "mse":
         return float(((pred - b_out) ** 2).mean())
     t, n, _ = b_out.shape
@@ -142,155 +155,114 @@ def _data_value(pred: np.ndarray, b_out: np.ndarray, objective: str) -> float:
     return float(terms.sum() / (t * n))
 
 
-def _data_grad(pred: np.ndarray, b_out: np.ndarray, objective: str) -> np.ndarray:
-    """Derivative of the data term with respect to the predictions."""
-    t, n, d = b_out.shape
-    if objective == "mse":
-        return 2.0 * (pred - b_out) / (t * n * d)
-    grad = np.where(
-        (b_out > 0.0) & (pred > LOG_FLOOR), -b_out / np.maximum(pred, LOG_FLOOR), 0.0
-    )
-    return grad / (t * n)
+def _simplex_lsq(a: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Minimize ||a x - r|| over the simplex by a primal active set from x.
+
+    Each pass solves the free coordinates with their sum fixed to 1 (by
+    lstsq, so a rank-deficient face still solves), stops a step at the
+    first coordinate it would make negative, or frees the bound
+    coordinate with the most negative multiplier.
+    """
+    free = x > 0.0
+    slack = 1e-13 * np.abs(a).max() * np.abs(r).max()
+    for _ in range(4 * x.size):  # bounds cycling on rounding-level multipliers
+        *others, last = np.flatnonzero(free)
+        z = np.linalg.lstsq(a[:, others] - a[:, [last]], r - a[:, last])[0]
+        target = np.zeros_like(x)
+        target[others] = z
+        target[last] = 1.0 - z.sum()
+        leaving = target < 0.0
+        if leaving.any():
+            ratios = np.where(leaving, x / np.where(leaving, x - target, 1.0), np.inf)
+            t = float(ratios.min())
+            x = (1.0 - t) * x + t * target
+            bound = free & ((x <= 0.0) | (ratios == t))
+            x[bound] = 0.0
+            free &= ~bound
+            continue
+        x = target
+        grad = a.T @ (a @ x - r)
+        mult = np.where(free, np.inf, grad - grad[free].mean())
+        j = int(np.argmin(mult))
+        if mult[j] >= -slack:
+            break
+        free[j] = True
+    return x
 
 
-def fit_objective(
-    params: FJParameters, traj: DeliberationTrajectory, objective: str = "kl"
-) -> float:
-    """Unregularized teacher-forced one-step objective of given parameters."""
-    if objective not in ("kl", "mse"):
-        raise ShapeMismatch(f"objective must be 'kl' or 'mse', got {objective!r}")
-    innate, b_in, b_out = _stack_io(traj)
-    if params.n != traj.n:
-        raise ShapeMismatch(f"params n={params.n} but trajectory n={traj.n}")
-    pred = _predict(params.gamma, params.alpha, params.w, innate, b_in)
-    return _data_value(pred, b_out, objective)
+def _newton(model, c: np.ndarray, config: FitConfig):
+    """Newton's method on the simplex from the feasible c.
 
-
-class _Problem:
-    """Shared-parameter fit problem over one or more trajectories."""
-
-    def __init__(
-        self,
-        trajs: list[DeliberationTrajectory],
-        mask: np.ndarray,
-        objective: str,
-        reg_lambda: float,
-    ):
-        self.objective = objective
-        self.reg_lambda = reg_lambda
-        self.mask = mask
-        self.n = mask.shape[0]
-        self.data = [_stack_io(t) for t in trajs]
-        self.count = len(trajs)
-        row_deg = mask.sum(axis=1)
-        self.w_uniform = np.where(mask, 1.0, 0.0)
-        nonzero = row_deg > 0
-        self.w_uniform[nonzero] /= row_deg[nonzero][:, None]
-
-    def natural(self, tg, ta, tw):
-        gamma = expit(tg)
-        alpha = expit(ta)
-        z = np.where(self.mask, tw, -np.inf)
-        zmax = z.max(axis=1, keepdims=True)
-        zmax = np.where(np.isfinite(zmax), zmax, 0.0)  # empty rows stay all -inf
-        e = np.exp(z - zmax)
-        e = np.where(self.mask, e, 0.0)
-        sums = e.sum(axis=1, keepdims=True)
-        w = np.where(sums > 0.0, e / np.where(sums > 0.0, sums, 1.0), 0.0)
-        return gamma, alpha, w
-
-    def value_grad(self, tg, ta, tw):
-        gamma, alpha, w = self.natural(tg, ta, tw)
-        lam = self.reg_lambda
-        total = 0.0
-        d_gamma = np.zeros(self.n)
-        d_alpha = np.zeros(self.n)
-        d_w = np.zeros((self.n, self.n))
-        for innate, b_in, b_out in self.data:
-            pred = _predict(gamma, alpha, w, innate, b_in)
-            total += _data_value(pred, b_out, self.objective)
-            g = _data_grad(pred, b_out, self.objective)
-            wb = w @ b_in
-            d_gamma += np.einsum(
-                "tic,tic->i",
-                g,
-                innate[None, :, :] - alpha[:, None] * b_in - (1.0 - alpha)[:, None] * wb,
-            )
-            d_alpha += (1.0 - gamma) * np.einsum("tic,tic->i", g, b_in - wb)
-            d_w += ((1.0 - gamma) * (1.0 - alpha))[:, None] * np.einsum(
-                "tic,tjc->ij", g, b_in
-            )
-        # identical arithmetic to value(): the curve must compare bitwise
-        total = total / self.count
-        inv = 1.0 / self.count
-        d_gamma *= inv
-        d_alpha *= inv
-        d_w *= inv
-        if lam > 0.0:
-            total += lam * (
-                ((w - self.w_uniform) ** 2).sum()
-                + ((gamma - 0.5) ** 2).sum()
-                + ((alpha - 0.5) ** 2).sum()
-            )
-            d_w += 2.0 * lam * (w - self.w_uniform)
-            d_gamma += 2.0 * lam * (gamma - 0.5)
-            d_alpha += 2.0 * lam * (alpha - 0.5)
-        # chain through the reparameterization
-        g_tg = d_gamma * gamma * (1.0 - gamma)
-        g_ta = d_alpha * alpha * (1.0 - alpha)
-        row_dot = (w * d_w).sum(axis=1, keepdims=True)
-        g_tw = w * (d_w - row_dot)
-        return total, g_tg, g_ta, g_tw
-
-    def value(self, tg, ta, tw) -> float:
-        gamma, alpha, w = self.natural(tg, ta, tw)
-        total = 0.0
-        for innate, b_in, b_out in self.data:
-            pred = _predict(gamma, alpha, w, innate, b_in)
-            total += _data_value(pred, b_out, self.objective)
-        total = total / self.count
-        if self.reg_lambda > 0.0:
-            total += self.reg_lambda * (
-                ((w - self.w_uniform) ** 2).sum()
-                + ((gamma - 0.5) ** 2).sum()
-                + ((alpha - 0.5) ** 2).sum()
-            )
-        return total
-
-
-def _descend(problem: _Problem, config: FitConfig, restart: int):
-    """One gradient-descent run; returns (final value, theta, curve)."""
-    rng = np.random.default_rng(config.seed + restart)
-    n = problem.n
-    tg = rng.normal(0.0, 0.5, n)
-    ta = rng.normal(0.0, 0.5, n)
-    tw = rng.normal(0.0, 0.5, (n, n))
-    f, g_tg, g_ta, g_tw = problem.value_grad(tg, ta, tw)
+    model(c) gives the objective, its gradient and its quadratic model as
+    a least-squares pair (a, r); each iteration backtracks from c towards
+    the model's minimizer on the simplex, until the predicted decrease
+    (the Newton decrement) is at most config.tol.  Returns (c, curve,
+    termination, kkt_residual).
+    """
+    f, grad, a, r = model(c)
     curve = [f]
-    step = config.step0
+    termination = "max_iters"
     for _ in range(config.max_iters):
-        gnorm2 = float((g_tg**2).sum() + (g_ta**2).sum() + (g_tw**2).sum())
-        if gnorm2 <= 1e-28:
+        target = _simplex_lsq(a, r, c)
+        decrement = -float(grad @ (target - c))
+        if decrement <= config.tol:
+            termination = "converged"
             break
-        accepted = False
-        while step >= 1e-18:
-            cand = (tg - step * g_tg, ta - step * g_ta, tw - step * g_tw)
-            f_cand = problem.value(*cand)
-            if f_cand <= f - 1e-4 * step * gnorm2:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        t = 1.0
+        while t >= 1e-10 and model((1.0 - t) * c + t * target)[0] >= f - 1e-4 * t * decrement:
+            t *= 0.5
+        if t < 1e-10:
+            termination = "step_underflow"
             break
-        decrease = f - f_cand
-        tg, ta, tw = cand
-        f, g_tg, g_ta, g_tw = problem.value_grad(tg, ta, tw)
-        # value() and value_grad() share the arithmetic, so f == f_cand
+        c = (1.0 - t) * c + t * target
+        f, grad, a, r = model(c)
         curve.append(f)
-        step = min(step * 1.3, config.step_max)
-        if decrease <= config.tol:
-            break
-    return f, (tg, ta, tw), curve
+    # zero exactly at a KKT point of the simplex-constrained problem
+    return c, curve, termination, float(np.abs(c - project_simplex(c - grad)).max())
+
+
+def _fit_rows(
+    x: np.ndarray, y: np.ndarray, weight: np.ndarray, centre: np.ndarray, config: FitConfig
+):
+    """Fit one agent's c to its rows x c ~ y, regularized towards centre.
+
+    Each row's loss is weighted: the squared error, or for kl
+    y log(y / max(x c, LOG_FLOOR)).  Returns what _newton returns.
+    """
+    lam = config.reg_lambda
+    ridge = np.sqrt(lam) * np.eye(centre.size)
+    a_mse = np.vstack([np.sqrt(weight)[:, None] * x, ridge])
+    r_mse = np.concatenate([np.sqrt(weight) * y, ridge @ centre])
+    if config.objective == "mse":
+
+        def mse(c):
+            res = a_mse @ c - r_mse
+            return float(res @ res), 2.0 * a_mse.T @ res, a_mse, r_mse
+
+        return _newton(mse, centre, config)
+    observed = y > 0.0
+    x_obs = x[observed]
+    log_y = np.log(y[observed])
+    mass = weight[observed] * y[observed]
+    # Hessian sum mass / p^2 x x' + 2 lam I as a least-squares pair (a, r_kl)
+    r_kl = np.concatenate([2.0 * np.sqrt(mass), np.sqrt(2.0) * ridge @ centre])
+
+    def kl(c):
+        p = x_obs @ c
+        live = p > LOG_FLOOR
+        inv_p = np.where(live, 1.0 / np.where(live, p, 1.0), 0.0)
+        value = mass @ (log_y - np.log(np.maximum(p, LOG_FLOOR)))
+        grad = -x_obs.T @ (mass * inv_p) + 2.0 * lam * (c - centre)
+        a = np.vstack([(np.sqrt(mass) * inv_p)[:, None] * x_obs, np.sqrt(2.0) * ridge])
+        return float(value + lam * ((c - centre) ** 2).sum()), grad, a, r_kl
+
+    # start from the exact mse fit, unless it predicts observed mass below
+    # the floor, where Newton gets no gradient; the centre never does for
+    # a label that some column holds
+    start = _simplex_lsq(a_mse, r_mse, centre)
+    if np.any((x_obs @ start <= LOG_FLOOR) & (x_obs.max(axis=1) > 0.0)):
+        start = centre
+    return _newton(kl, start, config)
 
 
 def _is_flat(traj: DeliberationTrajectory) -> bool:
@@ -318,29 +290,50 @@ def _run_fit(
         raise ShapeMismatch(f"mask shape {mask.shape}, expected {(n, n)}")
     if mask.diagonal().any():
         raise ShapeMismatch("mask diagonal must be False")
-    problem = _Problem(trajs, mask, config.objective, config.reg_lambda)
-    best = None
-    best_index = -1
-    for r in range(config.restarts):
-        f, theta, curve = _descend(problem, config, r)
-        if best is None or f < best[0]:
-            best = (f, theta, curve)
-            best_index = r
-    _, theta, curve = best
-    gamma, alpha, w = problem.natural(*theta)
-    # exact zeros outside the mask; softmax already normalizes the rows
-    w = np.where(mask, w, 0.0)
+    parts = []
+    for traj in trajs:
+        s, b_in, b_out = _stack_io(traj)
+        t, _, d = b_in.shape
+        per_row = len(trajs) * t * n * (d if config.objective == "mse" else 1)
+        rows = [b.transpose(1, 0, 2).reshape(n, t * d) for b in (b_in, b_out)]
+        parts.append((np.tile(s, (1, t)), *rows, np.full(t * d, 1.0 / per_row)))
+    # (agent, row) arrays over the (trajectory, round, label) rows; the
+    # weights keep fit_objective's averaging
+    innate, belief, target, weight = (np.concatenate(p, axis=-1) for p in zip(*parts))
+    gamma, alpha, w = np.empty(n), np.empty(n), np.zeros((n, n))
+    fits = []
+    for i in range(n):
+        peers = np.flatnonzero(mask[i])
+        # an empty neighbourhood gets a zero sink column for its peer mass
+        peer_cols = belief[peers] if peers.size else np.zeros((1, weight.size))
+        x = np.vstack([innate[i], belief[i], peer_cols]).T
+        deg = len(peer_cols)
+        centre = np.concatenate([[0.5, 0.25], np.full(deg, 0.25 / deg)])
+        fits.append(_fit_rows(x, target[i], weight, centre, config))
+        c = fits[-1][0] + 0.0  # no negative zeros in the artifacts
+        gamma[i] = min(c[0], 1.0)
+        rest = c[1:].sum()
+        alpha[i] = c[1] / rest if rest > 0.0 else 0.5
+        if peers.size:
+            peer_mass = c[2:].sum()
+            w[i, peers] = c[2:] / peer_mass if peer_mass > 0.0 else 1.0 / peers.size
     params = FJParameters(gamma=gamma, alpha=alpha, w=w, mask=mask)
     kl = float(np.mean([fit_objective(params, t, "kl") for t in trajs]))
     mse = float(np.mean([fit_objective(params, t, "mse") for t in trajs]))
+    _, curves, terminations, residuals = zip(*fits)
+    # agents that stopped early hold their last value
+    length = max(len(cv) for cv in curves)
+    curve = [sum(cv[min(k, len(cv) - 1)] for cv in curves) for k in range(length)]
     return FitReport(
         params=params,
         kl=kl,
         mse=mse,
-        objective_curve=[float(v) for v in curve],
-        restart_index=best_index,
+        objective_curve=curve,
+        restart_index=0,
         flat=flat,
         sample_id=sample_id,
+        termination=max(terminations, key=_TERMINATIONS.index),
+        kkt_residual=max(residuals),
     )
 
 

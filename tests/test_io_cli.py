@@ -6,9 +6,10 @@ import pytest
 
 from fjlab.cli import run
 from fjlab.config import load_config
-from fjlab.dynamics import simulate
+from fjlab.dynamics import influence_weights, simulate
 from fjlab.errors import (
     ConfigError,
+    DegenerateStubbornness,
     InvariantViolation,
     ParseError,
     SchemaVersionUnsupported,
@@ -23,6 +24,11 @@ from fjlab.io import (
     write_csv,
 )
 from fjlab.model import FJParameters
+
+
+def read_json(out, name):
+    with open(os.path.join(out, name), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def sample_params(n=3):
@@ -378,6 +384,50 @@ class TestCLI:
         )
         assert run(["--output-dir", out, "--quiet", "compare"]) == 1
         capsys.readouterr()
+
+    def test_fit_reports_how_each_fit_ended(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        capsys.readouterr()
+        assert run(["--output-dir", out, "fit", "--global"]) == 0
+        assert "fjlab: 0 of 6 fits hit the iteration cap (500)" in capsys.readouterr().err
+        fits = read_json(out, "fits.json")
+        for entry in fits["per_sample"] + fits["global"]:
+            assert entry["termination"] == "converged"
+            assert 0.0 <= entry["kkt_residual"] < 1e-6
+        # one iteration reaches the mse optimum but leaves no room to confirm it
+        assert run(["--output-dir", out, "fit", "--objective", "mse", "--max-iters", "1"]) == 0
+        assert "fjlab: 4 of 4 fits hit the iteration cap (1)" in capsys.readouterr().err
+        fits = read_json(out, "fits.json")
+        assert {e["termination"] for e in fits["per_sample"]} == {"max_iters"}
+
+    def test_compare_falls_back_for_zero_stubbornness(self, tmp_path):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        # agent 0 has gamma = 0 and no peers, so its influence row is all
+        # zero and influence_weights raises DegenerateStubbornness
+        mask = FJParameters.complete_mask(3)
+        mask[0] = False
+        params = FJParameters(
+            gamma=np.array([0.0, 0.5, 0.5]),
+            alpha=np.full(3, 0.5),
+            w=np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+            mask=mask,
+        )
+        with pytest.raises(DegenerateStubbornness):
+            influence_weights(params)
+        pooled = [
+            {"pool": pool, "n_samples": 2, "kl": 0.0, "mse": 0.0, "params": params_to_dict(params)}
+            for pool in ("0", "1")
+        ]
+        atomic_write_json(
+            os.path.join(out, "fits.json"),
+            {"schema_version": "1", "objective": "kl", "per_sample": [], "global": pooled},
+        )
+        assert run(["--output-dir", out, "--quiet", "compare"]) == 0
+        groups = read_json(out, "compare.json")["groups"]
+        assert [g["group"] for g in groups] == ["0", "1"]
+        assert all(0.0 <= g["influence_mix"] <= 1.0 for g in groups)
 
     def test_config_file_drives_pipeline(self, tmp_path):
         out = str(tmp_path)
