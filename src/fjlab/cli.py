@@ -28,7 +28,7 @@ import numpy as np
 import scipy.stats
 
 from . import io as fio
-from .config import RunConfig, load_config
+from .config import RunConfig, eta_vector, load_config
 from .dynamics import aggregate_pi, influence_weights, settle, simulate
 from .errors import (
     ConfigError,
@@ -389,7 +389,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     for entry in fits.get("per_sample", []):
         by_sample[entry["sample_id"]] = fio.params_from_dict(entry["params"])
     n = _shared_n(trajs)
-    eta = sec.eta_vector(n)
+    eta = eta_vector("analyze", sec.eta, n)
     agent_rows = []
     system_rows = []
     confidences: list[float] = []
@@ -541,7 +541,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
             f"{fits_path!r} holds no pooled fits; rerun 'fjlab fit --global'"
         )
     n = _shared_n(trajs)
-    eta = sec.eta_vector(n)
+    eta = eta_vector("compare", sec.eta, n)
     eta_arr = np.full(n, 1.0 / n) if eta is None else eta
     groups = _group_by(trajs, sec.group_key)
     rows = []

@@ -27,7 +27,22 @@ __all__ = [
     "CompareSection",
     "RunConfig",
     "load_config",
+    "eta_vector",
 ]
+
+
+def eta_vector(section: str, eta: str, n: int) -> "np.ndarray | None":
+    """Readout weights from a section's eta key: None for "uniform", else
+    n comma-separated numbers; errors name the section."""
+    if eta == "uniform":
+        return None
+    try:
+        vec = np.array([float(x) for x in eta.split(",")], dtype=np.float64)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.eta: {exc}") from exc
+    if vec.size != n:
+        raise ConfigError(f"{section}.eta has {vec.size} entries for n={n}")
+    return vec
 
 
 @dataclass(frozen=True)
@@ -82,17 +97,6 @@ class AnalyzeSection:
     consensus_threshold: float = 0.05
     fits: str = "fits.json"
 
-    def eta_vector(self, n: int) -> "np.ndarray | None":
-        if self.eta == "uniform":
-            return None
-        try:
-            vec = np.array([float(x) for x in self.eta.split(",")], dtype=np.float64)
-        except ValueError as exc:
-            raise ConfigError(f"analyze.eta: {exc}") from exc
-        if vec.size != n:
-            raise ConfigError(f"analyze.eta has {vec.size} entries for n={n}")
-        return vec
-
 
 @dataclass(frozen=True)
 class VerifySection:
@@ -118,17 +122,6 @@ class CompareSection:
     group_key: str = "pool"
     eta: str = "uniform"
     fallback_rounds: int = 10000
-
-    def eta_vector(self, n: int) -> "np.ndarray | None":
-        if self.eta == "uniform":
-            return None
-        try:
-            vec = np.array([float(x) for x in self.eta.split(",")], dtype=np.float64)
-        except ValueError as exc:
-            raise ConfigError(f"compare.eta: {exc}") from exc
-        if vec.size != n:
-            raise ConfigError(f"compare.eta has {vec.size} entries for n={n}")
-        return vec
 
 
 @dataclass(frozen=True)

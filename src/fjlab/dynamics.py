@@ -26,9 +26,9 @@ import numpy as np
 from .constants import CONTRACTION_MARGIN, STOCHASTIC_TOL, TAU_SIMPLEX
 from .errors import (
     DegenerateStubbornness,
-    InvariantViolation,
     NoConvergence,
     NotContractive,
+    NumericalError,
     ShapeMismatch,
     SingularSystem,
 )
@@ -100,47 +100,35 @@ def _fj_step_core(
     return out, drift
 
 
-def spectral_radius(h: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Spectral radius of a nonnegative matrix by power iteration.
+def spectral_radius(h: np.ndarray) -> float:
+    """Spectral radius: the largest eigenvalue modulus of a square matrix.
 
-    Iterates on h + 0.5 I (the shift adds exactly 0.5 to the dominant
-    eigenvalue of a nonnegative matrix and breaks periodic cycling),
-    starting from the all-ones vector, until the residual of the Rayleigh
-    estimate drops below tol.
+    One dense eigenvalue computation, exact to rounding for the small
+    systems this package works with.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeMismatch(f"expected square matrix, got {h.shape}")
     if h.shape[0] == 0:
         raise ShapeMismatch("empty matrix")
-    shift = 0.5
-    m = h + shift * np.eye(h.shape[0])
-    x = np.ones(h.shape[0])
-    x /= np.linalg.norm(x)
-    for _ in range(max_iter):
-        y = m @ x
-        lam = float(x @ y)
-        if np.linalg.norm(y - lam * x) <= tol * max(1.0, abs(lam)):
-            return lam - shift
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return -shift  # only reachable for the zero matrix edge case
-        x = y / norm
-    raise NoConvergence(f"power iteration did not settle in {max_iter} steps")
+    return float(np.abs(np.linalg.eigvals(h)).max())
 
 
-def _require_contractive(h: np.ndarray, tol: float) -> float:
-    rho = spectral_radius(h, tol=tol)
+def _fixed_point(params: FJParameters, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - H) X = rhs, after checking that H contracts."""
+    h = build_h(params)
+    rho = spectral_radius(h)
     if rho >= 1.0 - CONTRACTION_MARGIN:
         raise NotContractive(
             f"spectral radius {rho!r} is not below 1 - {CONTRACTION_MARGIN!r}"
         )
-    return rho
+    try:
+        return np.linalg.solve(np.eye(params.n) - h, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
 
 
-def equilibrium(
-    params: FJParameters, innate: np.ndarray, tol: float = 1e-10
-) -> np.ndarray:
+def equilibrium(params: FJParameters, innate: np.ndarray) -> np.ndarray:
     """Settled beliefs: solves (I - H) B = G S with partial pivoting.
 
     Raises NotContractive when the spectral radius of H is within
@@ -150,35 +138,22 @@ def equilibrium(
     innate = validate_snapshot(innate)
     if innate.shape[0] != params.n:
         raise ShapeMismatch(f"innate has {innate.shape[0]} rows, n={params.n}")
-    h = build_h(params)
-    _require_contractive(h, tol)
-    lhs = np.eye(params.n) - h
-    rhs = params.gamma[:, None] * innate
-    try:
-        out = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return out
+    return _fixed_point(params, params.gamma[:, None] * innate)
 
 
-def influence_weights(params: FJParameters, tol: float = 1e-10) -> np.ndarray:
+def influence_weights(params: FJParameters) -> np.ndarray:
     """Long-run influence matrix M = (I - H)^{-1} G.
 
     Entry (i, j) is the weight of agent j's innate belief in agent i's
     equilibrium belief.  Nonnegative and row-stochastic for stochastic W;
     zero-stubbornness agents can break row sums, which is reported as
-    DegenerateStubbornness rather than repaired.
+    DegenerateStubbornness rather than repaired, and so can an agent
+    without peers (NumericalError).
     """
-    h = build_h(params)
-    _require_contractive(h, tol)
-    lhs = np.eye(params.n) - h
-    try:
-        m = np.linalg.solve(lhs, np.diag(params.gamma))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+    m = _fixed_point(params, np.diag(params.gamma))
     low = float(m.min())
     if low < -1e-12:
-        raise InvariantViolation(f"influence entry {low!r} below -1e-12")
+        raise NumericalError(f"influence entry {low!r} below -1e-12")
     np.clip(m, 0.0, None, out=m)
     row_err = float(np.abs(m.sum(axis=1) - 1.0).max())
     if row_err > STOCHASTIC_TOL:
@@ -187,7 +162,7 @@ def influence_weights(params: FJParameters, tol: float = 1e-10) -> np.ndarray:
                 f"influence rows off stochasticity by {row_err!r} with "
                 f"zero-stubbornness agents present"
             )
-        raise InvariantViolation(
+        raise NumericalError(
             f"influence rows off stochasticity by {row_err!r}; check that "
             f"every agent has a stochastic weight row"
         )

@@ -32,6 +32,7 @@ as empty cells.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -75,10 +76,15 @@ _SAMPLE_KEYS = {
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write via a temp file in the target directory and a rename; the file
+    gets mode 0o666 minus the umask, like one created by ``open``."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # the umask can only be read by setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -123,19 +129,12 @@ def format_cell(value: Any) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([format_cell(v) for v in row])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_cell(v) for v in row])
+    atomic_write_text(path, buf.getvalue())
 
 
 # -- trajectory files ------------------------------------------------------

@@ -116,9 +116,15 @@ def influence_metrics(
     a single round.  ``normalization`` divides by the max (canonical) or
     by the second-largest value.
     """
+    pi = aggregate_pi(influence_weights(params), eta).pi
+    return _influence_scores(params, pi, normalization)
+
+
+def _influence_scores(
+    params: FJParameters, pi: np.ndarray, normalization: str
+) -> tuple[np.ndarray, np.ndarray]:
     if normalization not in ("max", "second_largest"):
         raise ShapeMismatch(f"unknown normalization {normalization!r}")
-    pi = aggregate_pi(influence_weights(params), eta).pi
     peer = ((1.0 - params.alpha)[:, None] * params.w).sum(axis=0)
     return _normalize_scores(pi, normalization), _normalize_scores(peer, normalization)
 
@@ -279,7 +285,8 @@ def trajectory_metrics(
         raise ShapeMismatch(f"params n={params.n} but trajectory n={traj.n}")
     final = traj.final
     conf, rel = confidence_metrics(final)
-    infl, peer = influence_metrics(params, eta, normalization)
+    weights = aggregate_pi(influence_weights(params), eta)
+    infl, peer = _influence_scores(params, weights.pi, normalization)
     align, score, count = alignment_metrics(final)
     label = traj.correct_label
     rows = [
@@ -304,6 +311,6 @@ def trajectory_metrics(
         disagreement=dis,
         mean_confidence=float(conf.mean()),
         consensus_reached=bool(np.all(tops == tops[0]) and dis < consensus_threshold),
-        pi=aggregate_pi(influence_weights(params), eta),
+        pi=weights,
     )
     return rows, system

@@ -133,6 +133,10 @@ class FJParameters:
                 f"inconsistent shapes: gamma {gamma.shape}, alpha {alpha.shape}, "
                 f"w {w.shape}, mask {mask.shape}"
             )
+        # NaN passes every range comparison below, so reject it first
+        for name, arr in (("gamma", gamma), ("alpha", alpha), ("w", w)):
+            if not np.isfinite(arr).all():
+                raise WeightNotSimplex(f"{name} has a non-finite entry")
         if gamma.min() < 0.0 or gamma.max() > 1.0:
             raise WeightNotSimplex("gamma entries must lie in [0, 1]")
         if alpha.min() < 0.0 or alpha.max() > 1.0:

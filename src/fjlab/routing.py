@@ -31,7 +31,7 @@ from .errors import (
     WeightNotSimplex,
 )
 from .metrics import _confidence_rows, brier_loss, diversity
-from .model import FJParameters, validate_snapshot
+from .model import FJParameters, check_label, validate_snapshot
 from .dynamics import aggregate_pi, influence_weights
 
 __all__ = [
@@ -264,7 +264,7 @@ def _resolve_weights(sset: LabeledSnapshotSet, router: Router | None) -> np.ndar
 def local_risk(s, y: int) -> np.ndarray:
     """Per-agent squared-error risk of one snapshot against label y."""
     s = validate_snapshot(s)
-    return np.array([brier_loss(s[j], y) for j in range(s.shape[0])])
+    return _brier_rows(s[None], np.array([check_label(y, s.shape[1])]))[0]
 
 
 def ambiguity_decomposition(s, a, y: int) -> tuple[float, float, float]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import build_h, equilibrium, influence_weights, simulate, spectral_radius
 from .errors import ConfigError
-from .metrics import _confidence_rows, diversity
+from .metrics import diversity
 from .model import FJParameters
 from .routing import (
     LabeledSnapshotSet,
@@ -162,13 +162,6 @@ def _log_losses(sset: LabeledSnapshotSet, weights: np.ndarray) -> np.ndarray:
     return -np.log(mix[np.arange(sset.m), sset.labels])
 
 
-def _hard_confidence_weights(sset: LabeledSnapshotSet) -> np.ndarray:
-    c = _confidence_rows(sset.beliefs)
-    out = np.zeros((sset.m, sset.n))
-    out[np.arange(sset.m), np.argmax(c, axis=1)] = 1.0
-    return out
-
-
 def check_exclusive_scenario(
     samples: int = 100_000, seed: int = 11, mc_tol: float = 0.01
 ) -> CheckResult:
@@ -180,7 +173,8 @@ def check_exclusive_scenario(
     sset = gen_exclusive(sc, samples, seed)
     uniform = np.full((sset.m, sset.n), 1.0 / sset.n)
     emp_ens = float(_log_losses(sset, uniform).mean())
-    emp_moe = float(_log_losses(sset, _hard_confidence_weights(sset)).mean())
+    hard = hard_confidence_router()(sset.beliefs, None)
+    emp_moe = float(_log_losses(sset, hard).mean())
     emp_gap = emp_ens - emp_moe
     a_star = optimal_fixed_ensemble(sc)
     opt_dev = float(np.abs(a_star - 1.0 / sc.n).max())
@@ -237,7 +231,7 @@ def check_imperfect_scenario(
     closed = imperfect_gap(sc)
     sset = gen_imperfect(sc, samples, seed)
     uniform = np.full((sset.m, sset.n), 1.0 / sset.n)
-    hard = _hard_confidence_weights(sset)
+    hard = hard_confidence_router()(sset.beliefs, None)
     emp_gap = float(_log_losses(sset, uniform).mean() - _log_losses(sset, hard).mean())
     chosen = np.argmax(hard, axis=1)
     routed_rows = sset.beliefs[np.arange(sset.m), chosen, :]

@@ -57,16 +57,35 @@ class TestBuildH:
 
 
 class TestSpectralRadius:
-    def test_matches_eigvals_on_random_nonnegative(self):
+    def test_two_by_two_closed_form(self):
+        # a nonnegative 2x2 matrix has real eigenvalues (tr +- sqrt(tr^2 - 4 det)) / 2
         rng = np.random.default_rng(1)
         for _ in range(50):
-            n = int(rng.integers(2, 7))
+            h = rng.uniform(0.0, 1.0, (2, 2))
+            tr, det = np.trace(h), np.linalg.det(h)
+            expected = (tr + np.sqrt(tr * tr - 4.0 * det)) / 2.0
+            assert spectral_radius(h) == pytest.approx(expected, rel=1e-12)
+
+    def test_collatz_wielandt_bracket(self):
+        # min_i (Hx)_i / x_i <= rho <= max_i (Hx)_i / x_i for nonnegative H
+        # and positive x; power steps on a positive H close the bracket
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            n = int(rng.integers(2, 11))
             h = rng.uniform(0.0, 1.0, (n, n)) * rng.uniform(0.2, 0.9)
-            expected = float(np.abs(np.linalg.eigvals(h)).max())
-            assert spectral_radius(h) == pytest.approx(expected, abs=1e-8)
+            rho = spectral_radius(h)
+            x = rng.uniform(0.1, 1.0, n)
+            ratio = (h @ x) / x
+            assert ratio.min() - 1e-12 <= rho <= ratio.max() + 1e-12
+            for _ in range(200):
+                x = h @ x
+                x /= x.max()
+            ratio = (h @ x) / x
+            assert ratio.min() - 1e-12 <= rho <= ratio.max() + 1e-12
+            assert ratio.max() - ratio.min() <= 1e-9
 
     def test_permutation_matrix(self):
-        # eigenvalues sit on the unit circle; the shifted iteration still converges
+        # eigenvalues +1 and -1 both sit on the unit circle
         perm = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert spectral_radius(perm) == pytest.approx(1.0, abs=1e-10)
 
@@ -164,6 +183,21 @@ class TestEquilibrium:
         innate = np.array([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(NotContractive):
             equilibrium(params, innate)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+    def test_zero_stubbornness_agent_with_peers(self, seed, n):
+        # one agent with gamma = 0 puts a unit row sum in H, so the
+        # infinity-norm bound on rho is 1, yet peers keep rho below 1
+        rng = np.random.default_rng(seed)
+        params, innate = random_contractive(rng, n=n)
+        gamma = params.gamma.copy()
+        gamma[rng.integers(n)] = 0.0
+        params = make_params(gamma, params.alpha, params.w)
+        m = influence_weights(params)
+        assert m.min() >= 0.0
+        np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-10)
+        np.testing.assert_allclose(equilibrium(params, innate), m @ innate, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))

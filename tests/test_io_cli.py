@@ -1,16 +1,18 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
 from fjlab.cli import run
-from fjlab.config import load_config
+from fjlab.config import eta_vector, load_config
 from fjlab.dynamics import influence_weights, simulate
 from fjlab.errors import (
     ConfigError,
     DegenerateStubbornness,
     InvariantViolation,
+    NumericalError,
     ParseError,
     SchemaVersionUnsupported,
 )
@@ -230,6 +232,14 @@ class TestConfig:
         assert cfg.fit.seed == 42
         assert cfg.verify.seed == 42
 
+    def test_eta_errors_name_their_section(self):
+        assert eta_vector("analyze", "uniform", 3) is None
+        np.testing.assert_array_equal(eta_vector("compare", "0.25,0.75", 2), [0.25, 0.75])
+        with pytest.raises(ConfigError, match="compare.eta"):
+            eta_vector("compare", "0.5,x", 2)
+        with pytest.raises(ConfigError, match="analyze.eta has 2 entries for n=3"):
+            eta_vector("analyze", "0.5,0.5", 3)
+
 
 class TestCLI:
     def _simulate(self, out, extra=()):
@@ -428,6 +438,64 @@ class TestCLI:
         groups = read_json(out, "compare.json")["groups"]
         assert [g["group"] for g in groups] == ["0", "1"]
         assert all(0.0 <= g["influence_mix"] <= 1.0 for g in groups)
+
+    def _analyze_with(self, out, params_doc):
+        # every simulated sample gets the same fitted parameters; json.dump
+        # writes NaN as the bare token NaN, which json.load accepts
+        trajs = load_trajectories(os.path.join(out, "trajectories.json"))
+        per_sample = [{"sample_id": t.sample_id, "params": params_doc} for t in trajs]
+        with open(os.path.join(out, "fits.json"), "w", encoding="utf-8") as fh:
+            json.dump({"schema_version": "1", "per_sample": per_sample}, fh)
+        return run(["--output-dir", out, "--quiet", "analyze"])
+
+    def test_analyze_rejects_nan_parameters(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        doc = params_to_dict(sample_params())
+        doc["gamma"][0] = float("nan")
+        capsys.readouterr()
+        assert self._analyze_with(out, doc) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fjlab:")
+
+    def test_analyze_empty_neighbourhood_exits_two(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        # agent 0 has no peers, so its influence row sums to
+        # gamma_0 / (1 - (1 - gamma_0) alpha_0) < 1
+        mask = FJParameters.complete_mask(3)
+        mask[0] = False
+        params = FJParameters(
+            gamma=np.array([0.3, 0.4, 0.5]),
+            alpha=np.full(3, 0.5),
+            w=np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+            mask=mask,
+        )
+        with pytest.raises(NumericalError):
+            influence_weights(params)
+        capsys.readouterr()
+        assert self._analyze_with(out, params_to_dict(params)) == 2
+        assert capsys.readouterr().err.startswith("fjlab: numerical error:")
+
+    @pytest.mark.parametrize(
+        "umask,mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"]
+    )
+    def test_artifacts_follow_the_umask(self, tmp_path, umask, mode):
+        out = str(tmp_path)
+        old = os.umask(umask)
+        try:
+            assert self._simulate(out) == 0
+            assert run(["--output-dir", out, "--quiet", "fit", "--global"]) == 0
+            assert run(["--output-dir", out, "--quiet", "analyze"]) == 0
+            assert run(["--output-dir", out, "--quiet", "compare"]) == 0
+        finally:
+            os.umask(old)
+        modes = {
+            name: stat.S_IMODE(os.stat(os.path.join(out, name)).st_mode)
+            for name in os.listdir(out)
+        }
+        assert len(modes) == 7
+        assert modes == dict.fromkeys(modes, mode)
 
     def test_config_file_drives_pipeline(self, tmp_path):
         out = str(tmp_path)

@@ -21,7 +21,7 @@ from fjlab.metrics import (
     trajectory_metrics,
 )
 from fjlab.model import FJParameters
-from fjlab.dynamics import simulate
+from fjlab.dynamics import influence_weights, simulate
 
 
 def belief_with_confidence(target: float) -> np.ndarray:
@@ -206,6 +206,26 @@ class TestTrajectoryMetrics:
         assert system.consensus_reached
         assert 0.0 <= system.mean_confidence <= 1.0
         np.testing.assert_allclose(np.asarray(system.pi.pi).sum(), 1.0, atol=1e-12)
+
+    def test_influence_matrix_computed_once(self, monkeypatch):
+        import fjlab.metrics as metrics_mod
+
+        calls = []
+
+        def counting(params):
+            calls.append(params)
+            return influence_weights(params)
+
+        monkeypatch.setattr(metrics_mod, "influence_weights", counting)
+        params = FJParameters(
+            gamma=np.array([0.5, 0.3]),
+            alpha=np.array([0.2, 0.4]),
+            w=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            mask=FJParameters.complete_mask(2),
+        )
+        traj = simulate(params, np.array([[0.9, 0.1], [0.2, 0.8]]), 2)
+        trajectory_metrics(traj, params)
+        assert len(calls) == 1
 
     def test_competence_missing_without_label(self):
         params = FJParameters(

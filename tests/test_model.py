@@ -97,6 +97,18 @@ class TestFJParameters:
                 mask=complete(2),
             )
 
+    @pytest.mark.parametrize("field", ["gamma", "alpha", "w"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, field, bad):
+        values = {
+            "gamma": np.full(2, 0.5),
+            "alpha": np.full(2, 0.5),
+            "w": np.array([[0.0, 1.0], [1.0, 0.0]]),
+        }
+        values[field].flat[-1 if field == "w" else 0] = bad
+        with pytest.raises(WeightNotSimplex, match=f"{field} has a non-finite"):
+            FJParameters(mask=complete(2), **values)
+
     def test_rejects_diagonal_mask(self):
         mask = np.ones((2, 2), dtype=bool)
         with pytest.raises(ShapeMismatch):
