@@ -365,10 +365,12 @@ def _load_fits(path: str) -> dict:
 
 
 def _safe_spearman(x, y) -> "float | None":
+    """Rank correlation, or None with fewer than 3 points or no rank variance."""
     try:
-        return spearman(x, y)
+        rho = spearman(x, y)
     except TooFewPoints:
         return None
+    return rho if math.isfinite(rho) else None
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:

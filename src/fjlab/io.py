@@ -17,13 +17,14 @@ Trajectory files are JSON with schema_version "1":
     }
 
 Unknown keys are rejected.  On ingest every belief row must sum to 1
-within 1e-6 (entries >= -1e-9); rows are then renormalized exactly and
-the worst drift is recorded in the sample's metadata under
+within 1e-6 (entries finite and >= -1e-9); rows are then renormalized
+exactly and the worst drift is recorded in the sample's metadata under
 "ingest_max_drift".  Violations name the exact (sample, round, agent)
 cell.  label_names survive round trips via the metadata key
 "label_names" (JSON-encoded list).
 
 All writes are atomic (temp file in the target directory, then rename).
+JSON is written compact, on one line, with no NaN or Infinity tokens.
 CSVs are RFC 4180: CRLF line endings, minimal quoting, floats via repr
 (shortest round-trip form), booleans as "true"/"false", missing values
 as empty cells.
@@ -93,26 +94,10 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _jsonify(obj: Any) -> Any:
-    """Make an object JSON-serializable; non-finite floats become null."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if math.isfinite(f) else None
-    return obj
-
-
 def atomic_write_json(path: str, obj: Any) -> None:
-    atomic_write_text(path, json.dumps(_jsonify(obj), indent=2) + "\n")
+    """Write ``obj`` as compact single-line JSON; a NaN or infinite float
+    raises ValueError, since every artifact holds finite numbers or null."""
+    atomic_write_text(path, json.dumps(obj, allow_nan=False) + "\n")
 
 
 def format_cell(value: Any) -> str:
@@ -202,20 +187,23 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
             raise ShapeMismatch(
                 f"sample {sid!r}: declared {key}={raw[key]} but rounds give {expected}"
             )
-    # entry and row-mass checks name the exact offending cell
-    if snaps.min() < -1e-9:
-        t, i, c = np.unravel_index(int(np.argmin(snaps)), snaps.shape)
+    # entry and row-mass checks name the exact offending cell; NaN passes
+    # every comparison, so non-finite entries are looked for explicitly
+    bad = ~np.isfinite(snaps) | (snaps < -1e-9)
+    if bad.any():
+        t, i, c = np.argwhere(bad)[0]
+        value = float(snaps[t, i, c])
         raise InvariantViolation(
-            f"sample {sid!r}, round {t}, agent {i}: entry {c} is {snaps[t, i, c]!r}"
+            f"sample {sid!r}, round {t}, agent {i}: entry {c} is {value!r}"
         )
     sums = snaps.sum(axis=2)
     err = np.abs(sums - 1.0)
-    if err.max() > 1e-6:
+    drift = float(err.max())
+    if drift > 1e-6:
         t, i = np.unravel_index(int(np.argmax(err)), err.shape)
         raise InvariantViolation(
-            f"sample {sid!r}, round {t}, agent {i}: row sums to {sums[t, i]!r}"
+            f"sample {sid!r}, round {t}, agent {i}: row sums to {float(sums[t, i])!r}"
         )
-    drift = float(np.abs(snaps.sum(axis=2) - 1.0).max())
     snaps = np.clip(snaps, 0.0, None)
     snaps /= snaps.sum(axis=2, keepdims=True)
     label = raw.get("correct_label")

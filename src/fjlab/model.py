@@ -59,31 +59,38 @@ def normalize_belief(raw, tau: float = TAU_SIMPLEX) -> np.ndarray:
     return b
 
 
+def _check_rows(arr: np.ndarray, what: str, tau: float = TAU_SIMPLEX) -> np.ndarray:
+    """The one check of belief rows, along the last axis of ``arr``: every
+    entry is finite and at least -tau, and every row sums to 1 within tau."""
+    # NaN passes every comparison below, so reject non-finite entries first
+    if not np.isfinite(arr).all():
+        raise WeightNotSimplex(f"{what} has a non-finite entry")
+    low = float(arr.min())
+    if low < -tau:
+        raise NegativeEntry(f"{what} entry {low!r} below -{tau!r}")
+    worst = float(np.abs(arr.sum(axis=-1) - 1.0).max())
+    if worst > tau:
+        raise WeightNotSimplex(f"{what} row mass off by {worst!r} (> {tau!r})")
+    return arr
+
+
+def _belief_array(x, ndim: int, what: str, tau: float) -> np.ndarray:
+    """A float64 array of ``ndim`` axes whose last axis holds beliefs over
+    at least 2 labels, every other axis nonempty, checked row by row."""
+    arr = _as_float_array(x, ndim, what)
+    if arr.shape[-1] < 2 or 0 in arr.shape:
+        raise ShapeMismatch(f"{what} shape {arr.shape} needs nonempty axes and d >= 2")
+    return _check_rows(arr, what, tau)
+
+
 def validate_belief(b, tau: float = TAU_SIMPLEX) -> np.ndarray:
     """Check that ``b`` already sits on the simplex; returns it as float64."""
-    arr = _as_float_array(b, 1, "belief")
-    if arr.size < 2:
-        raise ShapeMismatch(f"belief needs at least 2 entries, got {arr.size}")
-    if arr.min() < -tau:
-        raise NegativeEntry(f"entry {arr.min()!r} below -{tau!r}")
-    if abs(arr.sum() - 1.0) > tau:
-        raise WeightNotSimplex(f"belief mass {arr.sum()!r} not within {tau!r} of 1")
-    return arr
+    return _belief_array(b, 1, "belief", tau)
 
 
 def validate_snapshot(s, tau: float = TAU_SIMPLEX) -> np.ndarray:
     """Check an (n, d) matrix of belief rows."""
-    arr = _as_float_array(s, 2, "snapshot")
-    n, d = arr.shape
-    if n < 1 or d < 2:
-        raise ShapeMismatch(f"snapshot shape {arr.shape} needs n >= 1, d >= 2")
-    if arr.min() < -tau:
-        raise NegativeEntry(f"snapshot entry {arr.min()!r} below -{tau!r}")
-    sums = arr.sum(axis=1)
-    worst = np.abs(sums - 1.0).max()
-    if worst > tau:
-        raise WeightNotSimplex(f"snapshot row mass off by {worst!r} (> {tau!r})")
-    return arr
+    return _belief_array(s, 2, "snapshot", tau)
 
 
 def argmax_label(b) -> int:
@@ -186,13 +193,11 @@ class DeliberationTrajectory:
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        snaps = np.asarray(self.snapshots, dtype=np.float64)
-        if snaps.ndim != 3:
-            raise ShapeMismatch(f"snapshots must be (T+1, n, d), got {snaps.shape}")
-        for t in range(snaps.shape[0]):
-            validate_snapshot(snaps[t])
+        snaps = _belief_array(self.snapshots, 3, "snapshots", TAU_SIMPLEX)
         if self.correct_label is not None:
-            check_label(self.correct_label, snaps.shape[2])
+            # stored as a plain int, so the trajectory writer can encode it
+            label = check_label(self.correct_label, snaps.shape[2])
+            object.__setattr__(self, "correct_label", label)
         if not all(
             isinstance(k, str) and isinstance(v, str) for k, v in self.metadata.items()
         ):
@@ -233,11 +238,8 @@ class AggregationWeights:
         pi = _as_float_array(self.pi, 1, "pi")
         if eta.shape != pi.shape:
             raise ShapeMismatch(f"eta {eta.shape} and pi {pi.shape} differ")
-        for name, v in (("eta", eta), ("pi", pi)):
-            if v.min() < -TAU_SIMPLEX:
-                raise NegativeEntry(f"{name} entry {v.min()!r} negative")
-            if abs(v.sum() - 1.0) > TAU_SIMPLEX:
-                raise WeightNotSimplex(f"{name} mass {v.sum()!r} not 1")
+        _check_rows(eta, "eta")
+        _check_rows(pi, "pi")
         object.__setattr__(self, "eta", _freeze(eta))
         object.__setattr__(self, "pi", _freeze(pi))
 

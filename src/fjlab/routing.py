@@ -26,12 +26,11 @@ from .errors import (
     EmptyInput,
     LabelOutOfRange,
     MissingParams,
-    NegativeEntry,
     ShapeMismatch,
     WeightNotSimplex,
 )
 from .metrics import _confidence_rows, brier_loss, diversity
-from .model import FJParameters, check_label, validate_snapshot
+from .model import FJParameters, _check_rows, check_label, validate_snapshot
 from .dynamics import aggregate_pi, influence_weights
 
 __all__ = [
@@ -94,11 +93,7 @@ class LabeledSnapshotSet:
         y = y.astype(np.int64)
         if y.min() < 0 or y.max() >= d:
             raise LabelOutOfRange(f"labels must lie in [0, {d})")
-        if b.min() < -INGEST_TOL:
-            raise NegativeEntry(f"belief entry {b.min()!r} below -{INGEST_TOL!r}")
-        worst = float(np.abs(b.sum(axis=2) - 1.0).max())
-        if worst > INGEST_TOL:
-            raise WeightNotSimplex(f"belief rows off the simplex by {worst!r}")
+        _check_rows(b, "beliefs", INGEST_TOL)
         for name in ("weights", "risks"):
             v = getattr(self, name)
             if v is None:

@@ -96,7 +96,7 @@ def check_influence_consistency(
         worst_neg = min(worst_neg, float(m.min()))
         worst_row = max(worst_row, float(np.abs(m.sum(axis=1) - 1.0).max()))
         rho = spectral_radius(build_h(params))
-        worst_rho = max(worst_rho, rho - (1.0 - params.gamma.min()))
+        worst_rho = max(worst_rho, rho - (1.0 - float(params.gamma.min())))
         fixed = equilibrium(params, innate)
         iterated = simulate(params, innate, rounds).final
         worst_gap = max(worst_gap, float(np.abs(iterated - fixed).max()))
@@ -332,6 +332,15 @@ def run_all_checks(
             samples=consistency_samples, seed=seed + 7
         ),
     }
+    budgets = {
+        "prop_draws": prop_draws,
+        "identity_draws": identity_draws,
+        "scenario_samples": scenario_samples,
+        "consistency_samples": consistency_samples,
+    }
+    for key, value in budgets.items():
+        if value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
     results = []
     for name in checks:
         if name not in registry:

@@ -25,7 +25,7 @@ from fjlab.io import (
     save_trajectories,
     write_csv,
 )
-from fjlab.model import FJParameters
+from fjlab.model import DeliberationTrajectory, FJParameters
 
 
 def read_json(out, name):
@@ -102,7 +102,9 @@ class TestTrajectoryFiles:
             "metadata": {},
         }
         sample.update(overrides)
-        atomic_write_json(path, {"schema_version": "1", "samples": [sample]})
+        # plain json.dump, which writes NaN and Infinity as bare tokens
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"schema_version": "1", "samples": [sample]}, fh)
 
     def test_ingest_locates_bad_cell(self, tmp_path):
         path = str(tmp_path / "neg.json")
@@ -111,6 +113,15 @@ class TestTrajectoryFiles:
             load_trajectories(path)
         msg = str(err.value)
         assert "sample 'x'" in msg and "round 0" in msg and "agent 1" in msg
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_ingest_locates_non_finite_cell(self, tmp_path, bad):
+        path = str(tmp_path / "nan.json")
+        self._write_one(path, [[[0.5, 0.5], [0.3, 0.7]], [[0.5, 0.5], [bad, 0.7]]])
+        with pytest.raises(InvariantViolation) as err:
+            load_trajectories(path)
+        msg = str(err.value)
+        assert "sample 'x', round 1, agent 1: entry 0 is" in msg
 
     def test_ingest_rejects_bad_row_sum(self, tmp_path):
         path = str(tmp_path / "sum.json")
@@ -296,6 +307,71 @@ class TestCLI:
         summary = json.load(open(os.path.join(out, "analyze_summary.json")))
         assert summary["n_samples"] == 4
 
+    def test_every_json_artifact_is_strict_and_compact(self, tmp_path):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        assert run(["--output-dir", out, "--quiet", "fit", "--global"]) == 0
+        assert run(["--output-dir", out, "--quiet", "analyze"]) == 0
+        assert run(["--output-dir", out, "--quiet", "compare"]) == 0
+        assert (
+            run(
+                [
+                    "--output-dir", out, "--quiet", "verify",
+                    "--checks", "influence_consistency,ambiguity_identity",
+                    "--prop-draws", "3", "--identity-draws", "20",
+                ]
+            )
+            == 0
+        )
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        names = sorted(n for n in os.listdir(out) if n.endswith(".json"))
+        assert names == [
+            "analyze_summary.json",
+            "compare.json",
+            "fits.json",
+            "trajectories.json",
+            "verify_report.json",
+        ]
+        for name in names:
+            text = open(os.path.join(out, name), encoding="utf-8").read()
+            json.loads(text, parse_constant=refuse)
+            assert text.count("\n") == 1 and text.endswith("\n"), name
+
+    def test_analyze_writes_null_for_constant_beliefs(self, tmp_path):
+        out = str(tmp_path)
+        # every agent holds the uniform belief, so no rank varies
+        trajs = [
+            DeliberationTrajectory(
+                snapshots=np.full((3, 3, 4), 0.25),
+                sample_id=f"s{k}",
+                correct_label=0,
+                metadata={"pool": "0"},
+            )
+            for k in range(2)
+        ]
+        save_trajectories(os.path.join(out, "trajectories.json"), trajs)
+        assert self._analyze_with(out, params_to_dict(sample_params())) == 0
+        summary = read_json(out, "analyze_summary.json")
+        assert summary["spearman_confidence_competence"] is None
+        assert summary["spearman_influence_competence"] is None
+
+    def test_fit_rejects_non_finite_beliefs(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        path = os.path.join(out, "trajectories.json")
+        doc = read_json(out, "trajectories.json")
+        doc["samples"][1]["rounds"][2][0][1] = float("nan")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)  # writes the bare token NaN
+        capsys.readouterr()
+        assert run(["--output-dir", out, "fit", "--input", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fjlab:")
+        assert "sample 'sample-0001', round 2, agent 0: entry 1 is nan" in err[0]
+
     def test_params_mode(self, tmp_path):
         out = str(tmp_path)
         params = sample_params()
@@ -364,6 +440,42 @@ class TestCLI:
         report = json.load(open(os.path.join(out, "verify_report.json")))
         assert report["all_passed"] is True
         assert len(report["checks"]) == 2
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--prop-draws", "--identity-draws", "--scenario-samples", "--consistency-samples"],
+    )
+    def test_verify_rejects_empty_budgets(self, tmp_path, capsys, flag):
+        capsys.readouterr()
+        assert run(["--output-dir", str(tmp_path), "--quiet", "verify", flag, "0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("fjlab:") and "must be at least 1, got 0" in err[0]
+        assert not os.listdir(str(tmp_path))
+
+    def test_verify_report_prints_plain_floats(self, tmp_path):
+        out = str(tmp_path)
+        rc = run(
+            [
+                "--output-dir", out, "--quiet",
+                "verify", "--checks", "influence_consistency", "--prop-draws", "3",
+            ]
+        )
+        assert rc == 0
+        line = open(os.path.join(out, "verify_report.txt")).readline()
+        assert line.startswith("[PASS] influence_consistency ")
+        measured = dict(
+            token.split("=", 1) for token in line.split(" | ")[0].split()[2:]
+        )
+        assert set(measured) == {
+            "draws",
+            "max_rho_above_bound",
+            "max_row_sum_error",
+            "max_sim_vs_equilibrium",
+            "min_influence_entry",
+        }
+        for value in measured.values():
+            float(value)  # a plain repr, not np.float64(...)
 
     def test_verify_failure_exits_two(self, tmp_path, monkeypatch):
         import fjlab.cli as cli_mod

@@ -16,6 +16,7 @@ from fjlab.model import (
     argmax_label,
     check_label,
     normalize_belief,
+    validate_belief,
     validate_snapshot,
 )
 
@@ -71,6 +72,22 @@ class TestSnapshotAndLabels:
             validate_snapshot(np.ones(3))
         with pytest.raises(ShapeMismatch):
             validate_snapshot(np.ones((2, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "check,shape",
+        [
+            (validate_belief, (3,)),
+            (validate_snapshot, (2, 3)),
+            (lambda s: DeliberationTrajectory(snapshots=s), (4, 2, 3)),
+        ],
+        ids=["belief", "snapshot", "trajectory"],
+    )
+    def test_rejects_non_finite_entries(self, check, shape, bad):
+        arr = np.full(shape, 1.0 / 3.0)
+        arr.flat[-1] = bad
+        with pytest.raises(WeightNotSimplex, match="non-finite"):
+            check(arr)
 
     def test_argmax_breaks_ties_low(self):
         assert argmax_label([0.4, 0.4, 0.2]) == 0
@@ -153,6 +170,24 @@ class TestTrajectory:
         assert traj.d == 2
         np.testing.assert_array_equal(traj.innate, traj.final)
 
+    def test_every_round_is_checked(self):
+        snaps = np.full((4, 2, 2), 0.5)
+        snaps[3, 1] = [0.5, 0.6]
+        with pytest.raises(WeightNotSimplex):
+            DeliberationTrajectory(snapshots=snaps)
+        snaps[3, 1] = [1.1, -0.1]
+        with pytest.raises(NegativeEntry):
+            DeliberationTrajectory(snapshots=snaps)
+
+    def test_needs_a_snapshot(self):
+        with pytest.raises(ShapeMismatch):
+            DeliberationTrajectory(snapshots=np.empty((0, 2, 2)))
+
+    def test_label_stored_as_int(self):
+        snaps = np.full((1, 2, 2), 0.5)
+        traj = DeliberationTrajectory(snapshots=snaps, correct_label=np.int64(1))
+        assert type(traj.correct_label) is int
+
     def test_label_validated(self):
         snaps = np.full((1, 2, 2), 0.5)
         with pytest.raises(LabelOutOfRange):
@@ -172,3 +207,7 @@ class TestAggregationWeights:
     def test_rejects_non_simplex(self):
         with pytest.raises((WeightNotSimplex, NegativeEntry, ShapeMismatch)):
             AggregationWeights(eta=np.array([0.5, 0.6]), pi=np.array([0.2, 0.8]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(WeightNotSimplex, match="eta has a non-finite"):
+            AggregationWeights(eta=np.array([np.nan, 0.5]), pi=np.array([0.2, 0.8]))

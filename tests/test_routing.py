@@ -57,6 +57,12 @@ class TestLabeledSnapshotSet:
         with pytest.raises(WeightNotSimplex):
             LabeledSnapshotSet(beliefs=beliefs, labels=np.array([0]))
 
+    def test_rejects_non_finite_entries(self):
+        beliefs = np.full((1, 2, 2), 0.5)
+        beliefs[0, 1, 0] = np.nan
+        with pytest.raises(WeightNotSimplex, match="non-finite"):
+            LabeledSnapshotSet(beliefs=beliefs, labels=np.array([0]))
+
 
 class TestAmbiguityDecomposition:
     def test_exact_identity_random(self):
