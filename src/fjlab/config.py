@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError
+from .model import _check_rows
 from .verify import DEFAULT_CHECKS
 
 __all__ = [
@@ -33,7 +34,7 @@ __all__ = [
 
 def eta_vector(section: str, eta: str, n: int) -> "np.ndarray | None":
     """Readout weights from a section's eta key: None for "uniform", else
-    n comma-separated numbers; errors name the section."""
+    n comma-separated numbers on the simplex; errors name the section."""
     if eta == "uniform":
         return None
     try:
@@ -42,7 +43,7 @@ def eta_vector(section: str, eta: str, n: int) -> "np.ndarray | None":
         raise ConfigError(f"{section}.eta: {exc}") from exc
     if vec.size != n:
         raise ConfigError(f"{section}.eta has {vec.size} entries for n={n}")
-    return vec
+    return _check_rows(vec, f"{section}.eta")
 
 
 @dataclass(frozen=True)

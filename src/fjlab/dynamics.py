@@ -64,37 +64,25 @@ def build_h(params: FJParameters) -> np.ndarray:
 
 def fj_step(params: FJParameters, innate: np.ndarray, current: np.ndarray) -> np.ndarray:
     """Apply one deliberation round to ``current`` given innate beliefs."""
-    out, _ = _fj_step_drift(params, innate, current)
-    return out
-
-
-def _fj_step_drift(
-    params: FJParameters, innate: np.ndarray, current: np.ndarray
-) -> tuple[np.ndarray, float]:
     innate = validate_snapshot(innate)
     current = validate_snapshot(current)
     if innate.shape != current.shape or innate.shape[0] != params.n:
         raise ShapeMismatch(
             f"innate {innate.shape}, current {current.shape}, n={params.n}"
         )
-    return _fj_step_core(params, innate, current)
+    return _round(params.gamma[:, None] * innate, build_h(params), current)[0]
 
 
-def _fj_step_core(
-    params: FJParameters, innate: np.ndarray, current: np.ndarray
+def _round(
+    gs: np.ndarray, h: np.ndarray, current: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    coef_self = (1.0 - params.gamma) * params.alpha
-    coef_peer = (1.0 - params.gamma) * (1.0 - params.alpha)
-    out = (
-        params.gamma[:, None] * innate
-        + coef_self[:, None] * current
-        + coef_peer[:, None] * (params.w @ current)
-    )
+    """One round B <- G S + H B from precomputed G S and H; returns the
+    renormalized snapshot and how far its row sums drifted from 1."""
+    out = gs + h @ current
     # Rows are convex combinations of simplex rows, so only float rounding
     # (or an empty neighborhood row) moves the mass off 1; renormalize and
     # report how far it drifted.
-    sums = out.sum(axis=1)
-    drift = float(np.abs(sums - 1.0).max())
+    drift = float(np.abs(out.sum(axis=1) - 1.0).max())
     np.clip(out, 0.0, None, out=out)
     out /= out.sum(axis=1, keepdims=True)
     return out, drift
@@ -208,10 +196,11 @@ def simulate(
         raise ShapeMismatch(f"rounds must be >= 0, got {rounds}")
     snaps = np.empty((rounds + 1,) + innate.shape)
     snaps[0] = innate
+    gs, h = params.gamma[:, None] * innate, build_h(params)
     worst = 0.0
     current = innate
     for t in range(rounds):
-        current, drift = _fj_step_core(params, innate, current)
+        current, drift = _round(gs, h, current)
         worst = max(worst, drift)
         snaps[t + 1] = current
     meta = dict(metadata or {})
@@ -238,9 +227,10 @@ def settle(
     innate = validate_snapshot(innate)
     if innate.shape[0] != params.n:
         raise ShapeMismatch(f"innate has {innate.shape[0]} rows, n={params.n}")
+    gs, h = params.gamma[:, None] * innate, build_h(params)
     current = innate
     for _ in range(max_rounds):
-        nxt, _ = _fj_step_core(params, innate, current)
+        nxt, _ = _round(gs, h, current)
         if np.abs(nxt - current).max() <= atol:
             return nxt
         current = nxt

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import LOG_FLOOR
+from .dynamics import build_h
 from .errors import (
     DegenerateTrajectory,
     EmptyInput,
@@ -127,14 +128,7 @@ def one_step_predictions(
     if params.n != traj.n:
         raise ShapeMismatch(f"params n={params.n} but trajectory n={traj.n}")
     innate, b_in, _ = _stack_io(traj)
-    gamma, alpha = params.gamma, params.alpha
-    coef_self = (1.0 - gamma) * alpha
-    coef_peer = (1.0 - gamma) * (1.0 - alpha)
-    return (
-        gamma[:, None] * innate
-        + coef_self[:, None] * b_in
-        + coef_peer[:, None] * (params.w @ b_in)
-    )
+    return params.gamma[:, None] * innate + build_h(params) @ b_in
 
 
 def fit_objective(

@@ -199,7 +199,11 @@ def diversity(s, a, form: str = "moment") -> float:
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (s.shape[0],):
         raise ShapeMismatch(f"weights {a.shape} do not match {s.shape[0]} agents")
-    if a.min() < -TAU_SIMPLEX or abs(a.sum() - 1.0) > TAU_SIMPLEX:
+    if (
+        not np.isfinite(a).all()
+        or a.min() < -TAU_SIMPLEX
+        or abs(a.sum() - 1.0) > TAU_SIMPLEX
+    ):
         raise WeightNotSimplex("aggregation weights must lie on the simplex")
     if form == "moment":
         center = a @ s

@@ -8,6 +8,7 @@ validated object stays valid.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +101,11 @@ def argmax_label(b) -> int:
 
 
 def check_label(y: int, d: int) -> int:
-    y = int(y)
+    """An integer label in [0, d); non-integers are rejected, not truncated."""
+    try:
+        y = operator.index(y)
+    except TypeError as exc:
+        raise LabelOutOfRange(f"label {y!r} is not an integer") from exc
     if not 0 <= y < d:
         raise LabelOutOfRange(f"label {y} outside [0, {d})")
     return y

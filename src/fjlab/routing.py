@@ -248,7 +248,11 @@ def _resolve_weights(sset: LabeledSnapshotSet, router: Router | None) -> np.ndar
         raise MissingParams("no router given and the snapshot set has no weights")
     if w.shape != (sset.m, sset.n):
         raise ShapeMismatch(f"router produced {w.shape}, expected {(sset.m, sset.n)}")
-    if w.min() < -1e-12 or np.abs(w.sum(axis=1) - 1.0).max() > 1e-9:
+    if (
+        not np.isfinite(w).all()
+        or w.min() < -1e-12
+        or np.abs(w.sum(axis=1) - 1.0).max() > 1e-9
+    ):
         raise WeightNotSimplex("routing weights must lie on the simplex")
     return w
 

@@ -6,8 +6,9 @@ per sample whose identity varies by region:
 * exclusive knowledge: the competent agent puts p = 1 - epsilon on the
   true label; everyone else is exactly uniform.  Log losses of fixed
   mixtures, of confidence routing, and of error-prone routing all have
-  closed forms, which makes the family a sharp oracle for routing
-  theory.
+  closed forms, the best fixed mixture is a water-filling solution, and
+  the Monte Carlo routing crossover is an order statistic of the routing
+  noise, which makes the family a sharp oracle for routing theory.
 * imperfect agents: non-competent agents lean on a shared wrong label,
   so the uniform ensemble can be confidently wrong while confidence
   routing stays exact.
@@ -84,7 +85,11 @@ class ExclusiveScenario:
         rho = np.asarray(rho, dtype=np.float64)
         if rho.shape != (self.n,):
             raise InvalidScenario(f"rho shape {rho.shape} does not match n={self.n}")
-        if rho.min() < 0.0 or abs(rho.sum() - 1.0) > 1e-9:
+        if (
+            not np.isfinite(rho).all()
+            or rho.min() < 0.0
+            or abs(rho.sum() - 1.0) > 1e-9
+        ):
             raise InvalidScenario("rho must be a probability vector")
         rho = rho / rho.sum()
         rho.setflags(write=False)
@@ -153,7 +158,7 @@ def exclusive_losses(sc: ExclusiveScenario, a) -> ExclusiveLosses:
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (sc.n,):
         raise InvalidScenario(f"weights shape {a.shape} does not match n={sc.n}")
-    if a.min() < -1e-12 or abs(a.sum() - 1.0) > 1e-9:
+    if not np.isfinite(a).all() or a.min() < -1e-12 or abs(a.sum() - 1.0) > 1e-9:
         raise InvalidScenario("weights must lie on the simplex")
     p, u = sc.p, sc.u
     l_ens = float(-(sc.rho * np.log(u + (p - u) * np.clip(a, 0.0, None))).sum())
@@ -180,44 +185,24 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def optimal_fixed_ensemble(
-    sc: ExclusiveScenario, tol: float = 1e-10, max_iter: int = 20000
-) -> np.ndarray:
-    """Fixed weights minimizing l_ens over the simplex.
+def optimal_fixed_ensemble(sc: ExclusiveScenario) -> np.ndarray:
+    """Fixed weights minimizing l_ens over the simplex, by water-filling.
 
-    The objective is convex and smooth on the simplex, so projected
-    gradient descent with backtracking converges to the global optimum;
-    for balanced regions the first iterate is already uniform and is
-    returned exactly.
+    The KKT conditions of min -sum_j rho_j ln(u + (p - u) a_j) on the
+    simplex give a_j = max(0, t rho_j - u / (p - u)), with the level t
+    fixed by sum_j a_j = 1.  The support is the k largest rho_j for the
+    largest k whose level keeps the k-th of them positive, found by one
+    sort as in ``project_simplex``.  Balanced regions return exactly
+    uniform weights.
     """
-    p, u = sc.p, sc.u
-    rho = sc.rho
-
-    def f(a: np.ndarray) -> float:
-        return float(-(rho * np.log(u + (p - u) * a)).sum())
-
-    def grad(a: np.ndarray) -> np.ndarray:
-        return -rho * (p - u) / (u + (p - u) * a)
-
-    a = np.full(sc.n, 1.0 / sc.n)
-    fa = f(a)
-    step = 1.0
-    for _ in range(max_iter):
-        g = grad(a)
-        while True:
-            cand = project_simplex(a - step * g)
-            fc = f(cand)
-            decrease = g @ (a - cand)
-            if fc <= fa - 1e-4 * decrease or step < 1e-18:
-                break
-            step *= 0.5
-        moved = float(np.abs(cand - a).max())
-        if fc < fa:
-            a, fa = cand, fc
-        if moved <= tol:
-            return a
-        step = min(step * 1.3, 1e6)
-    raise NoConvergence(f"simplex descent did not settle in {max_iter} steps")
+    if sc.balanced:
+        return np.full(sc.n, 1.0 / sc.n)
+    c = sc.u / (sc.p - sc.u)
+    r = np.sort(sc.rho)[::-1]
+    k = np.arange(1, sc.n + 1)
+    level = (1.0 + k * c) / np.cumsum(r)
+    last = int(np.nonzero(level * r - c > 0.0)[0][-1])
+    return np.clip(level[last] * sc.rho - c, 0.0, None)
 
 
 def moe_advantage_check(sc: ExclusiveScenario) -> bool:
@@ -248,17 +233,22 @@ def route_loss(sc: ExclusiveScenario, delta: float) -> float:
 
 
 def empirical_route_crossover(
-    sc: ExclusiveScenario, samples: int = 100_000, seed: int = 0, tol: float = 1e-6
+    sc: ExclusiveScenario, samples: int = 100_000, seed: int = 0
 ) -> float:
     """Monte Carlo estimate of the routing-error break-even point.
 
     Uses common random numbers: one uniform per sample decides whether
-    the router errs, so the empirical routed loss is monotone in delta
-    and plain bisection against the empirical optimal-fixed-mixture loss
-    is valid.  Draw order: regions, labels, then routing uniforms.
+    the router errs (noise < delta), so the empirical routed loss is
+    lr + (lw - lr) #(noise < delta) / m.  It first exceeds the empirical
+    optimal-fixed-mixture loss lr + q (lw - lr) once more than q m
+    uniforms lie below delta, that is at the floor(q m)-th order
+    statistic of the noise (0-based).  Draw order: regions, labels, then
+    routing uniforms.
     """
     if not sc.balanced:
         raise UnbalancedScenario("crossover search expects balanced rho")
+    if samples < 1:
+        raise InvalidScenario(f"samples must be >= 1, got {samples}")
     rng = _rng(seed)
     regions = rng.choice(sc.n, size=samples, p=sc.rho)
     rng.integers(0, sc.d, size=samples)  # labels; keep the stream layout fixed
@@ -267,20 +257,11 @@ def empirical_route_crossover(
     a_star = optimal_fixed_ensemble(sc)
     target = float(-np.log(u + (p - u) * a_star[regions]).mean())
     loss_right, loss_wrong = -np.log(p), -np.log(u)
-
-    def routed(delta: float) -> float:
-        return float(np.where(noise < delta, loss_wrong, loss_right).mean())
-
-    lo, hi = 0.0, 1.0
-    if routed(lo) - target >= 0.0 or routed(hi) - target <= 0.0:
+    q = (target - loss_right) / (loss_wrong - loss_right)
+    if not 0.0 < q < 1.0:
         raise NoConvergence("empirical routed loss does not bracket the target")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if routed(mid) - target > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    rank = int(q * samples)
+    return float(np.partition(noise, rank)[rank])
 
 
 @dataclass(frozen=True)

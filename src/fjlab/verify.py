@@ -207,7 +207,7 @@ def check_exclusive_scenario(
 def check_routing_threshold(
     samples: int = 100_000, seed: int = 12, tol: float = 0.01
 ) -> CheckResult:
-    """Closed-form break-even routing error vs empirical bisection."""
+    """Closed-form break-even routing error vs its Monte Carlo estimate."""
     sc = ExclusiveScenario(n=5, d=10, epsilon=0.1)
     delta_star = routing_error_threshold(sc)
     crossover = empirical_route_crossover(sc, samples=samples, seed=seed)

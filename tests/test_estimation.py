@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fjlab.dynamics import fj_step, simulate
+from fjlab.dynamics import simulate
 from fjlab.errors import (
     DegenerateTrajectory,
     EmptyInput,
@@ -45,8 +45,14 @@ class TestPredictions:
         params, traj = make_traj(seed=3)
         pred = one_step_predictions(params, traj)
         assert pred.shape == (traj.rounds, traj.n, traj.d)
+        gamma, alpha = params.gamma, params.alpha
         for t in range(traj.rounds):
-            expected = fj_step(params, traj.innate, traj.snapshots[t])
+            current = traj.snapshots[t]
+            expected = (
+                gamma[:, None] * traj.innate
+                + ((1 - gamma) * alpha)[:, None] * current
+                + ((1 - gamma) * (1 - alpha))[:, None] * (params.w @ current)
+            )
             np.testing.assert_allclose(pred[t], expected, atol=1e-12)
 
     def test_true_params_have_zero_objective(self):

@@ -12,9 +12,11 @@ from fjlab.errors import (
     ConfigError,
     DegenerateStubbornness,
     InvariantViolation,
+    NegativeEntry,
     NumericalError,
     ParseError,
     SchemaVersionUnsupported,
+    WeightNotSimplex,
 )
 from fjlab.io import (
     atomic_write_json,
@@ -250,6 +252,12 @@ class TestConfig:
             eta_vector("compare", "0.5,x", 2)
         with pytest.raises(ConfigError, match="analyze.eta has 2 entries for n=3"):
             eta_vector("analyze", "0.5,0.5", 3)
+        with pytest.raises(NegativeEntry, match="compare.eta"):
+            eta_vector("compare", "2,-1,0", 3)
+        with pytest.raises(WeightNotSimplex, match="analyze.eta"):
+            eta_vector("analyze", "0.5,0.6", 2)
+        with pytest.raises(WeightNotSimplex, match="analyze.eta"):
+            eta_vector("analyze", "nan,1", 2)
 
 
 class TestCLI:
@@ -550,6 +558,23 @@ class TestCLI:
         groups = read_json(out, "compare.json")["groups"]
         assert [g["group"] for g in groups] == ["0", "1"]
         assert all(0.0 <= g["influence_mix"] <= 1.0 for g in groups)
+
+    def test_compare_checks_eta_before_the_settle_fallback(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        assert run(["--output-dir", out, "--quiet", "fit", "--global"]) == 0
+        # with every gamma at 0, H is stochastic and compare falls back to
+        # settle, which never builds AggregationWeights to check eta
+        fits = read_json(out, "fits.json")
+        for entry in fits["global"]:
+            entry["params"]["gamma"] = [0.0] * len(entry["params"]["gamma"])
+        atomic_write_json(os.path.join(out, "fits.json"), fits)
+        capsys.readouterr()
+        assert run(["--output-dir", out, "--quiet", "compare", "--eta", "2,-1,0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fjlab:")
+        assert "compare.eta" in err[0]
+        assert not os.path.exists(os.path.join(out, "compare.csv"))
 
     def _analyze_with(self, out, params_doc):
         # every simulated sample gets the same fitted parameters; json.dump

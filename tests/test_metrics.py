@@ -131,6 +131,13 @@ class TestDiversity:
         with pytest.raises(WeightNotSimplex):
             diversity(s, np.array([0.7, 0.7]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("form", ["moment", "pairwise"])
+    def test_rejects_non_finite_weights(self, bad, form):
+        s = np.array([[0.5, 0.5], [0.2, 0.8]])
+        with pytest.raises(WeightNotSimplex):
+            diversity(s, np.array([bad, 0.5]), form)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_forms_agree(self, seed):

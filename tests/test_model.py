@@ -99,6 +99,13 @@ class TestSnapshotAndLabels:
             with pytest.raises(LabelOutOfRange):
                 check_label(bad, 2)
 
+    def test_label_must_be_an_integer(self):
+        assert check_label(np.int64(2), 3) == 2
+        assert type(check_label(np.int32(1), 3)) is int
+        for bad in (1.7, 1.0, np.float64(1.0), "1", None):
+            with pytest.raises(LabelOutOfRange):
+                check_label(bad, 3)
+
 
 class TestFJParameters:
     def test_swap_accepts(self):
@@ -192,6 +199,8 @@ class TestTrajectory:
         snaps = np.full((1, 2, 2), 0.5)
         with pytest.raises(LabelOutOfRange):
             DeliberationTrajectory(snapshots=snaps, correct_label=2)
+        with pytest.raises(LabelOutOfRange):
+            DeliberationTrajectory(snapshots=snaps, correct_label=0.7)
 
     def test_metadata_must_be_strings(self):
         snaps = np.full((1, 2, 2), 0.5)

@@ -209,6 +209,18 @@ class TestReports:
         assert np.isfinite(report.mean_confidence_regret)
         assert report.mean_fixed_diversity >= 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_routing_weights(self, bad):
+        sset = random_set(13, m=10)
+
+        def router(beliefs, risks):
+            w = np.full((sset.m, sset.n), 0.25)
+            w[3, 1] = bad
+            return w
+
+        with pytest.raises(WeightNotSimplex):
+            moe_vs_best_single(sset, router)
+
     def test_stored_weights_used_when_no_router(self):
         rng = np.random.default_rng(12)
         beliefs = rng.dirichlet(np.ones(3), size=(10, 4))

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from fjlab.errors import (
     ConfidenceOrderViolated,
     InvalidScenario,
+    NoConvergence,
     UnbalancedScenario,
 )
+from fjlab import scenarios
 from fjlab.scenarios import (
     ExclusiveScenario,
     ImperfectScenario,
@@ -35,6 +38,63 @@ def std_imperfect():
     return ImperfectScenario(n=5, d=10, p=0.9, u=0.05, c=0.5)
 
 
+def slsqp_fixed_ensemble(sc):
+    """Reference optimum of l_ens over the simplex by a generic solver."""
+    rho, p, u = sc.rho, sc.p, sc.u
+
+    def objective(a):
+        return -(rho * np.log(u + (p - u) * np.clip(a, 1e-300, None))).sum()
+
+    ref = minimize(
+        objective,
+        np.full(sc.n, 1.0 / sc.n),
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * sc.n,
+        constraints=[{"type": "eq", "fun": lambda a: a.sum() - 1.0}],
+        options={"ftol": 1e-14, "maxiter": 500},
+    )
+    assert ref.success
+    return ref.x, objective
+
+
+def assert_kkt(sc, a, tol=1e-9):
+    """a is on the simplex and stationary: the gradient of l_ens is one
+    value nu on the support and at least nu off it."""
+    assert a.min() >= 0.0
+    assert a.sum() == pytest.approx(1.0, abs=1e-12)
+    grad = -sc.rho * (sc.p - sc.u) / (sc.u + (sc.p - sc.u) * a)
+    support = a > 0.0
+    nu = grad[support].mean()
+    np.testing.assert_allclose(grad[support], nu, atol=tol)
+    assert np.all(grad[~support] >= nu - tol)
+
+
+def bisect_crossover(sc, samples, seed, tol=1e-6):
+    """The bisection the order statistic replaced: the same draws, the
+    empirical routed loss stepped in delta, halved to tol."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    regions = rng.choice(sc.n, size=samples, p=sc.rho)
+    rng.integers(0, sc.d, size=samples)
+    noise = rng.uniform(size=samples)
+    p, u = sc.p, sc.u
+    a_star = np.full(sc.n, 1.0 / sc.n)
+    target = float(-np.log(u + (p - u) * a_star[regions]).mean())
+    loss_right, loss_wrong = -np.log(p), -np.log(u)
+
+    def routed(delta):
+        return float(np.where(noise < delta, loss_wrong, loss_right).mean())
+
+    lo, hi = 0.0, 1.0
+    assert routed(lo) < target < routed(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if routed(mid) > target:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 class TestExclusiveScenario:
     def test_derived_masses(self):
         sc = std_exclusive()
@@ -47,6 +107,15 @@ class TestExclusiveScenario:
             ExclusiveScenario(n=3, d=4, epsilon=0.0)
         with pytest.raises(InvalidScenario):
             ExclusiveScenario(n=3, d=4, epsilon=0.75)  # p would hit 1/d
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("site", ["rho", "weights"])
+    def test_rejects_non_finite_entries(self, bad, site):
+        with pytest.raises(InvalidScenario):
+            if site == "rho":
+                ExclusiveScenario(n=3, d=4, epsilon=0.1, rho=np.array([bad, 0.5, 0.5]))
+            else:
+                exclusive_losses(std_exclusive(), np.array([bad, 0.5, 0.5, 0.0, 0.0]))
 
     def test_frozen_balanced_gap(self):
         losses = exclusive_losses(std_exclusive(), np.full(5, 0.2))
@@ -126,28 +195,54 @@ class TestOptimalEnsemble:
         np.testing.assert_array_equal(a, np.full(5, 0.2))
 
     def test_matches_slsqp_oracle_unbalanced(self):
-        rho = np.array([0.5, 0.3, 0.2])
-        sc = ExclusiveScenario(n=3, d=6, epsilon=0.15, rho=rho)
-        ours = optimal_fixed_ensemble(sc, tol=1e-12)
-        p, u = 1.0 - 0.15, 1.0 / 6.0
-
-        def objective(a):
-            return -(rho * np.log(u + (p - u) * np.clip(a, 1e-300, None))).sum()
-
-        ref = minimize(
-            objective,
-            np.full(3, 1.0 / 3.0),
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * 3,
-            constraints=[{"type": "eq", "fun": lambda a: a.sum() - 1.0}],
-            options={"ftol": 1e-14, "maxiter": 500},
-        )
-        assert ref.success
-        np.testing.assert_allclose(ours, ref.x, atol=1e-5)
-        assert objective(ours) <= objective(ref.x) + 1e-10
+        sc = ExclusiveScenario(n=3, d=6, epsilon=0.15, rho=np.array([0.5, 0.3, 0.2]))
+        ours = optimal_fixed_ensemble(sc)
+        ref, objective = slsqp_fixed_ensemble(sc)
+        np.testing.assert_allclose(ours, ref, atol=1e-5)
+        assert objective(ours) <= objective(ref) + 1e-10
         assert exclusive_losses(sc, ours).l_ens == pytest.approx(
             objective(ours), abs=1e-12
         )
+        assert_kkt(sc, ours)
+
+    def test_zero_weight_agent(self):
+        # with rho = (.7, .25, .05) the third agent falls out of the support
+        sc = ExclusiveScenario(n=3, d=10, epsilon=0.1, rho=np.array([0.7, 0.25, 0.05]))
+        ours = optimal_fixed_ensemble(sc)
+        assert ours[2] == 0.0
+        # a_j = t rho_j - u / (p - u) on the support {0, 1}
+        c = 0.1 / 0.8
+        t = (1.0 + 2 * c) / 0.95
+        np.testing.assert_allclose(ours, [0.7 * t - c, 0.25 * t - c, 0.0], atol=1e-15)
+        ref, objective = slsqp_fixed_ensemble(sc)
+        np.testing.assert_allclose(ours, ref, atol=1e-5)
+        assert objective(ours) <= objective(ref) + 1e-10
+        assert_kkt(sc, ours)
+
+    @given(
+        st.integers(2, 8),
+        st.sampled_from([2, 4, 10]),
+        st.floats(0.01, 0.45),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kkt_on_random_rho(self, n, d, epsilon, seed):
+        rng = np.random.default_rng(seed)
+        # a sparse Dirichlet puts some regions near 0, so supports vary
+        rho = rng.dirichlet(np.full(n, 0.5))
+        sc = ExclusiveScenario(n=n, d=d, epsilon=epsilon, rho=rho)
+        a = optimal_fixed_ensemble(sc)
+        assert_kkt(sc, a)
+        # the support is the regions with the largest rho
+        if (a == 0.0).any():
+            assert sc.rho[a > 0.0].min() >= sc.rho[a == 0.0].max()
+
+    def test_balanced_grid_exactly_uniform(self):
+        for n in range(2, 9):
+            for d in (2, 4, 10):
+                for eps in (0.05, 0.1, 0.3):
+                    a = optimal_fixed_ensemble(ExclusiveScenario(n=n, d=d, epsilon=eps))
+                    np.testing.assert_array_equal(a, np.full(n, 1.0 / n))
 
     def test_project_simplex(self):
         v = np.array([0.4, 0.3, 0.3])
@@ -184,6 +279,30 @@ class TestRoutingThreshold:
         sc = std_exclusive()
         delta = empirical_route_crossover(sc, samples=100_000, seed=0)
         assert delta == pytest.approx(routing_error_threshold(sc), abs=0.01)
+
+    @pytest.mark.parametrize(
+        "n,d,epsilon", [(5, 10, 0.1), (3, 4, 0.2), (8, 2, 0.05), (2, 6, 0.3)]
+    )
+    def test_order_statistic_matches_bisection(self, n, d, epsilon):
+        sc = ExclusiveScenario(n=n, d=d, epsilon=epsilon)
+        for seed in range(4):
+            delta = empirical_route_crossover(sc, samples=20_000, seed=seed)
+            assert delta == pytest.approx(bisect_crossover(sc, 20_000, seed), abs=1e-6)
+
+    @pytest.mark.parametrize("mass", [-0.1, 1.5], ids=["above", "below"])
+    def test_crossover_needs_a_bracket(self, monkeypatch, mass):
+        # a "mixture" that puts less than u (or more than p) on the true
+        # label pays a target loss above -ln u (or below -ln p), outside
+        # the routed-loss range, so no delta in (0, 1) crosses it
+        monkeypatch.setattr(
+            scenarios, "optimal_fixed_ensemble", lambda sc: np.full(sc.n, mass)
+        )
+        with pytest.raises(NoConvergence):
+            empirical_route_crossover(std_exclusive(), samples=1_000, seed=0)
+
+    def test_crossover_needs_samples(self):
+        with pytest.raises(InvalidScenario):
+            empirical_route_crossover(std_exclusive(), samples=0, seed=0)
 
 
 class TestMoEAdvantage:
