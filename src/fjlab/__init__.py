@@ -24,6 +24,7 @@ from .dynamics import (
     influence_weights,
     settle,
     simulate,
+    simulate_pool,
     spectral_radius,
 )
 from .errors import (
@@ -142,6 +143,7 @@ __all__ = [
     "influence_weights",
     "settle",
     "simulate",
+    "simulate_pool",
     "spectral_radius",
     # metrics
     "AgentMetricRow",

@@ -29,7 +29,7 @@ import scipy.stats
 
 from . import io as fio
 from .config import RunConfig, eta_vector, load_config
-from .dynamics import aggregate_pi, influence_weights, settle, simulate
+from .dynamics import aggregate_pi, influence_weights, settle, simulate, simulate_pool
 from .errors import (
     ConfigError,
     DegenerateStubbornness,
@@ -190,46 +190,53 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     if sim.mode == "random":
         for pool in range(sim.pools):
             params = _draw_pool_params(rng, sim)
+            ids = [f"sample-{pool * sim.samples + k:04d}" for k in range(sim.samples)]
+            innates, labels = [], []
             for _ in range(sim.samples):
-                innate = rng.dirichlet(np.ones(sim.labels), size=sim.agents)
-                label = int(rng.integers(sim.labels))
-                trajs.append(
-                    simulate(
-                        params,
-                        innate,
-                        sim.rounds,
-                        sample_id=f"sample-{len(trajs):04d}",
-                        correct_label=label,
-                        metadata={"pool": str(pool)},
-                    )
-                )
+                innates.append(rng.dirichlet(np.ones(sim.labels), size=sim.agents))
+                labels.append(int(rng.integers(sim.labels)))
+            trajs += simulate_pool(
+                params,
+                np.stack(innates),
+                sim.rounds,
+                sample_ids=ids,
+                correct_labels=labels,
+                metadata={"pool": str(pool)},
+            )
     elif sim.mode == "scenario":
         sset = _scenario_snapshots(sim)
-        index = 0
         for pool in range(sim.pools):
             pool_params = _draw_pool_params(rng, sim)
-            for _ in range(sim.samples):
-                innate = sset.beliefs[index]
-                label = int(sset.labels[index])
-                if sim.gamma_mode == "confidence":
-                    conf, _ = confidence_metrics(innate)
-                    params = replace(
-                        pool_params,
-                        gamma=np.clip(conf, sim.gamma_min, sim.gamma_max),
-                    )
-                else:
-                    params = pool_params
+            first = pool * sim.samples
+            ids = [f"sample-{first + k:04d}" for k in range(sim.samples)]
+            innates = sset.beliefs[first : first + sim.samples]
+            labels = [int(y) for y in sset.labels[first : first + sim.samples]]
+            metadata = {"pool": str(pool), "scenario": sim.scenario}
+            if sim.gamma_mode == "random":
+                trajs += simulate_pool(
+                    pool_params,
+                    innates,
+                    sim.rounds,
+                    sample_ids=ids,
+                    correct_labels=labels,
+                    metadata=metadata,
+                )
+                continue
+            for sample_id, innate, label in zip(ids, innates, labels):
+                conf, _ = confidence_metrics(innate)
+                params = replace(
+                    pool_params, gamma=np.clip(conf, sim.gamma_min, sim.gamma_max)
+                )
                 trajs.append(
                     simulate(
                         params,
                         innate,
                         sim.rounds,
-                        sample_id=f"sample-{index:04d}",
+                        sample_id=sample_id,
                         correct_label=label,
-                        metadata={"pool": str(pool), "scenario": sim.scenario},
+                        metadata=metadata,
                     )
                 )
-                index += 1
     elif sim.mode == "params":
         params, innate, label = _load_params_file(sim)
         trajs.append(
@@ -528,6 +535,10 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 def cmd_compare(args, cfg: RunConfig) -> int:
     sec = _override(cfg.compare, args, ("group_key", "eta", "fallback_rounds"))
+    if sec.fallback_rounds < 1:
+        raise ConfigError(
+            f"compare.fallback_rounds must be >= 1, got {sec.fallback_rounds}"
+        )
     in_path = args.input or os.path.join(args.output_dir, "trajectories.json")
     fits_path = args.fits or os.path.join(args.output_dir, "fits.json")
     trajs = fio.load_trajectories(in_path)

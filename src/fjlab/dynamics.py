@@ -17,6 +17,10 @@ where M is the long-run influence matrix: entry (i, j) is how much of
 agent j's innate belief ends up in agent i's settled belief.  For
 row-stochastic W, M is nonnegative with unit row sums, so any readout
 eta over agents induces source weights pi = eta @ M on the simplex.
+
+A round takes one snapshot (n, d) or a stack of them (m, n, d), with one
+shared H or one H per sample, so samples that share a shape run their
+rounds together.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .model import (
     AggregationWeights,
     DeliberationTrajectory,
     FJParameters,
+    _belief_array,
     validate_snapshot,
 )
 
@@ -47,6 +52,7 @@ __all__ = [
     "influence_weights",
     "aggregate_pi",
     "simulate",
+    "simulate_pool",
     "settle",
 ]
 
@@ -75,17 +81,40 @@ def fj_step(params: FJParameters, innate: np.ndarray, current: np.ndarray) -> np
 
 def _round(
     gs: np.ndarray, h: np.ndarray, current: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """One round B <- G S + H B from precomputed G S and H; returns the
-    renormalized snapshot and how far its row sums drifted from 1."""
-    out = gs + h @ current
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round B <- G S + H B from precomputed G S and H, on one snapshot
+    (n, d) or a stack (m, n, d), with G S shaped like the snapshots and H
+    shared (n, n) or per sample (m, n, n); returns the renormalized
+    snapshots and, per sample, how far their row sums drifted from 1."""
+    out = h @ current
+    out += gs
     # Rows are convex combinations of simplex rows, so only float rounding
     # (or an empty neighborhood row) moves the mass off 1; renormalize and
     # report how far it drifted.
-    drift = float(np.abs(out.sum(axis=1) - 1.0).max())
-    np.clip(out, 0.0, None, out=out)
-    out /= out.sum(axis=1, keepdims=True)
+    drift = np.abs(out.sum(axis=-1) - 1.0).max(axis=-1)
+    np.maximum(out, 0.0, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
     return out, drift
+
+
+def _run_rounds(
+    gs: np.ndarray,
+    h: np.ndarray,
+    start: np.ndarray,
+    rounds: int,
+    snaps: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``rounds`` rounds from the stack ``start`` (m, n, d), shapes as in
+    ``_round``; fills ``snaps[:, t + 1]`` after round t when given.  Returns
+    the final stack and each sample's worst drift."""
+    current = start
+    worst = np.zeros(start.shape[0])
+    for t in range(rounds):
+        current, drift = _round(gs, h, current)
+        np.maximum(worst, drift, out=worst)
+        if snaps is not None:
+            snaps[:, t + 1] = current
+    return current, worst
 
 
 def spectral_radius(h: np.ndarray) -> float:
@@ -189,28 +218,55 @@ def simulate(
     The returned trajectory records the worst per-round row drift that
     renormalization absorbed under the "max_drift" metadata key.
     """
-    innate = validate_snapshot(innate)
-    if innate.shape[0] != params.n:
-        raise ShapeMismatch(f"innate has {innate.shape[0]} rows, n={params.n}")
+    return simulate_pool(
+        params,
+        validate_snapshot(innate)[None],
+        rounds,
+        sample_ids=[sample_id],
+        correct_labels=[correct_label],
+        metadata=metadata,
+    )[0]
+
+
+def simulate_pool(
+    params: FJParameters,
+    innates: np.ndarray,
+    rounds: int,
+    *,
+    sample_ids: list[str],
+    correct_labels: list[int | None],
+    metadata: dict[str, str] | None = None,
+) -> list[DeliberationTrajectory]:
+    """``simulate`` for m samples that share ``params``, run as one stack
+    from the innate snapshots (m, n, d).
+
+    Sample k gets ``sample_ids[k]``, ``correct_labels[k]`` and ``metadata``
+    with its own "max_drift"; its trajectory equals what ``simulate``
+    returns for it alone.
+    """
+    innates = _belief_array(innates, 3, "innates", TAU_SIMPLEX)
+    m, n, _ = innates.shape
+    if n != params.n:
+        raise ShapeMismatch(f"innates have {n} rows, n={params.n}")
     if rounds < 0:
         raise ShapeMismatch(f"rounds must be >= 0, got {rounds}")
-    snaps = np.empty((rounds + 1,) + innate.shape)
-    snaps[0] = innate
-    gs, h = params.gamma[:, None] * innate, build_h(params)
-    worst = 0.0
-    current = innate
-    for t in range(rounds):
-        current, drift = _round(gs, h, current)
-        worst = max(worst, drift)
-        snaps[t + 1] = current
-    meta = dict(metadata or {})
-    meta["max_drift"] = repr(worst)
-    return DeliberationTrajectory(
-        snapshots=snaps,
-        sample_id=sample_id,
-        correct_label=correct_label,
-        metadata=meta,
-    )
+    if not len(sample_ids) == len(correct_labels) == m:
+        raise ShapeMismatch(
+            f"{m} samples, {len(sample_ids)} sample_ids, {len(correct_labels)} labels"
+        )
+    snaps = np.empty((m, rounds + 1) + innates.shape[1:])
+    snaps[:, 0] = innates
+    gs = params.gamma[:, None] * innates
+    _, worst = _run_rounds(gs, build_h(params), innates, rounds, snaps)
+    return [
+        DeliberationTrajectory(
+            snapshots=snap,
+            sample_id=sample_id,
+            correct_label=label,
+            metadata={**(metadata or {}), "max_drift": repr(float(drift))},
+        )
+        for snap, drift, sample_id, label in zip(snaps, worst, sample_ids, correct_labels)
+    ]
 
 
 def settle(

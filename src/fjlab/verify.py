@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import build_h, equilibrium, influence_weights, simulate, spectral_radius
+from .dynamics import _run_rounds, build_h, equilibrium, influence_weights, spectral_radius
 from .errors import ConfigError
 from .metrics import diversity
 from .model import FJParameters
@@ -90,15 +90,24 @@ def check_influence_consistency(
     worst_row = 0.0
     worst_gap = 0.0
     worst_rho = -np.inf
+    groups: dict[tuple[int, int], list] = {}
     for _ in range(draws):
         params, innate = _random_contractive(rng)
         m = influence_weights(params)
         worst_neg = min(worst_neg, float(m.min()))
         worst_row = max(worst_row, float(np.abs(m.sum(axis=1) - 1.0).max()))
-        rho = spectral_radius(build_h(params))
+        h = build_h(params)
+        rho = spectral_radius(h)
         worst_rho = max(worst_rho, rho - (1.0 - float(params.gamma.min())))
         fixed = equilibrium(params, innate)
-        iterated = simulate(params, innate, rounds).final
+        groups.setdefault(innate.shape, []).append(
+            (params.gamma[:, None] * innate, h, innate, fixed)
+        )
+    # Draws that share a shape iterate as one stack, each with its own H;
+    # every draw's rounds and final beliefs are those it gets alone.
+    for members in groups.values():
+        gs, h, start, fixed = (np.stack(column) for column in zip(*members))
+        iterated, _ = _run_rounds(gs, h, start, rounds)
         worst_gap = max(worst_gap, float(np.abs(iterated - fixed).max()))
     passed = (
         worst_neg >= -1e-12

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fjlab.dynamics import (
+    _round,
     aggregate_pi,
     build_h,
     equilibrium,
@@ -10,6 +11,7 @@ from fjlab.dynamics import (
     influence_weights,
     settle,
     simulate,
+    simulate_pool,
     spectral_radius,
 )
 from fjlab.errors import NotContractive, ShapeMismatch
@@ -135,6 +137,88 @@ class TestStepAndSimulate:
         params = swap_params()
         with pytest.raises(ShapeMismatch):
             simulate(params, np.full((3, 2), 0.5), 1)
+
+
+class TestStackedRounds:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(2, 8),
+        st.integers(2, 8),
+    )
+    def test_stack_equals_slice_by_slice(self, seed, m, n, d):
+        rng = np.random.default_rng(seed)
+        systems = [random_contractive(rng, n=n, d=d) for _ in range(m)]
+        gs = np.stack([p.gamma[:, None] * innate for p, innate in systems])
+        hs = np.stack([build_h(p) for p, _ in systems])
+        current = rng.dirichlet(np.ones(d), size=(m, n))
+        for h in (hs[0], hs):  # shared (n, n), then one per sample (m, n, n)
+            out, drift = _round(gs, h, current)
+            assert drift.shape == (m,)
+            for k in range(m):
+                out_k, drift_k = _round(gs[k], h if h.ndim == 2 else h[k], current[k])
+                np.testing.assert_array_equal(out[k], out_k)
+                assert drift[k] == drift_k
+
+    @pytest.mark.parametrize("rounds", [0, 1, 7])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_pool_equals_per_sample_simulate(self, rounds, m):
+        rng = np.random.default_rng(11)
+        params, _ = random_contractive(rng, n=4, d=3)
+        innates = rng.dirichlet(np.ones(3), size=(m, 4))
+        ids = [f"p{k}" for k in range(m)]
+        labels = [None if k % 2 else k % 3 for k in range(m)]
+        meta = {"pool": "7"}
+        pool = simulate_pool(
+            params, innates, rounds, sample_ids=ids, correct_labels=labels, metadata=meta
+        )
+        assert len(pool) == m
+        for k, traj in enumerate(pool):
+            alone = simulate(
+                params,
+                innates[k],
+                rounds,
+                sample_id=ids[k],
+                correct_label=labels[k],
+                metadata=meta,
+            )
+            np.testing.assert_array_equal(traj.snapshots, alone.snapshots)
+            assert traj.sample_id == alone.sample_id
+            assert traj.correct_label == alone.correct_label
+            assert traj.metadata == alone.metadata
+        assert meta == {"pool": "7"}
+
+    def test_max_drift_is_the_worst_round(self):
+        rng = np.random.default_rng(0)
+        params, _ = random_contractive(rng, n=4, d=3)
+        innates = rng.dirichlet(np.ones(3), size=(5, 4))
+        pool = simulate_pool(
+            params, innates, 20, sample_ids=list("abcde"), correct_labels=[None] * 5
+        )
+        gs, h = params.gamma[:, None] * innates, build_h(params)
+        last_is_worst = []
+        for k, traj in enumerate(pool):
+            current, drifts = innates[k], []
+            for _ in range(20):
+                current, drift = _round(gs[k], h, current)
+                drifts.append(float(drift))
+            assert traj.metadata["max_drift"] == repr(max(drifts))
+            last_is_worst.append(drifts[-1] == max(drifts))
+        # some sample drifts most before its last round
+        assert not all(last_is_worst)
+
+    def test_pool_rejects_mismatched_ids(self):
+        params = swap_params()
+        innates = np.full((2, 2, 2), 0.5)
+        with pytest.raises(ShapeMismatch):
+            simulate_pool(params, innates, 1, sample_ids=["a"], correct_labels=[0, 1])
+        with pytest.raises(ShapeMismatch):
+            simulate_pool(params, innates, 1, sample_ids=["a", "b"], correct_labels=[0])
+        with pytest.raises(ShapeMismatch):
+            simulate_pool(
+                params, np.full((2, 3, 2), 0.5), 1, sample_ids=["a", "b"], correct_labels=[0, 1]
+            )
 
 
 class TestEquilibrium:

@@ -4,6 +4,7 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fjlab.cli import run
 from fjlab.config import eta_vector, load_config
@@ -163,6 +164,51 @@ class TestTrajectoryFiles:
         self._write_one(path, [[[0.5, 0.5], [0.3, 0.7]]], correct_label=True)
         with pytest.raises(ParseError):
             load_trajectories(path)
+
+
+class TestTrajectoryRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(0, 4), st.integers(2, 5), st.integers(2, 5)),
+        sample_id=st.text(min_size=1, max_size=8),
+        labelled=st.booleans(),
+        named=st.booleans(),
+        metadata=st.dictionaries(
+            st.text(max_size=6).filter(lambda k: k not in ("label_names", "ingest_max_drift")),
+            st.text(max_size=6),
+            max_size=3,
+        ),
+    )
+    def test_save_then_load(
+        self, tmp_path_factory, seed, shape, sample_id, labelled, named, metadata
+    ):
+        rounds, n, d = shape
+        rng = np.random.default_rng(seed)
+        if named:
+            metadata = {**metadata, "label_names": json.dumps([f"c{k}" for k in range(d)])}
+        orig = DeliberationTrajectory(
+            snapshots=rng.dirichlet(np.ones(d), size=(rounds + 1, n)),
+            sample_id=sample_id,
+            correct_label=int(rng.integers(d)) if labelled else None,
+            metadata=metadata,
+        )
+        out = tmp_path_factory.mktemp("rt")
+        path = str(out / "t.json")
+        save_trajectories(path, [orig])
+        # the file holds every bit of every entry
+        assert read_json(out, "t.json")["samples"][0]["rounds"] == orig.snapshots.tolist()
+        (back,) = load_trajectories(path)
+        # the reader renormalizes every row, which can move the last bits
+        np.testing.assert_array_equal(
+            back.snapshots, orig.snapshots / orig.snapshots.sum(axis=2, keepdims=True)
+        )
+        np.testing.assert_allclose(back.snapshots, orig.snapshots, rtol=0.0, atol=1e-15)
+        assert back.sample_id == orig.sample_id
+        assert back.correct_label == orig.correct_label
+        meta = dict(back.metadata)
+        assert float(meta.pop("ingest_max_drift")) < 1e-14
+        assert meta == orig.metadata
 
 
 class TestParamsDict:
@@ -574,6 +620,24 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("fjlab:")
         assert "compare.eta" in err[0]
+        assert not os.path.exists(os.path.join(out, "compare.csv"))
+
+    @pytest.mark.parametrize("rounds, zero_gamma", [("0", False), ("-5", True)])
+    def test_compare_checks_fallback_rounds(self, tmp_path, capsys, rounds, zero_gamma):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        assert run(["--output-dir", out, "--quiet", "fit", "--global"]) == 0
+        if zero_gamma:  # every pool then takes the settle fallback
+            fits = read_json(out, "fits.json")
+            for entry in fits["global"]:
+                entry["params"]["gamma"] = [0.0] * len(entry["params"]["gamma"])
+            atomic_write_json(os.path.join(out, "fits.json"), fits)
+        capsys.readouterr()
+        argv = ["--output-dir", out, "--quiet", "compare", "--fallback-rounds", rounds]
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fjlab:")
+        assert "fallback_rounds" in err[0]
         assert not os.path.exists(os.path.join(out, "compare.csv"))
 
     def _analyze_with(self, out, params_doc):
