@@ -50,6 +50,7 @@ from .io import (
 )
 from .metrics import (
     AgentMetricRow,
+    MetricColumns,
     SystemMetricRow,
     alignment_metrics,
     brier_loss,
@@ -62,6 +63,7 @@ from .metrics import (
     log_loss,
     softmax_weights,
     spearman,
+    stacked_metrics,
     trajectory_metrics,
 )
 from .model import (
@@ -147,6 +149,7 @@ __all__ = [
     "spectral_radius",
     # metrics
     "AgentMetricRow",
+    "MetricColumns",
     "SystemMetricRow",
     "alignment_metrics",
     "brier_loss",
@@ -159,6 +162,7 @@ __all__ = [
     "log_loss",
     "softmax_weights",
     "spearman",
+    "stacked_metrics",
     "trajectory_metrics",
     # routing
     "ConfidenceRoutingReport",

@@ -18,6 +18,7 @@ configuration, 2 numerical failure (including failed verify checks).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -44,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import FitConfig, fit_global, fit_sample, parameter_variability
-from .metrics import AgentMetricRow, confidence_metrics, spearman, trajectory_metrics
+from .metrics import AgentMetricRow, confidence_metrics, spearman, stacked_metrics
 from .model import DeliberationTrajectory, FJParameters
 from .scenarios import (
     ExclusiveScenario,
@@ -399,45 +400,50 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         by_sample[entry["sample_id"]] = fio.params_from_dict(entry["params"])
     n = _shared_n(trajs)
     eta = eta_vector("analyze", sec.eta, n)
-    agent_rows = []
-    system_rows = []
-    confidences: list[float] = []
-    influences: list[float] = []
-    competences: list[float] = []
-    consensus_flags = []
-    disagreements = []
-    mean_confidences = []
+    params = []
     for traj in trajs:
-        params = by_sample.get(traj.sample_id)
-        if params is None:
-            raise MissingParams(f"no fitted parameters for sample {traj.sample_id!r}")
-        rows, system = trajectory_metrics(
-            traj,
-            params,
+        if traj.sample_id not in by_sample:
+            break
+        params.append(by_sample[traj.sample_id])
+    # Each run of consecutive samples that share d is one stack, so rows,
+    # and the first failing sample, come in file order.
+    runs = []
+    done = 0
+    for _, group in itertools.groupby(trajs[: len(params)], key=lambda t: t.d):
+        run = list(group)
+        cols = stacked_metrics(
+            np.stack([t.final for t in run]),
+            params[done : done + len(run)],
+            [t.correct_label for t in run],
             eta=eta,
             normalization=sec.normalization,
             consensus_threshold=sec.consensus_threshold,
         )
-        for row in rows:
-            agent_rows.append(
-                [traj.sample_id] + [getattr(row, f) for f in AgentMetricRow.FIELDS]
+        runs.append((run, cols))
+        done += len(run)
+    if done < len(trajs):
+        raise MissingParams(f"no fitted parameters for sample {trajs[done].sample_id!r}")
+    agent_rows = []
+    system_rows = []
+    for run, cols in runs:
+        agent = [getattr(cols, f).tolist() for f in AgentMetricRow.FIELDS[1:]]
+        system = [
+            c.tolist()
+            for c in (cols.disagreement, cols.mean_confidence, cols.consensus_reached, cols.pi)
+        ]
+        for k, traj in enumerate(run):
+            agent_rows += (
+                [traj.sample_id, j, *cells]
+                for j, cells in enumerate(zip(*(c[k] for c in agent)))
             )
-            if row.competence is not None:
-                confidences.append(row.confidence)
-                influences.append(row.influence)
-                competences.append(row.competence)
-        system_rows.append(
-            [
-                system.sample_id,
-                system.disagreement,
-                system.mean_confidence,
-                system.consensus_reached,
-            ]
-            + [float(v) for v in system.pi.pi]
-        )
-        consensus_flags.append(system.consensus_reached)
-        disagreements.append(system.disagreement)
-        mean_confidences.append(system.mean_confidence)
+            dis, mean_conf, consensus, pi = (c[k] for c in system)
+            system_rows.append([traj.sample_id, dis, mean_conf, consensus, *pi])
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([getattr(cols, name) for _, cols in runs])
+
+    labeled = np.array([t.correct_label is not None for t in trajs])
+    competences = column("competence")[labeled].ravel()
     agents_path = os.path.join(args.output_dir, "agents.csv")
     system_path = os.path.join(args.output_dir, "system.csv")
     fio.write_csv(agents_path, ["sample_id", *AgentMetricRow.FIELDS], agent_rows)
@@ -451,14 +457,18 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         "schema_version": fio.SCHEMA_VERSION,
         "n_samples": len(trajs),
         "n_agents": n,
-        "consensus_rate": float(np.mean(consensus_flags)),
-        "mean_disagreement": float(np.mean(disagreements)),
-        "mean_confidence": float(np.mean(mean_confidences)),
+        "consensus_rate": float(np.mean(column("consensus_reached"))),
+        "mean_disagreement": float(np.mean(column("disagreement"))),
+        "mean_confidence": float(np.mean(column("mean_confidence"))),
         "spearman_confidence_competence": (
-            _safe_spearman(confidences, competences) if competences else None
+            _safe_spearman(column("confidence")[labeled].ravel(), competences)
+            if competences.size
+            else None
         ),
         "spearman_influence_competence": (
-            _safe_spearman(influences, competences) if competences else None
+            _safe_spearman(column("influence")[labeled].ravel(), competences)
+            if competences.size
+            else None
         ),
     }
     summary_path = os.path.join(args.output_dir, "analyze_summary.json")

@@ -60,11 +60,16 @@ __all__ = [
 def build_h(params: FJParameters) -> np.ndarray:
     """Linear round operator H = (I - G) (A + (I - A) W); nonnegative,
     row sums 1 - gamma_i when the weight row is stochastic."""
-    one_minus_g = 1.0 - params.gamma
-    one_minus_a = 1.0 - params.alpha
-    h = one_minus_a[:, None] * params.w
-    h[np.diag_indices_from(h)] += params.alpha
-    h *= one_minus_g[:, None]
+    return _stack_h(params.gamma, params.alpha, params.w)
+
+
+def _stack_h(gamma: np.ndarray, alpha: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``build_h``'s formula on one system or a stack: gamma and alpha
+    (..., n), w (..., n, n)."""
+    h = (1.0 - alpha)[..., :, None] * w
+    diag = np.arange(w.shape[-1])
+    h[..., diag, diag] += alpha
+    h *= (1.0 - gamma)[..., :, None]
     return h
 
 
@@ -117,30 +122,42 @@ def _run_rounds(
     return current, worst
 
 
-def spectral_radius(h: np.ndarray) -> float:
-    """Spectral radius: the largest eigenvalue modulus of a square matrix.
+def spectral_radius(h: np.ndarray):
+    """Spectral radius: the largest eigenvalue modulus of a square matrix,
+    as a float, or of each matrix in a stack (m, n, n), as an array.
 
     One dense eigenvalue computation, exact to rounding for the small
     systems this package works with.
     """
     h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ShapeMismatch(f"expected square matrix, got {h.shape}")
-    if h.shape[0] == 0:
+    if h.shape[-1] == 0:
         raise ShapeMismatch("empty matrix")
-    return float(np.abs(np.linalg.eigvals(h)).max())
+    rho = np.abs(np.linalg.eigvals(h)).max(axis=-1)
+    return float(rho) if h.ndim == 2 else rho
 
 
-def _fixed_point(params: FJParameters, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - H) X = rhs, after checking that H contracts."""
-    h = build_h(params)
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first True entry, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
+def _fixed_point(h: np.ndarray, *rhs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Solve (I - H) X = b for each right-hand side b, on a stack of
+    systems H (m, n, n) and b (m, n, k), after checking that every H
+    contracts; returns each system's spectral radius, then the solutions.
+    The first system (in stack order) that does not contract raises."""
     rho = spectral_radius(h)
-    if rho >= 1.0 - CONTRACTION_MARGIN:
+    k = _first(rho >= 1.0 - CONTRACTION_MARGIN)
+    if k is not None:
         raise NotContractive(
-            f"spectral radius {rho!r} is not below 1 - {CONTRACTION_MARGIN!r}"
+            f"spectral radius {float(rho[k])!r} is not below 1 - {CONTRACTION_MARGIN!r}"
         )
+    a = np.eye(h.shape[-1]) - h
     try:
-        return np.linalg.solve(np.eye(params.n) - h, rhs)
+        return (rho, *(np.linalg.solve(a, b) for b in rhs))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
 
@@ -155,7 +172,8 @@ def equilibrium(params: FJParameters, innate: np.ndarray) -> np.ndarray:
     innate = validate_snapshot(innate)
     if innate.shape[0] != params.n:
         raise ShapeMismatch(f"innate has {innate.shape[0]} rows, n={params.n}")
-    return _fixed_point(params, params.gamma[:, None] * innate)
+    _, b = _fixed_point(build_h(params)[None], (params.gamma[:, None] * innate)[None])
+    return b[0]
 
 
 def influence_weights(params: FJParameters) -> np.ndarray:
@@ -167,20 +185,37 @@ def influence_weights(params: FJParameters) -> np.ndarray:
     DegenerateStubbornness rather than repaired, and so can an agent
     without peers (NumericalError).
     """
-    m = _fixed_point(params, np.diag(params.gamma))
-    low = float(m.min())
-    if low < -1e-12:
-        raise NumericalError(f"influence entry {low!r} below -1e-12")
+    return _influence_stack(params.gamma[None], params.alpha[None], params.w[None])[0]
+
+
+def _influence_stack(gamma: np.ndarray, alpha: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``influence_weights`` for a stack of m systems: gamma and alpha
+    (m, n), w (m, n, n); one eigenvalue call and one solve for the stack."""
+    _, m = _fixed_point(
+        _stack_h(gamma, alpha, w), gamma[..., :, None] * np.eye(gamma.shape[-1])
+    )
+    return _checked_influence(m, gamma)
+
+
+def _checked_influence(m: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Clip a stack of solved influence matrices (m, n, n) at 0 in place
+    and check their rows; the first sample (in stack order) that fails a
+    check raises."""
+    low = m.min(axis=(-2, -1))
+    k = _first(low < -1e-12)
+    if k is not None:
+        raise NumericalError(f"influence entry {float(low[k])!r} below -1e-12")
     np.clip(m, 0.0, None, out=m)
-    row_err = float(np.abs(m.sum(axis=1) - 1.0).max())
-    if row_err > STOCHASTIC_TOL:
-        if np.any(params.gamma == 0.0):
+    row_err = np.abs(m.sum(axis=-1) - 1.0).max(axis=-1)
+    k = _first(row_err > STOCHASTIC_TOL)
+    if k is not None:
+        if np.any(gamma[k] == 0.0):
             raise DegenerateStubbornness(
-                f"influence rows off stochasticity by {row_err!r} with "
+                f"influence rows off stochasticity by {float(row_err[k])!r} with "
                 f"zero-stubbornness agents present"
             )
         raise NumericalError(
-            f"influence rows off stochasticity by {row_err!r}; check that "
+            f"influence rows off stochasticity by {float(row_err[k])!r}; check that "
             f"every agent has a stochastic weight row"
         )
     return m
@@ -191,17 +226,26 @@ def aggregate_pi(m: np.ndarray, eta: np.ndarray | None = None) -> AggregationWei
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"influence matrix must be square, got {m.shape}")
-    n = m.shape[0]
+    eta, pi = _source_weights(m[None], eta)
+    return AggregationWeights(eta=eta, pi=pi[0])
+
+
+def _source_weights(
+    m: np.ndarray, eta: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The readout eta and pi = eta @ M for each influence matrix of a
+    stack (m, n, n), clipped at 0 and renormalized; pi is (m, n)."""
+    n = m.shape[-1]
     if eta is None:
         eta = np.full(n, 1.0 / n)
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape != (n,):
         raise ShapeMismatch(f"eta shape {eta.shape} does not match n={n}")
-    pi = eta @ m
+    pi = np.matmul(eta, m)
     # Guard against -1e-17 style round-off before the simplex validation.
     np.clip(pi, 0.0, None, out=pi)
-    pi /= pi.sum()
-    return AggregationWeights(eta=eta, pi=pi)
+    pi /= pi.sum(axis=-1, keepdims=True)
+    return eta, pi
 
 
 def simulate(

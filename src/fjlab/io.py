@@ -23,6 +23,14 @@ exactly and the worst drift is recorded in the sample's metadata under
 cell.  label_names survive round trips via the metadata key
 "label_names" (JSON-encoded list).
 
+Loading and saving trajectories pause the cyclic garbage collector while
+they parse or build the document.  Its tree of lists and dicts holds no
+reference cycles, so reference counting alone frees it and a collection
+finds nothing there; without the pause, the collector's allocation
+thresholds fire every few hundred containers and its full passes walk
+the growing tree.  The collector's previous state is restored afterwards,
+also when the load raises.
+
 All writes are atomic (temp file in the target directory, then rename).
 JSON is written compact, on one line, with no NaN or Infinity tokens.
 CSVs are RFC 4180: CRLF line endings, minimal quoting, floats via repr
@@ -32,7 +40,9 @@ as empty cells.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -125,6 +135,20 @@ def write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
 # -- trajectory files ------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Disable the cyclic collector for the block or decorated call; re-enable
+    it afterwards only if it was enabled before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def load_trajectories(path: str) -> list[DeliberationTrajectory]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -233,6 +257,7 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
     )
 
 
+@_gc_paused()
 def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
     samples = []
     for traj in trajs:

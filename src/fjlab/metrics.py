@@ -21,6 +21,7 @@ from scipy.stats import rankdata
 
 from .constants import CONSENSUS_THRESHOLD, ENTROPY_EPS, LOG_FLOOR, TAU_SIMPLEX
 from .errors import (
+    FJLabError,
     ShapeMismatch,
     TooFewAgents,
     TooFewPoints,
@@ -30,12 +31,13 @@ from .model import (
     AggregationWeights,
     DeliberationTrajectory,
     FJParameters,
-    argmax_label,
+    _belief_array,
+    _check_rows,
     check_label,
     validate_belief,
     validate_snapshot,
 )
-from .dynamics import aggregate_pi, influence_weights
+from .dynamics import _influence_stack, _source_weights, aggregate_pi, influence_weights
 
 __all__ = [
     "confidence",
@@ -51,6 +53,8 @@ __all__ = [
     "spearman",
     "AgentMetricRow",
     "SystemMetricRow",
+    "MetricColumns",
+    "stacked_metrics",
     "trajectory_metrics",
 ]
 
@@ -84,12 +88,14 @@ def confidence_metrics(s) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         raise TooFewAgents(f"relative confidence needs n >= 2, got {n}")
     c = _confidence_rows(s)
-    second = float(np.partition(c, -2)[-2])
-    if second == 0.0:
-        r = np.ones(n)
-    else:
-        r = c / second
-    return c, r
+    return c, _relative(c)
+
+
+def _relative(c: np.ndarray) -> np.ndarray:
+    """Relative confidence over the last axis: each entry over the
+    second-largest, or 1 everywhere when that is 0."""
+    second = np.partition(c, -2, axis=-1)[..., -2:-1]
+    return np.divide(c, second, out=np.ones_like(c), where=second != 0.0)
 
 
 def softmax_weights(scores, beta: float = 1.0) -> np.ndarray:
@@ -117,35 +123,35 @@ def influence_metrics(
     by the second-largest value.
     """
     pi = aggregate_pi(influence_weights(params), eta).pi
-    return _influence_scores(params, pi, normalization)
-
-
-def _influence_scores(
-    params: FJParameters, pi: np.ndarray, normalization: str
-) -> tuple[np.ndarray, np.ndarray]:
-    if normalization not in ("max", "second_largest"):
-        raise ShapeMismatch(f"unknown normalization {normalization!r}")
+    _check_normalization(normalization)
     peer = ((1.0 - params.alpha)[:, None] * params.w).sum(axis=0)
     return _normalize_scores(pi, normalization), _normalize_scores(peer, normalization)
 
 
+def _check_normalization(normalization: str) -> None:
+    if normalization not in ("max", "second_largest"):
+        raise ShapeMismatch(f"unknown normalization {normalization!r}")
+
+
 def _normalize_scores(v: np.ndarray, normalization: str) -> np.ndarray:
+    """Divide the last axis by its max or second-largest entry (0 stays 0)."""
     if normalization == "max":
-        ref = float(v.max())
+        ref = v.max(axis=-1, keepdims=True)
     else:
-        if v.size < 2:
+        if v.shape[-1] < 2:
             raise TooFewAgents("second-largest normalization needs n >= 2")
-        ref = float(np.partition(v, -2)[-2])
-    if ref == 0.0:
-        return np.zeros_like(v)
-    return v / ref
+        ref = np.partition(v, -2, axis=-1)[..., -2:-1]
+    return np.divide(v, ref, out=np.zeros_like(v), where=ref != 0.0)
 
 
 def disagreement(s) -> float:
     """Mean Euclidean distance of the rows from their average row."""
-    s = validate_snapshot(s)
-    center = s.mean(axis=0)
-    return float(np.linalg.norm(s - center, axis=1).mean())
+    return float(_disagreement(validate_snapshot(s)))
+
+
+def _disagreement(s: np.ndarray) -> np.ndarray:
+    center = s.mean(axis=-2, keepdims=True)
+    return np.linalg.norm(s - center, axis=-1).mean(axis=-1)
 
 
 def alignment_metrics(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,13 +160,20 @@ def alignment_metrics(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (cosine to the mean belief, 0/1 agreement of argmax with the
     mean's argmax, count of OTHER agents sharing the agent's argmax).
     """
-    s = validate_snapshot(s)
-    center = s.mean(axis=0)
-    norms = np.linalg.norm(s, axis=1) * np.linalg.norm(center)
-    cos = (s @ center) / norms
-    tops = np.argmax(s, axis=1)
-    score = (tops == argmax_label(center)).astype(np.float64)
-    count = np.array([(tops == tops[j]).sum() - 1 for j in range(s.shape[0])])
+    return _alignment(validate_snapshot(s))
+
+
+def _alignment(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``alignment_metrics`` over one snapshot (n, d) or a stack (m, n, d)."""
+    center = s.mean(axis=-2)
+    # matmul takes the same dot products as ``s @ center`` and the 1-D
+    # ``np.linalg.norm(center)`` of one snapshot, so a stack is bit-identical.
+    dots = np.matmul(s, center[..., :, None])[..., 0]
+    center_norm = np.sqrt(np.matmul(center[..., None, :], center[..., :, None]))
+    cos = dots / (np.linalg.norm(s, axis=-1) * center_norm[..., 0])
+    tops = np.argmax(s, axis=-1)
+    score = (tops == np.argmax(center, axis=-1)[..., None]).astype(np.float64)
+    count = (tops[..., :, None] == tops[..., None, :]).sum(axis=-1) - 1
     return cos, score, count
 
 
@@ -272,6 +285,112 @@ class SystemMetricRow:
     pi: AggregationWeights
 
 
+@dataclass(frozen=True)
+class MetricColumns:
+    """``stacked_metrics`` of m samples with n agents, as columns.
+
+    Agent columns are (m, n): the fields of AgentMetricRow after agent_id,
+    with competence NaN for a sample without a label.  System columns are
+    (m,): disagreement, mean_confidence and consensus_reached.  eta (n,)
+    is the readout and pi (m, n) each sample's source weights.
+    """
+
+    confidence: np.ndarray
+    relative_confidence: np.ndarray
+    influence: np.ndarray
+    peer_influence: np.ndarray
+    alignment: np.ndarray
+    alignment_score: np.ndarray
+    alignment_count: np.ndarray
+    competence: np.ndarray
+    gamma: np.ndarray
+    disagreement: np.ndarray
+    mean_confidence: np.ndarray
+    consensus_reached: np.ndarray
+    eta: np.ndarray
+    pi: np.ndarray
+
+
+def stacked_metrics(
+    finals,
+    params: list[FJParameters],
+    labels: list[int | None] | None = None,
+    eta: np.ndarray | None = None,
+    normalization: str = "max",
+    consensus_threshold: float = CONSENSUS_THRESHOLD,
+) -> MetricColumns:
+    """``trajectory_metrics`` for m samples at once, from their final
+    snapshots stacked as (m, n, d), their fitted parameters and their
+    labels (None, or one int or None per sample).
+
+    Each metric is one array operation over the stack, and the influence
+    matrices take one eigenvalue call and one solve.  A sample that fails
+    a check raises what ``trajectory_metrics`` raises for it; with several
+    failing samples, the first one in stack order does.
+    """
+    finals = np.asarray(finals, dtype=np.float64)
+    labels = [None] * len(params) if labels is None else list(labels)
+    if finals.ndim != 3 or not len(params) == len(labels) == finals.shape[0]:
+        raise ShapeMismatch(
+            f"finals {finals.shape}, {len(params)} params, {len(labels)} labels"
+        )
+    args = (eta, normalization, consensus_threshold)
+    try:
+        return _stacked_metrics(finals, params, labels, *args)
+    except FJLabError:
+        # The stacked checks fail on some sample; redo the samples one at a
+        # time so that the first failing one raises its own error.
+        if len(params) > 1:
+            for k in range(len(params)):
+                _stacked_metrics(finals[k : k + 1], params[k : k + 1], labels[k : k + 1], *args)
+        raise
+
+
+def _stacked_metrics(
+    finals, params, labels, eta, normalization, consensus_threshold
+) -> MetricColumns:
+    # The checks run in trajectory_metrics' order for one sample.
+    m, n, d = finals.shape
+    for p in params:
+        if p.n != n:
+            raise ShapeMismatch(f"params n={p.n} but trajectory n={n}")
+    finals = _belief_array(finals, 3, "snapshot", TAU_SIMPLEX)
+    if n < 2:
+        raise TooFewAgents(f"relative confidence needs n >= 2, got {n}")
+    conf = _confidence_rows(finals)
+    gamma, alpha, w = (
+        np.stack([getattr(p, name) for p in params]) for name in ("gamma", "alpha", "w")
+    )
+    eta, pi = _source_weights(_influence_stack(gamma, alpha, w), eta)
+    _check_rows(eta, "eta")
+    _check_rows(pi, "pi")
+    _check_normalization(normalization)
+    align, score, count = _alignment(finals)
+    competence = np.full((m, n), np.nan)
+    for k, y in enumerate(labels):
+        if y is not None:
+            competence[k] = finals[k, :, check_label(y, d)]
+    peer = ((1.0 - alpha)[:, :, None] * w).sum(axis=1)
+    tops = np.argmax(finals, axis=-1)
+    dis = _disagreement(finals)
+    return MetricColumns(
+        confidence=conf,
+        relative_confidence=_relative(conf),
+        influence=_normalize_scores(pi, normalization),
+        peer_influence=_normalize_scores(peer, normalization),
+        alignment=align,
+        alignment_score=score,
+        alignment_count=count,
+        competence=competence,
+        gamma=gamma,
+        disagreement=dis,
+        mean_confidence=conf.mean(axis=-1),
+        consensus_reached=(tops == tops[:, :1]).all(axis=-1) & (dis < consensus_threshold),
+        eta=eta,
+        pi=pi,
+    )
+
+
 def trajectory_metrics(
     traj: DeliberationTrajectory,
     params: FJParameters,
@@ -279,42 +398,33 @@ def trajectory_metrics(
     normalization: str = "max",
     consensus_threshold: float = CONSENSUS_THRESHOLD,
 ) -> tuple[list[AgentMetricRow], SystemMetricRow]:
-    """All reportable metrics for one sample under its fitted parameters.
+    """All reportable metrics for one sample under its fitted parameters:
+    the one-sample case of ``stacked_metrics``.
 
     Belief-derived metrics use the final snapshot; influence metrics use
     the parameters.  Consensus requires a unanimous final argmax AND
     final disagreement below the threshold.
     """
-    if params.n != traj.n:
-        raise ShapeMismatch(f"params n={params.n} but trajectory n={traj.n}")
-    final = traj.final
-    conf, rel = confidence_metrics(final)
-    weights = aggregate_pi(influence_weights(params), eta)
-    infl, peer = _influence_scores(params, weights.pi, normalization)
-    align, score, count = alignment_metrics(final)
-    label = traj.correct_label
+    cols = stacked_metrics(
+        traj.final[None],
+        [params],
+        [traj.correct_label],
+        eta,
+        normalization,
+        consensus_threshold,
+    )
+    agent = {f: getattr(cols, f)[0].tolist() for f in AgentMetricRow.FIELDS[1:]}
+    if traj.correct_label is None:
+        agent["competence"] = [None] * traj.n
     rows = [
-        AgentMetricRow(
-            agent_id=j,
-            confidence=float(conf[j]),
-            relative_confidence=float(rel[j]),
-            influence=float(infl[j]),
-            peer_influence=float(peer[j]),
-            alignment=float(align[j]),
-            alignment_score=float(score[j]),
-            alignment_count=int(count[j]),
-            competence=None if label is None else competence(final[j], label),
-            gamma=float(params.gamma[j]),
-        )
+        AgentMetricRow(agent_id=j, **{f: column[j] for f, column in agent.items()})
         for j in range(traj.n)
     ]
-    tops = np.argmax(final, axis=1)
-    dis = disagreement(final)
     system = SystemMetricRow(
         sample_id=traj.sample_id,
-        disagreement=dis,
-        mean_confidence=float(conf.mean()),
-        consensus_reached=bool(np.all(tops == tops[0]) and dis < consensus_threshold),
-        pi=weights,
+        disagreement=float(cols.disagreement[0]),
+        mean_confidence=float(cols.mean_confidence[0]),
+        consensus_reached=bool(cols.consensus_reached[0]),
+        pi=AggregationWeights(eta=cols.eta, pi=cols.pi[0]),
     )
     return rows, system

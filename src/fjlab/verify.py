@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _run_rounds, build_h, equilibrium, influence_weights, spectral_radius
+from .dynamics import _checked_influence, _fixed_point, _run_rounds, build_h
 from .errors import ConfigError
 from .metrics import diversity
 from .model import FJParameters
@@ -93,16 +93,16 @@ def check_influence_consistency(
     groups: dict[tuple[int, int], list] = {}
     for _ in range(draws):
         params, innate = _random_contractive(rng)
-        m = influence_weights(params)
+        # One H, one eigenvalue call and the two solves of influence_weights
+        # and equilibrium.
+        h = build_h(params)
+        gs = params.gamma[:, None] * innate
+        rho, m, fixed = _fixed_point(h[None], np.diag(params.gamma)[None], gs[None])
+        m = _checked_influence(m, params.gamma[None])[0]
         worst_neg = min(worst_neg, float(m.min()))
         worst_row = max(worst_row, float(np.abs(m.sum(axis=1) - 1.0).max()))
-        h = build_h(params)
-        rho = spectral_radius(h)
-        worst_rho = max(worst_rho, rho - (1.0 - float(params.gamma.min())))
-        fixed = equilibrium(params, innate)
-        groups.setdefault(innate.shape, []).append(
-            (params.gamma[:, None] * innate, h, innate, fixed)
-        )
+        worst_rho = max(worst_rho, float(rho[0]) - (1.0 - float(params.gamma.min())))
+        groups.setdefault(innate.shape, []).append((gs, h, innate, fixed[0]))
     # Draws that share a shape iterate as one stack, each with its own H;
     # every draw's rounds and final beliefs are those it gets alone.
     for members in groups.values():

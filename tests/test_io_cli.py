@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fjlab.errors import (
     SchemaVersionUnsupported,
     WeightNotSimplex,
 )
+from fjlab import io as fio
 from fjlab.io import (
     atomic_write_json,
     format_cell,
@@ -28,6 +31,7 @@ from fjlab.io import (
     save_trajectories,
     write_csv,
 )
+from fjlab.metrics import AgentMetricRow, trajectory_metrics
 from fjlab.model import DeliberationTrajectory, FJParameters
 
 
@@ -711,3 +715,149 @@ class TestCLI:
         trajs = load_trajectories(os.path.join(out, "trajectories.json"))
         assert len(trajs) == 2
         assert trajs[0].d == 2
+
+
+class TestGCPause:
+    """Trajectory loads and saves pause the cyclic collector, then restore it."""
+
+    def _watch(self, monkeypatch, name):
+        seen = []
+        inner = getattr(fio, name)
+
+        def watched(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(fio, name, watched)
+        return seen
+
+    def test_paused_during_and_enabled_after(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "t.json")
+        parsed = self._watch(monkeypatch, "_parse_sample")
+        written = self._watch(monkeypatch, "atomic_write_json")
+        assert gc.isenabled()
+        save_trajectories(path, sample_trajs())
+        assert gc.isenabled()
+        load_trajectories(path)
+        assert gc.isenabled()
+        assert written == [False] and parsed == [False, False]
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("{not json", ParseError),
+            (
+                json.dumps(
+                    {
+                        "schema_version": "1",
+                        "samples": [{"sample_id": "a", "rounds": [[[0.5, 0.6], [0.5, 0.5]]]}],
+                    }
+                ),
+                InvariantViolation,
+            ),
+        ],
+        ids=["parse", "invariant"],
+    )
+    def test_enabled_after_a_failed_load(self, tmp_path, text, error):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error):
+            load_trajectories(str(path))
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, tmp_path):
+        path = str(tmp_path / "t.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        gc.disable()
+        try:
+            save_trajectories(path, sample_trajs())
+            assert not gc.isenabled()
+            load_trajectories(path)
+            assert not gc.isenabled()
+            with pytest.raises(ParseError):
+                load_trajectories(str(bad))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+class TestStackedAnalyze:
+    """analyze stacks the samples that share d: rows and errors keep file order."""
+
+    def _corpus(self, out, ds):
+        rng = np.random.default_rng(7)
+        trajs, per_sample = [], []
+        for k, d in enumerate(ds):
+            params = replace(sample_params(), gamma=rng.uniform(0.2, 0.8, 3))
+            label = None if k == 1 else int(rng.integers(d))
+            innate = rng.dirichlet(np.ones(d), size=3)
+            trajs.append(simulate(params, innate, 4, sample_id=f"s{k}", correct_label=label))
+            per_sample.append({"sample_id": f"s{k}", "params": params_to_dict(params)})
+        save_trajectories(os.path.join(out, "trajectories.json"), trajs)
+        atomic_write_json(
+            os.path.join(out, "fits.json"), {"schema_version": "1", "per_sample": per_sample}
+        )
+
+    def test_mixed_label_counts_in_file_order(self, tmp_path):
+        out, ref = str(tmp_path / "out"), str(tmp_path / "ref")
+        os.makedirs(out)
+        os.makedirs(ref)
+        self._corpus(out, [3, 3, 4, 4, 3, 2, 4])
+        assert run(["--output-dir", out, "--quiet", "analyze"]) == 0
+        # the same tables from trajectory_metrics, one sample at a time
+        fits = read_json(out, "fits.json")["per_sample"]
+        agent_rows, system_rows = [], []
+        for traj, entry in zip(load_trajectories(os.path.join(out, "trajectories.json")), fits):
+            rows, system = trajectory_metrics(traj, params_from_dict(entry["params"]))
+            agent_rows += [
+                [traj.sample_id] + [getattr(r, f) for f in AgentMetricRow.FIELDS] for r in rows
+            ]
+            system_rows.append(
+                [traj.sample_id, system.disagreement, system.mean_confidence, system.consensus_reached]
+                + [float(v) for v in system.pi.pi]
+            )
+        write_csv(os.path.join(ref, "agents.csv"), ["sample_id", *AgentMetricRow.FIELDS], agent_rows)
+        write_csv(
+            os.path.join(ref, "system.csv"),
+            ["sample_id", "disagreement", "mean_confidence", "consensus_reached", "pi_0", "pi_1", "pi_2"],
+            system_rows,
+        )
+        for name in ("agents.csv", "system.csv"):
+            with open(os.path.join(out, name), "rb") as got, open(os.path.join(ref, name), "rb") as want:
+                assert got.read() == want.read(), name
+        with open(os.path.join(out, "system.csv"), encoding="utf-8") as fh:
+            ids = [line.split(",")[0] for line in fh.read().splitlines()[1:]]
+        assert ids == [f"s{k}" for k in range(7)]
+
+    @staticmethod
+    def _rho_line(params):
+        h = (1.0 - params["alpha"])[:, None] * params["w"]
+        h[np.diag_indices(3)] += params["alpha"]
+        h *= (1.0 - params["gamma"])[:, None]
+        rho = float(np.abs(np.linalg.eigvals(h)).max())
+        return f"fjlab: numerical error: spectral radius {rho!r} is not below 1 - 1e-06"
+
+    @pytest.mark.parametrize("fault", ["no_fit", "not_contractive", "zero_gamma"])
+    def test_third_sample_fault_is_the_one_reported(self, tmp_path, capsys, fault):
+        out = str(tmp_path)
+        argv = ["--output-dir", out, "--quiet", "--seed", "2"]
+        assert run(argv + ["simulate", "--pools", "1", "--samples", "5", "--agents", "3"]) == 0
+        assert run(argv + ["fit"]) == 0
+        fits = read_json(out, "fits.json")
+        entries = fits["per_sample"]
+        third = {k: np.array(v) for k, v in entries[2]["params"].items()}
+        third["gamma"] = np.full(3, 1e-7 if fault == "not_contractive" else 0.0)
+        # the fifth sample fails too, with an error whose check comes first
+        entries[4]["params"] = params_to_dict(sample_params(n=2))
+        if fault == "no_fit":
+            del entries[2]
+            code, line = 1, "fjlab: error: no fitted parameters for sample 'sample-0002'"
+        else:
+            entries[2]["params"]["gamma"] = third["gamma"].tolist()
+            code, line = 2, self._rho_line(third)
+        atomic_write_json(os.path.join(out, "fits.json"), fits)
+        capsys.readouterr()
+        assert run(["--output-dir", out, "--quiet", "analyze"]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not os.path.exists(os.path.join(out, "agents.csv"))

@@ -1,12 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from fjlab.errors import TooFewAgents, TooFewPoints, WeightNotSimplex
+from fjlab.constants import CONSENSUS_THRESHOLD
+from fjlab.errors import (
+    FJLabError,
+    NotContractive,
+    NumericalError,
+    TooFewAgents,
+    TooFewPoints,
+    WeightNotSimplex,
+)
 from fjlab.metrics import (
+    AgentMetricRow,
     alignment_metrics,
     brier_loss,
     competence,
@@ -18,10 +28,11 @@ from fjlab.metrics import (
     log_loss,
     softmax_weights,
     spearman,
+    stacked_metrics,
     trajectory_metrics,
 )
-from fjlab.model import FJParameters
-from fjlab.dynamics import influence_weights, simulate
+from fjlab.model import DeliberationTrajectory, FJParameters
+from fjlab.dynamics import simulate
 
 
 def belief_with_confidence(target: float) -> np.ndarray:
@@ -218,12 +229,13 @@ class TestTrajectoryMetrics:
         import fjlab.metrics as metrics_mod
 
         calls = []
+        stacked = metrics_mod._influence_stack
 
-        def counting(params):
-            calls.append(params)
-            return influence_weights(params)
+        def counting(gamma, alpha, w):
+            calls.append(gamma)
+            return stacked(gamma, alpha, w)
 
-        monkeypatch.setattr(metrics_mod, "influence_weights", counting)
+        monkeypatch.setattr(metrics_mod, "_influence_stack", counting)
         params = FJParameters(
             gamma=np.array([0.5, 0.3]),
             alpha=np.array([0.2, 0.4]),
@@ -245,3 +257,144 @@ class TestTrajectoryMetrics:
         traj = simulate(params, innate, 2)
         rows, _ = trajectory_metrics(traj, params)
         assert all(r.competence is None for r in rows)
+
+
+def random_params(rng: np.random.Generator, n: int) -> FJParameters:
+    w = rng.uniform(0.0, 1.0, (n, n))
+    np.fill_diagonal(w, 0.0)
+    w /= w.sum(axis=1, keepdims=True)
+    return FJParameters(
+        gamma=rng.uniform(0.05, 0.95, n),
+        alpha=rng.uniform(0.0, 1.0, n),
+        w=w,
+        mask=FJParameters.complete_mask(n),
+    )
+
+
+def final_rows(rng: np.random.Generator, kind: str, n: int, d: int) -> np.ndarray:
+    if kind == "uniform":  # every confidence, and so the second-largest, is 0
+        return np.full((n, d), 1.0 / d)
+    if kind == "ties":  # small integer weights: argmax ties and repeated rows
+        raw = rng.integers(1, 3, size=(n, d)).astype(np.float64)
+        return raw / raw.sum(axis=1, keepdims=True)
+    if kind == "one_hot":
+        return np.eye(d)[rng.integers(d, size=n)]
+    return rng.dirichlet(np.ones(d), size=n)
+
+
+def reference_metrics(final, params, label, eta, normalization):
+    """The per-sample formulas that the stacked code replaced, one 1-D or 2-D
+    array operation at a time: the reference for bit identity."""
+    n, d = final.shape
+    conf = np.array([confidence(row) for row in final])
+    second = float(np.partition(conf, -2)[-2])
+    rel = np.ones(n) if second == 0.0 else conf / second
+    h = (1.0 - params.alpha)[:, None] * params.w
+    h[np.diag_indices(n)] += params.alpha
+    h *= (1.0 - params.gamma)[:, None]
+    m = np.clip(np.linalg.solve(np.eye(n) - h, np.diag(params.gamma)), 0.0, None)
+    pi = (np.full(n, 1.0 / n) if eta is None else eta) @ m
+    pi = np.clip(pi, 0.0, None)
+    pi /= pi.sum()
+
+    def scaled(v):
+        ref = float(v.max() if normalization == "max" else np.partition(v, -2)[-2])
+        return np.zeros_like(v) if ref == 0.0 else v / ref
+
+    center = final.mean(axis=0)
+    tops = np.argmax(final, axis=1)
+    dis = float(np.linalg.norm(final - center, axis=1).mean())
+    agent = {
+        "confidence": conf,
+        "relative_confidence": rel,
+        "influence": scaled(pi),
+        "peer_influence": scaled(((1.0 - params.alpha)[:, None] * params.w).sum(axis=0)),
+        "alignment": (final @ center) / (np.linalg.norm(final, axis=1) * np.linalg.norm(center)),
+        "alignment_score": (tops == np.argmax(center)).astype(np.float64),
+        "alignment_count": [(tops == tops[j]).sum() - 1 for j in range(n)],
+        "competence": np.full(n, np.nan) if label is None else final[:, label],
+        "gamma": params.gamma,
+    }
+    consensus = bool(np.all(tops == tops[0]) and dis < CONSENSUS_THRESHOLD)
+    return agent, (dis, float(conf.mean()), consensus, pi)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, np.float64).tobytes() == np.asarray(b, np.float64).tobytes()
+
+
+@st.composite
+def metric_stacks(draw):
+    m, n, d = draw(st.integers(1, 6)), draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["dirichlet", "uniform", "ties", "one_hot"]), min_size=m, max_size=m))
+    finals = np.stack([final_rows(rng, kind, n, d) for kind in kinds])
+    params = [random_params(rng, n) for _ in range(m)]
+    labels = draw(st.lists(st.one_of(st.none(), st.integers(0, d - 1)), min_size=m, max_size=m))
+    eta = rng.dirichlet(np.ones(n)) if draw(st.booleans()) else None
+    return finals, params, labels, eta, draw(st.sampled_from(["max", "second_largest"]))
+
+
+class TestStackedMetrics:
+    @given(metric_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_trajectory_metrics(self, case):
+        finals, params, labels, eta, normalization = case
+        cols = stacked_metrics(finals, params, labels, eta, normalization)
+        for k, (final, p, label) in enumerate(zip(finals, params, labels)):
+            traj = DeliberationTrajectory(final[None], sample_id=f"s{k}", correct_label=label)
+            rows, system = trajectory_metrics(traj, p, eta, normalization)
+            for field in AgentMetricRow.FIELDS[1:]:
+                want = [getattr(r, field) for r in rows]
+                if field == "competence" and label is None:
+                    assert want == [None] * len(rows)
+                    assert np.isnan(cols.competence[k]).all()
+                else:
+                    assert same_bits(getattr(cols, field)[k], want), field
+            assert same_bits(cols.disagreement[k], system.disagreement)
+            assert same_bits(cols.mean_confidence[k], system.mean_confidence)
+            assert bool(cols.consensus_reached[k]) is system.consensus_reached
+            assert same_bits(cols.pi[k], system.pi.pi)
+            assert same_bits(cols.eta, system.pi.eta)
+            agent, (dis, mean_conf, consensus, pi) = reference_metrics(
+                final, p, label, eta, normalization
+            )
+            for field, want in agent.items():
+                assert same_bits(getattr(cols, field)[k], want), field
+            assert same_bits(cols.disagreement[k], dis)
+            assert same_bits(cols.mean_confidence[k], mean_conf)
+            assert bool(cols.consensus_reached[k]) is consensus
+            assert same_bits(cols.pi[k], pi)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_uniform_rows_have_relative_confidence_one(self, d):
+        rng = np.random.default_rng(3)
+        # with d a power of 2 the uniform row's confidence is exactly 0
+        finals = np.full((2, 4, d), 1.0 / d)
+        cols = stacked_metrics(finals, [random_params(rng, 4) for _ in range(2)])
+        assert (cols.confidence == 0.0).all() and (cols.relative_confidence == 1.0).all()
+        assert cols.consensus_reached.all()
+
+    def test_first_failing_sample_in_stack_order_raises(self):
+        rng = np.random.default_rng(4)
+        ok = random_params(rng, 3)
+        # agent 0 has no peers: contractive, but its influence row sums below 1
+        mask = FJParameters.complete_mask(3)
+        mask[0] = False
+        lonely = FJParameters(
+            gamma=np.array([0.3, 0.4, 0.5]),
+            alpha=np.full(3, 0.5),
+            w=np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+            mask=mask,
+        )
+        stalled = replace(ok, gamma=np.zeros(3))
+        finals = rng.dirichlet(np.ones(2), size=(4, 3))
+        # the stacked eigenvalue check meets sample 2 first; sample 1 fails later
+        with pytest.raises(FJLabError) as stacked:
+            stacked_metrics(finals, [ok, lonely, stalled, ok])
+        with pytest.raises(FJLabError) as alone:
+            trajectory_metrics(DeliberationTrajectory(finals[1][None]), lonely)
+        assert type(stacked.value) is type(alone.value) is NumericalError
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(NotContractive):
+            stacked_metrics(finals[2:], [stalled, lonely])
