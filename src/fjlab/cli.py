@@ -26,7 +26,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-import scipy.stats
+import numpy.random  # lazy in numpy 2: load it with the CLI, not inside simulate
 
 from . import io as fio
 from .config import RunConfig, eta_vector, load_config
@@ -80,6 +80,38 @@ def _override(section, args, names):
     return replace(section, **updates) if updates else section
 
 
+def _t_quantile(confidence: float, df: int) -> float:
+    """The t with P(|T| <= t) = confidence for Student's T on integer df >= 1.
+
+    Newton's method on theta = atan(t / sqrt(df)), where P(|T| <= t) is the
+    finite series of Abramowitz & Stegun 26.7.3-4 in sin and cos theta and is
+    concave in theta, from a Cornish-Fisher start (A&S 26.2.23 and 26.7.5).
+    """
+    r = math.sqrt(-2.0 * math.log((1.0 - confidence) / 2.0))
+    z = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
+        1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308))
+    )
+    t = z + (z**3 + z) / (4 * df) + (5 * z**5 + 16 * z**3 + 3 * z) / (96 * df**2)
+    theta = math.atan(t / math.sqrt(df))
+    # d/dtheta P(|T| <= t) = 2 Gamma((df + 1) / 2) / (sqrt(pi) Gamma(df / 2)) cos^(df - 1) theta
+    log_slope = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) + math.log(2 / math.sqrt(math.pi))
+    for _ in range(100):
+        sin, cos = math.sin(theta), math.cos(theta)
+        # log cos^2 theta, accurate enough to raise to the power df / 2
+        log_x = math.log1p(-sin * sin) if sin < cos else 2 * math.log(cos)
+        coef, total = 1.0, float(df > 1)
+        for k, j in enumerate(range(1 + df % 2, df - 2, 2), 1):
+            coef *= j / (j + 1)
+            total += coef * math.exp(k * log_x)
+        prob = (theta + sin * cos * total) * 2 / math.pi if df % 2 else sin * total
+        step = (prob - confidence) / math.exp(log_slope + (df - 1) * math.log(cos))
+        new = theta - step
+        theta = new if 0 < new < math.pi / 2 else (theta + (new > 0) * math.pi / 2) / 2
+        if abs(step) <= 1e-10 * sin * cos:
+            break
+    return math.sqrt(df) * math.tan(theta)
+
+
 def mean_ci(values, confidence: float = 0.95) -> "tuple[float, float | None]":
     """Sample mean and Student-t CI half-width (None when n < 2)."""
     arr = np.asarray(list(values), dtype=np.float64)
@@ -89,7 +121,7 @@ def mean_ci(values, confidence: float = 0.95) -> "tuple[float, float | None]":
     if arr.size < 2:
         return mean, None
     sd = float(arr.std(ddof=1))
-    quantile = float(scipy.stats.t.ppf(0.5 + confidence / 2.0, arr.size - 1))
+    quantile = _t_quantile(confidence, arr.size - 1)
     return mean, quantile * sd / math.sqrt(arr.size)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma  # lazy in numpy 2 and loaded by np.percentile: load it with the module
 
 from .constants import LOG_FLOOR
 from .dynamics import build_h

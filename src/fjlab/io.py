@@ -127,8 +127,11 @@ def write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(v) for v in row])
+    # plain floats, nearly every cell, are formatted inline: format_cell's bytes without its call
+    writer.writerows(
+        [(repr(v) if math.isfinite(v) else "") if type(v) is float else format_cell(v) for v in row]
+        for row in rows
+    )
     atomic_write_text(path, buf.getvalue())
 
 

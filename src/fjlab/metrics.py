@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .constants import CONSENSUS_THRESHOLD, ENTROPY_EPS, LOG_FLOOR, TAU_SIMPLEX
 from .errors import (
@@ -227,10 +226,22 @@ def diversity(s, a, form: str = "moment") -> float:
     raise ShapeMismatch(f"unknown diversity form {form!r}")
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a NaN-free vector, tied values sharing their mean rank."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    first = np.r_[True, s[1:] != s[:-1]]  # each tie group's first position
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], a.size]
+    ranks = np.empty(a.size)
+    ranks[order] = ((starts + 1 + ends) / 2)[np.cumsum(first) - 1]
+    return ranks
+
+
 def spearman(x, y) -> float:
     """Rank correlation with average ranks over ties.
 
-    Returns nan when either input has zero rank variance.
+    Returns nan when either input holds a NaN or has zero rank variance.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -238,8 +249,10 @@ def spearman(x, y) -> float:
         raise ShapeMismatch(f"paired vectors required, got {x.shape} and {y.shape}")
     if x.size < 3:
         raise TooFewPoints(f"need at least 3 points, got {x.size}")
-    rx = rankdata(x)
-    ry = rankdata(y)
+    if np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
         return float("nan")
     return float(np.corrcoef(rx, ry)[0, 1])

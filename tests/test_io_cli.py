@@ -1,5 +1,8 @@
+import csv
 import gc
+import io
 import json
+import math
 import os
 import stat
 from dataclasses import replace
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fjlab.cli import run
+from fjlab.cli import _t_quantile, mean_ci, run
 from fjlab.config import eta_vector, load_config
 from fjlab.dynamics import influence_weights, simulate
 from fjlab.errors import (
@@ -243,6 +246,61 @@ class TestCSV:
         write_csv(path, ["a", "b"], [[1, None], [0.5, True]])
         raw = open(path, "rb").read()
         assert raw == b"a,b\r\n1,\r\n0.5,true\r\n"
+
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.none(),
+                    st.booleans(),
+                    st.booleans().map(np.bool_),
+                    st.integers(-(2**70), 2**70),
+                    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+                    st.floats(),
+                    st.floats().map(np.float64),
+                    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+                    st.text(),
+                    st.sampled_from(['a,b', 'say "hi"', "two\nlines", " pad ", ""]),
+                ),
+                max_size=6,
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_write_csv_matches_per_cell_formatting(self, tmp_path_factory, rows):
+        path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+        write_csv(path, ["a", "b"], rows)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
+        writer.writerow(["a", "b"])
+        for row in rows:
+            writer.writerow([format_cell(v) for v in row])
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.getvalue().encode("utf-8")
+
+
+class TestMeanCI:
+    def test_frozen_example(self):
+        mean, half = mean_ci([0.1, 0.2, 0.4])
+        assert mean == pytest.approx(0.23333333333333336, rel=1e-15)
+        assert half == pytest.approx(0.379458303359676, rel=1e-14)
+
+    def test_nan_input_gives_nan(self):
+        mean, half = mean_ci([0.1, float("nan"), 0.4])
+        assert math.isnan(mean) and math.isnan(half)
+
+    def test_single_value_has_no_half_width(self):
+        assert mean_ci([0.5]) == (0.5, None)
+
+    def test_t_quantile_matches_scipy(self):
+        from scipy.special import stdtrit
+
+        for df in [*range(1, 201), 500, 1_000, 4_000, 10_000]:
+            for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                ref = stdtrit(df, 0.5 + confidence / 2.0)
+                got = _t_quantile(confidence, df)
+                assert got == pytest.approx(ref, rel=1e-12), (df, confidence)
 
 
 class TestConfig:

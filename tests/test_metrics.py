@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
+from scipy.stats import rankdata
 
 from fjlab.constants import CONSENSUS_THRESHOLD
 from fjlab.errors import (
@@ -27,6 +28,7 @@ from fjlab.metrics import (
     influence_metrics,
     log_loss,
     softmax_weights,
+    _average_ranks,
     spearman,
     stacked_metrics,
     trajectory_metrics,
@@ -174,6 +176,27 @@ class TestSpearman:
 
     def test_constant_input_is_nan(self):
         assert math.isnan(spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+
+    def test_nan_input_is_nan(self):
+        assert math.isnan(spearman([float("nan"), 1.0, 2.0], [1.0, 2.0, 3.0]))
+        assert math.isnan(spearman([1.0, 2.0, 3.0], [1.0, float("nan"), 3.0]))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-math.inf, math.inf, 0.0, -0.0, 1.0, 2.5]),
+                st.floats(allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_average_ranks_bit_equal_to_rankdata(self, values):
+        a = np.array(values, dtype=np.float64)
+        ours, ref = _average_ranks(a), rankdata(a)
+        assert ours.dtype == ref.dtype
+        assert ours.tobytes() == ref.tobytes()
 
 
 class TestInfluenceMetrics:
