@@ -82,17 +82,14 @@ from .routing import (
     RoutingReport,
     ambiguity_decomposition,
     confidence_routing_vs_ensemble,
-    confidence_softmax_router,
-    constant_router,
+    confidence_softmax_weights,
     ensemble_waste,
-    fj_influence_router,
-    hard_confidence_router,
+    hard_confidence_weights,
     local_risk,
+    min_risk_weights,
     moe_vs_best_single,
     moe_vs_fixed_ensemble,
-    oracle_min_risk_router,
     routing_regret,
-    uniform_router,
 )
 from .scenarios import (
     ExclusiveLosses,
@@ -171,17 +168,14 @@ __all__ = [
     "RoutingReport",
     "ambiguity_decomposition",
     "confidence_routing_vs_ensemble",
-    "confidence_softmax_router",
-    "constant_router",
+    "confidence_softmax_weights",
     "ensemble_waste",
-    "fj_influence_router",
-    "hard_confidence_router",
+    "hard_confidence_weights",
     "local_risk",
+    "min_risk_weights",
     "moe_vs_best_single",
     "moe_vs_fixed_ensemble",
-    "oracle_min_risk_router",
     "routing_regret",
-    "uniform_router",
     # scenarios
     "ExclusiveLosses",
     "ExclusiveScenario",

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.random  # lazy in numpy 2: load it with the CLI, not inside simulate
@@ -70,14 +70,10 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _override(section, args, names):
-    """Apply non-None CLI flags on top of a config section."""
-    updates = {}
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    return replace(section, **updates) if updates else section
+def _override(section, args):
+    """Apply each non-None CLI flag named like a field of the config section."""
+    updates = {f.name: getattr(args, f.name, None) for f in fields(section)}
+    return replace(section, **{k: v for k, v in updates.items() if v is not None})
 
 
 def _t_quantile(confidence: float, df: int) -> float:
@@ -193,27 +189,11 @@ def _load_params_file(sim):
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    sim = _override(
-        cfg.simulate,
-        args,
-        (
-            "mode",
-            "samples",
-            "pools",
-            "agents",
-            "labels",
-            "rounds",
-            "params_file",
-            "scenario",
-            "epsilon",
-            "p",
-            "u",
-            "c",
-            "gamma_mode",
-        ),
-    )
+    sim = _override(cfg.simulate, args)
     if sim.samples < 1 or sim.pools < 1:
         raise ConfigError("samples and pools must be positive")
+    if sim.mode in ("random", "scenario") and min(sim.agents, sim.labels) < 2:
+        raise ConfigError("agents and labels must be at least 2")
     if sim.rounds < 0:
         raise ConfigError("rounds must be >= 0")
     if sim.gamma_mode not in ("random", "confidence"):
@@ -294,11 +274,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 
 def cmd_fit(args, cfg: RunConfig) -> int:
-    sec = _override(
-        cfg.fit,
-        args,
-        ("objective", "max_iters", "tol", "reg_lambda", "restarts", "global_fit"),
-    )
+    sec = _override(cfg.fit, args)
     in_path = args.input or os.path.join(args.output_dir, "trajectories.json")
     trajs = fio.load_trajectories(in_path)
     if not trajs:
@@ -414,9 +390,7 @@ def _safe_spearman(x, y) -> "float | None":
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
-    sec = _override(
-        cfg.analyze, args, ("eta", "normalization", "consensus_threshold")
-    )
+    sec = _override(cfg.analyze, args)
     in_path = args.input or os.path.join(args.output_dir, "trajectories.json")
     fits_path = args.fits or (
         sec.fits
@@ -517,17 +491,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
-    sec = _override(
-        cfg.verify,
-        args,
-        (
-            "checks",
-            "prop_draws",
-            "identity_draws",
-            "scenario_samples",
-            "consistency_samples",
-        ),
-    )
+    sec = _override(cfg.verify, args)
     results = run_all_checks(
         checks=sec.check_names(),
         prop_draws=sec.prop_draws,
@@ -576,7 +540,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_compare(args, cfg: RunConfig) -> int:
-    sec = _override(cfg.compare, args, ("group_key", "eta", "fallback_rounds"))
+    sec = _override(cfg.compare, args)
     if sec.fallback_rounds < 1:
         raise ConfigError(
             f"compare.fallback_rounds must be >= 1, got {sec.fallback_rounds}"

@@ -140,6 +140,8 @@ class FJParameters:
         if mask.dtype != np.bool_:
             mask = mask.astype(bool)
         n = gamma.shape[0]
+        if n == 0:
+            raise ShapeMismatch("parameters need at least one agent")
         if alpha.shape != (n,) or w.shape != (n, n) or mask.shape != (n, n):
             raise ShapeMismatch(
                 f"inconsistent shapes: gamma {gamma.shape}, alpha {alpha.shape}, "

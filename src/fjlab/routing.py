@@ -12,36 +12,31 @@ diversity D_a(S) = sum_j a_j || s_j - sbar_a ||^2.  Everything else here
 is bookkeeping on top of that identity: when adaptive routing beats the
 best single agent, when it beats the best fixed ensemble, and when
 hard confidence routing is enough.
+
+Routing weights are plain arrays: an (m, n) array with one simplex row
+per sample, or one (n,) row that routes every sample alike.  The routers
+below are functions of the data that return such arrays.  The router of
+fitted FJ parameters is the constant row
+``aggregate_pi(influence_weights(params), eta).pi``; per-sample
+parameters give ``stacked_metrics(...).pi``.  Either is passed as it is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .constants import INGEST_TOL
-from .errors import (
-    EmptyInput,
-    LabelOutOfRange,
-    MissingParams,
-    ShapeMismatch,
-    WeightNotSimplex,
-)
+from .errors import EmptyInput, LabelOutOfRange, ShapeMismatch, WeightNotSimplex
 from .metrics import _confidence_rows, brier_loss, diversity
-from .model import FJParameters, _check_rows, check_label, validate_snapshot
-from .dynamics import aggregate_pi, influence_weights
+from .model import _check_rows, check_label, validate_snapshot
 
 __all__ = [
     "LabeledSnapshotSet",
-    "Router",
-    "constant_router",
-    "uniform_router",
-    "confidence_softmax_router",
-    "hard_confidence_router",
-    "oracle_min_risk_router",
-    "fj_influence_router",
+    "confidence_softmax_weights",
+    "hard_confidence_weights",
+    "min_risk_weights",
     "local_risk",
     "ambiguity_decomposition",
     "routing_regret",
@@ -54,11 +49,6 @@ __all__ = [
     "confidence_routing_vs_ensemble",
 ]
 
-# A router maps a batch of snapshots (m, n, d) plus per-agent risks
-# (m, n) to routing weights (m, n); risks are only consulted by the
-# oracle and may be None for the rest.
-Router = Callable[[np.ndarray, "np.ndarray | None"], np.ndarray]
-
 
 @dataclass(frozen=True)
 class LabeledSnapshotSet:
@@ -67,14 +57,12 @@ class LabeledSnapshotSet:
     beliefs -- (m, n, d) stacked snapshots (shared agent count and class
                count; analyze heterogeneous pools per d-subset)
     labels  -- (m,) int labels in [0, d)
-    weights -- optional (m, n) per-sample routing weights
     risks   -- optional (m, n) per-agent risks; generators fill these
                with exact conditional risks and set exact_risk
     """
 
     beliefs: np.ndarray
     labels: np.ndarray
-    weights: np.ndarray | None = None
     risks: np.ndarray | None = None
     exact_risk: bool = False
 
@@ -94,14 +82,11 @@ class LabeledSnapshotSet:
         if y.min() < 0 or y.max() >= d:
             raise LabelOutOfRange(f"labels must lie in [0, {d})")
         _check_rows(b, "beliefs", INGEST_TOL)
-        for name in ("weights", "risks"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            v = np.asarray(v, dtype=np.float64)
-            if v.shape != (m, n):
-                raise ShapeMismatch(f"{name} shape {v.shape}, expected ({m}, {n})")
-            object.__setattr__(self, name, v)
+        if self.risks is not None:
+            risks = np.asarray(self.risks, dtype=np.float64)
+            if risks.shape != (m, n):
+                raise ShapeMismatch(f"risks shape {risks.shape}, expected ({m}, {n})")
+            object.__setattr__(self, "risks", risks)
         object.__setattr__(self, "beliefs", b)
         object.__setattr__(self, "labels", y)
 
@@ -117,22 +102,6 @@ class LabeledSnapshotSet:
     def d(self) -> int:
         return self.beliefs.shape[2]
 
-    @classmethod
-    def from_items(
-        cls, items: "list[tuple]", exact_risk: bool = False
-    ) -> "LabeledSnapshotSet":
-        """Build from a list of (S, y) or (S, y, weights) tuples."""
-        if not items:
-            raise EmptyInput("no snapshots")
-        beliefs = np.stack([np.asarray(it[0], dtype=np.float64) for it in items])
-        labels = np.array([it[1] for it in items])
-        weights = None
-        if len(items[0]) > 2 and items[0][2] is not None:
-            weights = np.stack([np.asarray(it[2], dtype=np.float64) for it in items])
-        return cls(
-            beliefs=beliefs, labels=labels, weights=weights, exact_risk=exact_risk
-        )
-
     def agent_risks(self) -> np.ndarray:
         """(m, n) per-agent squared-error risks: stored ones when present,
         otherwise plug-in Brier losses against the sample label."""
@@ -141,10 +110,15 @@ class LabeledSnapshotSet:
         return _brier_rows(self.beliefs, self.labels)
 
 
+def _one_hot(index: np.ndarray, size: int) -> np.ndarray:
+    """(m, size) rows with a single 1 at each entry of ``index``."""
+    out = np.zeros((index.shape[0], size))
+    out[np.arange(index.shape[0]), index] = 1.0
+    return out
+
+
 def _brier_rows(beliefs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    m, n, d = beliefs.shape
-    onehot = np.zeros((m, d))
-    onehot[np.arange(m), labels] = 1.0
+    onehot = _one_hot(labels, beliefs.shape[2])
     return ((beliefs - onehot[:, None, :]) ** 2).sum(axis=2)
 
 
@@ -153,10 +127,7 @@ def _mixture_losses(
 ) -> np.ndarray:
     """(m,) squared-error loss of the weighted belief mixture per sample."""
     mix = np.einsum("mn,mnd->md", weights, beliefs)
-    m, d = mix.shape
-    onehot = np.zeros((m, d))
-    onehot[np.arange(m), labels] = 1.0
-    return ((mix - onehot) ** 2).sum(axis=1)
+    return ((mix - _one_hot(labels, mix.shape[1])) ** 2).sum(axis=1)
 
 
 def _diversity_rows(beliefs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -169,85 +140,36 @@ def _diversity_rows(beliefs: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # -- routers --------------------------------------------------------------
 
 
-def constant_router(a) -> Router:
-    """Route every sample with the same fixed weights."""
-    a = np.asarray(a, dtype=np.float64)
-
-    def route(beliefs: np.ndarray, risks: np.ndarray | None = None) -> np.ndarray:
-        if a.shape != (beliefs.shape[1],):
-            raise ShapeMismatch(f"weights {a.shape} do not fit n={beliefs.shape[1]}")
-        return np.broadcast_to(a, beliefs.shape[:2]).copy()
-
-    route.__name__ = "constant_router"
-    return route
+def confidence_softmax_weights(beliefs, beta: float = 1.0) -> np.ndarray:
+    """(m, n) weights proportional to exp(beta * confidence), max-subtracted."""
+    z = beta * _confidence_rows(np.asarray(beliefs, dtype=np.float64))
+    z -= z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def uniform_router() -> Router:
-    def route(beliefs: np.ndarray, risks: np.ndarray | None = None) -> np.ndarray:
-        m, n = beliefs.shape[:2]
-        return np.full((m, n), 1.0 / n)
-
-    route.__name__ = "uniform_router"
-    return route
+def hard_confidence_weights(beliefs) -> np.ndarray:
+    """(m, n) one-hot on the most confident agent (lowest index on ties)."""
+    beliefs = np.asarray(beliefs, dtype=np.float64)
+    return _one_hot(np.argmax(_confidence_rows(beliefs), axis=1), beliefs.shape[1])
 
 
-def confidence_softmax_router(beta: float = 1.0) -> Router:
-    """Weights proportional to exp(beta * confidence), max-subtracted."""
-
-    def route(beliefs: np.ndarray, risks: np.ndarray | None = None) -> np.ndarray:
-        z = beta * _confidence_rows(beliefs)
-        z -= z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
-    route.__name__ = f"confidence_softmax_router(beta={beta})"
-    return route
+def min_risk_weights(risks) -> np.ndarray:
+    """(m, n) one-hot on the lowest-risk agent: the oracle router, which
+    needs the risks and so serves tests and analysis only."""
+    risks = np.asarray(risks, dtype=np.float64)
+    return _one_hot(np.argmin(risks, axis=1), risks.shape[1])
 
 
-def hard_confidence_router() -> Router:
-    """One-hot on the most confident agent (lowest index on ties)."""
-
-    def route(beliefs: np.ndarray, risks: np.ndarray | None = None) -> np.ndarray:
-        c = _confidence_rows(beliefs)
-        out = np.zeros(beliefs.shape[:2])
-        out[np.arange(beliefs.shape[0]), np.argmax(c, axis=1)] = 1.0
-        return out
-
-    route.__name__ = "hard_confidence_router"
-    return route
-
-
-def oracle_min_risk_router() -> Router:
-    """One-hot on the lowest-risk agent; needs risks (test/analysis only)."""
-
-    def route(beliefs: np.ndarray, risks: np.ndarray | None = None) -> np.ndarray:
-        if risks is None:
-            raise MissingParams("oracle router needs per-agent risks")
-        out = np.zeros(beliefs.shape[:2])
-        out[np.arange(beliefs.shape[0]), np.argmin(risks, axis=1)] = 1.0
-        return out
-
-    route.__name__ = "oracle_min_risk_router"
-    return route
-
-
-def fj_influence_router(params: FJParameters, eta: np.ndarray | None = None) -> Router:
-    """Constant weights taken from the long-run influence of fitted params."""
-    pi = aggregate_pi(influence_weights(params), eta).pi
-    route = constant_router(pi)
-    route.__name__ = "fj_influence_router"
-    return route
-
-
-def _resolve_weights(sset: LabeledSnapshotSet, router: Router | None) -> np.ndarray:
-    if router is not None:
-        w = np.asarray(router(sset.beliefs, sset.agent_risks()), dtype=np.float64)
-    elif sset.weights is not None:
-        w = sset.weights
-    else:
-        raise MissingParams("no router given and the snapshot set has no weights")
+def _check_weights(sset: LabeledSnapshotSet, weights) -> np.ndarray:
+    """Routing weights as (m, n) simplex rows; one (n,) row is broadcast."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape == (sset.n,):
+        w = np.broadcast_to(w, (sset.m, sset.n))
     if w.shape != (sset.m, sset.n):
-        raise ShapeMismatch(f"router produced {w.shape}, expected {(sset.m, sset.n)}")
+        raise ShapeMismatch(
+            f"routing weights {w.shape}, expected {(sset.m, sset.n)} or ({sset.n},)"
+        )
     if (
         not np.isfinite(w).all()
         or w.min() < -1e-12
@@ -318,9 +240,7 @@ class RoutingReport:
     mean_moe_loss: float = float("nan")
 
 
-def moe_vs_best_single(
-    sset: LabeledSnapshotSet, router: Router | None = None
-) -> RoutingReport:
+def moe_vs_best_single(sset: LabeledSnapshotSet, weights) -> RoutingReport:
     """Compare routed mixtures against the single agent best on average.
 
     holds:  E[r_best - min_j r_j] + E[D_pi] > E[routing regret].
@@ -330,7 +250,7 @@ def moe_vs_best_single(
     zero off-diagonal mass.
     """
     risks = sset.agent_risks()
-    weights = _resolve_weights(sset, router)
+    weights = _check_weights(sset, weights)
     best = int(np.argmin(risks.mean(axis=0)))
     best_risks = risks[:, best]
     min_risks = risks.min(axis=1)
@@ -391,13 +311,13 @@ class EnsembleComparisonReport:
 
 
 def moe_vs_fixed_ensemble(
-    sset: LabeledSnapshotSet, a, router: Router | None = None
+    sset: LabeledSnapshotSet, a, weights
 ) -> EnsembleComparisonReport:
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (sset.n,):
         raise ShapeMismatch(f"fixed weights {a.shape} do not fit n={sset.n}")
     risks = sset.agent_risks()
-    weights = _resolve_weights(sset, router)
+    weights = _check_weights(sset, weights)
     lhs = float(((a[None, :] - weights) * risks).sum(axis=1).mean())
     rhs = float(
         (

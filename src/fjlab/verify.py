@@ -20,8 +20,8 @@ from .model import FJParameters
 from .routing import (
     LabeledSnapshotSet,
     ambiguity_decomposition,
-    confidence_softmax_router,
-    hard_confidence_router,
+    confidence_softmax_weights,
+    hard_confidence_weights,
     moe_vs_best_single,
     moe_vs_fixed_ensemble,
 )
@@ -182,7 +182,7 @@ def check_exclusive_scenario(
     sset = gen_exclusive(sc, samples, seed)
     uniform = np.full((sset.m, sset.n), 1.0 / sset.n)
     emp_ens = float(_log_losses(sset, uniform).mean())
-    hard = hard_confidence_router()(sset.beliefs, None)
+    hard = hard_confidence_weights(sset.beliefs)
     emp_moe = float(_log_losses(sset, hard).mean())
     emp_gap = emp_ens - emp_moe
     a_star = optimal_fixed_ensemble(sc)
@@ -240,7 +240,7 @@ def check_imperfect_scenario(
     closed = imperfect_gap(sc)
     sset = gen_imperfect(sc, samples, seed)
     uniform = np.full((sset.m, sset.n), 1.0 / sset.n)
-    hard = hard_confidence_router()(sset.beliefs, None)
+    hard = hard_confidence_weights(sset.beliefs)
     emp_gap = float(_log_losses(sset, uniform).mean() - _log_losses(sset, hard).mean())
     chosen = np.argmax(hard, axis=1)
     routed_rows = sset.beliefs[np.arange(sset.m), chosen, :]
@@ -280,8 +280,8 @@ def check_condition_outcome(samples: int = 500, seed: int = 14) -> CheckResult:
     sc = ExclusiveScenario(n=5, d=10, epsilon=0.1)
     sset = gen_exclusive(sc, samples, seed)
     a = np.full(sc.n, 1.0 / sc.n)
-    soft = moe_vs_fixed_ensemble(sset, a, confidence_softmax_router(beta=5.0))
-    report = moe_vs_best_single(sset, hard_confidence_router())
+    soft = moe_vs_fixed_ensemble(sset, a, confidence_softmax_weights(sset.beliefs, 5.0))
+    report = moe_vs_best_single(sset, hard_confidence_weights(sset.beliefs))
     off_diag = int(report.confusion[0, 1] + report.confusion[1, 0])
     passed = soft.identity_gap < 1e-10 and off_diag == 0
     return CheckResult(
@@ -317,7 +317,7 @@ def run_all_checks(
     consistency_samples: int = 500,
     seed: int = 0,
 ) -> list[CheckResult]:
-    """Run the named checks with one base seed; unknown names raise."""
+    """Run the named checks with one base seed; unknown, repeated or no names raise."""
     registry = {
         "influence_consistency": lambda: check_influence_consistency(
             draws=prop_draws, seed=seed + 1
@@ -350,6 +350,8 @@ def run_all_checks(
     for key, value in budgets.items():
         if value < 1:
             raise ConfigError(f"{key} must be at least 1, got {value}")
+    if not checks or len(set(checks)) != len(checks):
+        raise ConfigError(f"checks must name one or more checks, none twice: {checks!r}")
     results = []
     for name in checks:
         if name not in registry:

@@ -5,15 +5,18 @@ import json
 import math
 import os
 import stat
-from dataclasses import replace
+import subprocess
+import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fjlab.cli import _t_quantile, mean_ci, run
-from fjlab.config import eta_vector, load_config
+from fjlab.cli import _t_quantile, build_parser, mean_ci, run
+from fjlab.config import FitSection, eta_vector, load_config
 from fjlab.dynamics import influence_weights, simulate
+from fjlab.estimation import FitConfig
 from fjlab.errors import (
     ConfigError,
     DegenerateStubbornness,
@@ -368,6 +371,25 @@ class TestConfig:
             eta_vector("analyze", "nan,1", 2)
 
 
+    def test_every_flag_is_a_field_of_its_section(self):
+        cfg = load_config(None)
+        (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+        assert set(commands.choices) == {f.name for f in fields(cfg)}
+        for command, parser in commands.choices.items():
+            names = {f.name for f in fields(getattr(cfg, command))}
+            for action in parser._actions:
+                if not action.option_strings or action.dest in ("help", "input"):
+                    continue
+                if (command, action.dest) == ("compare", "fits"):
+                    continue  # the fits path, not a [compare] key
+                assert action.dest in names, (command, action.option_strings)
+
+    def test_fit_section_defaults_match_fit_config(self):
+        section = FitSection()
+        for f in fields(FitConfig):
+            assert getattr(section, f.name) == f.default, f.name
+
+
 class TestCLI:
     def _simulate(self, out, extra=()):
         return run(
@@ -568,6 +590,52 @@ class TestCLI:
         assert len(err) == 1
         assert err[0].startswith("fjlab:") and "must be at least 1, got 0" in err[0]
         assert not os.listdir(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "source", [("--checks", ","), ("--checks", "diversity_forms,diversity_forms"), "checks ="]
+    )
+    def test_verify_rejects_empty_or_repeated_checks(self, tmp_path, capsys, source):
+        out = tmp_path / "out"
+        if isinstance(source, str):
+            config = tmp_path / "run.ini"
+            config.write_text(f"[verify]\n{source}\n")
+            argv = ["--config", str(config), "--output-dir", str(out), "verify"]
+        else:
+            argv = ["--output-dir", str(out), "verify", *source]
+        capsys.readouterr()
+        assert run(["--quiet", *argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fjlab:")
+        assert not os.listdir(str(out))
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            ("--agents", "0"),
+            ("--agents", "-1"),
+            ("--agents", "1"),
+            ("--labels", "0"),
+            ("--labels", "-2"),
+            ("--labels", "1"),
+            ("--mode", "scenario", "--agents", "1"),
+            ("--mode", "scenario", "--scenario", "exclusive", "--labels", "0"),
+        ],
+    )
+    def test_simulate_rejects_too_few_agents_or_labels(self, tmp_path, sizes):
+        # a fresh interpreter, so numpy warnings reach stderr as a user sees them
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["--output-dir", str(tmp_path), "simulate", *sizes]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fjlab.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("fjlab:"), proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not os.path.exists(os.path.join(str(tmp_path), "trajectories.json"))
 
     def test_verify_report_prints_plain_floats(self, tmp_path):
         out = str(tmp_path)

@@ -133,6 +133,15 @@ class TestFJParameters:
         with pytest.raises(WeightNotSimplex, match=f"{field} has a non-finite"):
             FJParameters(mask=complete(2), **values)
 
+    def test_rejects_no_agents(self):
+        with pytest.raises(ShapeMismatch, match="at least one agent"):
+            FJParameters(
+                gamma=np.zeros(0),
+                alpha=np.zeros(0),
+                w=np.zeros((0, 0)),
+                mask=np.zeros((0, 0), dtype=bool),
+            )
+
     def test_rejects_diagonal_mask(self):
         mask = np.ones((2, 2), dtype=bool)
         with pytest.raises(ShapeMismatch):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fjlab.dynamics import aggregate_pi, influence_weights
 from fjlab.errors import (
     LabelOutOfRange,
-    MissingParams,
+    ShapeMismatch,
     WeightNotSimplex,
 )
 from fjlab.metrics import brier_loss
@@ -13,17 +14,14 @@ from fjlab.routing import (
     LabeledSnapshotSet,
     ambiguity_decomposition,
     confidence_routing_vs_ensemble,
-    confidence_softmax_router,
-    constant_router,
+    confidence_softmax_weights,
     ensemble_waste,
-    fj_influence_router,
-    hard_confidence_router,
+    hard_confidence_weights,
     local_risk,
+    min_risk_weights,
     moe_vs_best_single,
     moe_vs_fixed_ensemble,
-    oracle_min_risk_router,
     routing_regret,
-    uniform_router,
 )
 
 
@@ -97,45 +95,53 @@ class TestAmbiguityDecomposition:
 
 class TestRouters:
     def test_uniform_router(self):
+        # routing by the uniform row is the uniform fixed ensemble
         sset = random_set(2)
-        weights = uniform_router()(sset.beliefs, None)
-        np.testing.assert_allclose(weights, 0.25, atol=1e-12)
+        a = np.full(sset.n, 0.25)
+        report = moe_vs_fixed_ensemble(sset, a, a)
+        assert report.mean_ensemble_waste == 0.0
+        assert report.mean_diversity_difference == 0.0
+        assert report.realized_gap == 0.0
 
     def test_constant_router_broadcasts(self):
         sset = random_set(3)
         a = np.array([0.7, 0.1, 0.1, 0.1])
-        weights = constant_router(a)(sset.beliefs, None)
-        assert weights.shape == (sset.m, sset.n)
-        np.testing.assert_allclose(weights[5], a, atol=1e-12)
+        row = moe_vs_best_single(sset, a)
+        full = moe_vs_best_single(sset, np.tile(a, (sset.m, 1)))
+        assert row.mean_moe_loss == pytest.approx(full.mean_moe_loss, abs=1e-15)
+        assert row.mean_routing_regret == pytest.approx(
+            full.mean_routing_regret, abs=1e-15
+        )
+        np.testing.assert_array_equal(row.confusion, full.confusion)
+        np.testing.assert_array_equal(
+            row.per_sample_condition, full.per_sample_condition
+        )
 
     def test_hard_confidence_picks_most_confident(self):
         beliefs = np.array(
             [[[0.9, 0.1], [0.6, 0.4]], [[0.5, 0.5], [0.1, 0.9]]]
         )
-        weights = hard_confidence_router()(beliefs, None)
+        weights = hard_confidence_weights(beliefs)
         np.testing.assert_allclose(weights, [[1.0, 0.0], [0.0, 1.0]], atol=1e-12)
 
     def test_softmax_confidence_orders_weights(self):
         beliefs = np.array([[[0.9, 0.1], [0.6, 0.4]]])
-        weights = confidence_softmax_router(beta=3.0)(beliefs, None)
+        weights = confidence_softmax_weights(beliefs, beta=3.0)
         assert weights[0, 0] > weights[0, 1]
         assert weights.sum() == pytest.approx(1.0)
 
-    def test_oracle_router_needs_risks(self):
+    def test_oracle_router_beats_best_single(self):
         sset = random_set(4)
-        with pytest.raises(MissingParams):
-            oracle_min_risk_router()(sset.beliefs, None)
-        # report entry points hand the router plug-in risks, so this works
-        report = moe_vs_best_single(sset, oracle_min_risk_router())
+        report = moe_vs_best_single(sset, min_risk_weights(sset.agent_risks()))
+        assert report.mean_routing_regret == 0.0
         assert report.mean_moe_loss <= report.mean_best_single_risk + 1e-12
 
     def test_oracle_router_minimizes(self):
         rng = np.random.default_rng(5)
-        beliefs = rng.dirichlet(np.ones(3), size=(6, 3))
-        labels = rng.integers(0, 3, size=6)
         risks = rng.uniform(0.0, 1.0, size=(6, 3))
-        weights = oracle_min_risk_router()(beliefs, risks)
+        weights = min_risk_weights(risks)
         np.testing.assert_array_equal(np.argmax(weights, axis=1), np.argmin(risks, axis=1))
+        np.testing.assert_array_equal(weights.sum(axis=1), 1.0)
 
     def test_fj_influence_router_uses_pi(self):
         params = FJParameters(
@@ -145,15 +151,10 @@ class TestRouters:
             mask=FJParameters.complete_mask(2),
         )
         sset = random_set(6, m=3, n=2, d=3)
-        weights = fj_influence_router(params)(sset.beliefs, None)
-        assert weights.shape == (3, 2)
-        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(weights[0], [0.5, 0.5], atol=1e-12)
-
-    def test_router_must_exist(self):
-        sset = random_set(7)
-        with pytest.raises(MissingParams):
-            moe_vs_best_single(sset)
+        pi = aggregate_pi(influence_weights(params)).pi
+        np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-12)
+        report = moe_vs_fixed_ensemble(sset, np.array([0.5, 0.5]), pi)
+        assert report.realized_gap == pytest.approx(0.0, abs=1e-12)
 
 
 class TestScalars:
@@ -182,7 +183,7 @@ class TestScalars:
 class TestReports:
     def test_best_single_report_consistency(self):
         sset = random_set(9, m=120)
-        report = moe_vs_best_single(sset, hard_confidence_router())
+        report = moe_vs_best_single(sset, hard_confidence_weights(sset.beliefs))
         risks = sset.agent_risks()
         assert report.best_single == int(np.argmin(risks.mean(axis=0)))
         assert report.mean_best_single_risk == pytest.approx(
@@ -195,7 +196,8 @@ class TestReports:
     def test_fixed_ensemble_identity_gap_tiny(self):
         sset = random_set(10, m=80)
         a = np.full(4, 0.25)
-        report = moe_vs_fixed_ensemble(sset, a, confidence_softmax_router(beta=4.0))
+        weights = confidence_softmax_weights(sset.beliefs, 4.0)
+        report = moe_vs_fixed_ensemble(sset, a, weights)
         assert abs(report.identity_gap) < 1e-10
         assert report.realized_gap == pytest.approx(
             report.mean_ensemble_waste - report.mean_diversity_difference, abs=1e-10
@@ -212,20 +214,43 @@ class TestReports:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_routing_weights(self, bad):
         sset = random_set(13, m=10)
-
-        def router(beliefs, risks):
-            w = np.full((sset.m, sset.n), 0.25)
-            w[3, 1] = bad
-            return w
-
+        w = np.full((sset.m, sset.n), 0.25)
+        w[3, 1] = bad
         with pytest.raises(WeightNotSimplex):
-            moe_vs_best_single(sset, router)
+            moe_vs_best_single(sset, w)
+        with pytest.raises(WeightNotSimplex):
+            moe_vs_fixed_ensemble(sset, np.full(sset.n, 0.25), w[3])
 
-    def test_stored_weights_used_when_no_router(self):
-        rng = np.random.default_rng(12)
-        beliefs = rng.dirichlet(np.ones(3), size=(10, 4))
-        labels = rng.integers(0, 3, size=10)
-        weights = rng.dirichlet(np.ones(4), size=10)
-        sset = LabeledSnapshotSet(beliefs=beliefs, labels=labels, weights=weights)
-        report = moe_vs_best_single(sset)
-        assert np.isfinite(report.mean_moe_loss)
+    @pytest.mark.parametrize(
+        "row", [[0.5, 0.5, 0.5, -0.5], [0.3, 0.3, 0.3, 0.3], [1.0, 0.0, 0.0, 1e-8]]
+    )
+    def test_rejects_off_simplex_routing_weights(self, row):
+        sset = random_set(14, m=10)
+        w = np.full((sset.m, sset.n), 0.25)
+        w[7] = row
+        with pytest.raises(WeightNotSimplex):
+            moe_vs_best_single(sset, w)
+        with pytest.raises(WeightNotSimplex):
+            moe_vs_best_single(sset, np.array(row))
+
+    def test_accepts_weights_within_tolerance(self):
+        sset = random_set(15, m=10)
+        w = np.full((sset.m, sset.n), 0.25)
+        w[2] = [0.5 + 1e-10, 0.5, -1e-13, 0.0]
+        assert np.isfinite(moe_vs_best_single(sset, w).mean_moe_loss)
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (10, 3), (9, 4), (1, 4), (10, 4, 1)])
+    def test_rejects_wrong_routing_weight_shapes(self, shape):
+        sset = random_set(16, m=10, n=4)
+        w = np.full(shape, 1.0 / shape[-1])  # simplex rows, so only the shape is wrong
+        with pytest.raises(ShapeMismatch):
+            moe_vs_best_single(sset, w)
+        with pytest.raises(ShapeMismatch):
+            moe_vs_fixed_ensemble(sset, np.full(4, 0.25), w)
+
+    def test_rejects_wrong_risk_shape(self):
+        beliefs = np.full((3, 2, 2), 0.5)
+        with pytest.raises(ShapeMismatch, match="risks"):
+            LabeledSnapshotSet(
+                beliefs=beliefs, labels=np.zeros(3), risks=np.zeros((3, 3))
+            )
