@@ -76,20 +76,16 @@ from .model import (
     validate_snapshot,
 )
 from .routing import (
-    ConfidenceRoutingReport,
     EnsembleComparisonReport,
     LabeledSnapshotSet,
     RoutingReport,
     ambiguity_decomposition,
-    confidence_routing_vs_ensemble,
     confidence_softmax_weights,
-    ensemble_waste,
     hard_confidence_weights,
     local_risk,
     min_risk_weights,
     moe_vs_best_single,
     moe_vs_fixed_ensemble,
-    routing_regret,
 )
 from .scenarios import (
     ExclusiveLosses,
@@ -103,7 +99,6 @@ from .scenarios import (
     moe_advantage_check,
     optimal_fixed_ensemble,
     project_simplex,
-    route_loss,
     routing_error_threshold,
     uniform_mixture_profile,
     wrong_majority_holds,
@@ -162,20 +157,16 @@ __all__ = [
     "stacked_metrics",
     "trajectory_metrics",
     # routing
-    "ConfidenceRoutingReport",
     "EnsembleComparisonReport",
     "LabeledSnapshotSet",
     "RoutingReport",
     "ambiguity_decomposition",
-    "confidence_routing_vs_ensemble",
     "confidence_softmax_weights",
-    "ensemble_waste",
     "hard_confidence_weights",
     "local_risk",
     "min_risk_weights",
     "moe_vs_best_single",
     "moe_vs_fixed_ensemble",
-    "routing_regret",
     # scenarios
     "ExclusiveLosses",
     "ExclusiveScenario",
@@ -188,7 +179,6 @@ __all__ = [
     "moe_advantage_check",
     "optimal_fixed_ensemble",
     "project_simplex",
-    "route_loss",
     "routing_error_threshold",
     "uniform_mixture_profile",
     "wrong_majority_holds",

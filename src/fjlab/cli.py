@@ -198,61 +198,43 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         raise ConfigError("rounds must be >= 0")
     if sim.gamma_mode not in ("random", "confidence"):
         raise ConfigError(f"unknown gamma_mode {sim.gamma_mode!r}")
-    rng = np.random.default_rng(sim.seed)
-    trajs: list[DeliberationTrajectory] = []
-    if sim.mode == "random":
-        for pool in range(sim.pools):
-            params = _draw_pool_params(rng, sim)
-            ids = [f"sample-{pool * sim.samples + k:04d}" for k in range(sim.samples)]
-            innates, labels = [], []
-            for _ in range(sim.samples):
-                innates.append(rng.dirichlet(np.ones(sim.labels), size=sim.agents))
-                labels.append(int(rng.integers(sim.labels)))
-            trajs += simulate_pool(
-                params,
-                np.stack(innates),
-                sim.rounds,
-                sample_ids=ids,
-                correct_labels=labels,
-                metadata={"pool": str(pool)},
-            )
-    elif sim.mode == "scenario":
-        sset = _scenario_snapshots(sim)
+    if sim.mode in ("random", "scenario"):
+        sset = _scenario_snapshots(sim) if sim.mode == "scenario" else None
+        rng = np.random.default_rng(sim.seed)
+        trajs = []
         for pool in range(sim.pools):
             pool_params = _draw_pool_params(rng, sim)
             first = pool * sim.samples
             ids = [f"sample-{first + k:04d}" for k in range(sim.samples)]
-            innates = sset.beliefs[first : first + sim.samples]
-            labels = [int(y) for y in sset.labels[first : first + sim.samples]]
-            metadata = {"pool": str(pool), "scenario": sim.scenario}
-            if sim.gamma_mode == "random":
-                trajs += simulate_pool(
-                    pool_params,
-                    innates,
-                    sim.rounds,
-                    sample_ids=ids,
-                    correct_labels=labels,
-                    metadata=metadata,
-                )
-                continue
-            for sample_id, innate, label in zip(ids, innates, labels):
-                conf, _ = confidence_metrics(innate)
-                params = replace(
-                    pool_params, gamma=np.clip(conf, sim.gamma_min, sim.gamma_max)
-                )
-                trajs.append(
-                    simulate(
-                        params,
-                        innate,
-                        sim.rounds,
-                        sample_id=sample_id,
-                        correct_label=label,
-                        metadata=metadata,
-                    )
-                )
+            metadata = {"pool": str(pool)}
+            if sset is None:
+                innates, labels = [], []
+                for _ in range(sim.samples):
+                    innates.append(rng.dirichlet(np.ones(sim.labels), size=sim.agents))
+                    labels.append(int(rng.integers(sim.labels)))
+                innates = np.stack(innates)
+            else:
+                innates = sset.beliefs[first : first + sim.samples]
+                labels = [int(y) for y in sset.labels[first : first + sim.samples]]
+                metadata["scenario"] = sim.scenario
+            params = [pool_params] * sim.samples
+            if sset is not None and sim.gamma_mode == "confidence":
+                # each agent's stubbornness is the confidence of its innate belief
+                params = [
+                    replace(pool_params, gamma=np.clip(conf, sim.gamma_min, sim.gamma_max))
+                    for conf, _ in map(confidence_metrics, innates)
+                ]
+            trajs += simulate_pool(
+                params,
+                innates,
+                sim.rounds,
+                sample_ids=ids,
+                correct_labels=labels,
+                metadata=metadata,
+            )
     elif sim.mode == "params":
         params, innate, label = _load_params_file(sim)
-        trajs.append(
+        trajs = [
             simulate(
                 params,
                 innate,
@@ -261,7 +243,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
                 correct_label=label,
                 metadata={"pool": "0"},
             )
-        )
+        ]
     else:
         raise ConfigError(f"unknown simulate mode {sim.mode!r}")
     out_path = os.path.join(args.output_dir, "trajectories.json")
@@ -367,7 +349,9 @@ def cmd_fit(args, cfg: RunConfig) -> int:
 # -- analyze ----------------------------------------------------------------
 
 
-def _load_fits(path: str) -> dict:
+def _load_fits(path: str, section: str, key: str) -> "dict[str, FJParameters]":
+    """The parameters of each entry of one fits.json section, by the entry's
+    ``key``; a malformed entry raises ParseError naming the file and entry."""
     if not os.path.exists(path):
         raise MissingParams(f"{path!r} not found; run 'fjlab fit' first")
     try:
@@ -377,7 +361,19 @@ def _load_fits(path: str) -> dict:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path!r} must hold a JSON object")
-    return raw
+    entries = raw.get(section, [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{path!r}: {section!r} must be a list")
+    fits = {}
+    for pos, entry in enumerate(entries):
+        where = f"{path!r}: {section} entry {pos}"
+        if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
+            raise ParseError(f"{where} must be an object with a string {key!r}")
+        try:
+            fits[entry[key]] = fio.params_from_dict(entry.get("params"))
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+    return fits
 
 
 def _safe_spearman(x, y) -> "float | None":
@@ -400,10 +396,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     trajs = fio.load_trajectories(in_path)
     if not trajs:
         raise EmptyInput(f"{in_path!r} holds no samples")
-    fits = _load_fits(fits_path)
-    by_sample = {}
-    for entry in fits.get("per_sample", []):
-        by_sample[entry["sample_id"]] = fio.params_from_dict(entry["params"])
+    by_sample = _load_fits(fits_path, "per_sample", "sample_id")
     n = _shared_n(trajs)
     eta = eta_vector("analyze", sec.eta, n)
     params = []
@@ -550,11 +543,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     trajs = fio.load_trajectories(in_path)
     if not trajs:
         raise EmptyInput(f"{in_path!r} holds no samples")
-    fits = _load_fits(fits_path)
-    pooled = {
-        entry["pool"]: fio.params_from_dict(entry["params"])
-        for entry in fits.get("global", [])
-    }
+    pooled = _load_fits(fits_path, "global", "pool")
     if not pooled:
         raise MissingParams(
             f"{fits_path!r} holds no pooled fits; rerun 'fjlab fit --global'"

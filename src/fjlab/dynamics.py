@@ -263,7 +263,7 @@ def simulate(
     renormalization absorbed under the "max_drift" metadata key.
     """
     return simulate_pool(
-        params,
+        [params],
         validate_snapshot(innate)[None],
         rounds,
         sample_ids=[sample_id],
@@ -273,7 +273,7 @@ def simulate(
 
 
 def simulate_pool(
-    params: FJParameters,
+    params: list[FJParameters],
     innates: np.ndarray,
     rounds: int,
     *,
@@ -281,8 +281,8 @@ def simulate_pool(
     correct_labels: list[int | None],
     metadata: dict[str, str] | None = None,
 ) -> list[DeliberationTrajectory]:
-    """``simulate`` for m samples that share ``params``, run as one stack
-    from the innate snapshots (m, n, d).
+    """``simulate`` for m samples run as one stack from the innate
+    snapshots (m, n, d), sample k under ``params[k]``.
 
     Sample k gets ``sample_ids[k]``, ``correct_labels[k]`` and ``metadata``
     with its own "max_drift"; its trajectory equals what ``simulate``
@@ -290,18 +290,22 @@ def simulate_pool(
     """
     innates = _belief_array(innates, 3, "innates", TAU_SIMPLEX)
     m, n, _ = innates.shape
-    if n != params.n:
-        raise ShapeMismatch(f"innates have {n} rows, n={params.n}")
     if rounds < 0:
         raise ShapeMismatch(f"rounds must be >= 0, got {rounds}")
-    if not len(sample_ids) == len(correct_labels) == m:
+    if not len(params) == len(sample_ids) == len(correct_labels) == m:
         raise ShapeMismatch(
-            f"{m} samples, {len(sample_ids)} sample_ids, {len(correct_labels)} labels"
+            f"{m} samples, {len(params)} params, {len(sample_ids)} ids, {len(correct_labels)} labels"
         )
+    for p in params:
+        if p.n != n:
+            raise ShapeMismatch(f"innates have {n} rows, n={p.n}")
+    gamma, alpha, w = (
+        np.stack([getattr(p, name) for p in params]) for name in ("gamma", "alpha", "w")
+    )
     snaps = np.empty((m, rounds + 1) + innates.shape[1:])
     snaps[:, 0] = innates
-    gs = params.gamma[:, None] * innates
-    _, worst = _run_rounds(gs, build_h(params), innates, rounds, snaps)
+    gs = gamma[:, :, None] * innates
+    _, worst = _run_rounds(gs, _stack_h(gamma, alpha, w), innates, rounds, snaps)
     return [
         DeliberationTrajectory(
             snapshots=snap,

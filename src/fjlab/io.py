@@ -17,11 +17,12 @@ Trajectory files are JSON with schema_version "1":
     }
 
 Unknown keys are rejected.  On ingest every belief row must sum to 1
-within 1e-6 (entries finite and >= -1e-9); rows are then renormalized
-exactly and the worst drift is recorded in the sample's metadata under
-"ingest_max_drift".  Violations name the exact (sample, round, agent)
-cell.  label_names survive round trips via the metadata key
-"label_names" (JSON-encoded list).
+within 1e-6 (entries finite and >= -1e-9).  A sample with a negative
+entry or a row off by more than TAU_SIMPLEX (1e-9) is clipped at 0 and
+renormalized; any other loads as written, bit for bit.  The worst drift
+is recorded in the sample's metadata under "ingest_max_drift".  Errors
+name the exact (sample, round, agent) cell.  label_names survive round
+trips via the metadata key "label_names" (JSON-encoded list).
 
 Loading and saving trajectories pause the cyclic garbage collector while
 they parse or build the document.  Its tree of lists and dicts holds no
@@ -52,6 +53,7 @@ from typing import Any
 
 import numpy as np
 
+from .constants import TAU_SIMPLEX
 from .errors import (
     InvariantViolation,
     LabelOutOfRange,
@@ -231,8 +233,10 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
         raise InvariantViolation(
             f"sample {sid!r}, round {t}, agent {i}: row sums to {float(sums[t, i])!r}"
         )
-    snaps = np.clip(snaps, 0.0, None)
-    snaps /= snaps.sum(axis=2, keepdims=True)
+    if drift > TAU_SIMPLEX or snaps.min() < 0.0:
+        # repair only samples off the simplex, so a saved one loads bit for bit
+        np.clip(snaps, 0.0, None, out=snaps)
+        snaps /= snaps.sum(axis=2, keepdims=True)
     label = raw.get("correct_label")
     if label is not None:
         if isinstance(label, bool) or not isinstance(label, int):

@@ -9,9 +9,10 @@ ambiguity decomposition
 
 splits a mixture's loss into the weighted member risk minus the member
 diversity D_a(S) = sum_j a_j || s_j - sbar_a ||^2.  Everything else here
-is bookkeeping on top of that identity: when adaptive routing beats the
-best single agent, when it beats the best fixed ensemble, and when
-hard confidence routing is enough.
+is bookkeeping on top of that identity, one report per question: does
+adaptive routing beat the best single agent (``moe_vs_best_single``) or
+a fixed ensemble (``moe_vs_fixed_ensemble``)?  Under one-hot routing such
+as ``hard_confidence_weights`` the routed diversity D_pi is 0.
 
 Routing weights are plain arrays: an (m, n) array with one simplex row
 per sample, or one (n,) row that routes every sample alike.  The routers
@@ -39,14 +40,10 @@ __all__ = [
     "min_risk_weights",
     "local_risk",
     "ambiguity_decomposition",
-    "routing_regret",
-    "ensemble_waste",
     "RoutingReport",
     "moe_vs_best_single",
     "EnsembleComparisonReport",
     "moe_vs_fixed_ensemble",
-    "ConfidenceRoutingReport",
-    "confidence_routing_vs_ensemble",
 ]
 
 
@@ -161,21 +158,21 @@ def min_risk_weights(risks) -> np.ndarray:
     return _one_hot(np.argmin(risks, axis=1), risks.shape[1])
 
 
-def _check_weights(sset: LabeledSnapshotSet, weights) -> np.ndarray:
-    """Routing weights as (m, n) simplex rows; one (n,) row is broadcast."""
+def _check_weights(sset: LabeledSnapshotSet, weights, what="routing weights") -> np.ndarray:
+    """Weights as (m, n) simplex rows; one (n,) row is broadcast."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape == (sset.n,):
         w = np.broadcast_to(w, (sset.m, sset.n))
     if w.shape != (sset.m, sset.n):
         raise ShapeMismatch(
-            f"routing weights {w.shape}, expected {(sset.m, sset.n)} or ({sset.n},)"
+            f"{what} {w.shape}, expected {(sset.m, sset.n)} or ({sset.n},)"
         )
     if (
         not np.isfinite(w).all()
         or w.min() < -1e-12
         or np.abs(w.sum(axis=1) - 1.0).max() > 1e-9
     ):
-        raise WeightNotSimplex("routing weights must lie on the simplex")
+        raise WeightNotSimplex(f"{what} must lie on the simplex")
     return w
 
 
@@ -200,19 +197,6 @@ def ambiguity_decomposition(s, a, y: int) -> tuple[float, float, float]:
     lhs = brier_loss(mix, y)
     rhs = float(a @ local_risk(s, y)) - diversity(s, a)
     return lhs, rhs, lhs - rhs
-
-
-def routing_regret(s, y: int, pi) -> float:
-    """Expected risk under routing weights minus the best local risk."""
-    r = local_risk(s, y)
-    pi = np.asarray(pi, dtype=np.float64)
-    return float(pi @ r - r.min())
-
-
-def ensemble_waste(s, y: int, a, pi) -> float:
-    """Risk paid by fixed weights a beyond what routing weights pi pay."""
-    r = local_risk(s, y)
-    return float((np.asarray(a) - np.asarray(pi)) @ r)
 
 
 # -- aggregate condition reports ------------------------------------------
@@ -316,18 +300,14 @@ def moe_vs_fixed_ensemble(
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (sset.n,):
         raise ShapeMismatch(f"fixed weights {a.shape} do not fit n={sset.n}")
+    a = _check_weights(sset, a, "fixed weights")
     risks = sset.agent_risks()
     weights = _check_weights(sset, weights)
-    lhs = float(((a[None, :] - weights) * risks).sum(axis=1).mean())
+    lhs = float(((a - weights) * risks).sum(axis=1).mean())
     rhs = float(
-        (
-            _diversity_rows(sset.beliefs, np.broadcast_to(a, weights.shape))
-            - _diversity_rows(sset.beliefs, weights)
-        ).mean()
+        (_diversity_rows(sset.beliefs, a) - _diversity_rows(sset.beliefs, weights)).mean()
     )
-    fixed_loss = _mixture_losses(
-        sset.beliefs, sset.labels, np.broadcast_to(a, weights.shape)
-    )
+    fixed_loss = _mixture_losses(sset.beliefs, sset.labels, a)
     routed_loss = _mixture_losses(sset.beliefs, sset.labels, weights)
     realized = float(fixed_loss.mean() - routed_loss.mean())
     return EnsembleComparisonReport(
@@ -336,39 +316,4 @@ def moe_vs_fixed_ensemble(
         holds=bool(lhs > rhs),
         realized_gap=realized,
         identity_gap=abs(lhs - rhs - realized),
-    )
-
-
-@dataclass(frozen=True)
-class ConfidenceRoutingReport:
-    """Is hard max-confidence routing enough to beat fixed weights a?
-
-    holds: E[G_a] > E[delta_C] + E[D_a], where G_a is the fixed
-    ensemble's risk gap to the locally best agent and delta_C is the
-    regret of hard confidence routing.
-    """
-
-    mean_ensemble_gap: float
-    mean_confidence_regret: float
-    mean_fixed_diversity: float
-    holds: bool
-
-
-def confidence_routing_vs_ensemble(
-    sset: LabeledSnapshotSet, a
-) -> ConfidenceRoutingReport:
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (sset.n,):
-        raise ShapeMismatch(f"fixed weights {a.shape} do not fit n={sset.n}")
-    risks = sset.agent_risks()
-    min_risks = risks.min(axis=1)
-    gap = (risks @ a) - min_risks
-    chosen = np.argmax(_confidence_rows(sset.beliefs), axis=1)
-    delta_c = risks[np.arange(sset.m), chosen] - min_risks
-    div_a = _diversity_rows(sset.beliefs, np.broadcast_to(a, (sset.m, sset.n)))
-    return ConfidenceRoutingReport(
-        mean_ensemble_gap=float(gap.mean()),
-        mean_confidence_regret=float(delta_c.mean()),
-        mean_fixed_diversity=float(div_a.mean()),
-        holds=bool(gap.mean() > delta_c.mean() + div_a.mean()),
     )

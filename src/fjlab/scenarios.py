@@ -42,7 +42,6 @@ __all__ = [
     "optimal_fixed_ensemble",
     "moe_advantage_check",
     "routing_error_threshold",
-    "route_loss",
     "empirical_route_crossover",
     "ImperfectScenario",
     "gen_imperfect",
@@ -222,14 +221,6 @@ def routing_error_threshold(sc: ExclusiveScenario) -> float:
         raise UnbalancedScenario("threshold has a closed form only for balanced rho")
     p, u = sc.p, sc.u
     return float((np.log(p) - np.log(u + (p - u) / sc.n)) / (np.log(p) - np.log(u)))
-
-
-def route_loss(sc: ExclusiveScenario, delta: float) -> float:
-    """Expected log loss of routing that errs with probability delta:
-    -(1 - delta) ln p - delta ln u."""
-    if not 0.0 <= delta <= 1.0:
-        raise InvalidScenario(f"delta must lie in [0, 1], got {delta}")
-    return float(-(1.0 - delta) * np.log(sc.p) - delta * np.log(sc.u))
 
 
 def empirical_route_crossover(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,23 +172,31 @@ class TestStackedRounds:
         ids = [f"p{k}" for k in range(m)]
         labels = [None if k % 2 else k % 3 for k in range(m)]
         meta = {"pool": "7"}
-        pool = simulate_pool(
-            params, innates, rounds, sample_ids=ids, correct_labels=labels, metadata=meta
-        )
-        assert len(pool) == m
-        for k, traj in enumerate(pool):
-            alone = simulate(
-                params,
-                innates[k],
+        # one shared parameter set, then one per sample with its own gamma
+        per_sample = [replace(params, gamma=rng.uniform(0.1, 0.9, size=4)) for _ in range(m)]
+        for param_list in ([params] * m, per_sample):
+            pool = simulate_pool(
+                param_list,
+                innates,
                 rounds,
-                sample_id=ids[k],
-                correct_label=labels[k],
+                sample_ids=ids,
+                correct_labels=labels,
                 metadata=meta,
             )
-            np.testing.assert_array_equal(traj.snapshots, alone.snapshots)
-            assert traj.sample_id == alone.sample_id
-            assert traj.correct_label == alone.correct_label
-            assert traj.metadata == alone.metadata
+            assert len(pool) == m
+            for k, traj in enumerate(pool):
+                alone = simulate(
+                    param_list[k],
+                    innates[k],
+                    rounds,
+                    sample_id=ids[k],
+                    correct_label=labels[k],
+                    metadata=meta,
+                )
+                np.testing.assert_array_equal(traj.snapshots, alone.snapshots)
+                assert traj.sample_id == alone.sample_id
+                assert traj.correct_label == alone.correct_label
+                assert traj.metadata == alone.metadata
         assert meta == {"pool": "7"}
 
     def test_max_drift_is_the_worst_round(self):
@@ -194,7 +204,7 @@ class TestStackedRounds:
         params, _ = random_contractive(rng, n=4, d=3)
         innates = rng.dirichlet(np.ones(3), size=(5, 4))
         pool = simulate_pool(
-            params, innates, 20, sample_ids=list("abcde"), correct_labels=[None] * 5
+            [params] * 5, innates, 20, sample_ids=list("abcde"), correct_labels=[None] * 5
         )
         gs, h = params.gamma[:, None] * innates, build_h(params)
         last_is_worst = []
@@ -209,16 +219,23 @@ class TestStackedRounds:
         assert not all(last_is_worst)
 
     def test_pool_rejects_mismatched_ids(self):
-        params = swap_params()
+        params = [swap_params()] * 2
         innates = np.full((2, 2, 2), 0.5)
         with pytest.raises(ShapeMismatch):
             simulate_pool(params, innates, 1, sample_ids=["a"], correct_labels=[0, 1])
         with pytest.raises(ShapeMismatch):
             simulate_pool(params, innates, 1, sample_ids=["a", "b"], correct_labels=[0])
         with pytest.raises(ShapeMismatch):
+            simulate_pool(params[:1], innates, 1, sample_ids=["a", "b"], correct_labels=[0, 1])
+        with pytest.raises(ShapeMismatch):
             simulate_pool(
                 params, np.full((2, 3, 2), 0.5), 1, sample_ids=["a", "b"], correct_labels=[0, 1]
             )
+        # one parameter set of the wrong size, among sets that fit
+        rng = np.random.default_rng(3)
+        mixed = [random_contractive(rng, n=2, d=2)[0], random_contractive(rng, n=3, d=2)[0]]
+        with pytest.raises(ShapeMismatch):
+            simulate_pool(mixed, innates, 1, sample_ids=["a", "b"], correct_labels=[0, 1])
 
 
 class TestEquilibrium:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fjlab.cli import _t_quantile, build_parser, mean_ci, run
+from fjlab.cli import _draw_pool_params, _t_quantile, build_parser, mean_ci, run
 from fjlab.config import FitSection, eta_vector, load_config
 from fjlab.dynamics import influence_weights, simulate
 from fjlab.estimation import FitConfig
@@ -37,7 +37,7 @@ from fjlab.io import (
     save_trajectories,
     write_csv,
 )
-from fjlab.metrics import AgentMetricRow, trajectory_metrics
+from fjlab.metrics import AgentMetricRow, confidence_metrics, trajectory_metrics
 from fjlab.model import DeliberationTrajectory, FJParameters
 
 
@@ -88,7 +88,7 @@ class TestTrajectoryFiles:
         for orig, loaded in zip(trajs, back):
             assert loaded.sample_id == orig.sample_id
             assert loaded.correct_label == orig.correct_label
-            np.testing.assert_allclose(loaded.snapshots, orig.snapshots, atol=1e-15)
+            np.testing.assert_array_equal(loaded.snapshots, orig.snapshots)
             assert loaded.metadata["pool"] == "0"
             assert json.loads(loaded.metadata["label_names"]) == ["a", "b", "c", "d"]
 
@@ -148,6 +148,11 @@ class TestTrajectoryFiles:
         traj = load_trajectories(path)[0]
         np.testing.assert_allclose(traj.snapshots.sum(axis=2), 1.0, atol=1e-15)
         assert float(traj.metadata["ingest_max_drift"]) >= 2e-7
+        # a negative entry is repaired too, though its row sums to 1
+        self._write_one(path, [[[-1e-10, 1.0 + 1e-10], [0.3, 0.7]]])
+        traj = load_trajectories(path)[0]
+        assert traj.snapshots.min() == 0.0
+        np.testing.assert_allclose(traj.snapshots.sum(axis=2), 1.0, atol=1e-15)
 
     def test_ingest_rejects_unknown_keys(self, tmp_path):
         path = str(tmp_path / "keys.json")
@@ -209,16 +214,21 @@ class TestTrajectoryRoundTrip:
         # the file holds every bit of every entry
         assert read_json(out, "t.json")["samples"][0]["rounds"] == orig.snapshots.tolist()
         (back,) = load_trajectories(path)
-        # the reader renormalizes every row, which can move the last bits
-        np.testing.assert_array_equal(
-            back.snapshots, orig.snapshots / orig.snapshots.sum(axis=2, keepdims=True)
-        )
-        np.testing.assert_allclose(back.snapshots, orig.snapshots, rtol=0.0, atol=1e-15)
+        # rows within TAU_SIMPLEX of unit mass load as written, bit for bit
+        np.testing.assert_array_equal(back.snapshots, orig.snapshots)
         assert back.sample_id == orig.sample_id
         assert back.correct_label == orig.correct_label
         meta = dict(back.metadata)
         assert float(meta.pop("ingest_max_drift")) < 1e-14
         assert meta == orig.metadata
+        # a second round trip changes nothing, the file included
+        save_trajectories(path, [back])
+        first = (out / "t.json").read_bytes()
+        (again,) = load_trajectories(path)
+        np.testing.assert_array_equal(again.snapshots, back.snapshots)
+        assert again.metadata == back.metadata
+        save_trajectories(path, [again])
+        assert (out / "t.json").read_bytes() == first
 
 
 class TestParamsDict:
@@ -544,6 +554,17 @@ class TestCLI:
         trajs = load_trajectories(os.path.join(out, "trajectories.json"))
         assert len(trajs) == 3
         assert trajs[0].metadata["scenario"] == "imperfect"
+        # each sample runs alone under the pool's parameters with gamma set
+        # to the clipped confidence of its own innate beliefs
+        sim = replace(
+            load_config(None).with_seed(7).simulate,
+            mode="scenario", scenario="imperfect", agents=5, labels=4, samples=3,
+        )
+        pool_params = _draw_pool_params(np.random.default_rng(7), sim)
+        for traj in trajs:
+            gamma = np.clip(confidence_metrics(traj.innate)[0], sim.gamma_min, sim.gamma_max)
+            alone = simulate(replace(pool_params, gamma=gamma), traj.innate, 2)
+            np.testing.assert_array_equal(traj.snapshots, alone.snapshots)
 
     def test_exit_code_bad_args(self, capsys):
         assert run(["no-such-command"]) == 1
@@ -769,6 +790,29 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("fjlab:")
         assert "fallback_rounds" in err[0]
         assert not os.path.exists(os.path.join(out, "compare.csv"))
+
+    @pytest.mark.parametrize(
+        "command, fits",
+        [
+            ("analyze", {"per_sample": [{}]}),
+            ("compare", {"global": [{"params": {}}]}),
+            ("analyze", {"per_sample": "x"}),
+            ("compare", {"global": [3]}),
+            ("analyze", {"per_sample": [{"sample_id": "sample-0000", "params": "x"}]}),
+            ("compare", {"global": [{"pool": "0", "params": {"gamma": [0.5]}}]}),
+        ],
+    )
+    def test_malformed_fits_entries_exit_1(self, tmp_path, capsys, command, fits):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        atomic_write_json(os.path.join(out, "fits.json"), {"schema_version": "1", **fits})
+        capsys.readouterr()
+        assert run(["--output-dir", out, "--quiet", command]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("fjlab:")
+        assert "fits.json" in lines[0]
 
     def _analyze_with(self, out, params_doc):
         # every simulated sample gets the same fitted parameters; json.dump

@@ -8,21 +8,19 @@ from fjlab.errors import (
     ShapeMismatch,
     WeightNotSimplex,
 )
-from fjlab.metrics import brier_loss
+from fjlab.metrics import brier_loss, confidence, diversity
 from fjlab.model import FJParameters
 from fjlab.routing import (
     LabeledSnapshotSet,
     ambiguity_decomposition,
-    confidence_routing_vs_ensemble,
     confidence_softmax_weights,
-    ensemble_waste,
     hard_confidence_weights,
     local_risk,
     min_risk_weights,
     moe_vs_best_single,
     moe_vs_fixed_ensemble,
-    routing_regret,
 )
+from fjlab.scenarios import ExclusiveScenario, gen_exclusive
 
 
 def random_set(seed=0, m=40, n=4, d=3):
@@ -135,6 +133,9 @@ class TestRouters:
         report = moe_vs_best_single(sset, min_risk_weights(sset.agent_risks()))
         assert report.mean_routing_regret == 0.0
         assert report.mean_moe_loss <= report.mean_best_single_risk + 1e-12
+        # routing all weight to the locally best agent has no regret
+        one = LabeledSnapshotSet(beliefs=np.array([[[0.9, 0.1], [0.2, 0.8]]]), labels=[0])
+        assert moe_vs_best_single(one, [1.0, 0.0]).mean_routing_regret == 0.0
 
     def test_oracle_router_minimizes(self):
         rng = np.random.default_rng(5)
@@ -165,19 +166,14 @@ class TestScalars:
             with pytest.raises(LabelOutOfRange):
                 local_risk(s, y)
 
-    def test_routing_regret_zero_for_best(self):
-        s = np.array([[0.9, 0.1], [0.2, 0.8]])
-        pi = np.array([1.0, 0.0])
-        assert routing_regret(s, 0, pi) == pytest.approx(0.0, abs=1e-12)
-
     def test_ensemble_waste_matches_definition(self):
         rng = np.random.default_rng(8)
-        s = rng.dirichlet(np.ones(3), size=4)
+        sset = random_set(8, m=12)
         a = rng.dirichlet(np.ones(4))
-        pi = rng.dirichlet(np.ones(4))
-        risks = local_risk(s, 1)
-        expected = float((a - pi) @ risks)
-        assert ensemble_waste(s, 1, a, pi) == pytest.approx(expected, abs=1e-12)
+        pi = rng.dirichlet(np.ones(4), size=12)
+        expected = float(np.mean(((a - pi) * sset.agent_risks()).sum(axis=1)))
+        report = moe_vs_fixed_ensemble(sset, a, pi)
+        assert report.mean_ensemble_waste == pytest.approx(expected, abs=1e-12)
 
 
 class TestReports:
@@ -204,12 +200,27 @@ class TestReports:
         )
 
     def test_confidence_routing_report_runs(self):
-        sset = random_set(11, m=60)
-        a = np.full(4, 0.25)
-        report = confidence_routing_vs_ensemble(sset, a)
-        assert np.isfinite(report.mean_ensemble_gap)
-        assert np.isfinite(report.mean_confidence_regret)
-        assert report.mean_fixed_diversity >= 0.0
+        # hard routing is one-hot, so D_pi = 0 and the fixed-ensemble report
+        # asks whether E[G_a] > E[delta_C] + E[D_a]: G_a is the fixed
+        # ensemble's risk gap to the locally best agent, delta_C the regret
+        # of routing to the most confident one
+        # on the exclusive scenario confidence routing is exact, so it holds
+        sets = [random_set(seed, m=60) for seed in (11, 12)]
+        sets.append(gen_exclusive(ExclusiveScenario(n=4, d=3, epsilon=0.1), 60, 13))
+        outcomes = set()
+        for seed, sset in enumerate(sets):
+            a = np.random.default_rng(seed).dirichlet(np.ones(4))
+            report = moe_vs_fixed_ensemble(sset, a, hard_confidence_weights(sset.beliefs))
+            risks = sset.agent_risks()
+            best = risks.min(axis=1)
+            chosen = [np.argmax([confidence(b) for b in s]) for s in sset.beliefs]
+            gap = (risks @ a - best).mean()
+            delta_c = (risks[np.arange(sset.m), chosen] - best).mean()
+            div_a = np.mean([diversity(s, a) for s in sset.beliefs])
+            assert report.mean_diversity_difference == pytest.approx(div_a, abs=1e-12)
+            assert report.holds == bool(gap > delta_c + div_a)
+            outcomes.add(report.holds)
+        assert outcomes == {False, True}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_routing_weights(self, bad):
@@ -220,6 +231,21 @@ class TestReports:
             moe_vs_best_single(sset, w)
         with pytest.raises(WeightNotSimplex):
             moe_vs_fixed_ensemble(sset, np.full(sset.n, 0.25), w[3])
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [0.5, 0.5, 0.0, np.nan],
+            [np.inf, 0.0, 0.0, 0.0],
+            [1.0, -np.inf, 0.0, 0.0],
+            [2.0, -1.0, 0.0, 0.0],
+            [0.3, 0.3, 0.3, 0.3],
+        ],
+    )
+    def test_rejects_bad_fixed_weights(self, a):
+        sset = random_set(17, m=10)
+        with pytest.raises(WeightNotSimplex, match="fixed weights"):
+            moe_vs_fixed_ensemble(sset, a, np.full(4, 0.25))
 
     @pytest.mark.parametrize(
         "row", [[0.5, 0.5, 0.5, -0.5], [0.3, 0.3, 0.3, 0.3], [1.0, 0.0, 0.0, 1e-8]]

@@ -23,7 +23,6 @@ from fjlab.scenarios import (
     moe_advantage_check,
     optimal_fixed_ensemble,
     project_simplex,
-    route_loss,
     routing_error_threshold,
     uniform_mixture_profile,
     wrong_majority_holds,
@@ -259,16 +258,13 @@ class TestRoutingThreshold:
             0.56513, abs=1e-4
         )
 
-    def test_route_loss_endpoints(self):
-        sc = std_exclusive()
-        assert route_loss(sc, 0.0) == pytest.approx(-math.log(0.9), abs=1e-12)
-        assert route_loss(sc, 1.0) == pytest.approx(-math.log(0.1), abs=1e-12)
-
     def test_threshold_is_loss_crossover(self):
         sc = std_exclusive()
         delta = routing_error_threshold(sc)
         l_ens = exclusive_losses(sc, np.full(5, 0.2)).l_ens
-        assert route_loss(sc, delta) == pytest.approx(l_ens, abs=1e-12)
+        # routing that errs with probability delta pays -(1-delta) ln p - delta ln u
+        l_route = -(1.0 - delta) * math.log(sc.p) - delta * math.log(sc.u)
+        assert l_route == pytest.approx(l_ens, abs=1e-12)
 
     def test_requires_balanced(self):
         sc = ExclusiveScenario(n=3, d=4, epsilon=0.1, rho=np.array([0.5, 0.25, 0.25]))
