@@ -166,6 +166,13 @@ class TestScalars:
             with pytest.raises(LabelOutOfRange):
                 local_risk(s, y)
 
+    def test_routing_regret_zero_for_best(self):
+        s = np.array([[0.9, 0.1], [0.2, 0.8]])
+        pi = np.array([1.0, 0.0])
+        sset = LabeledSnapshotSet(beliefs=s[None], labels=np.array([0]))
+        report = moe_vs_best_single(sset, pi)
+        assert report.mean_routing_regret == pytest.approx(0.0, abs=1e-12)
+
     def test_ensemble_waste_matches_definition(self):
         rng = np.random.default_rng(8)
         sset = random_set(8, m=12)

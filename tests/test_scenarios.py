@@ -258,6 +258,19 @@ class TestRoutingThreshold:
             0.56513, abs=1e-4
         )
 
+    def test_route_loss_endpoints(self):
+        # delta = 0 is exact routing, which pays -ln p on every sample
+        sc = std_exclusive()
+        assert exclusive_losses(sc, np.full(5, 0.2)).l_moe == pytest.approx(
+            -math.log(0.9), abs=1e-12
+        )
+        # delta = 1 always routes to an agent outside the sample's region: all
+        # weight on agent 1 when every sample lies in agent 0's region pays -ln u
+        wrong = ExclusiveScenario(n=5, d=10, epsilon=0.1, rho=np.eye(5)[0])
+        assert exclusive_losses(wrong, np.eye(5)[1]).l_ens == pytest.approx(
+            -math.log(0.1), abs=1e-12
+        )
+
     def test_threshold_is_loss_crossover(self):
         sc = std_exclusive()
         delta = routing_error_threshold(sc)
