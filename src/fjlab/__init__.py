@@ -49,9 +49,7 @@ from .io import (
     save_trajectories,
 )
 from .metrics import (
-    AgentMetricRow,
     MetricColumns,
-    SystemMetricRow,
     alignment_metrics,
     brier_loss,
     competence,
@@ -64,7 +62,6 @@ from .metrics import (
     softmax_weights,
     spearman,
     stacked_metrics,
-    trajectory_metrics,
 )
 from .model import (
     AggregationWeights,
@@ -140,9 +137,7 @@ __all__ = [
     "simulate_pool",
     "spectral_radius",
     # metrics
-    "AgentMetricRow",
     "MetricColumns",
-    "SystemMetricRow",
     "alignment_metrics",
     "brier_loss",
     "competence",
@@ -155,7 +150,6 @@ __all__ = [
     "softmax_weights",
     "spearman",
     "stacked_metrics",
-    "trajectory_metrics",
     # routing
     "EnsembleComparisonReport",
     "LabeledSnapshotSet",

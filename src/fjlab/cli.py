@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .estimation import FitConfig, fit_global, fit_sample, parameter_variability
-from .metrics import AgentMetricRow, confidence_metrics, spearman, stacked_metrics
+from .metrics import MetricColumns, confidence_metrics, spearman, stacked_metrics
 from .model import DeliberationTrajectory, FJParameters
 from .scenarios import (
     ExclusiveScenario,
@@ -126,10 +126,11 @@ def _ci_entry(values) -> dict:
     return {"mean": mean, "ci95": half, "n": len(values)}
 
 
-def _group_by(trajs, key: str) -> "dict[str, list[DeliberationTrajectory]]":
+def _by_pool(trajs) -> "dict[str, list[DeliberationTrajectory]]":
+    """Samples grouped by their ``pool`` metadata, "0" when it is absent."""
     groups: dict[str, list[DeliberationTrajectory]] = {}
     for traj in trajs:
-        groups.setdefault(traj.metadata.get(key, "0"), []).append(traj)
+        groups.setdefault(traj.metadata.get("pool", "0"), []).append(traj)
     return groups
 
 
@@ -198,6 +199,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         raise ConfigError("rounds must be >= 0")
     if sim.gamma_mode not in ("random", "confidence"):
         raise ConfigError(f"unknown gamma_mode {sim.gamma_mode!r}")
+    if sim.gamma_mode == "confidence" and sim.mode != "scenario":
+        raise ConfigError(f"gamma_mode 'confidence' needs scenario mode, not {sim.mode!r}")
     if sim.mode in ("random", "scenario"):
         sset = _scenario_snapshots(sim) if sim.mode == "scenario" else None
         rng = np.random.default_rng(sim.seed)
@@ -218,7 +221,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
                 labels = [int(y) for y in sset.labels[first : first + sim.samples]]
                 metadata["scenario"] = sim.scenario
             params = [pool_params] * sim.samples
-            if sset is not None and sim.gamma_mode == "confidence":
+            if sim.gamma_mode == "confidence":
                 # each agent's stubbornness is the confidence of its innate belief
                 params = [
                     replace(pool_params, gamma=np.clip(conf, sim.gamma_min, sim.gamma_max))
@@ -298,7 +301,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     }
     if sec.global_fit:
         pooled = []
-        groups = _group_by(trajs, "pool")
+        groups = _by_pool(trajs)
         for pool in sorted(groups):
             report = fit_global(groups[pool], fit_config)
             capped += report.termination == "max_iters"
@@ -425,7 +428,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     agent_rows = []
     system_rows = []
     for run, cols in runs:
-        agent = [getattr(cols, f).tolist() for f in AgentMetricRow.FIELDS[1:]]
+        agent = [getattr(cols, f).tolist() for f in MetricColumns.AGENT_FIELDS]
         system = [
             c.tolist()
             for c in (cols.disagreement, cols.mean_confidence, cols.consensus_reached, cols.pi)
@@ -445,7 +448,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     competences = column("competence")[labeled].ravel()
     agents_path = os.path.join(args.output_dir, "agents.csv")
     system_path = os.path.join(args.output_dir, "system.csv")
-    fio.write_csv(agents_path, ["sample_id", *AgentMetricRow.FIELDS], agent_rows)
+    fio.write_csv(agents_path, ["sample_id", "agent_id", *MetricColumns.AGENT_FIELDS], agent_rows)
     fio.write_csv(
         system_path,
         ["sample_id", "disagreement", "mean_confidence", "consensus_reached"]
@@ -551,7 +554,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     n = _shared_n(trajs)
     eta = eta_vector("compare", sec.eta, n)
     eta_arr = np.full(n, 1.0 / n) if eta is None else eta
-    groups = _group_by(trajs, sec.group_key)
+    groups = _by_pool(trajs)
     rows = []
     group_entries = []
     for pool in sorted(groups):
@@ -592,20 +595,14 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     json_path = os.path.join(args.output_dir, "compare.json")
     fio.write_csv(
         csv_path,
-        [
-            sec.group_key,
-            "samples",
-            "acc_innate_mix",
-            "acc_final_mix",
-            "acc_influence_mix",
-        ],
+        ["pool", "samples", "acc_innate_mix", "acc_final_mix", "acc_influence_mix"],
         rows,
     )
     fio.atomic_write_json(
         json_path,
         {
             "schema_version": fio.SCHEMA_VERSION,
-            "group_key": sec.group_key,
+            "group_key": "pool",
             "groups": group_entries,
             "aggregate": {
                 method: _ci_entry([g[method] for g in group_entries])
@@ -694,7 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="score aggregation strategies by pool")
     p.add_argument("--input", default=None, help="trajectories file")
     p.add_argument("--fits", default=None, help="fits file with pooled fits")
-    p.add_argument("--group-key", dest="group_key", default=None)
     p.add_argument("--eta", default=None, help="'uniform' or comma-separated weights")
     p.add_argument(
         "--fallback-rounds", dest="fallback_rounds", type=int, default=None

@@ -53,7 +53,8 @@ class SimulateConfig:
     mode "random" draws contractive systems with uniform-random labels;
     "scenario" draws initial beliefs from a synthetic scenario (optionally
     followed by deliberation rounds with gamma tied to confidence);
-    "params" simulates one explicit system from params_file.
+    "params" simulates one explicit system from params_file.  gamma_mode
+    "confidence" is valid in scenario mode only.
     """
 
     mode: str = "random"
@@ -118,9 +119,8 @@ class VerifySection:
 
 @dataclass(frozen=True)
 class CompareSection:
-    """[compare] section; pools are grouped by the metadata group_key."""
+    """[compare] section; samples are grouped by their ``pool`` metadata."""
 
-    group_key: str = "pool"
     eta: str = "uniform"
     fallback_rounds: int = 10000
 

@@ -27,8 +27,6 @@ from .errors import (
     WeightNotSimplex,
 )
 from .model import (
-    AggregationWeights,
-    DeliberationTrajectory,
     FJParameters,
     _belief_array,
     _check_rows,
@@ -50,11 +48,8 @@ __all__ = [
     "log_loss",
     "diversity",
     "spearman",
-    "AgentMetricRow",
-    "SystemMetricRow",
     "MetricColumns",
     "stacked_metrics",
-    "trajectory_metrics",
 ]
 
 
@@ -102,10 +97,13 @@ def softmax_weights(scores, beta: float = 1.0) -> np.ndarray:
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ShapeMismatch(f"scores must be a nonempty vector, got {arr.shape}")
-    z = beta * arr
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return _softmax(beta * arr)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, with the max subtracted before exp."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def influence_metrics(
@@ -123,8 +121,14 @@ def influence_metrics(
     """
     pi = aggregate_pi(influence_weights(params), eta).pi
     _check_normalization(normalization)
-    peer = ((1.0 - params.alpha)[:, None] * params.w).sum(axis=0)
+    peer = _peer_exposure(params.alpha, params.w)
     return _normalize_scores(pi, normalization), _normalize_scores(peer, normalization)
+
+
+def _peer_exposure(alpha: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Column sums of (1 - alpha_i) w_ij over receivers i, for (n,) and
+    (n, n) or stacked (m, n) and (m, n, n)."""
+    return ((1.0 - alpha)[..., :, None] * w).sum(axis=-2)
 
 
 def _check_normalization(normalization: str) -> None:
@@ -186,9 +190,37 @@ def brier_loss(b, y: int) -> float:
     """Squared Euclidean distance to the one-hot at the correct label."""
     arr = validate_belief(b)
     y = check_label(y, arr.size)
-    e = np.zeros(arr.size)
-    e[y] = 1.0
-    return float(((arr - e) ** 2).sum())
+    return float(_brier_rows(arr[None, None], np.array([y]))[0, 0])
+
+
+def _one_hot(index: np.ndarray, size: int) -> np.ndarray:
+    """(m, size) rows with a single 1 at each entry of ``index``."""
+    out = np.zeros((index.shape[0], size))
+    out[np.arange(index.shape[0]), index] = 1.0
+    return out
+
+
+def _brier_rows(beliefs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(m, n) Brier loss of each row of (m, n, d) beliefs against its
+    sample's label."""
+    onehot = _one_hot(labels, beliefs.shape[2])
+    return ((beliefs - onehot[:, None, :]) ** 2).sum(axis=2)
+
+
+def _mixture(weights: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
+    """(m, d) mixtures sum_j w_j s_j of (m, n, d) beliefs under (m, n) weights."""
+    return np.einsum("mn,mnd->md", weights, beliefs)
+
+
+def _diversity_rows(beliefs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(m,) moment-form diversity of each snapshot under (m, n) weights.
+
+    Both weighted sums are matmuls, so one sample gets the bits of
+    ``a @ s`` and ``a @ sq``.
+    """
+    w = weights[:, None, :]
+    sq = ((beliefs - np.matmul(w, beliefs)) ** 2).sum(axis=2)
+    return np.matmul(w, sq[:, :, None])[:, 0, 0]
 
 
 def log_loss(b, y: int) -> float:
@@ -218,8 +250,7 @@ def diversity(s, a, form: str = "moment") -> float:
     ):
         raise WeightNotSimplex("aggregation weights must lie on the simplex")
     if form == "moment":
-        center = a @ s
-        return float(a @ ((s - center) ** 2).sum(axis=1))
+        return float(_diversity_rows(s[None], a[None])[0])
     if form == "pairwise":
         sq = ((s[:, None, :] - s[None, :, :]) ** 2).sum(axis=2)
         return float(0.5 * a @ sq @ a)
@@ -259,22 +290,16 @@ def spearman(x, y) -> float:
 
 
 @dataclass(frozen=True)
-class AgentMetricRow:
-    """One agent's metrics on the final snapshot of one sample."""
+class MetricColumns:
+    """``stacked_metrics`` of m samples with n agents, as columns.
 
-    agent_id: int
-    confidence: float
-    relative_confidence: float
-    influence: float
-    peer_influence: float
-    alignment: float
-    alignment_score: float
-    alignment_count: int
-    competence: float | None
-    gamma: float
+    Agent columns are (m, n), named in AGENT_FIELDS, with competence NaN
+    for a sample without a label.  System columns are (m,): disagreement,
+    mean_confidence and consensus_reached.  eta (n,) is the readout and
+    pi (m, n) each sample's source weights.
+    """
 
-    FIELDS = (
-        "agent_id",
+    AGENT_FIELDS = (
         "confidence",
         "relative_confidence",
         "influence",
@@ -285,28 +310,6 @@ class AgentMetricRow:
         "competence",
         "gamma",
     )
-
-
-@dataclass(frozen=True)
-class SystemMetricRow:
-    """System-level metrics of one sample's final snapshot."""
-
-    sample_id: str
-    disagreement: float
-    mean_confidence: float
-    consensus_reached: bool
-    pi: AggregationWeights
-
-
-@dataclass(frozen=True)
-class MetricColumns:
-    """``stacked_metrics`` of m samples with n agents, as columns.
-
-    Agent columns are (m, n): the fields of AgentMetricRow after agent_id,
-    with competence NaN for a sample without a label.  System columns are
-    (m,): disagreement, mean_confidence and consensus_reached.  eta (n,)
-    is the readout and pi (m, n) each sample's source weights.
-    """
 
     confidence: np.ndarray
     relative_confidence: np.ndarray
@@ -332,14 +335,18 @@ def stacked_metrics(
     normalization: str = "max",
     consensus_threshold: float = CONSENSUS_THRESHOLD,
 ) -> MetricColumns:
-    """``trajectory_metrics`` for m samples at once, from their final
-    snapshots stacked as (m, n, d), their fitted parameters and their
-    labels (None, or one int or None per sample).
+    """Every reportable metric of m samples, from their final snapshots
+    stacked as (m, n, d), their fitted parameters and their labels (None,
+    or one int or None per sample).  One sample is
+    ``stacked_metrics(traj.final[None], [params], [traj.correct_label])``.
 
-    Each metric is one array operation over the stack, and the influence
-    matrices take one eigenvalue call and one solve.  A sample that fails
-    a check raises what ``trajectory_metrics`` raises for it; with several
-    failing samples, the first one in stack order does.
+    Belief-derived metrics use the final snapshots; influence metrics use
+    the parameters.  Consensus requires a unanimous final argmax AND
+    final disagreement below the threshold.  Each metric is one array
+    operation over the stack, and the influence matrices take one
+    eigenvalue call and one solve.  A sample that fails a check raises
+    what it raises alone; with several failing samples, the first one in
+    stack order does.
     """
     finals = np.asarray(finals, dtype=np.float64)
     labels = [None] * len(params) if labels is None else list(labels)
@@ -362,7 +369,6 @@ def stacked_metrics(
 def _stacked_metrics(
     finals, params, labels, eta, normalization, consensus_threshold
 ) -> MetricColumns:
-    # The checks run in trajectory_metrics' order for one sample.
     m, n, d = finals.shape
     for p in params:
         if p.n != n:
@@ -383,7 +389,7 @@ def _stacked_metrics(
     for k, y in enumerate(labels):
         if y is not None:
             competence[k] = finals[k, :, check_label(y, d)]
-    peer = ((1.0 - alpha)[:, :, None] * w).sum(axis=1)
+    peer = _peer_exposure(alpha, w)
     tops = np.argmax(finals, axis=-1)
     dis = _disagreement(finals)
     return MetricColumns(
@@ -402,42 +408,3 @@ def _stacked_metrics(
         eta=eta,
         pi=pi,
     )
-
-
-def trajectory_metrics(
-    traj: DeliberationTrajectory,
-    params: FJParameters,
-    eta: np.ndarray | None = None,
-    normalization: str = "max",
-    consensus_threshold: float = CONSENSUS_THRESHOLD,
-) -> tuple[list[AgentMetricRow], SystemMetricRow]:
-    """All reportable metrics for one sample under its fitted parameters:
-    the one-sample case of ``stacked_metrics``.
-
-    Belief-derived metrics use the final snapshot; influence metrics use
-    the parameters.  Consensus requires a unanimous final argmax AND
-    final disagreement below the threshold.
-    """
-    cols = stacked_metrics(
-        traj.final[None],
-        [params],
-        [traj.correct_label],
-        eta,
-        normalization,
-        consensus_threshold,
-    )
-    agent = {f: getattr(cols, f)[0].tolist() for f in AgentMetricRow.FIELDS[1:]}
-    if traj.correct_label is None:
-        agent["competence"] = [None] * traj.n
-    rows = [
-        AgentMetricRow(agent_id=j, **{f: column[j] for f, column in agent.items()})
-        for j in range(traj.n)
-    ]
-    system = SystemMetricRow(
-        sample_id=traj.sample_id,
-        disagreement=float(cols.disagreement[0]),
-        mean_confidence=float(cols.mean_confidence[0]),
-        consensus_reached=bool(cols.consensus_reached[0]),
-        pi=AggregationWeights(eta=cols.eta, pi=cols.pi[0]),
-    )
-    return rows, system

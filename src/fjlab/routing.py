@@ -30,7 +30,16 @@ import numpy as np
 
 from .constants import INGEST_TOL
 from .errors import EmptyInput, LabelOutOfRange, ShapeMismatch, WeightNotSimplex
-from .metrics import _confidence_rows, brier_loss, diversity
+from .metrics import (
+    _brier_rows,
+    _confidence_rows,
+    _diversity_rows,
+    _mixture,
+    _one_hot,
+    _softmax,
+    brier_loss,
+    diversity,
+)
 from .model import _check_rows, check_label, validate_snapshot
 
 __all__ = [
@@ -107,31 +116,11 @@ class LabeledSnapshotSet:
         return _brier_rows(self.beliefs, self.labels)
 
 
-def _one_hot(index: np.ndarray, size: int) -> np.ndarray:
-    """(m, size) rows with a single 1 at each entry of ``index``."""
-    out = np.zeros((index.shape[0], size))
-    out[np.arange(index.shape[0]), index] = 1.0
-    return out
-
-
-def _brier_rows(beliefs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    onehot = _one_hot(labels, beliefs.shape[2])
-    return ((beliefs - onehot[:, None, :]) ** 2).sum(axis=2)
-
-
 def _mixture_losses(
     beliefs: np.ndarray, labels: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """(m,) squared-error loss of the weighted belief mixture per sample."""
-    mix = np.einsum("mn,mnd->md", weights, beliefs)
-    return ((mix - _one_hot(labels, mix.shape[1])) ** 2).sum(axis=1)
-
-
-def _diversity_rows(beliefs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(m,) weighted spread of each snapshot under per-sample weights."""
-    center = np.einsum("mn,mnd->md", weights, beliefs)
-    sq = ((beliefs - center[:, None, :]) ** 2).sum(axis=2)
-    return (weights * sq).sum(axis=1)
+    return _brier_rows(_mixture(weights, beliefs)[:, None, :], labels)[:, 0]
 
 
 # -- routers --------------------------------------------------------------
@@ -139,10 +128,7 @@ def _diversity_rows(beliefs: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def confidence_softmax_weights(beliefs, beta: float = 1.0) -> np.ndarray:
     """(m, n) weights proportional to exp(beta * confidence), max-subtracted."""
-    z = beta * _confidence_rows(np.asarray(beliefs, dtype=np.float64))
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax(beta * _confidence_rows(np.asarray(beliefs, dtype=np.float64)))
 
 
 def hard_confidence_weights(beliefs) -> np.ndarray:

@@ -31,7 +31,7 @@ from .errors import (
     NoConvergence,
     UnbalancedScenario,
 )
-from .metrics import _confidence_rows
+from .metrics import _brier_rows, _confidence_rows
 from .routing import LabeledSnapshotSet
 
 __all__ = [
@@ -338,10 +338,7 @@ def gen_imperfect(
         beliefs[idx[:, None], :, wrong[:, None]] = sc.c
     beliefs[idx, regions, :] = (1.0 - sc.p) / (sc.d - 1)
     beliefs[idx, regions, labels] = sc.p
-    onehot = np.zeros(sc.d)
-    onehot[0] = 1.0
-    comp_risk = float(((comp - onehot) ** 2).sum())
-    other_risk = float(((other - onehot) ** 2).sum())
+    comp_risk, other_risk = _brier_rows(np.stack([comp, other])[None], np.zeros(1, int))[0]
     risks = np.full((samples, sc.n), other_risk)
     risks[idx, regions] = comp_risk
     return LabeledSnapshotSet(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import _checked_influence, _fixed_point, _run_rounds, build_h
 from .errors import ConfigError
-from .metrics import diversity
+from .metrics import _mixture, diversity
 from .model import FJParameters
 from .routing import (
     LabeledSnapshotSet,
@@ -167,7 +167,7 @@ def check_diversity_forms(draws: int = 1000, seed: int = 2026) -> CheckResult:
 
 
 def _log_losses(sset: LabeledSnapshotSet, weights: np.ndarray) -> np.ndarray:
-    mix = np.einsum("mn,mnd->md", weights, sset.beliefs)
+    mix = _mixture(weights, sset.beliefs)
     return -np.log(mix[np.arange(sset.m), sset.labels])
 
 
@@ -245,7 +245,7 @@ def check_imperfect_scenario(
     chosen = np.argmax(hard, axis=1)
     routed_rows = sset.beliefs[np.arange(sset.m), chosen, :]
     routed_acc = float((np.argmax(routed_rows, axis=1) == sset.labels).mean())
-    mix = np.einsum("mn,mnd->md", uniform, sset.beliefs)
+    mix = _mixture(uniform, sset.beliefs)
     wrong = (sset.labels + 1) % sset.d
     ens_wrong_rate = float((np.argmax(mix, axis=1) == wrong).mean())
     majority_wrong = wrong_majority_holds(sc)

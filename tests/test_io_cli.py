@@ -37,13 +37,18 @@ from fjlab.io import (
     save_trajectories,
     write_csv,
 )
-from fjlab.metrics import AgentMetricRow, confidence_metrics, trajectory_metrics
+from fjlab.metrics import MetricColumns, confidence_metrics, stacked_metrics
 from fjlab.model import DeliberationTrajectory, FJParameters
 
 
 def read_json(out, name):
     with open(os.path.join(out, name), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def read_text(out, name):
+    with open(os.path.join(out, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def sample_params(n=3):
@@ -257,7 +262,8 @@ class TestCSV:
     def test_write_csv_crlf(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_csv(path, ["a", "b"], [[1, None], [0.5, True]])
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
         assert raw == b"a,b\r\n1,\r\n0.5,true\r\n"
 
     @given(
@@ -448,11 +454,11 @@ class TestCLI:
             "compare.json",
         ):
             assert os.path.exists(os.path.join(out, name)), name
-        fits = json.load(open(os.path.join(out, "fits.json")))
+        fits = read_json(out, "fits.json")
         assert len(fits["per_sample"]) == 4
         assert len(fits["global"]) == 2
         assert "variability" in fits and "aggregate" in fits
-        summary = json.load(open(os.path.join(out, "analyze_summary.json")))
+        summary = read_json(out, "analyze_summary.json")
         assert summary["n_samples"] == 4
 
     def test_every_json_artifact_is_strict_and_compact(self, tmp_path):
@@ -484,7 +490,7 @@ class TestCLI:
             "verify_report.json",
         ]
         for name in names:
-            text = open(os.path.join(out, name), encoding="utf-8").read()
+            text = read_text(out, name)
             json.loads(text, parse_constant=refuse)
             assert text.count("\n") == 1 and text.endswith("\n"), name
 
@@ -566,6 +572,29 @@ class TestCLI:
             alone = simulate(replace(pool_params, gamma=gamma), traj.innate, 2)
             np.testing.assert_array_equal(traj.snapshots, alone.snapshots)
 
+    @pytest.mark.parametrize("mode", ["random", "params"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_confidence_gamma_needs_scenario_mode(self, tmp_path, capsys, mode, source):
+        out = str(tmp_path)
+        doc = params_to_dict(sample_params())
+        doc["innate"] = np.full((3, 3), 1.0 / 3.0).tolist()
+        pfile = os.path.join(out, "params.json")
+        atomic_write_json(pfile, doc)
+        ini = tmp_path / "run.ini"
+        ini.write_text("[simulate]\ngamma_mode = confidence\n")
+        argv = ["--output-dir", out, "--quiet"]
+        argv += ["--config", str(ini)] if source == "config" else []
+        argv += ["simulate", "--mode", mode, "--params-file", pfile, "--pools", "2", "--samples", "3"]
+        argv += ["--gamma-mode", "confidence"] if source == "flag" else []
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fjlab:") and "gamma_mode" in err[0], err
+        assert not os.path.exists(os.path.join(out, "trajectories.json"))
+        # the default gamma mode stays valid in the same mode
+        argv = [a for a in argv if a not in ("--gamma-mode", "confidence", "--config", str(ini))]
+        assert run(argv) == 0
+
     def test_exit_code_bad_args(self, capsys):
         assert run(["no-such-command"]) == 1
         assert run(["--config", "/no/such.ini", "verify"]) == 1
@@ -594,9 +623,9 @@ class TestCLI:
             ]
         )
         assert rc == 0
-        text = open(os.path.join(out, "verify_report.txt")).read()
+        text = read_text(out, "verify_report.txt")
         assert "[PASS] ambiguity_identity" in text
-        report = json.load(open(os.path.join(out, "verify_report.json")))
+        report = read_json(out, "verify_report.json")
         assert report["all_passed"] is True
         assert len(report["checks"]) == 2
 
@@ -667,7 +696,7 @@ class TestCLI:
             ]
         )
         assert rc == 0
-        line = open(os.path.join(out, "verify_report.txt")).readline()
+        line = read_text(out, "verify_report.txt").splitlines()[0]
         assert line.startswith("[PASS] influence_consistency ")
         measured = dict(
             token.split("=", 1) for token in line.split(" | ")[0].split()[2:]
@@ -692,9 +721,7 @@ class TestCLI:
         monkeypatch.setattr(cli_mod, "run_all_checks", fake_checks)
         rc = run(["--output-dir", str(tmp_path), "--quiet", "verify"])
         assert rc == 2
-        report = json.load(
-            open(os.path.join(str(tmp_path), "verify_report.json"))
-        )
+        report = read_json(str(tmp_path), "verify_report.json")
         assert report["all_passed"] is False
 
     def test_compare_needs_global_fits(self, tmp_path, capsys):
@@ -711,6 +738,27 @@ class TestCLI:
         )
         assert run(["--output-dir", out, "--quiet", "compare"]) == 1
         capsys.readouterr()
+
+    def test_compare_groups_by_pool_only(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        fit = ["--output-dir", out, "--quiet", "fit", "--max-iters", "40", "--restarts", "1", "--global"]
+        assert run(fit) == 0
+        ini = tmp_path / "run.ini"
+        ini.write_text("[compare]\ngroup_key = pool\n")
+        capsys.readouterr()
+        # samples group by pool; the key is settable by neither flag nor config
+        assert run(["--output-dir", out, "--quiet", "compare", "--group-key", "scenario"]) == 1
+        assert run(["--config", str(ini), "--output-dir", out, "--quiet", "compare"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("fjlab:") for line in err), err
+        assert "group_key" in err[1]
+        assert not os.path.exists(os.path.join(out, "compare.csv"))
+        assert run(["--output-dir", out, "--quiet", "compare"]) == 0
+        assert read_text(out, "compare.csv").startswith("pool,samples,")
+        report = read_json(out, "compare.json")
+        assert report["group_key"] == "pool"
+        assert [g["group"] for g in report["groups"]] == ["0", "1"]
 
     def test_fit_reports_how_each_fit_ended(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -975,19 +1023,27 @@ class TestStackedAnalyze:
         os.makedirs(ref)
         self._corpus(out, [3, 3, 4, 4, 3, 2, 4])
         assert run(["--output-dir", out, "--quiet", "analyze"]) == 0
-        # the same tables from trajectory_metrics, one sample at a time
+        # the same tables from stacked_metrics, one sample at a time
         fits = read_json(out, "fits.json")["per_sample"]
         agent_rows, system_rows = [], []
         for traj, entry in zip(load_trajectories(os.path.join(out, "trajectories.json")), fits):
-            rows, system = trajectory_metrics(traj, params_from_dict(entry["params"]))
+            cols = stacked_metrics(
+                traj.final[None], [params_from_dict(entry["params"])], [traj.correct_label]
+            )
             agent_rows += [
-                [traj.sample_id] + [getattr(r, f) for f in AgentMetricRow.FIELDS] for r in rows
+                [traj.sample_id, j] + [getattr(cols, f)[0, j].item() for f in MetricColumns.AGENT_FIELDS]
+                for j in range(traj.n)
             ]
             system_rows.append(
-                [traj.sample_id, system.disagreement, system.mean_confidence, system.consensus_reached]
-                + [float(v) for v in system.pi.pi]
+                [traj.sample_id, float(cols.disagreement[0]), float(cols.mean_confidence[0]),
+                 bool(cols.consensus_reached[0])]
+                + [float(v) for v in cols.pi[0]]
             )
-        write_csv(os.path.join(ref, "agents.csv"), ["sample_id", *AgentMetricRow.FIELDS], agent_rows)
+        write_csv(
+            os.path.join(ref, "agents.csv"),
+            ["sample_id", "agent_id", *MetricColumns.AGENT_FIELDS],
+            agent_rows,
+        )
         write_csv(
             os.path.join(ref, "system.csv"),
             ["sample_id", "disagreement", "mean_confidence", "consensus_reached", "pi_0", "pi_1", "pi_2"],

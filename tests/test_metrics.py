@@ -17,7 +17,7 @@ from fjlab.errors import (
     WeightNotSimplex,
 )
 from fjlab.metrics import (
-    AgentMetricRow,
+    MetricColumns,
     alignment_metrics,
     brier_loss,
     competence,
@@ -31,9 +31,9 @@ from fjlab.metrics import (
     _average_ranks,
     spearman,
     stacked_metrics,
-    trajectory_metrics,
 )
-from fjlab.model import DeliberationTrajectory, FJParameters
+from fjlab.model import FJParameters
+from fjlab.routing import LabeledSnapshotSet, min_risk_weights, moe_vs_fixed_ensemble
 from fjlab.dynamics import simulate
 
 
@@ -162,6 +162,18 @@ class TestDiversity:
             diversity(s, a, "pairwise"), abs=1e-10
         )
 
+    @given(st.integers(2, 8), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_moment_form_is_the_routing_kernel(self, n, d, seed):
+        # one-hot routing has diversity exactly 0, so the report's diversity
+        # term is the fixed mixture's D_a, from the same kernel bit for bit
+        rng = np.random.default_rng(seed)
+        s = rng.dirichlet(np.ones(d), size=n)
+        a = rng.dirichlet(np.ones(n))
+        sset = LabeledSnapshotSet(beliefs=s[None], labels=np.array([0]))
+        report = moe_vs_fixed_ensemble(sset, a, min_risk_weights(sset.agent_risks()))
+        assert report.mean_diversity_difference == diversity(s, a)
+
 
 class TestSpearman:
     def test_frozen_example(self):
@@ -225,7 +237,14 @@ class TestInfluenceMetrics:
         assert ranked[-2] == pytest.approx(1.0, abs=1e-12)
 
 
+def one_sample(traj, params):
+    """``stacked_metrics`` of one trajectory's final snapshot."""
+    return stacked_metrics(traj.final[None], [params], [traj.correct_label])
+
+
 class TestTrajectoryMetrics:
+    """``stacked_metrics`` of one sample, the metrics of one trajectory."""
+
     def test_rows_and_system(self):
         params = FJParameters(
             gamma=np.array([0.4, 0.6, 0.5]),
@@ -239,14 +258,17 @@ class TestTrajectoryMetrics:
             [[0.7, 0.2, 0.1], [0.6, 0.3, 0.1], [0.5, 0.4, 0.1]]
         )
         traj = simulate(params, innate, 30, sample_id="t0", correct_label=0)
-        rows, system = trajectory_metrics(traj, params)
-        assert [r.agent_id for r in rows] == [0, 1, 2]
-        assert all(r.competence is not None for r in rows)
-        assert system.sample_id == "t0"
+        cols = one_sample(traj, params)
+        for field in MetricColumns.AGENT_FIELDS:
+            assert getattr(cols, field).shape == (1, 3), field
+        np.testing.assert_array_equal(cols.competence[0], traj.final[:, 0])
+        np.testing.assert_array_equal(cols.gamma[0], params.gamma)
+        assert cols.disagreement.shape == cols.mean_confidence.shape == (1,)
         # all agents end on label 0 and close together
-        assert system.consensus_reached
-        assert 0.0 <= system.mean_confidence <= 1.0
-        np.testing.assert_allclose(np.asarray(system.pi.pi).sum(), 1.0, atol=1e-12)
+        assert cols.consensus_reached.tolist() == [True]
+        assert 0.0 <= cols.mean_confidence[0] <= 1.0
+        np.testing.assert_array_equal(cols.eta, np.full(3, 1.0 / 3))
+        np.testing.assert_allclose(cols.pi[0].sum(), 1.0, atol=1e-12)
 
     def test_influence_matrix_computed_once(self, monkeypatch):
         import fjlab.metrics as metrics_mod
@@ -266,7 +288,7 @@ class TestTrajectoryMetrics:
             mask=FJParameters.complete_mask(2),
         )
         traj = simulate(params, np.array([[0.9, 0.1], [0.2, 0.8]]), 2)
-        trajectory_metrics(traj, params)
+        one_sample(traj, params)
         assert len(calls) == 1
 
     def test_competence_missing_without_label(self):
@@ -278,8 +300,7 @@ class TestTrajectoryMetrics:
         )
         innate = np.array([[0.9, 0.1], [0.2, 0.8]])
         traj = simulate(params, innate, 2)
-        rows, _ = trajectory_metrics(traj, params)
-        assert all(r.competence is None for r in rows)
+        assert np.isnan(one_sample(traj, params).competence).all()
 
 
 def random_params(rng: np.random.Generator, n: int) -> FJParameters:
@@ -361,24 +382,19 @@ def metric_stacks(draw):
 class TestStackedMetrics:
     @given(metric_stacks())
     @settings(max_examples=150, deadline=None)
-    def test_bitwise_equal_to_trajectory_metrics(self, case):
+    def test_bitwise_equal_to_one_sample_slices(self, case):
         finals, params, labels, eta, normalization = case
         cols = stacked_metrics(finals, params, labels, eta, normalization)
         for k, (final, p, label) in enumerate(zip(finals, params, labels)):
-            traj = DeliberationTrajectory(final[None], sample_id=f"s{k}", correct_label=label)
-            rows, system = trajectory_metrics(traj, p, eta, normalization)
-            for field in AgentMetricRow.FIELDS[1:]:
-                want = [getattr(r, field) for r in rows]
-                if field == "competence" and label is None:
-                    assert want == [None] * len(rows)
-                    assert np.isnan(cols.competence[k]).all()
-                else:
-                    assert same_bits(getattr(cols, field)[k], want), field
-            assert same_bits(cols.disagreement[k], system.disagreement)
-            assert same_bits(cols.mean_confidence[k], system.mean_confidence)
-            assert bool(cols.consensus_reached[k]) is system.consensus_reached
-            assert same_bits(cols.pi[k], system.pi.pi)
-            assert same_bits(cols.eta, system.pi.eta)
+            alone = stacked_metrics(final[None], [p], [label], eta, normalization)
+            for field in MetricColumns.AGENT_FIELDS:
+                assert same_bits(getattr(cols, field)[k], getattr(alone, field)[0]), field
+            if label is None:
+                assert np.isnan(cols.competence[k]).all()
+            for field in ("disagreement", "mean_confidence", "pi"):
+                assert same_bits(getattr(cols, field)[k], getattr(alone, field)[0]), field
+            assert cols.consensus_reached[k] == alone.consensus_reached[0]
+            assert same_bits(cols.eta, alone.eta)
             agent, (dis, mean_conf, consensus, pi) = reference_metrics(
                 final, p, label, eta, normalization
             )
@@ -416,7 +432,7 @@ class TestStackedMetrics:
         with pytest.raises(FJLabError) as stacked:
             stacked_metrics(finals, [ok, lonely, stalled, ok])
         with pytest.raises(FJLabError) as alone:
-            trajectory_metrics(DeliberationTrajectory(finals[1][None]), lonely)
+            stacked_metrics(finals[1][None], [lonely])
         assert type(stacked.value) is type(alone.value) is NumericalError
         assert str(stacked.value) == str(alone.value)
         with pytest.raises(NotContractive):
