@@ -44,7 +44,7 @@ from .errors import (
     TooFewPoints,
     ValidationError,
 )
-from .estimation import FitConfig, fit_global, fit_sample, parameter_variability
+from .estimation import FitConfig, fit_pools, fit_samples, parameter_variability
 from .metrics import MetricColumns, confidence_metrics, spearman, stacked_metrics
 from .model import DeliberationTrajectory, FJParameters
 from .scenarios import (
@@ -258,41 +258,33 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 # -- fit --------------------------------------------------------------------
 
 
+def _fit_entry(head: dict, report, iterations: bool) -> dict:
+    """One fits.json entry: head's keys, then the report's."""
+    entry = {**head, "kl": report.kl, "mse": report.mse, "restart_index": report.restart_index}
+    if iterations:
+        entry["iterations"] = len(report.objective_curve) - 1
+    entry.update(
+        flat=report.flat,
+        termination=report.termination,
+        kkt_residual=report.kkt_residual,
+        params=fio.params_to_dict(report.params),
+    )
+    return entry
+
+
 def cmd_fit(args, cfg: RunConfig) -> int:
     sec = _override(cfg.fit, args)
     in_path = args.input or os.path.join(args.output_dir, "trajectories.json")
     trajs = fio.load_trajectories(in_path)
     if not trajs:
         raise EmptyInput(f"{in_path!r} holds no samples")
-    fit_config = FitConfig(
-        objective=sec.objective,
-        max_iters=sec.max_iters,
-        tol=sec.tol,
-        reg_lambda=sec.reg_lambda,
-        restarts=sec.restarts,
-        seed=sec.seed,
-    )
+    fit_config = FitConfig(**{f.name: getattr(sec, f.name) for f in fields(FitConfig)})
+    reports = fit_samples(trajs, fit_config)
+    capped = sum(r.termination == "max_iters" for r in reports)
     per_sample = []
-    reports = []
-    capped = 0
-    for traj in trajs:
-        report = fit_sample(traj, fit_config)
-        reports.append(report)
-        capped += report.termination == "max_iters"
-        per_sample.append(
-            {
-                "sample_id": traj.sample_id,
-                "pool": traj.metadata.get("pool", "0"),
-                "kl": report.kl,
-                "mse": report.mse,
-                "restart_index": report.restart_index,
-                "iterations": len(report.objective_curve) - 1,
-                "flat": report.flat,
-                "termination": report.termination,
-                "kkt_residual": report.kkt_residual,
-                "params": fio.params_to_dict(report.params),
-            }
-        )
+    for traj, report in zip(trajs, reports):
+        head = {"sample_id": traj.sample_id, "pool": traj.metadata.get("pool", "0")}
+        per_sample.append(_fit_entry(head, report, iterations=True))
         _say(args, f"fit {traj.sample_id}: kl={report.kl:.6e} mse={report.mse:.6e}")
     document = {
         "schema_version": fio.SCHEMA_VERSION,
@@ -300,30 +292,19 @@ def cmd_fit(args, cfg: RunConfig) -> int:
         "per_sample": per_sample,
     }
     if sec.global_fit:
-        pooled = []
         groups = _by_pool(trajs)
-        for pool in sorted(groups):
-            report = fit_global(groups[pool], fit_config)
-            capped += report.termination == "max_iters"
-            pooled.append(
-                {
-                    "pool": pool,
-                    "n_samples": len(groups[pool]),
-                    "kl": report.kl,
-                    "mse": report.mse,
-                    "restart_index": report.restart_index,
-                    "flat": report.flat,
-                    "termination": report.termination,
-                    "kkt_residual": report.kkt_residual,
-                    "params": fio.params_to_dict(report.params),
-                }
-            )
+        pools = sorted(groups)
+        pooled = fit_pools([groups[pool] for pool in pools], fit_config)
+        capped += sum(r.termination == "max_iters" for r in pooled)
+        document["global"] = []
+        for pool, report in zip(pools, pooled):
+            head = {"pool": pool, "n_samples": len(groups[pool])}
+            document["global"].append(_fit_entry(head, report, iterations=False))
             _say(
                 args,
                 f"fit pool {pool} ({len(groups[pool])} samples): "
                 f"kl={report.kl:.6e} mse={report.mse:.6e}",
             )
-        document["global"] = pooled
     if len(reports) >= 2 and len({r.params.n for r in reports}) == 1:
         spread = parameter_variability(reports)
         document["variability"] = {

@@ -12,9 +12,12 @@ and predict X_i c_i, with columns s_i, b_i(t) and b_j(t) over the
 stacked rows (a zero "sink" column stands in for an empty
 neighbourhood).  With the regularizer reg_lambda * sum_i ||c_i - c_i0||^2
 around c_i0 = (1/2, 1/4, 1/4 * uniform w), the image of gamma = alpha =
-1/2 and uniform w, the fit is n independent convex problems: mse is
-least squares on the simplex, solved exactly by an active-set KKT solve,
-and kl runs Newton's method with the analytic Hessian from there.  Then
+1/2 and uniform w, every fit is n independent convex problems, one per
+agent.  All of them, across every fit of a call, are solved as one stack
+per coefficient count k (shorter problems padded with rows of weight 0):
+mse is least squares on the simplex, solved exactly by a primal active set
+whose faces are batched QR solves, and kl runs Newton's method with the
+analytic Hessian from there, each problem stopping on its own.  Then
 gamma = c_0, alpha = c_1 / (1 - c_0) (1/2 when gamma = 1) and w_i. is
 proportional to the peer coefficients (uniform when they are all 0).
 Nothing is random, so FitConfig.restarts and seed have no effect.
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma  # lazy in numpy 2 and loaded by np.percentile: load it with the module
 
 from .constants import LOG_FLOOR
 from .dynamics import build_h
@@ -46,10 +48,13 @@ __all__ = [
     "fit_objective",
     "fit_sample",
     "fit_global",
+    "fit_samples",
+    "fit_pools",
     "parameter_variability",
 ]
 
 _FLAT_TOL = 1e-12
+_RANK_TOL = 1e-8  # smallest QR pivot, relative to the largest, of a face solved without lstsq
 _TERMINATIONS = ("converged", "step_underflow", "max_iters")  # mildest first
 
 
@@ -115,21 +120,33 @@ class VariabilityReport:
     n_reports: int
 
 
-def _stack_io(traj: DeliberationTrajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if traj.rounds < 1:
-        raise EmptyInput(f"trajectory {traj.sample_id!r} has no update rounds")
-    snaps = traj.snapshots
-    return snaps[0], snaps[:-1], snaps[1:]
-
-
 def one_step_predictions(
     params: FJParameters, traj: DeliberationTrajectory
 ) -> np.ndarray:
     """Model predictions for rounds 1..T given the observed previous rounds."""
     if params.n != traj.n:
         raise ShapeMismatch(f"params n={params.n} but trajectory n={traj.n}")
-    innate, b_in, _ = _stack_io(traj)
-    return params.gamma[:, None] * innate + build_h(params) @ b_in
+    if traj.rounds < 1:
+        raise EmptyInput(f"trajectory {traj.sample_id!r} has no update rounds")
+    snaps = traj.snapshots
+    return params.gamma[:, None] * snaps[0] + build_h(params) @ snaps[:-1]
+
+
+def _objectives(params: list[FJParameters], trajs: list[DeliberationTrajectory]):
+    """(kl, mse) arrays: each trajectory's objectives under its parameters,
+    reduced once per stack of trajectories of one shape."""
+    kl, mse = np.empty(len(trajs)), np.empty(len(trajs))
+    shapes: dict[tuple, list[int]] = {}
+    for k, traj in enumerate(trajs):
+        shapes.setdefault(traj.snapshots.shape, []).append(k)
+    for idx in shapes.values():
+        pred = np.stack([one_step_predictions(params[k], trajs[k]) for k in idx])
+        b_out = np.stack([trajs[k].snapshots[1:] for k in idx])
+        m, t, n, _ = b_out.shape
+        mse[idx] = ((pred - b_out) ** 2).reshape(m, -1).mean(axis=1)
+        logs = np.log(np.where(b_out > 0.0, b_out, 1.0)) - np.log(np.maximum(pred, LOG_FLOOR))
+        kl[idx] = np.where(b_out > 0.0, b_out * logs, 0.0).reshape(m, -1).sum(axis=1) / (t * n)
+    return kl, mse
 
 
 def fit_objective(
@@ -138,125 +155,165 @@ def fit_objective(
     """Unregularized teacher-forced one-step objective of given parameters."""
     if objective not in ("kl", "mse"):
         raise ShapeMismatch(f"objective must be 'kl' or 'mse', got {objective!r}")
-    pred = one_step_predictions(params, traj)
-    b_out = traj.snapshots[1:]
-    if objective == "mse":
-        return float(((pred - b_out) ** 2).mean())
-    t, n, _ = b_out.shape
-    pred_floor = np.maximum(pred, LOG_FLOOR)
-    terms = np.where(
-        b_out > 0.0, b_out * (np.log(np.where(b_out > 0.0, b_out, 1.0)) - np.log(pred_floor)), 0.0
-    )
-    return float(terms.sum() / (t * n))
+    kl, mse = _objectives([params], [traj])
+    return float((kl if objective == "kl" else mse)[0])
+
+
+def _matvec(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return (a @ c[..., None])[..., 0]
+
+
+def _rmatvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (v[..., None, :] @ a)[..., 0, :]
 
 
 def _simplex_lsq(a: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Minimize ||a x - r|| over the simplex by a primal active set from x.
+    """Minimize ||a_b x_b - r_b|| over the simplex for each problem b of a
+    stack, by a primal active set from the feasible x.
 
-    Each pass solves the free coordinates with their sum fixed to 1 (by
-    lstsq, so a rank-deficient face still solves), stops a step at the
-    first coordinate it would make negative, or frees the bound
-    coordinate with the most negative multiplier.
+    Each pass solves every busy problem's free coordinates with their sum
+    fixed to 1: the last free one is 1 minus the others, which solve
+    a[:, others] - a[:, last] by one batched QR (unused columns pinned to 0
+    by identity rows), or by lstsq where a QR pivot is below _RANK_TOL of
+    the largest, so that a rank-deficient face still solves.  Then each
+    problem stops a step at the first coordinate it would make negative,
+    frees the bound coordinate with the most negative multiplier, or is
+    done.
     """
-    free = x > 0.0
-    slack = 1e-13 * np.abs(a).max() * np.abs(r).max()
-    for _ in range(4 * x.size):  # bounds cycling on rounding-level multipliers
-        *others, last = np.flatnonzero(free)
-        z = np.linalg.lstsq(a[:, others] - a[:, [last]], r - a[:, last])[0]
-        target = np.zeros_like(x)
-        target[others] = z
-        target[last] = 1.0 - z.sum()
-        leaving = target < 0.0
-        if leaving.any():
-            ratios = np.where(leaving, x / np.where(leaving, x - target, 1.0), np.inf)
-            t = float(ratios.min())
-            x = (1.0 - t) * x + t * target
-            bound = free & ((x <= 0.0) | (ratios == t))
-            x[bound] = 0.0
-            free &= ~bound
-            continue
-        x = target
-        grad = a.T @ (a @ x - r)
-        mult = np.where(free, np.inf, grad - grad[free].mean())
-        j = int(np.argmin(mult))
-        if mult[j] >= -slack:
+    b, k = x.shape
+    slack = 1e-13 * np.abs(a).max(axis=(1, 2)) * np.abs(r).max(axis=1)
+    x, free, busy = x.copy(), x > 0.0, np.arange(b)
+    for _ in range(4 * k):  # bounds cycling on rounding-level multipliers
+        if not busy.size:
             break
-        free[j] = True
+        f, ab, rows = free[busy], a[busy], np.arange(busy.size)
+        last = k - 1 - np.argmax(f[:, ::-1], axis=1)
+        others = f.copy()
+        others[rows, last] = False
+        col = np.take_along_axis(ab, last[:, None, None], axis=2)
+        face = np.where(others[:, None, :], ab - col, 0.0)
+        q, rr = np.linalg.qr(np.concatenate([face, np.eye(k) * ~others[:, None, :]], axis=1))
+        pivots = np.abs(np.diagonal(rr, axis1=1, axis2=2))
+        small = np.where(others, pivots, np.inf).min(axis=1)
+        lstsq = small <= _RANK_TOL * np.where(others, pivots, 0.0).max(axis=1)
+        rr[lstsq] = np.eye(k)
+        rhs = np.concatenate([r[busy] - col[..., 0], np.zeros((busy.size, k))], axis=1)
+        target = np.where(others, np.linalg.solve(rr, _rmatvec(q, rhs)[..., None])[..., 0], 0.0)
+        for j in np.flatnonzero(lstsq):
+            target[j, others[j]] = np.linalg.lstsq(face[j][:, others[j]], rhs[j, :-k])[0]
+        target[rows, last] = 1.0 - target.sum(axis=1)
+        xb = x[busy]
+        leaving = target < 0.0
+        step = leaving.any(axis=1)
+        ratios = np.where(leaving, xb / np.where(leaving, xb - target, 1.0), np.inf)
+        t = np.where(step, ratios.min(axis=1), 1.0)[:, None]
+        moved = (1.0 - t) * xb + t * target
+        bound = step[:, None] & f & ((moved <= 0.0) | (ratios == t))
+        moved[bound] = 0.0
+        f &= ~bound
+        grad = _rmatvec(ab, _matvec(ab, moved) - r[busy])
+        level = np.where(f, grad, 0.0).sum(axis=1, keepdims=True) / f.sum(axis=1, keepdims=True)
+        mult = np.where(f, np.inf, grad - level)
+        j = np.argmin(mult, axis=1)
+        enter = ~step & (mult[rows, j] < -slack[busy])
+        f[enter, j[enter]] = True
+        x[busy], free[busy] = moved, f
+        busy = busy[step | enter]
     return x
 
 
 def _newton(model, c: np.ndarray, config: FitConfig):
-    """Newton's method on the simplex from the feasible c.
+    """Newton's method on the simplex for a stack of problems from the
+    feasible c.
 
-    model(c) gives the objective, its gradient and its quadratic model as
-    a least-squares pair (a, r); each iteration backtracks from c towards
-    the model's minimizer on the simplex, until the predicted decrease
-    (the Newton decrement) is at most config.tol.  Returns (c, curve,
-    termination, kkt_residual).
+    model(c, idx) gives problems idx's objectives, gradients and quadratic
+    models as least-squares pairs (a, r).  Each iteration moves every busy
+    problem from c towards its model's minimizer on the simplex by a
+    backtracking line search.  A problem stops when its predicted decrease
+    (the Newton decrement) is at most config.tol, when its step underflows,
+    or at config.max_iters.  Returns c, the (iterations + 1, B) objectives
+    with each problem holding its last value, each problem's iteration
+    count, its index into _TERMINATIONS and its KKT residual.
     """
-    f, grad, a, r = model(c)
-    curve = [f]
-    termination = "max_iters"
+    busy = np.arange(c.shape[0])
+    f, grad, a, r = model(c, busy)
+    curve, steps = [f.copy()], np.zeros(busy.size, dtype=np.int64)
+    status = np.full(busy.size, _TERMINATIONS.index("max_iters"))
     for _ in range(config.max_iters):
-        target = _simplex_lsq(a, r, c)
-        decrement = -float(grad @ (target - c))
-        if decrement <= config.tol:
-            termination = "converged"
+        if not busy.size:
             break
-        t = 1.0
-        while t >= 1e-10 and model((1.0 - t) * c + t * target)[0] >= f - 1e-4 * t * decrement:
-            t *= 0.5
-        if t < 1e-10:
-            termination = "step_underflow"
-            break
-        c = (1.0 - t) * c + t * target
-        f, grad, a, r = model(c)
-        curve.append(f)
+        target = _simplex_lsq(a, r, c[busy])
+        decrement = -(grad[busy] * (target - c[busy])).sum(axis=1)
+        status[busy[decrement <= config.tol]] = _TERMINATIONS.index("converged")
+        search = np.flatnonzero(decrement > config.tol)
+        t, trying = np.ones(search.size), np.arange(search.size)
+        passed = np.zeros(search.size, dtype=bool)
+        while trying.size:
+            p, s = search[trying], t[trying, None]
+            trial = (1.0 - s) * c[busy[p]] + s * target[p]
+            ok = model(trial, busy[p])[0] < f[busy[p]] - 1e-4 * t[trying] * decrement[p]
+            passed[trying[ok]] = True
+            t[trying[~ok]] *= 0.5
+            trying = trying[~ok & (t[trying] >= 1e-10)]
+        status[busy[search[~passed]]] = _TERMINATIONS.index("step_underflow")
+        p, busy, s = search[passed], busy[search[passed]], t[passed, None]
+        c[busy] = (1.0 - s) * c[busy] + s * target[p]
+        f[busy], grad[busy], a, r = model(c[busy], busy)
+        steps[busy] += 1
+        if busy.size:
+            curve.append(f.copy())
     # zero exactly at a KKT point of the simplex-constrained problem
-    return c, curve, termination, float(np.abs(c - project_simplex(c - grad)).max())
+    residual = np.abs(c - project_simplex(c - grad)).max(axis=1)
+    return c, np.array(curve), steps, status, residual
 
 
-def _fit_rows(
+def _solve(
     x: np.ndarray, y: np.ndarray, weight: np.ndarray, centre: np.ndarray, config: FitConfig
 ):
-    """Fit one agent's c to its rows x c ~ y, regularized towards centre.
+    """Fit a stack of B problems of k columns: c_b on the simplex with
+    x_b c_b ~ y_b, regularized towards centre.
 
     Each row's loss is weighted: the squared error, or for kl
-    y log(y / max(x c, LOG_FLOOR)).  Returns what _newton returns.
+    y log(y / max(x c, LOG_FLOOR)); rows of weight 0 and y 0 pad a short
+    problem and change nothing.  Returns what _newton returns.
     """
-    lam = config.reg_lambda
-    ridge = np.sqrt(lam) * np.eye(centre.size)
-    a_mse = np.vstack([np.sqrt(weight)[:, None] * x, ridge])
-    r_mse = np.concatenate([np.sqrt(weight) * y, ridge @ centre])
+    lam, (b, _, k) = config.reg_lambda, x.shape
+    ridge = np.sqrt(lam) * np.eye(k)
+    root = np.sqrt(weight)
+    a_mse = np.concatenate([root[..., None] * x, np.broadcast_to(ridge, (b, k, k))], axis=1)
+    r_mse = np.concatenate([root * y, np.broadcast_to(ridge @ centre, (b, k))], axis=1)
+    start = np.tile(centre, (b, 1))
     if config.objective == "mse":
 
-        def mse(c):
-            res = a_mse @ c - r_mse
-            return float(res @ res), 2.0 * a_mse.T @ res, a_mse, r_mse
+        def mse(c, idx):
+            res = _matvec(a_mse[idx], c) - r_mse[idx]
+            return (res * res).sum(axis=1), 2.0 * _rmatvec(a_mse[idx], res), a_mse[idx], r_mse[idx]
 
-        return _newton(mse, centre, config)
+        return _newton(mse, start, config)
     observed = y > 0.0
-    x_obs = x[observed]
-    log_y = np.log(y[observed])
-    mass = weight[observed] * y[observed]
+    log_y = np.log(np.where(observed, y, 1.0))
+    mass = np.where(observed, weight * y, 0.0)
+    root_mass = np.sqrt(mass)
     # Hessian sum mass / p^2 x x' + 2 lam I as a least-squares pair (a, r_kl)
-    r_kl = np.concatenate([2.0 * np.sqrt(mass), np.sqrt(2.0) * ridge @ centre])
+    a_ridge = np.broadcast_to(np.sqrt(2.0) * ridge, (b, k, k))
+    r_ridge = np.broadcast_to(np.sqrt(2.0) * ridge @ centre, (b, k))
+    r_kl = np.concatenate([2.0 * root_mass, r_ridge], axis=1)
 
-    def kl(c):
-        p = x_obs @ c
+    def kl(c, idx):
+        p = _matvec(x[idx], c)
         live = p > LOG_FLOOR
         inv_p = np.where(live, 1.0 / np.where(live, p, 1.0), 0.0)
-        value = mass @ (log_y - np.log(np.maximum(p, LOG_FLOOR)))
-        grad = -x_obs.T @ (mass * inv_p) + 2.0 * lam * (c - centre)
-        a = np.vstack([(np.sqrt(mass) * inv_p)[:, None] * x_obs, np.sqrt(2.0) * ridge])
-        return float(value + lam * ((c - centre) ** 2).sum()), grad, a, r_kl
+        value = (mass[idx] * (log_y[idx] - np.log(np.maximum(p, LOG_FLOOR)))).sum(axis=1)
+        grad = -_rmatvec(x[idx], mass[idx] * inv_p) + 2.0 * lam * (c - centre)
+        a = np.concatenate([(root_mass[idx] * inv_p)[..., None] * x[idx], a_ridge[idx]], axis=1)
+        return value + lam * ((c - centre) ** 2).sum(axis=1), grad, a, r_kl[idx]
 
     # start from the exact mse fit, unless it predicts observed mass below
     # the floor, where Newton gets no gradient; the centre never does for
     # a label that some column holds
-    start = _simplex_lsq(a_mse, r_mse, centre)
-    if np.any((x_obs @ start <= LOG_FLOOR) & (x_obs.max(axis=1) > 0.0)):
-        start = centre
+    start = _simplex_lsq(a_mse, r_mse, start)
+    dead = (_matvec(x, start) <= LOG_FLOOR) & observed & (x.max(axis=2) > 0.0)
+    start[dead.any(axis=1)] = centre
     return _newton(kl, start, config)
 
 
@@ -265,71 +322,108 @@ def _is_flat(traj: DeliberationTrajectory) -> bool:
     return bool(np.abs(snaps - snaps[0]).max() <= _FLAT_TOL)
 
 
-def _run_fit(
+def _fit(groups, config: FitConfig, mask: np.ndarray | None, pooled: bool) -> list[FitReport]:
+    """One parameter set per group of trajectories; every agent of every
+    group is solved in one stack per coefficient count k."""
+    fits, problems = [], {}
+    for g, trajs in enumerate(groups):
+        if not trajs:
+            raise EmptyInput("no trajectories to fit")
+        flat = all(_is_flat(t) for t in trajs)
+        if flat and config.reg_lambda == 0.0:
+            raise DegenerateTrajectory(
+                "all trajectories are constant; fit is unregularized"
+                if pooled
+                else f"trajectory {trajs[0].sample_id!r} is constant and the fit is unregularized"
+            )
+        n = trajs[0].n
+        for t in trajs[1:]:
+            if t.n != n:
+                raise ShapeMismatch(f"trajectory {t.sample_id!r} has n={t.n}, expected {n}")
+        mask_g = FJParameters.complete_mask(n) if mask is None else np.asarray(mask, dtype=bool)
+        if mask_g.shape != (n, n):
+            raise ShapeMismatch(f"mask shape {mask_g.shape}, expected {(n, n)}")
+        if mask_g.diagonal().any():
+            raise ShapeMismatch("mask diagonal must be False")
+        # gamma, alpha, w, mask, flat and each agent's (curve, status, residual)
+        fits.append((np.empty(n), np.empty(n), np.zeros((n, n)), mask_g, flat, [None] * n))
+        parts = []
+        for traj in trajs:
+            if traj.rounds < 1:
+                raise EmptyInput(f"trajectory {traj.sample_id!r} has no update rounds")
+            snaps = traj.snapshots
+            t, _, d = snaps[1:].shape
+            per_row = len(trajs) * t * n * (d if config.objective == "mse" else 1)
+            rows = [b.transpose(1, 0, 2).reshape(n, t * d) for b in (snaps[:-1], snaps[1:])]
+            parts.append((np.tile(snaps[0], (1, t)), *rows, np.full(t * d, 1.0 / per_row)))
+        # (agent, row) arrays over the (trajectory, round, label) rows; the
+        # weights keep fit_objective's averaging
+        innate, belief, target, weight = (np.concatenate(p, axis=-1) for p in zip(*parts))
+        for i in range(n):
+            peers = np.flatnonzero(mask_g[i])
+            # an empty neighbourhood gets a zero sink column for its peer mass
+            peer_cols = belief[peers] if peers.size else np.zeros((1, weight.size))
+            x = np.vstack([innate[i], belief[i], peer_cols]).T
+            problems.setdefault(x.shape[1], []).append((g, i, x, target[i], weight))
+    for k, probs in problems.items():
+        x = np.zeros((len(probs), max(p[3].size for p in probs), k))
+        y, weight = np.zeros(x.shape[:2]), np.zeros(x.shape[:2])
+        for j, (_, _, xj, yj, wj) in enumerate(probs):
+            x[j, : yj.size], y[j, : yj.size], weight[j, : yj.size] = xj, yj, wj
+        centre = np.concatenate([[0.5, 0.25], np.full(k - 2, 0.25 / (k - 2))])
+        coef, curve, steps, status, residual = _solve(x, y, weight, centre, config)
+        for j, (g, i, *_) in enumerate(probs):
+            gamma, alpha, w, mask_g, _, runs = fits[g]
+            c, peers = coef[j] + 0.0, np.flatnonzero(mask_g[i])  # no negative zeros
+            gamma[i] = min(c[0], 1.0)
+            rest = c[1:].sum()
+            alpha[i] = c[1] / rest if rest > 0.0 else 0.5
+            if peers.size:
+                peer_mass = c[2:].sum()
+                w[i, peers] = c[2:] / peer_mass if peer_mass > 0.0 else 1.0 / peers.size
+            runs[i] = (curve[: steps[j] + 1, j], status[j], residual[j])
+    params = [FJParameters(gamma=gm, alpha=al, w=w, mask=m) for gm, al, w, m, *_ in fits]
+    # each trajectory's objectives under its fit, from one stack per shape
+    kl, mse = _objectives([p for p, ts in zip(params, groups) for _ in ts], sum(groups, []))
+    reports, end = [], np.cumsum([len(ts) for ts in groups])
+    for g, (*_, flat, runs) in enumerate(fits):
+        curves, status, residuals = zip(*runs)
+        # agents that stopped early hold their last value
+        length = max(len(cv) for cv in curves)
+        curve = [float(sum(cv[min(k, len(cv) - 1)] for cv in curves)) for k in range(length)]
+        span = slice(end[g] - len(groups[g]), end[g])
+        reports.append(
+            FitReport(
+                params=params[g],
+                kl=float(np.mean(kl[span])),
+                mse=float(np.mean(mse[span])),
+                objective_curve=curve,
+                restart_index=0,
+                flat=flat,
+                sample_id="global" if pooled else groups[g][0].sample_id,
+                termination=_TERMINATIONS[max(status)],
+                kkt_residual=float(max(residuals)),
+            )
+        )
+    return reports
+
+
+def fit_samples(
     trajs: list[DeliberationTrajectory],
-    config: FitConfig,
-    mask: np.ndarray | None,
-    flat: bool,
-    sample_id: str,
-) -> FitReport:
-    n = trajs[0].n
-    for t in trajs[1:]:
-        if t.n != n:
-            raise ShapeMismatch(f"trajectory {t.sample_id!r} has n={t.n}, expected {n}")
-    if mask is None:
-        mask = FJParameters.complete_mask(n)
-    mask = np.asarray(mask)
-    if mask.dtype != np.bool_:
-        mask = mask.astype(bool)
-    if mask.shape != (n, n):
-        raise ShapeMismatch(f"mask shape {mask.shape}, expected {(n, n)}")
-    if mask.diagonal().any():
-        raise ShapeMismatch("mask diagonal must be False")
-    parts = []
-    for traj in trajs:
-        s, b_in, b_out = _stack_io(traj)
-        t, _, d = b_in.shape
-        per_row = len(trajs) * t * n * (d if config.objective == "mse" else 1)
-        rows = [b.transpose(1, 0, 2).reshape(n, t * d) for b in (b_in, b_out)]
-        parts.append((np.tile(s, (1, t)), *rows, np.full(t * d, 1.0 / per_row)))
-    # (agent, row) arrays over the (trajectory, round, label) rows; the
-    # weights keep fit_objective's averaging
-    innate, belief, target, weight = (np.concatenate(p, axis=-1) for p in zip(*parts))
-    gamma, alpha, w = np.empty(n), np.empty(n), np.zeros((n, n))
-    fits = []
-    for i in range(n):
-        peers = np.flatnonzero(mask[i])
-        # an empty neighbourhood gets a zero sink column for its peer mass
-        peer_cols = belief[peers] if peers.size else np.zeros((1, weight.size))
-        x = np.vstack([innate[i], belief[i], peer_cols]).T
-        deg = len(peer_cols)
-        centre = np.concatenate([[0.5, 0.25], np.full(deg, 0.25 / deg)])
-        fits.append(_fit_rows(x, target[i], weight, centre, config))
-        c = fits[-1][0] + 0.0  # no negative zeros in the artifacts
-        gamma[i] = min(c[0], 1.0)
-        rest = c[1:].sum()
-        alpha[i] = c[1] / rest if rest > 0.0 else 0.5
-        if peers.size:
-            peer_mass = c[2:].sum()
-            w[i, peers] = c[2:] / peer_mass if peer_mass > 0.0 else 1.0 / peers.size
-    params = FJParameters(gamma=gamma, alpha=alpha, w=w, mask=mask)
-    kl = float(np.mean([fit_objective(params, t, "kl") for t in trajs]))
-    mse = float(np.mean([fit_objective(params, t, "mse") for t in trajs]))
-    _, curves, terminations, residuals = zip(*fits)
-    # agents that stopped early hold their last value
-    length = max(len(cv) for cv in curves)
-    curve = [sum(cv[min(k, len(cv) - 1)] for cv in curves) for k in range(length)]
-    return FitReport(
-        params=params,
-        kl=kl,
-        mse=mse,
-        objective_curve=curve,
-        restart_index=0,
-        flat=flat,
-        sample_id=sample_id,
-        termination=max(terminations, key=_TERMINATIONS.index),
-        kkt_residual=max(residuals),
-    )
+    config: FitConfig = FitConfig(),
+    mask: np.ndarray | None = None,
+) -> list[FitReport]:
+    """fit_sample of each trajectory, all in one batched solve."""
+    return _fit([[t] for t in trajs], config, mask, pooled=False)
+
+
+def fit_pools(
+    pools: list[list[DeliberationTrajectory]],
+    config: FitConfig = FitConfig(),
+    mask: np.ndarray | None = None,
+) -> list[FitReport]:
+    """fit_global of each pool of trajectories, all in one batched solve."""
+    return _fit([list(t) for t in pools], config, mask, pooled=True)
 
 
 def fit_sample(
@@ -343,12 +437,7 @@ def fit_sample(
     parameters; with reg_lambda = 0 that raises DegenerateTrajectory,
     otherwise the regularized optimum is returned with flat=True.
     """
-    flat = _is_flat(traj)
-    if flat and config.reg_lambda == 0.0:
-        raise DegenerateTrajectory(
-            f"trajectory {traj.sample_id!r} is constant and the fit is unregularized"
-        )
-    return _run_fit([traj], config, mask, flat, traj.sample_id)
+    return fit_samples([traj], config, mask)[0]
 
 
 def fit_global(
@@ -362,12 +451,16 @@ def fit_global(
     differ.  The objective is the unweighted mean of the per-sample data
     terms plus one regularizer.
     """
-    if not trajs:
-        raise EmptyInput("no trajectories to fit")
-    flat = all(_is_flat(t) for t in trajs)
-    if flat and config.reg_lambda == 0.0:
-        raise DegenerateTrajectory("all trajectories are constant; fit is unregularized")
-    return _run_fit(list(trajs), config, mask, flat, "global")
+    return fit_pools([trajs], config, mask)[0]
+
+
+def _quartile(s: np.ndarray, q: float) -> np.ndarray:
+    """np.percentile's linear-interpolation quantile q of each column of the
+    sorted s, bit for bit, without the numpy.ma import np.percentile costs."""
+    pos = (s.shape[0] - 1) * q
+    i = int(pos)
+    lo, hi, t = s[i], s[min(i + 1, s.shape[0] - 1)], pos - i
+    return lo + (hi - lo) * t if t < 0.5 else hi - (hi - lo) * (1.0 - t)
 
 
 def parameter_variability(reports: list[FitReport]) -> VariabilityReport:
@@ -389,14 +482,11 @@ def parameter_variability(reports: list[FitReport]) -> VariabilityReport:
     out: dict[str, tuple[float, float, float]] = {}
 
     def add(prefix: str, values: np.ndarray):
+        ordered = np.sort(values, axis=0)
+        iqr = _quartile(ordered, 0.75) - _quartile(ordered, 0.25)
         for i in range(n):
             col = values[:, i]
-            q25, q75 = np.percentile(col, [25.0, 75.0])
-            out[f"{prefix}_{i}"] = (
-                float(col.mean()),
-                float(col.std()),
-                float(q75 - q25),
-            )
+            out[f"{prefix}_{i}"] = (float(col.mean()), float(col.std()), float(iqr[i]))
 
     add("gamma", gammas)
     add("alpha", alphas)

@@ -178,10 +178,10 @@ def ambiguity_decomposition(s, a, y: int) -> tuple[float, float, float]:
     how tightly the identity holds in floating point.
     """
     s = validate_snapshot(s)
+    div = diversity(s, a)  # checks the weights' shape and simplex before mixing
     a = np.asarray(a, dtype=np.float64)
-    mix = a @ s
-    lhs = brier_loss(mix, y)
-    rhs = float(a @ local_risk(s, y)) - diversity(s, a)
+    lhs = brier_loss(a @ s, y)
+    rhs = float(a @ local_risk(s, y)) - div
     return lhs, rhs, lhs - rhs
 
 

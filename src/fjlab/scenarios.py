@@ -173,14 +173,15 @@ def exclusive_losses(sc: ExclusiveScenario, a) -> ExclusiveLosses:
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
+    """Euclidean projection onto the probability simplex (sort-based), of a
+    vector or of each row along the last axis."""
     v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    k = np.arange(1, v.size + 1)
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    k = np.arange(1, v.shape[-1] + 1)
     support = u - css / k > 0.0
-    rho = int(np.nonzero(support)[0][-1])
-    theta = css[rho] / (rho + 1.0)
+    rho = v.shape[-1] - 1 - np.argmax(support[..., ::-1], axis=-1)[..., None]
+    theta = np.take_along_axis(css, rho, axis=-1) / (rho + 1.0)
     return np.clip(v - theta, 0.0, None)
 
 

@@ -9,11 +9,15 @@ from fjlab.errors import (
     InsufficientSamples,
 )
 from fjlab.estimation import (
+    _TERMINATIONS,
     FitConfig,
-    _fit_rows,
+    _quartile,
+    _solve,
     fit_global,
     fit_objective,
+    fit_pools,
     fit_sample,
+    fit_samples,
     one_step_predictions,
     parameter_variability,
 )
@@ -157,8 +161,46 @@ class TestSolver:
             weight = np.concatenate(
                 [np.full(y.size, 1.0 / k) for (_, y), k in zip(rows, per_row)]
             )
-            c = _fit_rows(x, y, weight, centre_of(peers), config)[0]
+            c = _solve(x[None], y[None], weight[None], centre_of(peers), config)[0][0]
             np.testing.assert_allclose(coefficients(report.params, i), c, atol=1e-12)
+
+    def test_mixed_batch_matches_each_problem_alone(self):
+        # one stack of k = 3 problems with different row counts: a complete
+        # mask (two agents), an empty neighbourhood's sink column, a flat
+        # and rank-deficient design, and a noisy one that needs more than
+        # the one iteration allowed
+        _, pair = make_traj(seed=60, n=2, d=3, rounds=6)
+        mask = FJParameters.complete_mask(3)
+        mask[2] = False
+        lone = FJParameters(
+            gamma=np.array([0.3, 0.5, 0.4]),
+            alpha=np.array([0.6, 0.2, 0.5]),
+            w=np.array([[0.0, 0.4, 0.6], [0.7, 0.0, 0.3], [0.0, 0.0, 0.0]]),
+            mask=mask,
+        )
+        sink_traj = simulate(lone, np.random.default_rng(40).dirichlet(np.ones(3), size=3), 8)
+        x_sink, y_sink = agent_rows(sink_traj, 2, [])
+        flat = DeliberationTrajectory(snapshots=np.tile([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]], (5, 1, 1)))
+        problems = [
+            (*agent_rows(pair, 0, [1]), 1.0 / (6 * 2)),
+            (np.hstack([x_sink, np.zeros((y_sink.size, 1))]), y_sink, 1.0 / (8 * 3)),
+            (*agent_rows(flat, 0, [1]), 1.0 / (4 * 2)),
+            (*agent_rows(noisy_traj(61, n=2), 0, [1]), 1.0 / (8 * 2)),
+        ]
+        rows = max(y.size for _, y, _ in problems)
+        x, y, weight = np.zeros((4, rows, 3)), np.zeros((4, rows)), np.zeros((4, rows))
+        for j, (xj, yj, wj) in enumerate(problems):
+            x[j, : yj.size], y[j, : yj.size], weight[j, : yj.size] = xj, yj, wj
+        config = FitConfig(objective="kl", reg_lambda=0.0, max_iters=1)
+        c, curve, steps, status, residual = _solve(x, y, weight, centre_of([1]), config)
+        assert [_TERMINATIONS[k] for k in status] == ["converged"] * 3 + ["max_iters"]
+        assert list(steps) == [0, 0, 0, 1]
+        for j, (xj, yj, wj) in enumerate(problems):
+            alone = _solve(xj[None], yj[None], np.full((1, yj.size), wj), centre_of([1]), config)
+            np.testing.assert_allclose(c[j], alone[0][0], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(curve[: steps[j] + 1, j], alone[1][:, 0], rtol=1e-12)
+            assert (steps[j], status[j]) == (alone[2][0], alone[3][0])
+            assert residual[j] == pytest.approx(alone[4][0], rel=1e-12, abs=1e-15)
 
     def test_empty_neighbourhood_uses_the_sink(self):
         mask = FJParameters.complete_mask(3)
@@ -273,6 +315,38 @@ class TestFitSample:
         assert report.params.w[2].sum() == 0.0
 
 
+class TestBatchedFits:
+    def test_batch_equals_one_fit_at_a_time(self):
+        trajs = [noisy_traj(70, rounds=5), noisy_traj(71, n=3, d=4), noisy_traj(72, d=2, rounds=3)]
+        for report, traj in zip(fit_samples(trajs), trajs):
+            alone = fit_sample(traj)
+            assert report.sample_id == traj.sample_id
+            assert (report.termination, len(report.objective_curve)) == (
+                alone.termination,
+                len(alone.objective_curve),
+            )
+            np.testing.assert_allclose(report.params.w, alone.params.w, rtol=0.0, atol=1e-12)
+        pools = [trajs[:1], [noisy_traj(73), noisy_traj(74, rounds=4)]]
+        for report, pool in zip(fit_pools(pools), pools):
+            np.testing.assert_allclose(
+                report.params.gamma, fit_global(pool).params.gamma, rtol=0.0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("objective", ["kl", "mse"])
+    def test_reported_objectives_are_fit_objective(self, objective):
+        trajs = [noisy_traj(80, rounds=5), noisy_traj(81), noisy_traj(82, d=4)]
+        config = FitConfig(objective=objective)
+        reports = fit_samples(trajs, config) + fit_pools([trajs[:2], trajs], config)
+        groups = [[t] for t in trajs] + [trajs[:2], trajs]
+        for report, group in zip(reports, groups):
+            for name, reported in (("kl", report.kl), ("mse", report.mse)):
+                again = np.mean([fit_objective(report.params, t, name) for t in group])
+                assert reported == pytest.approx(again, rel=1e-15, abs=0.0)
+            pred = [one_step_predictions(report.params, t) for t in group]
+            direct = np.mean([((p - t.snapshots[1:]) ** 2).mean() for p, t in zip(pred, group)])
+            assert report.mse == pytest.approx(direct, rel=1e-15, abs=0.0)
+
+
 class TestFitGlobal:
     def test_shares_parameters_across_samples(self):
         rng = np.random.default_rng(12)
@@ -372,6 +446,25 @@ class TestVariability:
         assert mean_w == pytest.approx(1.0)
         assert std_w == pytest.approx(0.0)
         assert spread.n_reports == 2
+
+    def test_quartiles_are_np_percentile_bit_for_bit(self):
+        rng = np.random.default_rng(90)
+        for _ in range(2000):
+            m = int(rng.integers(2, 40))
+            # rounded draws give ties
+            col = np.round(rng.uniform(0.0, 1.0, m), int(rng.integers(1, 17)))
+            ordered = np.sort(col)[:, None]
+            for q in (0.25, 0.75):
+                assert _quartile(ordered, q)[0] == np.percentile(col, 100.0 * q)
+
+    def test_iqr_is_the_percentile_spread(self):
+        rng = np.random.default_rng(91)
+        reports = [self._report_with(rng.uniform(0, 1, 2), rng.uniform(0, 1, 2)) for _ in range(7)]
+        spread = parameter_variability(reports)
+        for i in range(2):
+            col = np.array([r.params.alpha[i] for r in reports])
+            q25, q75 = np.percentile(col, [25.0, 75.0])
+            assert spread.per_parameter[f"alpha_{i}"][2] == float(q75 - q25)
 
     def test_needs_two_reports(self):
         with pytest.raises(InsufficientSamples):

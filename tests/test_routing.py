@@ -90,6 +90,16 @@ class TestAmbiguityDecomposition:
         _, _, gap = ambiguity_decomposition(s, a, int(rng.integers(d)))
         assert abs(gap) < 1e-10
 
+    def test_weights_of_the_wrong_length_are_a_shape_mismatch(self):
+        s = np.array([[0.6, 0.4], [0.2, 0.8]])
+        with pytest.raises(ShapeMismatch, match="weights"):
+            ambiguity_decomposition(s, [0.5, 0.3, 0.2], 0)
+
+    def test_off_simplex_weights_are_named_as_weights(self):
+        s = np.array([[0.6, 0.4], [0.2, 0.8]])
+        with pytest.raises(WeightNotSimplex, match="aggregation weights"):
+            ambiguity_decomposition(s, [0.7, 0.7], 0)
+
 
 class TestRouters:
     def test_uniform_router(self):
