@@ -117,7 +117,98 @@ def parameter_error(fitted, true):
     )
 
 
+def reference_simplex_lsq(a, r, x):
+    """The per-problem active set the batched solver replaced: each face by lstsq."""
+    free = x > 0.0
+    slack = 1e-13 * np.abs(a).max() * np.abs(r).max()
+    for _ in range(4 * x.size):
+        *others, last = np.flatnonzero(free)
+        z = np.linalg.lstsq(a[:, others] - a[:, [last]], r - a[:, last])[0]
+        target = np.zeros_like(x)
+        target[others] = z
+        target[last] = 1.0 - z.sum()
+        leaving = target < 0.0
+        if leaving.any():
+            ratios = np.where(leaving, x / np.where(leaving, x - target, 1.0), np.inf)
+            t = float(ratios.min())
+            x = (1.0 - t) * x + t * target
+            bound = free & ((x <= 0.0) | (ratios == t))
+            x[bound] = 0.0
+            free &= ~bound
+            continue
+        x = target
+        grad = a.T @ (a @ x - r)
+        mult = np.where(free, np.inf, grad - grad[free].mean())
+        j = int(np.argmin(mult))
+        if mult[j] >= -slack:
+            break
+        free[j] = True
+    return x
+
+
+def reference_fit(x, y, weight, centre, config):
+    """One problem's fit by the per-problem Newton loop the batched solver
+    replaced; returns (c, iterations, termination)."""
+    lam = config.reg_lambda
+    ridge = np.sqrt(lam) * np.eye(centre.size)
+    a_mse = np.vstack([np.sqrt(weight)[:, None] * x, ridge])
+    r_mse = np.concatenate([np.sqrt(weight) * y, ridge @ centre])
+    obs = y > 0.0
+    mass = weight[obs] * y[obs]
+    r_kl = np.concatenate([2.0 * np.sqrt(mass), np.sqrt(2.0) * ridge @ centre])
+
+    def kl(c):
+        p = x[obs] @ c
+        value = mass @ (np.log(y[obs]) - np.log(np.maximum(p, 1e-12)))
+        grad = -x[obs].T @ (mass / p) + 2.0 * lam * (c - centre)
+        a = np.vstack([(np.sqrt(mass) / p)[:, None] * x[obs], np.sqrt(2.0) * ridge])
+        return value + lam * ((c - centre) ** 2).sum(), grad, a, r_kl
+
+    c = reference_simplex_lsq(a_mse, r_mse, centre)
+    f, grad, a, r = kl(c)
+    for it in range(config.max_iters):
+        target = reference_simplex_lsq(a, r, c)
+        decrement = -float(grad @ (target - c))
+        if decrement <= config.tol:
+            return c, it, "converged"
+        t = 1.0
+        while t >= 1e-10 and kl((1.0 - t) * c + t * target)[0] >= f - 1e-4 * t * decrement:
+            t *= 0.5
+        if t < 1e-10:
+            return c, it, "step_underflow"
+        c = (1.0 - t) * c + t * target
+        f, grad, a, r = kl(c)
+    return c, config.max_iters, "max_iters"
+
+
 class TestSolver:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batch_matches_the_per_problem_reference(self, seed):
+        # every agent of three noisy samples of different lengths, one stack
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        trajs = [
+            noisy_traj(100 + 10 * seed + k, n=n, d=d, rounds=int(rng.integers(2, 9)))
+            for k in range(3)
+        ]
+        centre = centre_of(range(n - 1))
+        problems = [
+            (*agent_rows(t, i, [j for j in range(n) if j != i]), 1.0 / (t.rounds * n))
+            for t in trajs
+            for i in range(n)
+        ]
+        rows = max(y.size for _, y, _ in problems)
+        x = np.zeros((len(problems), rows, n + 1))
+        y, weight = np.zeros(x.shape[:2]), np.zeros(x.shape[:2])
+        for j, (xj, yj, wj) in enumerate(problems):
+            x[j, : yj.size], y[j, : yj.size], weight[j, : yj.size] = xj, yj, wj
+        config = FitConfig(max_iters=int(rng.integers(1, 6)))
+        c, _, steps, status, _ = _solve(x, y, weight, centre, config)
+        for j, (xj, yj, wj) in enumerate(problems):
+            ref, iterations, termination = reference_fit(xj, yj, np.full(yj.size, wj), centre, config)
+            assert (steps[j], _TERMINATIONS[status[j]]) == (iterations, termination)
+            np.testing.assert_allclose(c[j], ref, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("objective, tol", [("mse", 1e-12), ("kl", 1e-8)])
     def test_kkt_conditions_hold_at_returned_coefficients(self, objective, tol):
         traj = noisy_traj(21)

@@ -251,6 +251,15 @@ class TestOptimalEnsemble:
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
 
+    def test_project_simplex_rows_of_a_stack(self):
+        rng = np.random.default_rng(5)
+        stack = rng.normal(0.0, 1.0, (4, 30, 6))
+        stack[0, 0] = [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]  # already on the simplex
+        out = project_simplex(stack)
+        for i, j in np.ndindex(stack.shape[:2]):
+            assert out[i, j].tobytes() == project_simplex(stack[i, j]).tobytes()
+            assert out[i, j].sum() == pytest.approx(1.0, abs=1e-12)
+
 
 class TestRoutingThreshold:
     def test_frozen_value(self):
