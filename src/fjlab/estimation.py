@@ -132,16 +132,16 @@ def one_step_predictions(
     return params.gamma[:, None] * snaps[0] + build_h(params) @ snaps[:-1]
 
 
-def _objectives(params: list[FJParameters], trajs: list[DeliberationTrajectory]):
+def _objectives(pairs: list[tuple[FJParameters, DeliberationTrajectory]]):
     """(kl, mse) arrays: each trajectory's objectives under its parameters,
     reduced once per stack of trajectories of one shape."""
-    kl, mse = np.empty(len(trajs)), np.empty(len(trajs))
+    kl, mse = np.empty(len(pairs)), np.empty(len(pairs))
     shapes: dict[tuple, list[int]] = {}
-    for k, traj in enumerate(trajs):
+    for k, (_, traj) in enumerate(pairs):
         shapes.setdefault(traj.snapshots.shape, []).append(k)
     for idx in shapes.values():
-        pred = np.stack([one_step_predictions(params[k], trajs[k]) for k in idx])
-        b_out = np.stack([trajs[k].snapshots[1:] for k in idx])
+        pred = np.stack([one_step_predictions(*pairs[k]) for k in idx])
+        b_out = np.stack([pairs[k][1].snapshots[1:] for k in idx])
         m, t, n, _ = b_out.shape
         mse[idx] = ((pred - b_out) ** 2).reshape(m, -1).mean(axis=1)
         logs = np.log(np.where(b_out > 0.0, b_out, 1.0)) - np.log(np.maximum(pred, LOG_FLOOR))
@@ -155,7 +155,7 @@ def fit_objective(
     """Unregularized teacher-forced one-step objective of given parameters."""
     if objective not in ("kl", "mse"):
         raise ShapeMismatch(f"objective must be 'kl' or 'mse', got {objective!r}")
-    kl, mse = _objectives([params], [traj])
+    kl, mse = _objectives([(params, traj)])
     return float((kl if objective == "kl" else mse)[0])
 
 
@@ -384,7 +384,7 @@ def _fit(groups, config: FitConfig, mask: np.ndarray | None, pooled: bool) -> li
             runs[i] = (curve[: steps[j] + 1, j], status[j], residual[j])
     params = [FJParameters(gamma=gm, alpha=al, w=w, mask=m) for gm, al, w, m, *_ in fits]
     # each trajectory's objectives under its fit, from one stack per shape
-    kl, mse = _objectives([p for p, ts in zip(params, groups) for _ in ts], sum(groups, []))
+    kl, mse = _objectives([(p, t) for p, ts in zip(params, groups) for t in ts])
     reports, end = [], np.cumsum([len(ts) for ts in groups])
     for g, (*_, flat, runs) in enumerate(fits):
         curves, status, residuals = zip(*runs)
