@@ -258,18 +258,20 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 # -- fit --------------------------------------------------------------------
 
 
-def _fit_entry(head: dict, report, iterations: bool) -> dict:
-    """One fits.json entry: head's keys, then the report's."""
-    entry = {**head, "kl": report.kl, "mse": report.mse, "restart_index": report.restart_index}
-    if iterations:
-        entry["iterations"] = len(report.objective_curve) - 1
-    entry.update(
-        flat=report.flat,
-        termination=report.termination,
-        kkt_residual=report.kkt_residual,
-        params=fio.params_to_dict(report.params),
-    )
-    return entry
+def _fit_entry(head: dict, report, **extra) -> dict:
+    """One fits.json entry: head's keys, then the report's, with extra keys
+    after restart_index."""
+    return {
+        **head,
+        "kl": report.kl,
+        "mse": report.mse,
+        "restart_index": report.restart_index,
+        **extra,
+        "flat": report.flat,
+        "termination": report.termination,
+        "kkt_residual": report.kkt_residual,
+        "params": fio.params_to_dict(report.params),
+    }
 
 
 def cmd_fit(args, cfg: RunConfig) -> int:
@@ -284,7 +286,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     per_sample = []
     for traj, report in zip(trajs, reports):
         head = {"sample_id": traj.sample_id, "pool": traj.metadata.get("pool", "0")}
-        per_sample.append(_fit_entry(head, report, iterations=True))
+        per_sample.append(_fit_entry(head, report, iterations=len(report.objective_curve) - 1))
         _say(args, f"fit {traj.sample_id}: kl={report.kl:.6e} mse={report.mse:.6e}")
     document = {
         "schema_version": fio.SCHEMA_VERSION,
@@ -299,7 +301,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
         document["global"] = []
         for pool, report in zip(pools, pooled):
             head = {"pool": pool, "n_samples": len(groups[pool])}
-            document["global"].append(_fit_entry(head, report, iterations=False))
+            document["global"].append(_fit_entry(head, report))
             _say(
                 args,
                 f"fit pool {pool} ({len(groups[pool])} samples): "

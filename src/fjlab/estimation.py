@@ -14,10 +14,10 @@ neighbourhood).  With the regularizer reg_lambda * sum_i ||c_i - c_i0||^2
 around c_i0 = (1/2, 1/4, 1/4 * uniform w), the image of gamma = alpha =
 1/2 and uniform w, every fit is n independent convex problems, one per
 agent.  All of them, across every fit of a call, are solved as one stack
-per coefficient count k (shorter problems padded with rows of weight 0):
-mse is least squares on the simplex, solved exactly by a primal active set
-whose faces are batched QR solves, and kl runs Newton's method with the
-analytic Hessian from there, each problem stopping on its own.  Then
+per coefficient and row count: mse is least squares on the simplex, solved
+exactly by a primal active set over the stack (each face by lstsq), and kl
+runs Newton's method with the analytic Hessian from there, each problem
+stopping on its own.  Every problem gets the bits it gets alone.  Then
 gamma = c_0, alpha = c_1 / (1 - c_0) (1/2 when gamma = 1) and w_i. is
 proportional to the peer coefficients (uniform when they are all 0).
 Nothing is random, so FitConfig.restarts and seed have no effect.
@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 _FLAT_TOL = 1e-12
-_RANK_TOL = 1e-8  # smallest QR pivot, relative to the largest, of a face solved without lstsq
 _TERMINATIONS = ("converged", "step_underflow", "max_iters")  # mildest first
 
 
@@ -167,18 +166,19 @@ def _rmatvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ a)[..., 0, :]
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (u[..., None, :] @ v[..., None])[..., 0, 0]
+
+
 def _simplex_lsq(a: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Minimize ||a_b x_b - r_b|| over the simplex for each problem b of a
     stack, by a primal active set from the feasible x.
 
     Each pass solves every busy problem's free coordinates with their sum
-    fixed to 1: the last free one is 1 minus the others, which solve
-    a[:, others] - a[:, last] by one batched QR (unused columns pinned to 0
-    by identity rows), or by lstsq where a QR pivot is below _RANK_TOL of
-    the largest, so that a rank-deficient face still solves.  Then each
-    problem stops a step at the first coordinate it would make negative,
-    frees the bound coordinate with the most negative multiplier, or is
-    done.
+    fixed to 1 (by lstsq, so a rank-deficient face still solves), then
+    each problem stops a step at the first coordinate it would make
+    negative, frees the bound coordinate with the most negative
+    multiplier, or is done.
     """
     b, k = x.shape
     slack = 1e-13 * np.abs(a).max(axis=(1, 2)) * np.abs(r).max(axis=1)
@@ -187,21 +187,11 @@ def _simplex_lsq(a: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
         if not busy.size:
             break
         f, ab, rows = free[busy], a[busy], np.arange(busy.size)
-        last = k - 1 - np.argmax(f[:, ::-1], axis=1)
-        others = f.copy()
-        others[rows, last] = False
-        col = np.take_along_axis(ab, last[:, None, None], axis=2)
-        face = np.where(others[:, None, :], ab - col, 0.0)
-        q, rr = np.linalg.qr(np.concatenate([face, np.eye(k) * ~others[:, None, :]], axis=1))
-        pivots = np.abs(np.diagonal(rr, axis1=1, axis2=2))
-        small = np.where(others, pivots, np.inf).min(axis=1)
-        lstsq = small <= _RANK_TOL * np.where(others, pivots, 0.0).max(axis=1)
-        rr[lstsq] = np.eye(k)
-        rhs = np.concatenate([r[busy] - col[..., 0], np.zeros((busy.size, k))], axis=1)
-        target = np.where(others, np.linalg.solve(rr, _rmatvec(q, rhs)[..., None])[..., 0], 0.0)
-        for j in np.flatnonzero(lstsq):
-            target[j, others[j]] = np.linalg.lstsq(face[j][:, others[j]], rhs[j, :-k])[0]
-        target[rows, last] = 1.0 - target.sum(axis=1)
+        target = np.zeros(f.shape)
+        for j, (fj, aj, rj) in enumerate(zip(f, ab, r[busy])):
+            *others, last = np.flatnonzero(fj)
+            z = np.linalg.lstsq(aj[:, others] - aj[:, [last]], rj - aj[:, last])[0]
+            target[j, others], target[j, last] = z, 1.0 - z.sum()
         xb = x[busy]
         leaving = target < 0.0
         step = leaving.any(axis=1)
@@ -243,7 +233,7 @@ def _newton(model, c: np.ndarray, config: FitConfig):
         if not busy.size:
             break
         target = _simplex_lsq(a, r, c[busy])
-        decrement = -(grad[busy] * (target - c[busy])).sum(axis=1)
+        decrement = -_dot(grad[busy], target - c[busy])
         status[busy[decrement <= config.tol]] = _TERMINATIONS.index("converged")
         search = np.flatnonzero(decrement > config.tol)
         t, trying = np.ones(search.size), np.arange(search.size)
@@ -274,8 +264,7 @@ def _solve(
     x_b c_b ~ y_b, regularized towards centre.
 
     Each row's loss is weighted: the squared error, or for kl
-    y log(y / max(x c, LOG_FLOOR)); rows of weight 0 and y 0 pad a short
-    problem and change nothing.  Returns what _newton returns.
+    y log(y / max(x c, LOG_FLOOR)).  Returns what _newton returns.
     """
     lam, (b, _, k) = config.reg_lambda, x.shape
     ridge = np.sqrt(lam) * np.eye(k)
@@ -287,7 +276,7 @@ def _solve(
 
         def mse(c, idx):
             res = _matvec(a_mse[idx], c) - r_mse[idx]
-            return (res * res).sum(axis=1), 2.0 * _rmatvec(a_mse[idx], res), a_mse[idx], r_mse[idx]
+            return _dot(res, res), 2.0 * _rmatvec(a_mse[idx], res), a_mse[idx], r_mse[idx]
 
         return _newton(mse, start, config)
     observed = y > 0.0
@@ -303,7 +292,7 @@ def _solve(
         p = _matvec(x[idx], c)
         live = p > LOG_FLOOR
         inv_p = np.where(live, 1.0 / np.where(live, p, 1.0), 0.0)
-        value = (mass[idx] * (log_y[idx] - np.log(np.maximum(p, LOG_FLOOR)))).sum(axis=1)
+        value = _dot(mass[idx], log_y[idx] - np.log(np.maximum(p, LOG_FLOOR)))
         grad = -_rmatvec(x[idx], mass[idx] * inv_p) + 2.0 * lam * (c - centre)
         a = np.concatenate([(root_mass[idx] * inv_p)[..., None] * x[idx], a_ridge[idx]], axis=1)
         return value + lam * ((c - centre) ** 2).sum(axis=1), grad, a, r_kl[idx]
@@ -324,7 +313,7 @@ def _is_flat(traj: DeliberationTrajectory) -> bool:
 
 def _fit(groups, config: FitConfig, mask: np.ndarray | None, pooled: bool) -> list[FitReport]:
     """One parameter set per group of trajectories; every agent of every
-    group is solved in one stack per coefficient count k."""
+    group is solved in one stack per coefficient and row count."""
     fits, problems = [], {}
     for g, trajs in enumerate(groups):
         if not trajs:
@@ -345,8 +334,6 @@ def _fit(groups, config: FitConfig, mask: np.ndarray | None, pooled: bool) -> li
             raise ShapeMismatch(f"mask shape {mask_g.shape}, expected {(n, n)}")
         if mask_g.diagonal().any():
             raise ShapeMismatch("mask diagonal must be False")
-        # gamma, alpha, w, mask, flat and each agent's (curve, status, residual)
-        fits.append((np.empty(n), np.empty(n), np.zeros((n, n)), mask_g, flat, [None] * n))
         parts = []
         for traj in trajs:
             if traj.rounds < 1:
@@ -359,50 +346,61 @@ def _fit(groups, config: FitConfig, mask: np.ndarray | None, pooled: bool) -> li
         # (agent, row) arrays over the (trajectory, round, label) rows; the
         # weights keep fit_objective's averaging
         innate, belief, target, weight = (np.concatenate(p, axis=-1) for p in zip(*parts))
-        for i in range(n):
-            peers = np.flatnonzero(mask_g[i])
+        # gamma, alpha, w, mask, flat and each agent's (curve, steps, status, residual)
+        fits.append((np.empty(n), np.empty(n), np.zeros((n, n)), mask_g, flat, [None] * n))
+        degree = mask_g.sum(axis=1)
+        for deg in set(degree.tolist()):  # np.unique would import numpy.ma
+            agents = np.flatnonzero(degree == deg)
+            peers = np.nonzero(mask_g[agents])[1].reshape(agents.size, deg)
             # an empty neighbourhood gets a zero sink column for its peer mass
-            peer_cols = belief[peers] if peers.size else np.zeros((1, weight.size))
-            x = np.vstack([innate[i], belief[i], peer_cols]).T
-            problems.setdefault(x.shape[1], []).append((g, i, x, target[i], weight))
-    for k, probs in problems.items():
-        x = np.zeros((len(probs), max(p[3].size for p in probs), k))
-        y, weight = np.zeros(x.shape[:2]), np.zeros(x.shape[:2])
-        for j, (_, _, xj, yj, wj) in enumerate(probs):
-            x[j, : yj.size], y[j, : yj.size], weight[j, : yj.size] = xj, yj, wj
+            cols = belief[peers] if deg else np.zeros((agents.size, 1, weight.size))
+            x = np.concatenate([innate[agents, None], belief[agents, None], cols], axis=1)
+            y = target[agents]
+            problems.setdefault(x.shape[1:], []).append(
+                (g, agents, peers, x, y, np.broadcast_to(weight, y.shape))
+            )
+    for (k, _), blocks in problems.items():
+        x, y, weight = (np.concatenate([blk[j] for blk in blocks]) for j in (3, 4, 5))
         centre = np.concatenate([[0.5, 0.25], np.full(k - 2, 0.25 / (k - 2))])
-        coef, curve, steps, status, residual = _solve(x, y, weight, centre, config)
-        for j, (g, i, *_) in enumerate(probs):
-            gamma, alpha, w, mask_g, _, runs = fits[g]
-            c, peers = coef[j] + 0.0, np.flatnonzero(mask_g[i])  # no negative zeros
-            gamma[i] = min(c[0], 1.0)
-            rest = c[1:].sum()
-            alpha[i] = c[1] / rest if rest > 0.0 else 0.5
-            if peers.size:
-                peer_mass = c[2:].sum()
-                w[i, peers] = c[2:] / peer_mass if peer_mass > 0.0 else 1.0 / peers.size
-            runs[i] = (curve[: steps[j] + 1, j], status[j], residual[j])
+        coef, curve, steps, status, residual = _solve(
+            x.transpose(0, 2, 1).copy(), y, weight, centre, config
+        )
+        coef = coef + 0.0  # no negative zeros in the artifacts
+        rest, peer_mass = coef[:, 1:].sum(axis=1), coef[:, 2:].sum(axis=1, keepdims=True)
+        alpha = np.divide(coef[:, 1], rest, out=np.full(rest.shape, 0.5), where=rest > 0.0)
+        shares = np.full(coef[:, 2:].shape, 1.0 / (k - 2))  # uniform without peer mass
+        np.divide(coef[:, 2:], peer_mass, out=shares, where=peer_mass > 0.0)
+        end = 0
+        for g, agents, peers, *_ in blocks:
+            gamma_g, alpha_g, w, _, _, runs = fits[g]
+            span = range(end, end + agents.size)
+            end = span.stop
+            gamma_g[agents] = np.minimum(coef[span, 0], 1.0)
+            alpha_g[agents] = alpha[span]
+            w[agents[:, None], peers] = shares[span]
+            for i, j in zip(agents, span):
+                runs[i] = (curve[:, j], steps[j], status[j], residual[j])
     params = [FJParameters(gamma=gm, alpha=al, w=w, mask=m) for gm, al, w, m, *_ in fits]
     # each trajectory's objectives under its fit, from one stack per shape
     kl, mse = _objectives([(p, t) for p, ts in zip(params, groups) for t in ts])
     reports, end = [], np.cumsum([len(ts) for ts in groups])
     for g, (*_, flat, runs) in enumerate(fits):
-        curves, status, residuals = zip(*runs)
+        curves, steps, status, residual = zip(*runs)
+        rounds = np.arange(1 + max(steps))
         # agents that stopped early hold their last value
-        length = max(len(cv) for cv in curves)
-        curve = [float(sum(cv[min(k, len(cv) - 1)] for cv in curves)) for k in range(length)]
+        curve = sum(cv[np.minimum(rounds, last)] for cv, last in zip(curves, steps))
         span = slice(end[g] - len(groups[g]), end[g])
         reports.append(
             FitReport(
                 params=params[g],
                 kl=float(np.mean(kl[span])),
                 mse=float(np.mean(mse[span])),
-                objective_curve=curve,
+                objective_curve=curve.tolist(),
                 restart_index=0,
                 flat=flat,
                 sample_id="global" if pooled else groups[g][0].sample_id,
                 termination=_TERMINATIONS[max(status)],
-                kkt_residual=float(max(residuals)),
+                kkt_residual=float(max(residual)),
             )
         )
     return reports

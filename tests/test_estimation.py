@@ -147,22 +147,22 @@ def reference_simplex_lsq(a, r, x):
 
 
 def reference_fit(x, y, weight, centre, config):
-    """One problem's fit by the per-problem Newton loop the batched solver
-    replaced; returns (c, iterations, termination)."""
+    """One problem's kl fit by the per-problem Newton loop the batched solver
+    replaced, on data with every y > 0; returns (c, iterations, termination)."""
     lam = config.reg_lambda
     ridge = np.sqrt(lam) * np.eye(centre.size)
     a_mse = np.vstack([np.sqrt(weight)[:, None] * x, ridge])
     r_mse = np.concatenate([np.sqrt(weight) * y, ridge @ centre])
-    obs = y > 0.0
-    mass = weight[obs] * y[obs]
+    mass = weight * y
     r_kl = np.concatenate([2.0 * np.sqrt(mass), np.sqrt(2.0) * ridge @ centre])
 
     def kl(c):
-        p = x[obs] @ c
-        value = mass @ (np.log(y[obs]) - np.log(np.maximum(p, 1e-12)))
-        grad = -x[obs].T @ (mass / p) + 2.0 * lam * (c - centre)
-        a = np.vstack([(np.sqrt(mass) / p)[:, None] * x[obs], np.sqrt(2.0) * ridge])
-        return value + lam * ((c - centre) ** 2).sum(), grad, a, r_kl
+        p = x @ c
+        inv_p = 1.0 / p
+        value = mass @ (np.log(y) - np.log(np.maximum(p, 1e-12)))
+        grad = -x.T @ (mass * inv_p) + 2.0 * lam * (c - centre)
+        a = np.vstack([(np.sqrt(mass) * inv_p)[:, None] * x, np.sqrt(2.0) * ridge])
+        return float(value + lam * ((c - centre) ** 2).sum()), grad, a, r_kl
 
     c = reference_simplex_lsq(a_mse, r_mse, centre)
     f, grad, a, r = kl(c)
@@ -184,30 +184,21 @@ def reference_fit(x, y, weight, centre, config):
 class TestSolver:
     @pytest.mark.parametrize("seed", range(8))
     def test_batch_matches_the_per_problem_reference(self, seed):
-        # every agent of three noisy samples of different lengths, one stack
+        # every agent of three noisy samples, one stack, bit for bit
         rng = np.random.default_rng(seed)
-        n, d = int(rng.integers(2, 6)), int(rng.integers(2, 5))
-        trajs = [
-            noisy_traj(100 + 10 * seed + k, n=n, d=d, rounds=int(rng.integers(2, 9)))
-            for k in range(3)
-        ]
+        n, d, rounds = int(rng.integers(2, 6)), int(rng.integers(2, 5)), int(rng.integers(2, 9))
+        trajs = [noisy_traj(100 + 10 * seed + k, n=n, d=d, rounds=rounds) for k in range(3)]
         centre = centre_of(range(n - 1))
-        problems = [
-            (*agent_rows(t, i, [j for j in range(n) if j != i]), 1.0 / (t.rounds * n))
-            for t in trajs
-            for i in range(n)
-        ]
-        rows = max(y.size for _, y, _ in problems)
-        x = np.zeros((len(problems), rows, n + 1))
-        y, weight = np.zeros(x.shape[:2]), np.zeros(x.shape[:2])
-        for j, (xj, yj, wj) in enumerate(problems):
-            x[j, : yj.size], y[j, : yj.size], weight[j, : yj.size] = xj, yj, wj
+        peers = [[j for j in range(n) if j != i] for i in range(n)]
+        problems = [agent_rows(t, i, peers[i]) for t in trajs for i in range(n)]
+        x, y = (np.stack(arrays) for arrays in zip(*problems))
+        weight = np.full(y.shape, 1.0 / (rounds * n))
         config = FitConfig(max_iters=int(rng.integers(1, 6)))
         c, _, steps, status, _ = _solve(x, y, weight, centre, config)
-        for j, (xj, yj, wj) in enumerate(problems):
-            ref, iterations, termination = reference_fit(xj, yj, np.full(yj.size, wj), centre, config)
+        for j in range(len(problems)):
+            ref, iterations, termination = reference_fit(x[j], y[j], weight[j], centre, config)
             assert (steps[j], _TERMINATIONS[status[j]]) == (iterations, termination)
-            np.testing.assert_allclose(c[j], ref, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(c[j], ref)
 
     @pytest.mark.parametrize("objective, tol", [("mse", 1e-12), ("kl", 1e-8)])
     def test_kkt_conditions_hold_at_returned_coefficients(self, objective, tol):
@@ -256,11 +247,11 @@ class TestSolver:
             np.testing.assert_allclose(coefficients(report.params, i), c, atol=1e-12)
 
     def test_mixed_batch_matches_each_problem_alone(self):
-        # one stack of k = 3 problems with different row counts: a complete
-        # mask (two agents), an empty neighbourhood's sink column, a flat
-        # and rank-deficient design, and a noisy one that needs more than
-        # the one iteration allowed
-        _, pair = make_traj(seed=60, n=2, d=3, rounds=6)
+        # one stack of k = 3 problems of 24 rows: a complete mask (two
+        # agents), an empty neighbourhood's sink column, a flat and
+        # rank-deficient design, and a noisy one that needs more than the
+        # one iteration allowed
+        _, pair = make_traj(seed=60, n=2, d=3, rounds=8)
         mask = FJParameters.complete_mask(3)
         mask[2] = False
         lone = FJParameters(
@@ -271,27 +262,25 @@ class TestSolver:
         )
         sink_traj = simulate(lone, np.random.default_rng(40).dirichlet(np.ones(3), size=3), 8)
         x_sink, y_sink = agent_rows(sink_traj, 2, [])
-        flat = DeliberationTrajectory(snapshots=np.tile([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]], (5, 1, 1)))
+        flat = np.tile([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]], (9, 1, 1))
+        flat = DeliberationTrajectory(snapshots=flat)
         problems = [
-            (*agent_rows(pair, 0, [1]), 1.0 / (6 * 2)),
-            (np.hstack([x_sink, np.zeros((y_sink.size, 1))]), y_sink, 1.0 / (8 * 3)),
-            (*agent_rows(flat, 0, [1]), 1.0 / (4 * 2)),
-            (*agent_rows(noisy_traj(61, n=2), 0, [1]), 1.0 / (8 * 2)),
+            agent_rows(pair, 0, [1]),
+            (np.hstack([x_sink, np.zeros((24, 1))]), y_sink),
+            agent_rows(flat, 0, [1]),
+            agent_rows(noisy_traj(61, n=2), 0, [1]),
         ]
-        rows = max(y.size for _, y, _ in problems)
-        x, y, weight = np.zeros((4, rows, 3)), np.zeros((4, rows)), np.zeros((4, rows))
-        for j, (xj, yj, wj) in enumerate(problems):
-            x[j, : yj.size], y[j, : yj.size], weight[j, : yj.size] = xj, yj, wj
+        x, y = (np.stack(arrays) for arrays in zip(*problems))
+        weight = np.repeat([[1.0 / 16], [1.0 / 24], [1.0 / 16], [1.0 / 16]], 24, axis=1)
         config = FitConfig(objective="kl", reg_lambda=0.0, max_iters=1)
         c, curve, steps, status, residual = _solve(x, y, weight, centre_of([1]), config)
         assert [_TERMINATIONS[k] for k in status] == ["converged"] * 3 + ["max_iters"]
         assert list(steps) == [0, 0, 0, 1]
-        for j, (xj, yj, wj) in enumerate(problems):
-            alone = _solve(xj[None], yj[None], np.full((1, yj.size), wj), centre_of([1]), config)
-            np.testing.assert_allclose(c[j], alone[0][0], rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(curve[: steps[j] + 1, j], alone[1][:, 0], rtol=1e-12)
-            assert (steps[j], status[j]) == (alone[2][0], alone[3][0])
-            assert residual[j] == pytest.approx(alone[4][0], rel=1e-12, abs=1e-15)
+        for j in range(4):
+            alone = _solve(x[j : j + 1], y[j : j + 1], weight[j : j + 1], centre_of([1]), config)
+            np.testing.assert_array_equal(c[j], alone[0][0])
+            np.testing.assert_array_equal(curve[: steps[j] + 1, j], alone[1][:, 0])
+            assert (steps[j], status[j], residual[j]) == (alone[2][0], alone[3][0], alone[4][0])
 
     def test_empty_neighbourhood_uses_the_sink(self):
         mask = FJParameters.complete_mask(3)
@@ -408,20 +397,19 @@ class TestFitSample:
 
 class TestBatchedFits:
     def test_batch_equals_one_fit_at_a_time(self):
+        # samples of different lengths and shapes fit as they do alone, bit for bit
         trajs = [noisy_traj(70, rounds=5), noisy_traj(71, n=3, d=4), noisy_traj(72, d=2, rounds=3)]
-        for report, traj in zip(fit_samples(trajs), trajs):
-            alone = fit_sample(traj)
-            assert report.sample_id == traj.sample_id
-            assert (report.termination, len(report.objective_curve)) == (
-                alone.termination,
-                len(alone.objective_curve),
-            )
-            np.testing.assert_allclose(report.params.w, alone.params.w, rtol=0.0, atol=1e-12)
-        pools = [trajs[:1], [noisy_traj(73), noisy_traj(74, rounds=4)]]
-        for report, pool in zip(fit_pools(pools), pools):
-            np.testing.assert_allclose(
-                report.params.gamma, fit_global(pool).params.gamma, rtol=0.0, atol=1e-12
-            )
+        trajs.append(noisy_traj(73))
+        pools = [trajs[:1], [noisy_traj(74), noisy_traj(75, rounds=4)], trajs[1:2]]
+        batched = fit_samples(trajs) + fit_pools(pools)
+        alone = [fit_sample(t) for t in trajs] + [fit_global(pool) for pool in pools]
+        for report, single in zip(batched, alone):
+            assert report.sample_id == single.sample_id
+            for name in ("termination", "kkt_residual", "kl", "mse", "objective_curve"):
+                assert getattr(report, name) == getattr(single, name)
+            for name in ("gamma", "alpha", "w"):
+                got, want = getattr(report.params, name), getattr(single.params, name)
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("objective", ["kl", "mse"])
     def test_reported_objectives_are_fit_objective(self, objective):

@@ -6,31 +6,26 @@ The fixture is the output of
     fjlab --seed 1 fit --global
 
 Integers, booleans and strings must match exactly; floats may move by
-rounding only, so that a change of solver arithmetic is allowed but a
-change of result is not: 1e-12 relative or 1e-14 absolute, and for the
-fitted parameters and their spread (values in [0, 1]) 1e-13 absolute.
-The parameters come out of a least-squares solve per Newton step whose
-rounding error is about 1e-15 on each coefficient (lstsq and QR alike,
-against a long-double solve); a weight w_ij is a coefficient divided by
-the agent's peer mass, so a small weight can move by more than 1e-12 of
-itself when the solver's arithmetic changes.
+rounding only, 1e-12 relative or 1e-14 absolute, so that a change of
+solver arithmetic is allowed but a change of result is not.
 """
 
 import json
 import math
 import os
 
+from fjlab import io as fio
 from fjlab.cli import run
+from fjlab.estimation import fit_global, fit_sample
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "fits_seed1_3x4.json")
-REL, ABS, PARAMS_ABS = 1e-12, 1e-14, 1e-13
+REL, ABS = 1e-12, 1e-14
 
 
 def _differences(got, want, path="$"):
     """Every place where got and want differ beyond the float tolerance."""
     if isinstance(want, float) and isinstance(got, float):
-        floor = PARAMS_ABS if ".params." in path or ".variability." in path else ABS
-        if abs(got - want) > max(REL * abs(want), floor) and not (math.isnan(got) and math.isnan(want)):
+        if abs(got - want) > max(REL * abs(want), ABS) and not (math.isnan(got) and math.isnan(want)):
             yield f"{path}: {got!r} != {want!r}"
     elif isinstance(want, dict) and isinstance(got, dict):
         if list(got) != list(want):
@@ -48,13 +43,33 @@ def _differences(got, want, path="$"):
         yield f"{path}: {got!r} != {want!r}"
 
 
-def test_fits_json_matches_the_committed_fixture(tmp_path):
+def _fit_fixture_run(tmp_path):
     base = ["--output-dir", str(tmp_path), "--quiet", "--seed", "1"]
     simulate = ["simulate", "--pools", "3", "--samples", "4", "--agents", "5", "--labels", "4", "--rounds", "8"]
     assert run(base + simulate) == 0
     assert run(base + ["fit", "--global"]) == 0
     with open(tmp_path / "fits.json", encoding="utf-8") as fh:
-        got = json.load(fh)
+        return json.load(fh)
+
+
+def test_fits_json_matches_the_committed_fixture(tmp_path):
+    got = _fit_fixture_run(tmp_path)
     with open(FIXTURE, encoding="utf-8") as fh:
         want = json.load(fh)
     assert list(_differences(got, want)) == []
+
+
+def test_each_entry_is_its_fit_alone_bit_for_bit(tmp_path):
+    # fit solves all samples in one batch; no entry depends on the others
+    got = _fit_fixture_run(tmp_path)
+    trajs = fio.load_trajectories(str(tmp_path / "trajectories.json"))
+    for entry, traj in zip(got["per_sample"], trajs):
+        alone = fit_sample(traj)
+        assert entry["sample_id"] == traj.sample_id
+        assert (entry["kl"], entry["mse"]) == (alone.kl, alone.mse)
+        assert entry["params"] == fio.params_to_dict(alone.params)
+    for entry in got["global"]:
+        pool = [t for t in trajs if t.metadata["pool"] == entry["pool"]]
+        alone = fit_global(pool)
+        assert (entry["kl"], entry["kkt_residual"]) == (alone.kl, alone.kkt_residual)
+        assert entry["params"] == fio.params_to_dict(alone.params)
