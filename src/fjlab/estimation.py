@@ -158,6 +158,9 @@ def fit_objective(
     return float((kl if objective == "kl" else mse)[0])
 
 
+# Stacked products through matmul: each problem of a stack gets the BLAS
+# call (gemv, dot) and so the bits that its own 2-D or 1-D product gets,
+# whatever else is in the stack.
 def _matvec(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (a @ c[..., None])[..., 0]
 
@@ -175,7 +178,8 @@ def _simplex_lsq(a: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
     stack, by a primal active set from the feasible x.
 
     Each pass solves every busy problem's free coordinates with their sum
-    fixed to 1 (by lstsq, so a rank-deficient face still solves), then
+    fixed to 1 (by one lstsq per problem, so a rank-deficient face still
+    solves and each face gets the bits it gets alone), then
     each problem stops a step at the first coordinate it would make
     negative, frees the bound coordinate with the most negative
     multiplier, or is done.
