@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 from fjlab.dynamics import build_h, equilibrium, influence_weights, simulate, spectral_radius
-from fjlab.verify import _random_contractive, check_influence_consistency
+from fjlab.verify import (
+    DEFAULT_CHECKS,
+    _random_contractive,
+    check_ambiguity_identity,
+    check_condition_outcome,
+    check_diversity_forms,
+    check_exclusive_scenario,
+    check_imperfect_scenario,
+    check_influence_consistency,
+    check_routing_threshold,
+    run_all_checks,
+)
 
 
 def influence_consistency_per_draw(draws, seed, rounds):
@@ -45,3 +56,36 @@ class TestInfluenceConsistency:
         res = check_influence_consistency(draws=20, rounds=1)
         assert not res.passed
         assert res.measured["max_sim_vs_equilibrium"] > 1e-6
+
+
+# Small budgets, each a different number so a check fed the wrong one shows.
+BUDGETS = {
+    "prop_draws": 7,
+    "identity_draws": 9,
+    "scenario_samples": 2000,
+    "consistency_samples": 40,
+}
+# Each check with the budget that run_all_checks gives it.
+CHECK_TABLE = {
+    "influence_consistency": (check_influence_consistency, "prop_draws"),
+    "ambiguity_identity": (check_ambiguity_identity, "identity_draws"),
+    "diversity_forms": (check_diversity_forms, "identity_draws"),
+    "exclusive_scenario": (check_exclusive_scenario, "scenario_samples"),
+    "routing_threshold": (check_routing_threshold, "scenario_samples"),
+    "imperfect_scenario": (check_imperfect_scenario, "scenario_samples"),
+    "condition_outcome_consistency": (check_condition_outcome, "consistency_samples"),
+}
+
+
+class TestRunAllChecks:
+    def test_default_order(self):
+        assert DEFAULT_CHECKS == tuple(CHECK_TABLE)
+
+    @pytest.mark.parametrize("position, name", list(enumerate(DEFAULT_CHECKS)))
+    def test_each_check_gets_its_budget_and_seed_offset(self, position, name):
+        check, budget = CHECK_TABLE[name]
+        # Several base seeds: an identity check's worst gap is a rounding
+        # error that often repeats from one seed to the next.
+        for seed in (30, 40, 50, 60):
+            (got,) = run_all_checks(checks=(name,), seed=seed, **BUDGETS)
+            assert got == check(BUDGETS[budget], seed=seed + position + 1)
