@@ -44,7 +44,7 @@ from .errors import (
     TooFewPoints,
     ValidationError,
 )
-from .estimation import FitConfig, fit_pools, fit_samples, parameter_variability
+from .estimation import fit_pools, fit_samples, parameter_variability
 from .metrics import MetricColumns, confidence_metrics, spearman, stacked_metrics
 from .model import DeliberationTrajectory, FJParameters
 from .scenarios import (
@@ -134,6 +134,16 @@ def _by_pool(trajs) -> "dict[str, list[DeliberationTrajectory]]":
     return groups
 
 
+def _load_input(args) -> "list[DeliberationTrajectory]":
+    """The trajectories of --input, or of trajectories.json in the output
+    directory; a file without samples raises EmptyInput."""
+    path = args.input or os.path.join(args.output_dir, "trajectories.json")
+    trajs = fio.load_trajectories(path)
+    if not trajs:
+        raise EmptyInput(f"{path!r} holds no samples")
+    return trajs
+
+
 def _shared_n(trajs) -> int:
     counts = {t.n for t in trajs}
     if len(counts) != 1:
@@ -181,8 +191,13 @@ def _load_params_file(sim):
         raise ParseError(f"cannot read {sim.params_file!r}: {exc}") from exc
     if not isinstance(raw, dict) or "innate" not in raw:
         raise ParseError("params file must be a JSON object with an 'innate' snapshot")
-    params = fio.params_from_dict(raw)
-    innate = np.asarray(raw["innate"], dtype=np.float64)
+    try:
+        params = fio.params_from_dict(raw)
+        innate = np.asarray(raw["innate"], dtype=np.float64)
+    except ParseError as exc:
+        raise ParseError(f"{sim.params_file!r}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{sim.params_file!r}: bad 'innate' snapshot: {exc}") from exc
     label = raw.get("correct_label")
     if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
         raise ParseError(f"correct_label must be an integer, got {label!r}")
@@ -276,12 +291,8 @@ def _fit_entry(head: dict, report, **extra) -> dict:
 
 def cmd_fit(args, cfg: RunConfig) -> int:
     sec = _override(cfg.fit, args)
-    in_path = args.input or os.path.join(args.output_dir, "trajectories.json")
-    trajs = fio.load_trajectories(in_path)
-    if not trajs:
-        raise EmptyInput(f"{in_path!r} holds no samples")
-    fit_config = FitConfig(**{f.name: getattr(sec, f.name) for f in fields(FitConfig)})
-    reports = fit_samples(trajs, fit_config)
+    trajs = _load_input(args)
+    reports = fit_samples(trajs, sec)
     capped = sum(r.termination == "max_iters" for r in reports)
     per_sample = []
     for traj, report in zip(trajs, reports):
@@ -296,7 +307,7 @@ def cmd_fit(args, cfg: RunConfig) -> int:
     if sec.global_fit:
         groups = _by_pool(trajs)
         pools = sorted(groups)
-        pooled = fit_pools([groups[pool] for pool in pools], fit_config)
+        pooled = fit_pools([groups[pool] for pool in pools], sec)
         capped += sum(r.termination == "max_iters" for r in pooled)
         document["global"] = []
         for pool, report in zip(pools, pooled):
@@ -373,15 +384,8 @@ def _safe_spearman(x, y) -> "float | None":
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
     sec = _override(cfg.analyze, args)
-    in_path = args.input or os.path.join(args.output_dir, "trajectories.json")
-    fits_path = args.fits or (
-        sec.fits
-        if os.path.isabs(sec.fits)
-        else os.path.join(args.output_dir, sec.fits)
-    )
-    trajs = fio.load_trajectories(in_path)
-    if not trajs:
-        raise EmptyInput(f"{in_path!r} holds no samples")
+    fits_path = args.fits or os.path.join(args.output_dir, sec.fits)
+    trajs = _load_input(args)
     by_sample = _load_fits(fits_path, "per_sample", "sample_id")
     n = _shared_n(trajs)
     eta = eta_vector("analyze", sec.eta, n)
@@ -471,14 +475,9 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     sec = _override(cfg.verify, args)
-    results = run_all_checks(
-        checks=sec.check_names(),
-        prop_draws=sec.prop_draws,
-        identity_draws=sec.identity_draws,
-        scenario_samples=sec.scenario_samples,
-        consistency_samples=sec.consistency_samples,
-        seed=sec.seed,
-    )
+    # every [verify] key but checks is the run_all_checks argument of its name
+    settings = {f.name: getattr(sec, f.name) for f in fields(sec) if f.name != "checks"}
+    results = run_all_checks(checks=sec.check_names(), **settings)
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -524,11 +523,8 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         raise ConfigError(
             f"compare.fallback_rounds must be >= 1, got {sec.fallback_rounds}"
         )
-    in_path = args.input or os.path.join(args.output_dir, "trajectories.json")
     fits_path = args.fits or os.path.join(args.output_dir, "fits.json")
-    trajs = fio.load_trajectories(in_path)
-    if not trajs:
-        raise EmptyInput(f"{in_path!r} holds no samples")
+    trajs = _load_input(args)
     pooled = _load_fits(fits_path, "global", "pool")
     if not pooled:
         raise MissingParams(
@@ -538,8 +534,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     eta = eta_vector("compare", sec.eta, n)
     eta_arr = np.full(n, 1.0 / n) if eta is None else eta
     groups = _by_pool(trajs)
-    rows = []
-    group_entries = []
+    records = []
     for pool in sorted(groups):
         labeled = [t for t in groups[pool] if t.correct_label is not None]
         if not labeled:
@@ -548,52 +543,43 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         if params is None:
             raise MissingParams(f"no pooled fit for group {pool!r}")
         labels = np.array([t.correct_label for t in labeled])
-        innate_mix = np.stack([eta_arr @ t.innate for t in labeled])
-        final_mix = np.stack([eta_arr @ t.final for t in labeled])
+        mixes = {
+            "innate_mix": [eta_arr @ t.innate for t in labeled],
+            "final_mix": [eta_arr @ t.final for t in labeled],
+        }
         try:
             pi = aggregate_pi(influence_weights(params), eta_arr).pi
-            influence_mix = np.stack([pi @ t.innate for t in labeled])
+            mixes["influence_mix"] = [pi @ t.innate for t in labeled]
         except (NotContractive, DegenerateStubbornness):
-            influence_mix = np.stack(
-                [eta_arr @ settle(params, t.innate, sec.fallback_rounds) for t in labeled]
-            )
-        accuracies = {
-            "innate_mix": float(np.mean(np.argmax(innate_mix, axis=1) == labels)),
-            "final_mix": float(np.mean(np.argmax(final_mix, axis=1) == labels)),
-            "influence_mix": float(np.mean(np.argmax(influence_mix, axis=1) == labels)),
-        }
-        rows.append(
-            [
-                pool,
-                len(labeled),
-                accuracies["innate_mix"],
-                accuracies["final_mix"],
-                accuracies["influence_mix"],
+            mixes["influence_mix"] = [
+                eta_arr @ settle(params, t.innate, sec.fallback_rounds) for t in labeled
             ]
-        )
-        group_entries.append({"group": pool, "n_samples": len(labeled), **accuracies})
-    if not rows:
+        record = {"group": pool, "n_samples": len(labeled)}
+        for method, mix in mixes.items():
+            record[method] = float(np.mean(np.argmax(mix, axis=1) == labels))
+        records.append(record)
+    if not records:
         raise MissingLabels("no labeled samples to score")
     csv_path = os.path.join(args.output_dir, "compare.csv")
     json_path = os.path.join(args.output_dir, "compare.json")
     fio.write_csv(
         csv_path,
         ["pool", "samples", "acc_innate_mix", "acc_final_mix", "acc_influence_mix"],
-        rows,
+        [list(record.values()) for record in records],
     )
     fio.atomic_write_json(
         json_path,
         {
             "schema_version": fio.SCHEMA_VERSION,
             "group_key": "pool",
-            "groups": group_entries,
+            "groups": records,
             "aggregate": {
-                method: _ci_entry([g[method] for g in group_entries])
+                method: _ci_entry([g[method] for g in records])
                 for method in ("innate_mix", "final_mix", "influence_mix")
             },
         },
     )
-    _say(args, f"wrote {csv_path}, {json_path} ({len(rows)} groups)")
+    _say(args, f"wrote {csv_path}, {json_path} ({len(records)} groups)")
     return 0
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError
+from .estimation import FitConfig
 from .model import _check_rows
 from .verify import DEFAULT_CHECKS
 
@@ -78,15 +79,10 @@ class SimulateConfig:
 
 
 @dataclass(frozen=True)
-class FitSection:
-    """[fit] section; mirrors FitConfig plus the global-fit switch."""
+class FitSection(FitConfig):
+    """[fit] section: FitConfig, checked when the config loads, plus the
+    global-fit switch."""
 
-    objective: str = "kl"
-    max_iters: int = 500
-    tol: float = 1e-12
-    reg_lambda: float = 1e-3
-    restarts: int = 5
-    seed: int = 0
     global_fit: bool = False
 
 

@@ -138,22 +138,17 @@ def spectral_radius(h: np.ndarray):
     return float(rho) if h.ndim == 2 else rho
 
 
-def _first(bad: np.ndarray) -> int | None:
-    """Index of the first True entry, or None."""
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else None
-
-
 def _fixed_point(h: np.ndarray, *rhs: np.ndarray) -> tuple[np.ndarray, ...]:
     """Solve (I - H) X = b for each right-hand side b, on a stack of
     systems H (m, n, n) and b (m, n, k), after checking that every H
     contracts; returns each system's spectral radius, then the solutions.
-    The first system (in stack order) that does not contract raises."""
+    A stack with a system that does not contract raises with the largest
+    radius; ``stacked_metrics`` reruns a failing stack sample by sample
+    to report the first failing sample."""
     rho = spectral_radius(h)
-    k = _first(rho >= 1.0 - CONTRACTION_MARGIN)
-    if k is not None:
+    if (rho >= 1.0 - CONTRACTION_MARGIN).any():
         raise NotContractive(
-            f"spectral radius {float(rho[k])!r} is not below 1 - {CONTRACTION_MARGIN!r}"
+            f"spectral radius {float(rho.max())!r} is not below 1 - {CONTRACTION_MARGIN!r}"
         )
     a = np.eye(h.shape[-1]) - h
     try:
@@ -199,23 +194,22 @@ def _influence_stack(gamma: np.ndarray, alpha: np.ndarray, w: np.ndarray) -> np.
 
 def _checked_influence(m: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Clip a stack of solved influence matrices (m, n, n) at 0 in place
-    and check their rows; the first sample (in stack order) that fails a
-    check raises."""
-    low = m.min(axis=(-2, -1))
-    k = _first(low < -1e-12)
-    if k is not None:
-        raise NumericalError(f"influence entry {float(low[k])!r} below -1e-12")
+    and check their rows; a failing stack raises with its worst value.
+    ``stacked_metrics`` reruns a failing stack sample by sample to report
+    the first failing sample."""
+    low = float(m.min())
+    if low < -1e-12:
+        raise NumericalError(f"influence entry {low!r} below -1e-12")
     np.clip(m, 0.0, None, out=m)
-    row_err = np.abs(m.sum(axis=-1) - 1.0).max(axis=-1)
-    k = _first(row_err > STOCHASTIC_TOL)
-    if k is not None:
-        if np.any(gamma[k] == 0.0):
+    row_err = float(np.abs(m.sum(axis=-1) - 1.0).max())
+    if row_err > STOCHASTIC_TOL:
+        if np.any(gamma == 0.0):
             raise DegenerateStubbornness(
-                f"influence rows off stochasticity by {float(row_err[k])!r} with "
+                f"influence rows off stochasticity by {row_err!r} with "
                 f"zero-stubbornness agents present"
             )
         raise NumericalError(
-            f"influence rows off stochasticity by {float(row_err[k])!r}; check that "
+            f"influence rows off stochasticity by {row_err!r}; check that "
             f"every agent has a stochastic weight row"
         )
     return m

@@ -303,11 +303,11 @@ def params_from_dict(raw: dict[str, Any]) -> FJParameters:
         gamma = np.asarray(raw["gamma"], dtype=np.float64)
         alpha = np.asarray(raw["alpha"], dtype=np.float64)
         w = np.asarray(raw["w"], dtype=np.float64)
+        mask = raw.get("mask")
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad parameter dictionary: {exc}") from exc
-    mask = raw.get("mask")
     if mask is None:
         mask = FJParameters.complete_mask(gamma.shape[0] if gamma.ndim == 1 else 0)
-    else:
-        mask = np.asarray(mask, dtype=bool)
     return FJParameters(gamma=gamma, alpha=alpha, w=w, mask=mask)

@@ -346,7 +346,9 @@ def stacked_metrics(
     operation over the stack, and the influence matrices take one
     eigenvalue call and one solve.  A sample that fails a check raises
     what it raises alone; with several failing samples, the first one in
-    stack order does.
+    stack order does.  This function owns that attribution: the stacked
+    checks raise with the stack's worst value, so a failing stack is
+    rerun one sample at a time.
     """
     finals = np.asarray(finals, dtype=np.float64)
     labels = [None] * len(params) if labels is None else list(labels)

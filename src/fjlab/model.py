@@ -49,7 +49,7 @@ def normalize_belief(raw, tau: float = TAU_SIMPLEX) -> np.ndarray:
     b = _as_float_array(raw, 1, "belief").copy()
     if b.size < 2:
         raise ShapeMismatch(f"belief needs at least 2 entries, got {b.size}")
-    low = b.min()
+    low = float(b.min())
     if low < -tau:
         raise NegativeEntry(f"entry {low!r} below -{tau!r}")
     np.clip(b, 0.0, None, out=b)
@@ -158,7 +158,7 @@ class FJParameters:
         if mask.diagonal().any():
             raise ShapeMismatch("mask diagonal must be False (no self-loops)")
         if w.min() < 0.0:
-            raise NegativeEntry(f"w entry {w.min()!r} is negative")
+            raise NegativeEntry(f"w entry {float(w.min())!r} is negative")
         if np.any(w[~mask] != 0.0):
             raise WeightNotSimplex("w must be exactly 0 outside the mask")
         row_has_edge = mask.any(axis=1)
@@ -167,7 +167,7 @@ class FJParameters:
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             raise WeightNotSimplex(
-                f"w row {i} sums to {sums[i]!r}, not 1 within {TAU_SIMPLEX!r}"
+                f"w row {i} sums to {float(sums[i])!r}, not 1 within {TAU_SIMPLEX!r}"
             )
         if np.any(sums[~row_has_edge] != 0.0):
             raise WeightNotSimplex("rows without allowed edges must be all-zero")

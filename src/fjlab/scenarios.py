@@ -321,7 +321,7 @@ def gen_imperfect(
     c_comp, c_other = _confidence_rows(np.stack([comp, other]))
     if not c_comp > c_other:
         raise ConfidenceOrderViolated(
-            f"competent confidence {c_comp!r} not strictly above {c_other!r}"
+            f"competent confidence {float(c_comp)!r} not strictly above {float(c_other)!r}"
         )
     rng = _rng(seed)
     regions = rng.integers(0, sc.n, size=samples)

@@ -297,15 +297,19 @@ def check_condition_outcome(samples: int = 500, seed: int = 14) -> CheckResult:
     )
 
 
-DEFAULT_CHECKS = (
-    "influence_consistency",
-    "ambiguity_identity",
-    "diversity_forms",
-    "exclusive_scenario",
-    "routing_threshold",
-    "imperfect_scenario",
-    "condition_outcome_consistency",
-)
+# Each check's function, by its name in this module, and the run_all_checks
+# budget that sizes it; position k runs with seed + 1 + k.  The name is looked
+# up at call time, so a wrapper set on the module attribute is the one called.
+_CHECKS = {
+    "influence_consistency": ("check_influence_consistency", "prop_draws"),
+    "ambiguity_identity": ("check_ambiguity_identity", "identity_draws"),
+    "diversity_forms": ("check_diversity_forms", "identity_draws"),
+    "exclusive_scenario": ("check_exclusive_scenario", "scenario_samples"),
+    "routing_threshold": ("check_routing_threshold", "scenario_samples"),
+    "imperfect_scenario": ("check_imperfect_scenario", "scenario_samples"),
+    "condition_outcome_consistency": ("check_condition_outcome", "consistency_samples"),
+}
+DEFAULT_CHECKS = tuple(_CHECKS)
 
 
 def run_all_checks(
@@ -317,30 +321,8 @@ def run_all_checks(
     consistency_samples: int = 500,
     seed: int = 0,
 ) -> list[CheckResult]:
-    """Run the named checks with one base seed; unknown, repeated or no names raise."""
-    registry = {
-        "influence_consistency": lambda: check_influence_consistency(
-            draws=prop_draws, seed=seed + 1
-        ),
-        "ambiguity_identity": lambda: check_ambiguity_identity(
-            draws=identity_draws, seed=seed + 2
-        ),
-        "diversity_forms": lambda: check_diversity_forms(
-            draws=identity_draws, seed=seed + 3
-        ),
-        "exclusive_scenario": lambda: check_exclusive_scenario(
-            samples=scenario_samples, seed=seed + 4
-        ),
-        "routing_threshold": lambda: check_routing_threshold(
-            samples=scenario_samples, seed=seed + 5
-        ),
-        "imperfect_scenario": lambda: check_imperfect_scenario(
-            samples=scenario_samples, seed=seed + 6
-        ),
-        "condition_outcome_consistency": lambda: check_condition_outcome(
-            samples=consistency_samples, seed=seed + 7
-        ),
-    }
+    """Run the named checks with one base seed; unknown, repeated or no
+    names raise before any check runs."""
     budgets = {
         "prop_draws": prop_draws,
         "identity_draws": identity_draws,
@@ -352,9 +334,13 @@ def run_all_checks(
             raise ConfigError(f"{key} must be at least 1, got {value}")
     if not checks or len(set(checks)) != len(checks):
         raise ConfigError(f"checks must name one or more checks, none twice: {checks!r}")
+    for name in checks:
+        if name not in _CHECKS:
+            raise ConfigError(f"unknown check {name!r}")
     results = []
     for name in checks:
-        if name not in registry:
-            raise ConfigError(f"unknown check {name!r}")
-        results.append(registry[name]())
+        check, budget = _CHECKS[name]
+        results.append(
+            globals()[check](budgets[budget], seed=seed + 1 + DEFAULT_CHECKS.index(name))
+        )
     return results

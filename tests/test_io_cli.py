@@ -28,6 +28,7 @@ from fjlab.errors import (
     WeightNotSimplex,
 )
 from fjlab import io as fio
+from fjlab import verify as verify_mod
 from fjlab.io import (
     atomic_write_json,
     format_cell,
@@ -248,6 +249,12 @@ class TestParamsDict:
         with pytest.raises(ParseError):
             params_from_dict({"gamma": [0.5]})
 
+    def test_ragged_mask(self):
+        doc = params_to_dict(sample_params(n=2))
+        doc["mask"] = [[False, True], [True]]
+        with pytest.raises(ParseError, match="bad parameter dictionary"):
+            params_from_dict(doc)
+
 
 class TestCSV:
     def test_format_cell(self):
@@ -404,6 +411,22 @@ class TestConfig:
         section = FitSection()
         for f in fields(FitConfig):
             assert getattr(section, f.name) == f.default, f.name
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_iters = 0", "max_iters and restarts must be positive"),
+            ("objective = foo", "objective must be 'kl' or 'mse', got 'foo'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["fit", "verify"])
+    def test_out_of_range_fit_value_exits_1(self, tmp_path, capsys, line, message, command):
+        # the [fit] section is checked as the file loads, before any stage runs
+        path = tmp_path / "run.ini"
+        path.write_text(f"[fit]\n{line}\n")
+        argv = ["--config", str(path), "--output-dir", str(tmp_path), "--quiet", command]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"fjlab: error: {message}"]
 
 
 class TestCLI:
@@ -848,6 +871,20 @@ class TestCLI:
             ("compare", {"global": [3]}),
             ("analyze", {"per_sample": [{"sample_id": "sample-0000", "params": "x"}]}),
             ("compare", {"global": [{"pool": "0", "params": {"gamma": [0.5]}}]}),
+            (
+                "analyze",
+                {
+                    "per_sample": [
+                        {
+                            "sample_id": "sample-0000",
+                            "params": {
+                                **params_to_dict(sample_params()),
+                                "mask": [[False, True, True], [True, False], [True, True, False]],
+                            },
+                        }
+                    ]
+                },
+            ),
         ],
     )
     def test_malformed_fits_entries_exit_1(self, tmp_path, capsys, command, fits):
@@ -861,6 +898,66 @@ class TestCLI:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("fjlab:")
         assert "fits.json" in lines[0]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("innate", "abc", "bad 'innate' snapshot"),
+            ("mask", [[False, True, True], [True, False], [True]], "bad parameter dictionary"),
+        ],
+    )
+    def test_malformed_params_file_exits_1(self, tmp_path, capsys, key, value, message):
+        out = str(tmp_path)
+        doc = params_to_dict(sample_params())
+        doc["innate"] = np.full((3, 3), 1.0 / 3).tolist()
+        doc[key] = value
+        pfile = os.path.join(out, "params.json")
+        atomic_write_json(pfile, doc)
+        argv = ["--output-dir", out, "--quiet", "simulate", "--mode", "params"]
+        assert run(argv + ["--params-file", pfile]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"fjlab: error: {pfile!r}: {message}: ")
+
+    def test_confidence_order_error_prints_plain_floats(self, tmp_path, capsys):
+        argv = ["--output-dir", str(tmp_path), "--quiet", "simulate", "--mode", "scenario"]
+        assert run(argv + ["--scenario", "imperfect", "--labels", "2"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("fjlab: error: competent confidence 0.")
+        assert "np.float64" not in line
+
+    def test_unknown_check_is_rejected_before_any_check_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def spy(budget, seed):
+            calls.append((budget, seed))
+            return verify_mod.CheckResult(name="diversity_forms", passed=True)
+
+        monkeypatch.setattr(verify_mod, "check_diversity_forms", spy)
+        argv = ["--output-dir", str(tmp_path), "--quiet", "--seed", "0", "verify"]
+        assert run(argv + ["--checks", "ambiguity_identity,diversity_forms,bogus"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["fjlab: error: unknown check 'bogus'"]
+        assert calls == []
+        # the spy is the check that runs when no name is unknown
+        assert run(argv + ["--checks", "diversity_forms", "--identity-draws", "3"]) == 0
+        assert calls == [(3, 3)]
+
+    def test_analyze_fits_key_resolves_under_output_dir(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert self._simulate(out) == 0
+        assert run(["--output-dir", out, "--quiet", "fit"]) == 0
+        os.rename(os.path.join(out, "fits.json"), os.path.join(out, "other.json"))
+        config = str(tmp_path / "run.ini")
+        argv = ["--config", config, "--output-dir", out, "--quiet", "analyze"]
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write("[analyze]\nfits = other.json\n")
+        assert run(argv) == 0
+        elsewhere = str(tmp_path / "elsewhere.json")
+        os.rename(os.path.join(out, "other.json"), elsewhere)
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(f"[analyze]\nfits = {elsewhere}\n")
+        assert run(argv) == 0
 
     def _analyze_with(self, out, params_doc):
         # every simulated sample gets the same fitted parameters; json.dump

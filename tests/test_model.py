@@ -45,7 +45,7 @@ class TestNormalizeBelief:
         assert out.sum() == pytest.approx(1.0)
 
     def test_rejects_real_negatives(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(NegativeEntry, match=r"^entry -0\.2 below"):
             normalize_belief([1.0, -0.2])
 
     def test_rejects_zero_mass(self):
@@ -161,7 +161,12 @@ class TestFJParameters:
 
     def test_rejects_non_stochastic_row(self):
         w = np.array([[0.0, 0.7], [1.0, 0.0]])
-        with pytest.raises(WeightNotSimplex):
+        with pytest.raises(WeightNotSimplex, match=r"^w row 0 sums to 0\.7, not 1 within"):
+            FJParameters(gamma=np.full(2, 0.5), alpha=np.zeros(2), w=w, mask=complete(2))
+
+    def test_rejects_negative_weight(self):
+        w = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(NegativeEntry, match=r"^w entry -1\.0 is negative$"):
             FJParameters(gamma=np.full(2, 0.5), alpha=np.zeros(2), w=w, mask=complete(2))
 
     def test_edgeless_row_must_be_zero(self):
