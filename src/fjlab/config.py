@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .estimation import FitConfig
 from .model import _check_rows
-from .verify import DEFAULT_CHECKS
+from .verify import BUDGET_DEFAULTS, DEFAULT_CHECKS
 
 __all__ = [
     "SimulateConfig",
@@ -101,10 +101,10 @@ class VerifySection:
     """[verify] section; checks is "all" or a comma-separated subset."""
 
     checks: str = "all"
-    prop_draws: int = 200
-    identity_draws: int = 1000
-    scenario_samples: int = 100_000
-    consistency_samples: int = 500
+    prop_draws: int = BUDGET_DEFAULTS["prop_draws"]
+    identity_draws: int = BUDGET_DEFAULTS["identity_draws"]
+    scenario_samples: int = BUDGET_DEFAULTS["scenario_samples"]
+    consistency_samples: int = BUDGET_DEFAULTS["consistency_samples"]
     seed: int = 0
 
     def check_names(self) -> tuple[str, ...]:

@@ -32,6 +32,7 @@ import numpy as np
 from .constants import LOG_FLOOR
 from .dynamics import build_h
 from .errors import (
+    ConfigError,
     DegenerateTrajectory,
     EmptyInput,
     InsufficientSamples,
@@ -74,11 +75,11 @@ class FitConfig:
 
     def __post_init__(self):
         if self.objective not in ("kl", "mse"):
-            raise ShapeMismatch(f"objective must be 'kl' or 'mse', got {self.objective!r}")
+            raise ConfigError(f"objective must be 'kl' or 'mse', got {self.objective!r}")
         if self.max_iters < 1 or self.restarts < 1:
-            raise ShapeMismatch("max_iters and restarts must be positive")
+            raise ConfigError("max_iters and restarts must be positive")
         if self.reg_lambda < 0.0:
-            raise ShapeMismatch("reg_lambda must be nonnegative")
+            raise ConfigError("reg_lambda must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,10 @@ import numpy as np
 
 from .dynamics import _checked_influence, _fixed_point, _run_rounds, build_h
 from .errors import ConfigError
-from .metrics import _mixture, diversity
-from .model import FJParameters
+from .metrics import _brier_rows, _diversity_rows, _mixture
+from .model import FJParameters, _check_rows
 from .routing import (
     LabeledSnapshotSet,
-    ambiguity_decomposition,
     confidence_softmax_weights,
     hard_confidence_weights,
     moe_vs_best_single,
@@ -50,7 +49,14 @@ __all__ = [
     "check_condition_outcome",
     "run_all_checks",
     "DEFAULT_CHECKS",
+    "BUDGET_DEFAULTS",
 ]
+
+# Each run_all_checks budget's default, which the [verify] config section and
+# each check's own default read from here.
+BUDGET_DEFAULTS = dict(
+    prop_draws=200, identity_draws=1000, scenario_samples=100_000, consistency_samples=500
+)
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ def _random_contractive(rng: np.random.Generator, n_max: int = 6, d_max: int = 8
 
 
 def check_influence_consistency(
-    draws: int = 200, seed: int = 2024, rounds: int = 500
+    draws: int = BUDGET_DEFAULTS["prop_draws"], seed: int = 2024, rounds: int = 500
 ) -> CheckResult:
     """Fixed-point algebra vs iteration on random contractive systems.
 
@@ -90,7 +96,7 @@ def check_influence_consistency(
     worst_row = 0.0
     worst_gap = 0.0
     worst_rho = -np.inf
-    groups: dict[tuple[int, int], list] = {}
+    groups: dict[int, list] = {}
     for _ in range(draws):
         params, innate = _random_contractive(rng)
         # One H, one eigenvalue call and the two solves of influence_weights
@@ -102,11 +108,20 @@ def check_influence_consistency(
         worst_neg = min(worst_neg, float(m.min()))
         worst_row = max(worst_row, float(np.abs(m.sum(axis=1) - 1.0).max()))
         worst_rho = max(worst_rho, float(rho[0]) - (1.0 - float(params.gamma.min())))
-        groups.setdefault(innate.shape, []).append((gs, h, innate, fixed[0]))
-    # Draws that share a shape iterate as one stack, each with its own H;
-    # every draw's rounds and final beliefs are those it gets alone.
+        groups.setdefault(innate.shape[1], []).append((gs, h, innate, fixed[0]))
+    # One stack per label count, padded to its largest agent count by agents
+    # with zero H rows and columns whose G S, start and solved rows are e_0,
+    # which a round keeps; real rows gain only zero products, so each draw
+    # gets its own bits.  Labels are not padded: numpy sums 8+ entries pairwise.
     for members in groups.values():
-        gs, h, start, fixed = (np.stack(column) for column in zip(*members))
+        size = max(len(gs) for gs, *_ in members)
+        h = np.zeros((len(members), size, size))
+        rows = np.zeros((3, len(members), size, members[0][0].shape[1]))
+        rows[..., 0] = 1.0
+        for k, (g, hk, s, f) in enumerate(members):
+            h[k, : len(g), : len(g)] = hk
+            rows[:, k, : len(g)] = g, s, f
+        gs, start, fixed = rows
         iterated, _ = _run_rounds(gs, h, start, rounds)
         worst_gap = max(worst_gap, float(np.abs(iterated - fixed).max()))
     passed = (
@@ -129,18 +144,39 @@ def check_influence_consistency(
     )
 
 
-def check_ambiguity_identity(draws: int = 1000, seed: int = 2025) -> CheckResult:
-    """Mixture loss == weighted risk - diversity, elementwise in floats."""
+def _grouped_draws(draws: int, seed: int, labels: bool) -> list[tuple[np.ndarray, ...]]:
+    """Random snapshots s (n, d) and simplex weights a (n,), plus a label y
+    when ``labels``, drawn one at a time in that order and stacked by
+    (n, d); each stack's rows and weights are checked once.  The identity
+    checks compute on a stack with matmuls and row sums that give each
+    draw the bits of ``ambiguity_decomposition`` and ``diversity``."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    groups: dict[tuple[int, int], list] = {}
     for _ in range(draws):
         n = int(rng.integers(2, 7))
         d = int(rng.integers(2, 7))
-        s = rng.dirichlet(np.ones(d), size=n)
-        a = rng.dirichlet(np.ones(n))
-        y = int(rng.integers(0, d))
-        _, _, gap = ambiguity_decomposition(s, a, y)
-        worst = max(worst, abs(gap))
+        draw = [rng.dirichlet(np.ones(d), size=n), rng.dirichlet(np.ones(n))]
+        if labels:
+            draw.append(int(rng.integers(0, d)))
+        groups.setdefault((n, d), []).append(draw)
+    stacks = [tuple(np.array(column) for column in zip(*g)) for g in groups.values()]
+    for s, a, *_ in stacks:
+        _check_rows(s, "snapshot")
+        _check_rows(a, "weights")
+    return stacks
+
+
+def check_ambiguity_identity(
+    draws: int = BUDGET_DEFAULTS["identity_draws"], seed: int = 2025
+) -> CheckResult:
+    """Mixture loss == weighted risk - diversity, elementwise in floats."""
+    worst = 0.0
+    for s, a, y in _grouped_draws(draws, seed, labels=True):
+        w = a[:, None, :]
+        loss = _brier_rows(_check_rows(np.matmul(w, s), "belief"), y)[:, 0]
+        risk = np.matmul(w, _brier_rows(s, y)[:, :, None])[:, 0, 0]
+        gap = loss - (risk - _diversity_rows(s, a))
+        worst = max(worst, float(np.abs(gap).max()))
     return CheckResult(
         name="ambiguity_identity",
         passed=bool(worst < 1e-10),
@@ -148,17 +184,16 @@ def check_ambiguity_identity(draws: int = 1000, seed: int = 2025) -> CheckResult
     )
 
 
-def check_diversity_forms(draws: int = 1000, seed: int = 2026) -> CheckResult:
+def check_diversity_forms(
+    draws: int = BUDGET_DEFAULTS["identity_draws"], seed: int = 2026
+) -> CheckResult:
     """Moment form and pairwise form of diversity agree."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(draws):
-        n = int(rng.integers(2, 7))
-        d = int(rng.integers(2, 7))
-        s = rng.dirichlet(np.ones(d), size=n)
-        a = rng.dirichlet(np.ones(n))
-        gap = abs(diversity(s, a, "moment") - diversity(s, a, "pairwise"))
-        worst = max(worst, gap)
+    for s, a in _grouped_draws(draws, seed, labels=False):
+        sq = ((s[:, :, None, :] - s[:, None, :, :]) ** 2).sum(axis=3)
+        # 0.5 * a @ sq @ a parses as ((0.5 * a) @ sq) @ a
+        pairwise = np.matmul(np.matmul(0.5 * a[:, None, :], sq), a[:, :, None])[:, 0, 0]
+        worst = max(worst, float(np.abs(_diversity_rows(s, a) - pairwise).max()))
     return CheckResult(
         name="diversity_forms",
         passed=bool(worst < 1e-10),
@@ -172,7 +207,7 @@ def _log_losses(sset: LabeledSnapshotSet, weights: np.ndarray) -> np.ndarray:
 
 
 def check_exclusive_scenario(
-    samples: int = 100_000, seed: int = 11, mc_tol: float = 0.01
+    samples: int = BUDGET_DEFAULTS["scenario_samples"], seed: int = 11, mc_tol: float = 0.01
 ) -> CheckResult:
     """Closed-form exclusive-knowledge losses vs Monte Carlo, plus the
     fixed-mixture optimality and grid-wide routing-advantage claims."""
@@ -214,7 +249,7 @@ def check_exclusive_scenario(
 
 
 def check_routing_threshold(
-    samples: int = 100_000, seed: int = 12, tol: float = 0.01
+    samples: int = BUDGET_DEFAULTS["scenario_samples"], seed: int = 12, tol: float = 0.01
 ) -> CheckResult:
     """Closed-form break-even routing error vs its Monte Carlo estimate."""
     sc = ExclusiveScenario(n=5, d=10, epsilon=0.1)
@@ -232,7 +267,7 @@ def check_routing_threshold(
 
 
 def check_imperfect_scenario(
-    samples: int = 100_000, seed: int = 13, mc_tol: float = 0.01
+    samples: int = BUDGET_DEFAULTS["scenario_samples"], seed: int = 13, mc_tol: float = 0.01
 ) -> CheckResult:
     """Imperfect-agents gap vs Monte Carlo; exactness of confidence
     routing; the uniform ensemble being confidently wrong everywhere."""
@@ -269,7 +304,9 @@ def check_imperfect_scenario(
     )
 
 
-def check_condition_outcome(samples: int = 500, seed: int = 14) -> CheckResult:
+def check_condition_outcome(
+    samples: int = BUDGET_DEFAULTS["consistency_samples"], seed: int = 14
+) -> CheckResult:
     """Condition algebra vs realized outcomes on labeled snapshots.
 
     The fixed-vs-routed loss gap must equal its two-term decomposition
@@ -315,10 +352,10 @@ DEFAULT_CHECKS = tuple(_CHECKS)
 def run_all_checks(
     *,
     checks: tuple[str, ...] = DEFAULT_CHECKS,
-    prop_draws: int = 200,
-    identity_draws: int = 1000,
-    scenario_samples: int = 100_000,
-    consistency_samples: int = 500,
+    prop_draws: int = BUDGET_DEFAULTS["prop_draws"],
+    identity_draws: int = BUDGET_DEFAULTS["identity_draws"],
+    scenario_samples: int = BUDGET_DEFAULTS["scenario_samples"],
+    consistency_samples: int = BUDGET_DEFAULTS["consistency_samples"],
     seed: int = 0,
 ) -> list[CheckResult]:
     """Run the named checks with one base seed; unknown, repeated or no

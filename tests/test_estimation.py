@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from fjlab.dynamics import simulate
 from fjlab.errors import (
+    ConfigError,
     DegenerateTrajectory,
     EmptyInput,
     InsufficientSamples,
@@ -349,6 +350,22 @@ class TestSolver:
         assert isinstance(report.params, FJParameters)
         assert report.termination == "converged"
         assert report.mse < 1e-20
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"objective": "foo"}, "objective must be 'kl' or 'mse', got 'foo'"),
+            ({"max_iters": 0}, "max_iters and restarts must be positive"),
+            ({"restarts": 0}, "max_iters and restarts must be positive"),
+            ({"reg_lambda": -1e-3}, "reg_lambda must be nonnegative"),
+        ],
+    )
+    def test_bad_setting_is_a_config_error(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            FitConfig(**kwargs)
+        assert str(info.value) == message
 
 
 class TestFitSample:
