@@ -64,7 +64,6 @@ from .metrics import (
     stacked_metrics,
 )
 from .model import (
-    AggregationWeights,
     DeliberationTrajectory,
     FJParameters,
     argmax_label,
@@ -119,7 +118,6 @@ __all__ = [
     "STOCHASTIC_TOL",
     "TAU_SIMPLEX",
     # model
-    "AggregationWeights",
     "DeliberationTrajectory",
     "FJParameters",
     "argmax_label",

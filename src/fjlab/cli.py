@@ -548,7 +548,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
             "final_mix": [eta_arr @ t.final for t in labeled],
         }
         try:
-            pi = aggregate_pi(influence_weights(params), eta_arr).pi
+            pi = aggregate_pi(influence_weights(params), eta_arr)
             mixes["influence_mix"] = [pi @ t.innate for t in labeled]
         except (NotContractive, DegenerateStubbornness):
             mixes["influence_mix"] = [

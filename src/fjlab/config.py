@@ -198,17 +198,17 @@ def load_config(path: "str | None") -> RunConfig:
                 f"unknown section [{section}]; expected one of {sorted(_SECTIONS)}"
             )
         cls = _SECTIONS[section]
-        allowed = {f.name: f.type for f in fields(cls)}
-        # the CLI flag is --global; the dataclass field cannot use that name
-        alias = {"global": "global_fit"} if section == "fit" else {}
+        types = {f.name: f.type for f in fields(cls)}
+        # each key is its field's name, but [fit] global sets global_fit: the
+        # CLI flag is --global, and the dataclass field cannot use that name
+        keys = {("global" if name == "global_fit" else name): name for name in types}
         values = {}
         for key, text in parser.items(section):
-            field_name = alias.get(key, key)
-            if field_name not in allowed:
+            if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             ftype = {"int": int, "float": float, "str": str, "bool": bool}[
-                allowed[field_name]
+                types[keys[key]]
             ]
-            values[field_name] = _convert(section, key, text, ftype)
+            values[keys[key]] = _convert(section, key, text, ftype)
         sections[section] = cls(**values)
     return RunConfig(**sections)

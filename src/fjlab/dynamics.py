@@ -37,10 +37,10 @@ from .errors import (
     SingularSystem,
 )
 from .model import (
-    AggregationWeights,
     DeliberationTrajectory,
     FJParameters,
     _belief_array,
+    _check_rows,
     validate_snapshot,
 )
 
@@ -215,31 +215,29 @@ def _checked_influence(m: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return m
 
 
-def aggregate_pi(m: np.ndarray, eta: np.ndarray | None = None) -> AggregationWeights:
-    """Source weights pi = eta @ M for a readout eta (uniform by default)."""
+def aggregate_pi(m: np.ndarray, eta: np.ndarray | None = None) -> np.ndarray:
+    """Source weights pi = eta @ M (n,) for a readout eta (uniform by default)."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"influence matrix must be square, got {m.shape}")
-    eta, pi = _source_weights(m[None], eta)
-    return AggregationWeights(eta=eta, pi=pi[0])
+    return _source_weights(m[None], eta)[0]
 
 
-def _source_weights(
-    m: np.ndarray, eta: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The readout eta and pi = eta @ M for each influence matrix of a
-    stack (m, n, n), clipped at 0 and renormalized; pi is (m, n)."""
+def _source_weights(m: np.ndarray, eta: np.ndarray | None) -> np.ndarray:
+    """pi = eta @ M (m, n) for each influence matrix of a stack (m, n, n),
+    clipped at 0 and renormalized; eta and pi are checked as simplex rows."""
     n = m.shape[-1]
     if eta is None:
         eta = np.full(n, 1.0 / n)
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape != (n,):
         raise ShapeMismatch(f"eta shape {eta.shape} does not match n={n}")
+    _check_rows(eta, "eta")
     pi = np.matmul(eta, m)
     # Guard against -1e-17 style round-off before the simplex validation.
     np.clip(pi, 0.0, None, out=pi)
     pi /= pi.sum(axis=-1, keepdims=True)
-    return eta, pi
+    return _check_rows(pi, "pi")
 
 
 def simulate(

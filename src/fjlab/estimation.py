@@ -58,6 +58,11 @@ _FLAT_TOL = 1e-12
 _TERMINATIONS = ("converged", "step_underflow", "max_iters")  # mildest first
 
 
+def _check_objective(objective: str) -> None:
+    if objective not in ("kl", "mse"):
+        raise ConfigError(f"objective must be 'kl' or 'mse', got {objective!r}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Solver settings; the defaults suit pools of short trajectories.
@@ -74,8 +79,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.objective not in ("kl", "mse"):
-            raise ConfigError(f"objective must be 'kl' or 'mse', got {self.objective!r}")
+        _check_objective(self.objective)
         if self.max_iters < 1 or self.restarts < 1:
             raise ConfigError("max_iters and restarts must be positive")
         if self.reg_lambda < 0.0:
@@ -153,8 +157,7 @@ def fit_objective(
     params: FJParameters, traj: DeliberationTrajectory, objective: str = "kl"
 ) -> float:
     """Unregularized teacher-forced one-step objective of given parameters."""
-    if objective not in ("kl", "mse"):
-        raise ShapeMismatch(f"objective must be 'kl' or 'mse', got {objective!r}")
+    _check_objective(objective)
     kl, mse = _objectives([(params, traj)])
     return float((kl if objective == "kl" else mse)[0])
 

@@ -29,7 +29,6 @@ from .errors import (
 from .model import (
     FJParameters,
     _belief_array,
-    _check_rows,
     check_label,
     validate_belief,
     validate_snapshot,
@@ -119,7 +118,7 @@ def influence_metrics(
     a single round.  ``normalization`` divides by the max (canonical) or
     by the second-largest value.
     """
-    pi = aggregate_pi(influence_weights(params), eta).pi
+    pi = aggregate_pi(influence_weights(params), eta)
     _check_normalization(normalization)
     peer = _peer_exposure(params.alpha, params.w)
     return _normalize_scores(pi, normalization), _normalize_scores(peer, normalization)
@@ -223,11 +222,43 @@ def _diversity_rows(beliefs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.matmul(w, sq[:, :, None])[:, 0, 0]
 
 
+def _pairwise_diversity_rows(beliefs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(m,) pairwise-form diversity of each snapshot under (m, n) weights.
+
+    The products are stacked matmuls taken in the order Python parses
+    ``0.5 * a @ sq @ a``, that is ((0.5 * a) @ sq) @ a, so one sample gets
+    the bits of those 1-D products.
+    """
+    sq = ((beliefs[:, :, None, :] - beliefs[:, None, :, :]) ** 2).sum(axis=3)
+    half = 0.5 * weights[:, None, :]
+    return np.matmul(np.matmul(half, sq), weights[:, :, None])[:, 0, 0]
+
+
 def log_loss(b, y: int) -> float:
     """Negative log mass on the correct label, floored at LOG_FLOOR."""
     arr = validate_belief(b)
     y = check_label(y, arr.size)
-    return float(-np.log(max(arr[y], LOG_FLOOR)))
+    return float(_log_loss_rows(arr[None], np.array([y]))[0])
+
+
+def _log_loss_rows(beliefs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(m,) log loss of each belief row of (m, d) against its label."""
+    return -np.log(np.maximum(beliefs[np.arange(beliefs.shape[0]), labels], LOG_FLOOR))
+
+
+def _snapshot_weights(s, a) -> tuple[np.ndarray, np.ndarray]:
+    """A checked snapshot (n, d) and simplex weights (n,) over its agents."""
+    s = validate_snapshot(s)
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != (s.shape[0],):
+        raise ShapeMismatch(f"weights {a.shape} do not match {s.shape[0]} agents")
+    if (
+        not np.isfinite(a).all()
+        or a.min() < -TAU_SIMPLEX
+        or abs(a.sum() - 1.0) > TAU_SIMPLEX
+    ):
+        raise WeightNotSimplex("aggregation weights must lie on the simplex")
+    return s, a
 
 
 def diversity(s, a, form: str = "moment") -> float:
@@ -239,21 +270,11 @@ def diversity(s, a, form: str = "moment") -> float:
     The two agree analytically; both are exposed so tests can pin the
     identity numerically.
     """
-    s = validate_snapshot(s)
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (s.shape[0],):
-        raise ShapeMismatch(f"weights {a.shape} do not match {s.shape[0]} agents")
-    if (
-        not np.isfinite(a).all()
-        or a.min() < -TAU_SIMPLEX
-        or abs(a.sum() - 1.0) > TAU_SIMPLEX
-    ):
-        raise WeightNotSimplex("aggregation weights must lie on the simplex")
+    s, a = _snapshot_weights(s, a)
     if form == "moment":
         return float(_diversity_rows(s[None], a[None])[0])
     if form == "pairwise":
-        sq = ((s[:, None, :] - s[None, :, :]) ** 2).sum(axis=2)
-        return float(0.5 * a @ sq @ a)
+        return float(_pairwise_diversity_rows(s[None], a[None])[0])
     raise ShapeMismatch(f"unknown diversity form {form!r}")
 
 
@@ -295,8 +316,8 @@ class MetricColumns:
 
     Agent columns are (m, n), named in AGENT_FIELDS, with competence NaN
     for a sample without a label.  System columns are (m,): disagreement,
-    mean_confidence and consensus_reached.  eta (n,) is the readout and
-    pi (m, n) each sample's source weights.
+    mean_confidence and consensus_reached.  pi (m, n) holds each sample's
+    source weights under the readout.
     """
 
     AGENT_FIELDS = (
@@ -323,7 +344,6 @@ class MetricColumns:
     disagreement: np.ndarray
     mean_confidence: np.ndarray
     consensus_reached: np.ndarray
-    eta: np.ndarray
     pi: np.ndarray
 
 
@@ -382,9 +402,7 @@ def _stacked_metrics(
     gamma, alpha, w = (
         np.stack([getattr(p, name) for p in params]) for name in ("gamma", "alpha", "w")
     )
-    eta, pi = _source_weights(_influence_stack(gamma, alpha, w), eta)
-    _check_rows(eta, "eta")
-    _check_rows(pi, "pi")
+    pi = _source_weights(_influence_stack(gamma, alpha, w), eta)
     _check_normalization(normalization)
     align, score, count = _alignment(finals)
     competence = np.full((m, n), np.nan)
@@ -407,6 +425,5 @@ def _stacked_metrics(
         disagreement=dis,
         mean_confidence=conf.mean(axis=-1),
         consensus_reached=(tops == tops[:, :1]).all(axis=-1) & (dis < consensus_threshold),
-        eta=eta,
         pi=pi,
     )

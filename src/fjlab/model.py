@@ -29,7 +29,6 @@ __all__ = [
     "validate_snapshot",
     "FJParameters",
     "DeliberationTrajectory",
-    "AggregationWeights",
 ]
 
 
@@ -232,24 +231,3 @@ class DeliberationTrajectory:
     def final(self) -> np.ndarray:
         return self.snapshots[-1]
 
-
-@dataclass(frozen=True)
-class AggregationWeights:
-    """Readout weights eta over agents and the induced source weights pi."""
-
-    eta: np.ndarray
-    pi: np.ndarray
-
-    def __post_init__(self):
-        eta = _as_float_array(self.eta, 1, "eta")
-        pi = _as_float_array(self.pi, 1, "pi")
-        if eta.shape != pi.shape:
-            raise ShapeMismatch(f"eta {eta.shape} and pi {pi.shape} differ")
-        _check_rows(eta, "eta")
-        _check_rows(pi, "pi")
-        object.__setattr__(self, "eta", _freeze(eta))
-        object.__setattr__(self, "pi", _freeze(pi))
-
-    @property
-    def n(self) -> int:
-        return self.eta.shape[0]

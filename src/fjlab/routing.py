@@ -18,7 +18,7 @@ Routing weights are plain arrays: an (m, n) array with one simplex row
 per sample, or one (n,) row that routes every sample alike.  The routers
 below are functions of the data that return such arrays.  The router of
 fitted FJ parameters is the constant row
-``aggregate_pi(influence_weights(params), eta).pi``; per-sample
+``aggregate_pi(influence_weights(params), eta)``; per-sample
 parameters give ``stacked_metrics(...).pi``.  Either is passed as it is.
 """
 
@@ -36,9 +36,8 @@ from .metrics import (
     _diversity_rows,
     _mixture,
     _one_hot,
+    _snapshot_weights,
     _softmax,
-    brier_loss,
-    diversity,
 )
 from .model import _check_rows, check_label, validate_snapshot
 
@@ -84,15 +83,18 @@ class LabeledSnapshotSet:
             raise ShapeMismatch(f"need n >= 2 and d >= 2, got {b.shape}")
         if y.shape != (m,):
             raise ShapeMismatch(f"labels shape {y.shape}, expected ({m},)")
-        y = y.astype(np.int64)
-        if y.min() < 0 or y.max() >= d:
-            raise LabelOutOfRange(f"labels must lie in [0, {d})")
-        _check_rows(b, "beliefs", INGEST_TOL)
         if self.risks is not None:
             risks = np.asarray(self.risks, dtype=np.float64)
             if risks.shape != (m, n):
                 raise ShapeMismatch(f"risks shape {risks.shape}, expected ({m}, {n})")
             object.__setattr__(self, "risks", risks)
+        # integer labels only, as check_label asks: a cast would truncate 1.7
+        if y.dtype == np.bool_ or not np.issubdtype(y.dtype, np.integer):
+            raise LabelOutOfRange(f"labels must be integers, got dtype {y.dtype}")
+        y = y.astype(np.int64)
+        if y.min() < 0 or y.max() >= d:
+            raise LabelOutOfRange(f"labels must lie in [0, {d})")
+        _check_rows(b, "beliefs", INGEST_TOL)
         object.__setattr__(self, "beliefs", b)
         object.__setattr__(self, "labels", y)
 
@@ -177,12 +179,24 @@ def ambiguity_decomposition(s, a, y: int) -> tuple[float, float, float]:
     The gap is analytically zero; it is returned so callers can assert
     how tightly the identity holds in floating point.
     """
-    s = validate_snapshot(s)
-    div = diversity(s, a)  # checks the weights' shape and simplex before mixing
-    a = np.asarray(a, dtype=np.float64)
-    lhs = brier_loss(a @ s, y)
-    rhs = float(a @ local_risk(s, y)) - div
-    return lhs, rhs, lhs - rhs
+    s, a = _snapshot_weights(s, a)
+    y = check_label(y, s.shape[1])
+    lhs, rhs, gap = _ambiguity_rows(s[None], a[None], np.array([y]))
+    return float(lhs[0]), float(rhs[0]), float(gap[0])
+
+
+def _ambiguity_rows(
+    beliefs: np.ndarray, weights: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ambiguity_decomposition`` of m snapshots (m, n, d) under (m, n)
+    weights against (m,) labels, as three (m,) arrays; each mixture is
+    checked as a belief.  The weighted sums are matmuls, so one sample gets
+    the bits of ``a @ s`` and ``a @ r``."""
+    w = weights[:, None, :]
+    loss = _brier_rows(_check_rows(np.matmul(w, beliefs), "belief"), labels)[:, 0]
+    risk = np.matmul(w, _brier_rows(beliefs, labels)[:, :, None])[:, 0, 0]
+    rhs = risk - _diversity_rows(beliefs, weights)
+    return loss, rhs, loss - rhs
 
 
 # -- aggregate condition reports ------------------------------------------

@@ -326,19 +326,14 @@ def gen_imperfect(
     rng = _rng(seed)
     regions = rng.integers(0, sc.n, size=samples)
     labels = rng.integers(0, sc.d, size=samples)
-    wrong = (labels + 1) % sc.d
     idx = np.arange(samples)
-    if sc.d == 2:
-        beliefs = np.empty((samples, sc.n, sc.d))
-        beliefs[idx[:, None], :, labels[:, None]] = sc.u
-        beliefs[idx[:, None], :, wrong[:, None]] = sc.c
-    else:
-        rest = (1.0 - sc.u - sc.c) / (sc.d - 2)
-        beliefs = np.full((samples, sc.n, sc.d), rest)
-        beliefs[idx[:, None], :, labels[:, None]] = sc.u
-        beliefs[idx[:, None], :, wrong[:, None]] = sc.c
-    beliefs[idx, regions, :] = (1.0 - sc.p) / (sc.d - 1)
-    beliefs[idx, regions, labels] = sc.p
+    # Each sample's columns, gathered from the canonical rows: its label
+    # takes column 0, the shared wrong label column 1 and the rest column 2.
+    cols = np.full((samples, sc.d), 2)
+    cols[idx, labels] = 0
+    cols[idx, (labels + 1) % sc.d] = 1
+    beliefs = np.repeat(other[cols][:, None, :], sc.n, axis=1)
+    beliefs[idx, regions] = comp[cols]
     comp_risk, other_risk = _brier_rows(np.stack([comp, other])[None], np.zeros(1, int))[0]
     risks = np.full((samples, sc.n), other_risk)
     risks[idx, regions] = comp_risk

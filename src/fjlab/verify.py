@@ -15,10 +15,11 @@ import numpy as np
 
 from .dynamics import _checked_influence, _fixed_point, _run_rounds, build_h
 from .errors import ConfigError
-from .metrics import _brier_rows, _diversity_rows, _mixture
+from .metrics import _diversity_rows, _log_loss_rows, _mixture, _pairwise_diversity_rows
 from .model import FJParameters, _check_rows
 from .routing import (
     LabeledSnapshotSet,
+    _ambiguity_rows,
     confidence_softmax_weights,
     hard_confidence_weights,
     moe_vs_best_single,
@@ -148,8 +149,8 @@ def _grouped_draws(draws: int, seed: int, labels: bool) -> list[tuple[np.ndarray
     """Random snapshots s (n, d) and simplex weights a (n,), plus a label y
     when ``labels``, drawn one at a time in that order and stacked by
     (n, d); each stack's rows and weights are checked once.  The identity
-    checks compute on a stack with matmuls and row sums that give each
-    draw the bits of ``ambiguity_decomposition`` and ``diversity``."""
+    checks run the stacked kernels behind ``ambiguity_decomposition`` and
+    ``diversity``, so each draw gets the bits those give it alone."""
     rng = np.random.default_rng(seed)
     groups: dict[tuple[int, int], list] = {}
     for _ in range(draws):
@@ -172,11 +173,7 @@ def check_ambiguity_identity(
     """Mixture loss == weighted risk - diversity, elementwise in floats."""
     worst = 0.0
     for s, a, y in _grouped_draws(draws, seed, labels=True):
-        w = a[:, None, :]
-        loss = _brier_rows(_check_rows(np.matmul(w, s), "belief"), y)[:, 0]
-        risk = np.matmul(w, _brier_rows(s, y)[:, :, None])[:, 0, 0]
-        gap = loss - (risk - _diversity_rows(s, a))
-        worst = max(worst, float(np.abs(gap).max()))
+        worst = max(worst, float(np.abs(_ambiguity_rows(s, a, y)[2]).max()))
     return CheckResult(
         name="ambiguity_identity",
         passed=bool(worst < 1e-10),
@@ -190,10 +187,8 @@ def check_diversity_forms(
     """Moment form and pairwise form of diversity agree."""
     worst = 0.0
     for s, a in _grouped_draws(draws, seed, labels=False):
-        sq = ((s[:, :, None, :] - s[:, None, :, :]) ** 2).sum(axis=3)
-        # 0.5 * a @ sq @ a parses as ((0.5 * a) @ sq) @ a
-        pairwise = np.matmul(np.matmul(0.5 * a[:, None, :], sq), a[:, :, None])[:, 0, 0]
-        worst = max(worst, float(np.abs(_diversity_rows(s, a) - pairwise).max()))
+        gap = _diversity_rows(s, a) - _pairwise_diversity_rows(s, a)
+        worst = max(worst, float(np.abs(gap).max()))
     return CheckResult(
         name="diversity_forms",
         passed=bool(worst < 1e-10),
@@ -202,8 +197,7 @@ def check_diversity_forms(
 
 
 def _log_losses(sset: LabeledSnapshotSet, weights: np.ndarray) -> np.ndarray:
-    mix = _mixture(weights, sset.beliefs)
-    return -np.log(mix[np.arange(sset.m), sset.labels])
+    return _log_loss_rows(_mixture(weights, sset.beliefs), sset.labels)
 
 
 def check_exclusive_scenario(

@@ -16,7 +16,7 @@ from fjlab.dynamics import (
     simulate_pool,
     spectral_radius,
 )
-from fjlab.errors import NotContractive, ShapeMismatch
+from fjlab.errors import NegativeEntry, NotContractive, ShapeMismatch, WeightNotSimplex
 from fjlab.model import FJParameters
 
 
@@ -318,16 +318,31 @@ class TestEquilibrium:
 class TestAggregatePi:
     def test_uniform_readout_averages_columns(self):
         m = influence_weights(swap_params())
-        pi = aggregate_pi(m).pi
+        pi = aggregate_pi(m)
         np.testing.assert_allclose(pi, m.mean(axis=0), atol=1e-12)
 
     def test_custom_readout(self):
         m = influence_weights(swap_params())
         eta = np.array([1.0, 0.0])
-        pi = aggregate_pi(m, eta).pi
+        pi = aggregate_pi(m, eta)
         np.testing.assert_allclose(pi, m[0], atol=1e-12)
 
     def test_rejects_bad_eta_shape(self):
         m = influence_weights(swap_params())
         with pytest.raises(ShapeMismatch):
             aggregate_pi(m, np.array([1.0, 0.0, 0.0]))
+
+    def test_accepts_simplex_pair(self):
+        pi = aggregate_pi(np.array([[0.2, 0.8], [0.2, 0.8]]), np.array([0.5, 0.5]))
+        assert pi.shape == (2,)
+        assert pi[1] == pytest.approx(0.8)
+
+    def test_rejects_non_simplex(self):
+        with pytest.raises((WeightNotSimplex, NegativeEntry, ShapeMismatch)):
+            aggregate_pi(np.eye(2), np.array([0.5, 0.6]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(WeightNotSimplex, match="eta has a non-finite"):
+            aggregate_pi(np.eye(2), np.array([np.nan, 0.5]))
+        with pytest.raises(WeightNotSimplex, match="pi has a non-finite"):
+            aggregate_pi(np.array([[np.nan, 0.5], [0.5, 0.5]]))

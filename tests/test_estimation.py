@@ -367,6 +367,12 @@ class TestFitConfig:
             FitConfig(**kwargs)
         assert str(info.value) == message
 
+    def test_fit_objective_rejects_an_unknown_objective_alike(self):
+        params, traj = make_traj()
+        with pytest.raises(ConfigError) as info:
+            fit_objective(params, traj, "foo")
+        assert str(info.value) == "objective must be 'kl' or 'mse', got 'foo'"
+
 
 class TestFitSample:
     def test_recovers_predictions(self):

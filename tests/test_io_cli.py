@@ -363,6 +363,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_fit_global_has_one_key(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[fit]\nglobal_fit = yes\n")
+        with pytest.raises(ConfigError, match="unknown key 'global_fit'"):
+            load_config(str(path))
+
     def test_rejects_bad_value(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[simulate]\nsamples = many\n")
@@ -832,7 +838,7 @@ class TestCLI:
         assert self._simulate(out) == 0
         assert run(["--output-dir", out, "--quiet", "fit", "--global"]) == 0
         # with every gamma at 0, H is stochastic and compare falls back to
-        # settle, which never builds AggregationWeights to check eta
+        # settle, which never reaches aggregate_pi to check eta
         fits = read_json(out, "fits.json")
         for entry in fits["global"]:
             entry["params"]["gamma"] = [0.0] * len(entry["params"]["gamma"])

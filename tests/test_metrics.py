@@ -18,6 +18,9 @@ from fjlab.errors import (
 )
 from fjlab.metrics import (
     MetricColumns,
+    _diversity_rows,
+    _log_loss_rows,
+    _pairwise_diversity_rows,
     alignment_metrics,
     brier_loss,
     competence,
@@ -34,7 +37,7 @@ from fjlab.metrics import (
 )
 from fjlab.model import FJParameters
 from fjlab.routing import LabeledSnapshotSet, min_risk_weights, moe_vs_fixed_ensemble
-from fjlab.dynamics import simulate
+from fjlab.dynamics import aggregate_pi, influence_weights, simulate
 
 
 def belief_with_confidence(target: float) -> np.ndarray:
@@ -104,6 +107,16 @@ class TestLossesAndScores:
     def test_competence_reads_label_mass(self):
         assert competence([0.2, 0.7, 0.1], 1) == pytest.approx(0.7)
 
+    def test_log_loss_is_its_kernel_row(self):
+        rng = np.random.default_rng(5)
+        for d in range(2, 11):
+            b = rng.dirichlet(np.ones(d), size=6)
+            b[0] = np.eye(d)[1]  # mass 0 on label 0: the floor
+            y = rng.integers(0, d, size=6)
+            y[0] = 0
+            rows = _log_loss_rows(b, y)
+            assert [log_loss(b[k], int(y[k])) for k in range(6)] == rows.tolist()
+
 
 class TestDisagreementAndAlignment:
     def test_two_one_hots(self):
@@ -129,6 +142,17 @@ class TestDisagreementAndAlignment:
 
 
 class TestDiversity:
+    def test_one_item_is_its_kernel_row(self):
+        rng = np.random.default_rng(6)
+        for n in range(2, 11):
+            for d in range(2, 11):
+                s = rng.dirichlet(np.ones(d), size=(5, n))
+                a = rng.dirichlet(np.ones(n), size=5)
+                moment = _diversity_rows(s, a).tolist()
+                pairwise = _pairwise_diversity_rows(s, a).tolist()
+                assert [diversity(s[k], a[k]) for k in range(5)] == moment
+                assert [diversity(s[k], a[k], "pairwise") for k in range(5)] == pairwise
+
     def test_frozen_one_hot_example(self):
         s = np.array([[1.0, 0.0], [0.0, 1.0]])
         a = np.array([0.5, 0.5])
@@ -267,7 +291,8 @@ class TestTrajectoryMetrics:
         # all agents end on label 0 and close together
         assert cols.consensus_reached.tolist() == [True]
         assert 0.0 <= cols.mean_confidence[0] <= 1.0
-        np.testing.assert_array_equal(cols.eta, np.full(3, 1.0 / 3))
+        # the default readout is uniform
+        np.testing.assert_array_equal(cols.pi[0], aggregate_pi(influence_weights(params)))
         np.testing.assert_allclose(cols.pi[0].sum(), 1.0, atol=1e-12)
 
     def test_influence_matrix_computed_once(self, monkeypatch):
@@ -394,7 +419,6 @@ class TestStackedMetrics:
             for field in ("disagreement", "mean_confidence", "pi"):
                 assert same_bits(getattr(cols, field)[k], getattr(alone, field)[0]), field
             assert cols.consensus_reached[k] == alone.consensus_reached[0]
-            assert same_bits(cols.eta, alone.eta)
             agent, (dis, mean_conf, consensus, pi) = reference_metrics(
                 final, p, label, eta, normalization
             )
@@ -404,6 +428,13 @@ class TestStackedMetrics:
             assert same_bits(cols.mean_confidence[k], mean_conf)
             assert bool(cols.consensus_reached[k]) is consensus
             assert same_bits(cols.pi[k], pi)
+
+    def test_checks_the_readout(self):
+        rng = np.random.default_rng(8)
+        finals = rng.dirichlet(np.ones(3), size=(2, 3))
+        params = [random_params(rng, 3) for _ in range(2)]
+        with pytest.raises(WeightNotSimplex, match="eta"):
+            stacked_metrics(finals, params, eta=np.array([0.5, 0.6, 0.0]))
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_uniform_rows_have_relative_confidence_one(self, d):

@@ -10,7 +10,6 @@ from fjlab.errors import (
     WeightNotSimplex,
 )
 from fjlab.model import (
-    AggregationWeights,
     DeliberationTrajectory,
     FJParameters,
     argmax_label,
@@ -221,16 +220,3 @@ class TestTrajectory:
         with pytest.raises(ShapeMismatch):
             DeliberationTrajectory(snapshots=snaps, metadata={"pool": 3})
 
-
-class TestAggregationWeights:
-    def test_accepts_simplex_pair(self):
-        aw = AggregationWeights(eta=np.array([0.5, 0.5]), pi=np.array([0.2, 0.8]))
-        assert aw.pi[1] == pytest.approx(0.8)
-
-    def test_rejects_non_simplex(self):
-        with pytest.raises((WeightNotSimplex, NegativeEntry, ShapeMismatch)):
-            AggregationWeights(eta=np.array([0.5, 0.6]), pi=np.array([0.2, 0.8]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(WeightNotSimplex, match="eta has a non-finite"):
-            AggregationWeights(eta=np.array([np.nan, 0.5]), pi=np.array([0.2, 0.8]))

@@ -12,6 +12,7 @@ from fjlab.metrics import brier_loss, confidence, diversity
 from fjlab.model import FJParameters
 from fjlab.routing import (
     LabeledSnapshotSet,
+    _ambiguity_rows,
     ambiguity_decomposition,
     confidence_softmax_weights,
     hard_confidence_weights,
@@ -48,6 +49,12 @@ class TestLabeledSnapshotSet:
         with pytest.raises(LabelOutOfRange):
             LabeledSnapshotSet(beliefs=beliefs, labels=np.array([2]))
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [True, False]])
+    def test_rejects_labels_that_are_not_integers(self, labels):
+        beliefs = np.full((2, 2, 2), 0.5)
+        with pytest.raises(LabelOutOfRange, match="integers"):
+            LabeledSnapshotSet(beliefs=beliefs, labels=np.array(labels))
+
     def test_rejects_non_simplex_rows(self):
         beliefs = np.full((1, 2, 2), 0.4)
         with pytest.raises(WeightNotSimplex):
@@ -61,6 +68,18 @@ class TestLabeledSnapshotSet:
 
 
 class TestAmbiguityDecomposition:
+    def test_one_item_is_its_kernel_row(self):
+        rng = np.random.default_rng(4)
+        for n in range(2, 11):
+            for d in range(2, 11):
+                s = rng.dirichlet(np.ones(d), size=(5, n))
+                a = rng.dirichlet(np.ones(n), size=5)
+                y = rng.integers(0, d, size=5)
+                rows = _ambiguity_rows(s, a, y)
+                for k in range(5):
+                    alone = ambiguity_decomposition(s[k], a[k], int(y[k]))
+                    assert alone == tuple(float(r[k]) for r in rows)
+
     def test_exact_identity_random(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -162,7 +181,7 @@ class TestRouters:
             mask=FJParameters.complete_mask(2),
         )
         sset = random_set(6, m=3, n=2, d=3)
-        pi = aggregate_pi(influence_weights(params)).pi
+        pi = aggregate_pi(influence_weights(params))
         np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-12)
         report = moe_vs_fixed_ensemble(sset, np.array([0.5, 0.5]), pi)
         assert report.realized_gap == pytest.approx(0.0, abs=1e-12)
