@@ -50,7 +50,6 @@ from .io import (
 )
 from .metrics import (
     MetricColumns,
-    alignment_metrics,
     brier_loss,
     competence,
     confidence,
@@ -66,7 +65,6 @@ from .metrics import (
 from .model import (
     DeliberationTrajectory,
     FJParameters,
-    argmax_label,
     normalize_belief,
     validate_belief,
     validate_snapshot,
@@ -78,7 +76,6 @@ from .routing import (
     ambiguity_decomposition,
     confidence_softmax_weights,
     hard_confidence_weights,
-    local_risk,
     min_risk_weights,
     moe_vs_best_single,
     moe_vs_fixed_ensemble,
@@ -120,7 +117,6 @@ __all__ = [
     # model
     "DeliberationTrajectory",
     "FJParameters",
-    "argmax_label",
     "normalize_belief",
     "validate_belief",
     "validate_snapshot",
@@ -136,7 +132,6 @@ __all__ = [
     "spectral_radius",
     # metrics
     "MetricColumns",
-    "alignment_metrics",
     "brier_loss",
     "competence",
     "confidence",
@@ -155,7 +150,6 @@ __all__ = [
     "ambiguity_decomposition",
     "confidence_softmax_weights",
     "hard_confidence_weights",
-    "local_risk",
     "min_risk_weights",
     "moe_vs_best_single",
     "moe_vs_fixed_ensemble",

@@ -41,7 +41,6 @@ __all__ = [
     "softmax_weights",
     "influence_metrics",
     "disagreement",
-    "alignment_metrics",
     "competence",
     "brier_loss",
     "log_loss",
@@ -62,10 +61,13 @@ def confidence(b) -> float:
 
 
 def _confidence_rows(s: np.ndarray) -> np.ndarray:
-    """Vectorized confidence over the rows of an (n, d) array."""
+    """Vectorized confidence over the rows of an (..., d) array.  The terms
+    s ln s fill one buffer in place; a masked term is 0 * s, -0.0 for a tiny
+    negative entry, which leaves every confidence's bits as 0 * ln 1 did."""
     d = s.shape[-1]
-    safe = np.where(s < ENTROPY_EPS, 1.0, s)  # ln(1) = 0 kills masked terms
-    ent = -(np.where(s < ENTROPY_EPS, 0.0, s) * np.log(safe)).sum(axis=-1)
+    terms = np.log(s, out=np.zeros_like(s), where=s >= ENTROPY_EPS)
+    terms *= s
+    ent = -terms.sum(axis=-1)
     return np.clip(1.0 - ent / np.log(d), 0.0, 1.0)
 
 
@@ -156,17 +158,13 @@ def _disagreement(s: np.ndarray) -> np.ndarray:
     return np.linalg.norm(s - center, axis=-1).mean(axis=-1)
 
 
-def alignment_metrics(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alignment of each agent with the group mean.
+def _alignment(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alignment of each agent with the group mean, over one snapshot
+    (n, d) or a stack (m, n, d).
 
     Returns (cosine to the mean belief, 0/1 agreement of argmax with the
     mean's argmax, count of OTHER agents sharing the agent's argmax).
     """
-    return _alignment(validate_snapshot(s))
-
-
-def _alignment(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``alignment_metrics`` over one snapshot (n, d) or a stack (m, n, d)."""
     center = s.mean(axis=-2)
     # matmul takes the same dot products as ``s @ center`` and the 1-D
     # ``np.linalg.norm(center)`` of one snapshot, so a stack is bit-identical.

@@ -24,7 +24,6 @@ from .errors import (
 
 __all__ = [
     "normalize_belief",
-    "argmax_label",
     "validate_belief",
     "validate_snapshot",
     "FJParameters",
@@ -93,14 +92,11 @@ def validate_snapshot(s, tau: float = TAU_SIMPLEX) -> np.ndarray:
     return _belief_array(s, 2, "snapshot", tau)
 
 
-def argmax_label(b) -> int:
-    """Index of the largest entry; ties resolve to the lowest index."""
-    arr = _as_float_array(b, 1, "belief")
-    return int(np.argmax(arr))
-
-
 def check_label(y: int, d: int) -> int:
-    """An integer label in [0, d); non-integers are rejected, not truncated."""
+    """An integer label in [0, d); non-integers, bools among them, are
+    rejected, not truncated."""
+    if isinstance(y, bool):
+        raise LabelOutOfRange(f"label {y!r} is not an integer")
     try:
         y = operator.index(y)
     except TypeError as exc:

@@ -39,14 +39,13 @@ from .metrics import (
     _snapshot_weights,
     _softmax,
 )
-from .model import _check_rows, check_label, validate_snapshot
+from .model import _check_rows, check_label
 
 __all__ = [
     "LabeledSnapshotSet",
     "confidence_softmax_weights",
     "hard_confidence_weights",
     "min_risk_weights",
-    "local_risk",
     "ambiguity_decomposition",
     "RoutingReport",
     "moe_vs_best_single",
@@ -165,12 +164,6 @@ def _check_weights(sset: LabeledSnapshotSet, weights, what="routing weights") ->
 
 
 # -- per-sample quantities ------------------------------------------------
-
-
-def local_risk(s, y: int) -> np.ndarray:
-    """Per-agent squared-error risk of one snapshot against label y."""
-    s = validate_snapshot(s)
-    return _brier_rows(s[None], np.array([check_label(y, s.shape[1])]))[0]
 
 
 def ambiguity_decomposition(s, a, y: int) -> tuple[float, float, float]:

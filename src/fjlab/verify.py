@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _checked_influence, _fixed_point, _run_rounds, build_h
+from .dynamics import _checked_influence, _fixed_point, _run_rounds, _stack_h
 from .errors import ConfigError
 from .metrics import _diversity_rows, _log_loss_rows, _mixture, _pairwise_diversity_rows
 from .model import FJParameters, _check_rows
@@ -60,6 +60,11 @@ BUDGET_DEFAULTS = dict(
 )
 
 
+# numpy sums a row of fewer than 8 entries one entry at a time, and a longer
+# one pairwise, so trailing zeros change a row sum's bits only from 8 on.
+_SEQUENTIAL_ROW = 7
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -93,35 +98,48 @@ def check_influence_consistency(
     ``rounds`` steps lands on the solved equilibrium in sup norm.
     """
     rng = np.random.default_rng(seed)
-    worst_neg = 0.0
-    worst_row = 0.0
-    worst_gap = 0.0
-    worst_rho = -np.inf
-    groups: dict[int, list] = {}
+    groups: dict[tuple[int, int], list] = {}
     for _ in range(draws):
         params, innate = _random_contractive(rng)
-        # One H, one eigenvalue call and the two solves of influence_weights
-        # and equilibrium.
-        h = build_h(params)
-        gs = params.gamma[:, None] * innate
-        rho, m, fixed = _fixed_point(h[None], np.diag(params.gamma)[None], gs[None])
-        m = _checked_influence(m, params.gamma[None])[0]
+        groups.setdefault(innate.shape, []).append((params, innate))
+    worst_neg = 0.0
+    worst_row = 0.0
+    worst_rho = -np.inf
+    by_width: dict[int, list] = {}
+    for (n, d), members in groups.items():
+        gamma, alpha, w = (
+            np.stack([getattr(p, name) for p, _ in members]) for name in ("gamma", "alpha", "w")
+        )
+        innate = np.stack([s for _, s in members])
+        h = _stack_h(gamma, alpha, w)
+        gs = gamma[:, :, None] * innate
+        # One eigenvalue call and the two solves of influence_weights and
+        # equilibrium per shape; LAPACK solves a stack one system at a time,
+        # so each draw gets its own bits.
+        rho, m, fixed = _fixed_point(h, gamma[:, :, None] * np.eye(n), gs)
+        m = _checked_influence(m, gamma)
         worst_neg = min(worst_neg, float(m.min()))
-        worst_row = max(worst_row, float(np.abs(m.sum(axis=1) - 1.0).max()))
-        worst_rho = max(worst_rho, float(rho[0]) - (1.0 - float(params.gamma.min())))
-        groups.setdefault(innate.shape[1], []).append((gs, h, innate, fixed[0]))
-    # One stack per label count, padded to its largest agent count by agents
-    # with zero H rows and columns whose G S, start and solved rows are e_0,
-    # which a round keeps; real rows gain only zero products, so each draw
-    # gets its own bits.  Labels are not padded: numpy sums 8+ entries pairwise.
-    for members in groups.values():
-        size = max(len(gs) for gs, *_ in members)
-        h = np.zeros((len(members), size, size))
-        rows = np.zeros((3, len(members), size, members[0][0].shape[1]))
+        worst_row = max(worst_row, float(np.abs(m.sum(axis=-1) - 1.0).max()))
+        worst_rho = max(worst_rho, float((rho - (1.0 - gamma.min(axis=1))).max()))
+        by_width.setdefault(max(d, _SEQUENTIAL_ROW), []).append((h, gs, innate, fixed))
+    # One round stack per label width, padded to its largest agent count by
+    # agents with zero H rows and columns whose G S, start and solved rows
+    # are e_0, which a round keeps, and to its width by zero label columns.
+    # Real entries gain only zero products and zero terms, so each draw gets
+    # its own bits.
+    worst_gap = 0.0
+    for width, parts in by_width.items():
+        count = sum(len(part[0]) for part in parts)
+        size = max(part[0].shape[1] for part in parts)
+        h = np.zeros((count, size, size))
+        rows = np.zeros((3, count, size, width))
         rows[..., 0] = 1.0
-        for k, (g, hk, s, f) in enumerate(members):
-            h[k, : len(g), : len(g)] = hk
-            rows[:, k, : len(g)] = g, s, f
+        k = 0
+        for hg, gs, innate, fixed in parts:
+            group, n, d = gs.shape
+            h[k : k + group, :n, :n] = hg
+            rows[:, k : k + group, :n, :d] = gs, innate, fixed
+            k += group
         gs, start, fixed = rows
         iterated, _ = _run_rounds(gs, h, start, rounds)
         worst_gap = max(worst_gap, float(np.abs(iterated - fixed).max()))

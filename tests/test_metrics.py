@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.stats import rankdata
 
-from fjlab.constants import CONSENSUS_THRESHOLD
+from fjlab.constants import CONSENSUS_THRESHOLD, ENTROPY_EPS, TAU_SIMPLEX
 from fjlab.errors import (
     FJLabError,
+    LabelOutOfRange,
     NotContractive,
     NumericalError,
     TooFewAgents,
@@ -18,10 +20,10 @@ from fjlab.errors import (
 )
 from fjlab.metrics import (
     MetricColumns,
+    _alignment,
     _diversity_rows,
     _log_loss_rows,
     _pairwise_diversity_rows,
-    alignment_metrics,
     brier_loss,
     competence,
     confidence,
@@ -32,12 +34,22 @@ from fjlab.metrics import (
     log_loss,
     softmax_weights,
     _average_ranks,
+    _confidence_rows,
     spearman,
     stacked_metrics,
 )
 from fjlab.model import FJParameters
 from fjlab.routing import LabeledSnapshotSet, min_risk_weights, moe_vs_fixed_ensemble
 from fjlab.dynamics import aggregate_pi, influence_weights, simulate
+
+
+def confidence_rows_three_where(s):
+    """The confidence kernel as it ran with three full-size temporaries,
+    before its terms filled one buffer; kept as the reference."""
+    d = s.shape[-1]
+    safe = np.where(s < ENTROPY_EPS, 1.0, s)
+    ent = -(np.where(s < ENTROPY_EPS, 0.0, s) * np.log(safe)).sum(axis=-1)
+    return np.clip(1.0 - ent / np.log(d), 0.0, 1.0)
 
 
 def belief_with_confidence(target: float) -> np.ndarray:
@@ -62,6 +74,33 @@ class TestConfidence:
     def test_range(self, seed, d):
         b = np.random.default_rng(seed).dirichlet(np.ones(d))
         assert 0.0 <= confidence(b) <= 1.0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_bits_match_the_three_where_formula(self, seed, d):
+        rng = np.random.default_rng(seed)
+        s = rng.dirichlet(np.full(d, 0.3), size=(8, 4))
+        # exact zeros, entries at and below ENTROPY_EPS and tiny negatives
+        edges = np.array([0.0, 0.5 * ENTROPY_EPS, ENTROPY_EPS, -0.5 * TAU_SIMPLEX, -TAU_SIMPLEX])
+        hit = rng.random(s.shape) < 0.3
+        s[hit] = rng.choice(edges, size=int(hit.sum()))
+        s[0, 0] = np.eye(d)[rng.integers(d)]
+        s[0, 1] = 1.0 / d
+        s[0, 2] = np.where(np.arange(d) == 0, 1.0, -0.5 * TAU_SIMPLEX)
+        s[0, 3] = -0.5 * TAU_SIMPLEX
+        got = _confidence_rows(s)
+        want = confidence_rows_three_where(s)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_kernel_peak_is_about_one_input(self):
+        s = np.random.default_rng(0).dirichlet(np.ones(10), size=(20_000, 5))
+        tracemalloc.start()
+        try:
+            _confidence_rows(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * s.nbytes
 
     def test_relative_confidence_frozen_ratios(self):
         snapshot = np.stack(
@@ -107,6 +146,10 @@ class TestLossesAndScores:
     def test_competence_reads_label_mass(self):
         assert competence([0.2, 0.7, 0.1], 1) == pytest.approx(0.7)
 
+    def test_competence_rejects_a_bool_label(self):
+        with pytest.raises(LabelOutOfRange):
+            competence([0.2, 0.8], True)
+
     def test_log_loss_is_its_kernel_row(self):
         rng = np.random.default_rng(5)
         for d in range(2, 11):
@@ -129,14 +172,14 @@ class TestDisagreementAndAlignment:
 
     def test_alignment_on_agreeing_pair(self):
         s = np.array([[0.8, 0.2], [0.6, 0.4]])
-        cos, score, count = alignment_metrics(s)
+        cos, score, count = _alignment(s)
         assert np.all(cos > 0.9)
         np.testing.assert_array_equal(score, [1.0, 1.0])
         np.testing.assert_array_equal(count, [1, 1])
 
     def test_alignment_on_disagreeing_pair(self):
         s = np.array([[1.0, 0.0], [0.0, 1.0]])
-        _, score, count = alignment_metrics(s)
+        _, score, count = _alignment(s)
         assert score.sum() == 1.0
         np.testing.assert_array_equal(count, [0, 0])
 

@@ -12,7 +12,6 @@ from fjlab.errors import (
 from fjlab.model import (
     DeliberationTrajectory,
     FJParameters,
-    argmax_label,
     check_label,
     normalize_belief,
     validate_belief,
@@ -88,9 +87,6 @@ class TestSnapshotAndLabels:
         with pytest.raises(WeightNotSimplex, match="non-finite"):
             check(arr)
 
-    def test_argmax_breaks_ties_low(self):
-        assert argmax_label([0.4, 0.4, 0.2]) == 0
-
     def test_label_bounds(self):
         check_label(0, 2)
         check_label(1, 2)
@@ -101,7 +97,7 @@ class TestSnapshotAndLabels:
     def test_label_must_be_an_integer(self):
         assert check_label(np.int64(2), 3) == 2
         assert type(check_label(np.int32(1), 3)) is int
-        for bad in (1.7, 1.0, np.float64(1.0), "1", None):
+        for bad in (1.7, 1.0, np.float64(1.0), "1", None, True, False):
             with pytest.raises(LabelOutOfRange):
                 check_label(bad, 3)
 
@@ -214,6 +210,8 @@ class TestTrajectory:
             DeliberationTrajectory(snapshots=snaps, correct_label=2)
         with pytest.raises(LabelOutOfRange):
             DeliberationTrajectory(snapshots=snaps, correct_label=0.7)
+        with pytest.raises(LabelOutOfRange):
+            DeliberationTrajectory(snapshots=snaps, correct_label=True)
 
     def test_metadata_must_be_strings(self):
         snaps = np.full((1, 2, 2), 0.5)

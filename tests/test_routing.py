@@ -16,7 +16,6 @@ from fjlab.routing import (
     ambiguity_decomposition,
     confidence_softmax_weights,
     hard_confidence_weights,
-    local_risk,
     min_risk_weights,
     moe_vs_best_single,
     moe_vs_fixed_ensemble,
@@ -188,13 +187,6 @@ class TestRouters:
 
 
 class TestScalars:
-    def test_local_risk_is_brier(self):
-        s = np.array([[0.9, 0.1], [0.2, 0.8]])
-        np.testing.assert_allclose(local_risk(s, 0), [0.02, 1.28], atol=1e-12)
-        for y in (-1, 2):
-            with pytest.raises(LabelOutOfRange):
-                local_risk(s, y)
-
     def test_routing_regret_zero_for_best(self):
         s = np.array([[0.9, 0.1], [0.2, 0.8]])
         pi = np.array([1.0, 0.0])

@@ -105,6 +105,19 @@ class TestInfluenceConsistency:
         res = check_influence_consistency(draws=2, seed=seed, rounds=500)
         assert res.measured == influence_consistency_per_draw(2, seed, 500)
 
+    def test_padded_labels_stay_out_of_the_gap(self):
+        # at this seed the draws take every label count from 2 to 8 with
+        # mixed agent counts, so both round stacks (up to 7 labels, padded
+        # to 7, and 8 labels) hold several draws of different shapes; padding
+        # the narrow draws to 8 labels would move the gap's last bits
+        rng = np.random.default_rng(113)
+        shapes = [_random_contractive(rng)[1].shape for _ in range(12)]
+        assert {d for _, d in shapes} == set(range(2, 9))
+        assert len({n for n, d in shapes if d == 8}) >= 2
+        assert len({n for n, d in shapes if d < 8}) >= 2
+        res = check_influence_consistency(draws=12, seed=113, rounds=500)
+        assert res.measured == influence_consistency_per_draw(12, 113, 500)
+
     def test_fails_without_the_iteration(self):
         # one round is far from the fixed point, so a check that stopped
         # iterating (or read the solve twice) would show up here
