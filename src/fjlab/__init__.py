@@ -91,6 +91,7 @@ from .scenarios import (
     imperfect_gap,
     moe_advantage_check,
     optimal_fixed_ensemble,
+    per_sample_params,
     project_simplex,
     routing_error_threshold,
     uniform_mixture_profile,
@@ -164,6 +165,7 @@ __all__ = [
     "imperfect_gap",
     "moe_advantage_check",
     "optimal_fixed_ensemble",
+    "per_sample_params",
     "project_simplex",
     "routing_error_threshold",
     "uniform_mixture_profile",

@@ -45,13 +45,14 @@ from .errors import (
     ValidationError,
 )
 from .estimation import fit_pools, fit_samples, parameter_variability
-from .metrics import MetricColumns, confidence_metrics, spearman, stacked_metrics
+from .metrics import MetricColumns, spearman, stacked_metrics
 from .model import DeliberationTrajectory, FJParameters
 from .scenarios import (
     ExclusiveScenario,
     ImperfectScenario,
     gen_exclusive,
     gen_imperfect,
+    per_sample_params,
 )
 from .verify import run_all_checks
 
@@ -187,7 +188,7 @@ def _load_params_file(sim):
     try:
         with open(sim.params_file, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {sim.params_file!r}: {exc}") from exc
     if not isinstance(raw, dict) or "innate" not in raw:
         raise ParseError("params file must be a JSON object with an 'innate' snapshot")
@@ -196,7 +197,7 @@ def _load_params_file(sim):
         innate = np.asarray(raw["innate"], dtype=np.float64)
     except ParseError as exc:
         raise ParseError(f"{sim.params_file!r}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{sim.params_file!r}: bad 'innate' snapshot: {exc}") from exc
     label = raw.get("correct_label")
     if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
@@ -235,15 +236,10 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
                 innates = sset.beliefs[first : first + sim.samples]
                 labels = [int(y) for y in sset.labels[first : first + sim.samples]]
                 metadata["scenario"] = sim.scenario
-            params = [pool_params] * sim.samples
-            if sim.gamma_mode == "confidence":
-                # each agent's stubbornness is the confidence of its innate belief
-                params = [
-                    replace(pool_params, gamma=np.clip(conf, sim.gamma_min, sim.gamma_max))
-                    for conf, _ in map(confidence_metrics, innates)
-                ]
             trajs += simulate_pool(
-                params,
+                per_sample_params(
+                    pool_params, innates, sim.gamma_mode, sim.gamma_min, sim.gamma_max
+                ),
                 innates,
                 sim.rounds,
                 sample_ids=ids,
@@ -354,7 +350,7 @@ def _load_fits(path: str, section: str, key: str) -> "dict[str, FJParameters]":
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path!r} must hold a JSON object")

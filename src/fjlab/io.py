@@ -24,6 +24,20 @@ is recorded in the sample's metadata under "ingest_max_drift".  Errors
 name the exact (sample, round, agent) cell.  label_names survive round
 trips via the metadata key "label_names" (JSON-encoded list).
 
+Trajectory io holds one sample's Python objects at a time.  The writer
+streams the document: the head, then each sample's entry encoded on its
+own by the C encoder (``JSONEncoder.encode``; ``iterencode`` would fall
+back to the pure-Python encoder), then the closing brackets.  The bytes
+equal ``json.dumps(document, allow_nan=False) + "\n"``.  The reader
+parses a file that starts with the writer's head one sample at a time
+from 64 KiB reads (``raw_decode``), so it never holds the whole text; any
+other layout, and any file that is not valid JSON, is parsed whole by
+``json.load``, which also gives the exact error.  Both parses pass an
+``object_hook``: as the scanner closes each object, a nonempty ``rounds``
+list becomes a float64 array, so a sample's nested lists are freed before
+the next sample is parsed.  A ``rounds`` that does not convert stays a
+list, and the sample check raises on it.
+
 Loading and saving trajectories pause the cyclic garbage collector while
 they parse or build the document.  Its tree of lists and dicts holds no
 reference cycles, so reference counting alone frees it and a collection
@@ -49,6 +63,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterable
 from typing import Any
 
 import numpy as np
@@ -65,6 +80,7 @@ from .model import DeliberationTrajectory, FJParameters
 
 __all__ = [
     "SCHEMA_VERSION",
+    "atomic_write_chunks",
     "atomic_write_text",
     "atomic_write_json",
     "write_csv",
@@ -77,6 +93,13 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
+# the head of a file in the writer's layout, which the reader parses in chunks
+_HEAD = f'{{"schema_version": {json.dumps(SCHEMA_VERSION)}, "samples": ['
+# reads stay below glibc's 128 KiB mmap threshold; 1 MiB reads raised the
+# peak RSS of a pipeline on small files by about 0.2 MiB
+_CHUNK_CHARS = 1 << 16
+_WHITESPACE = json.decoder.WHITESPACE
+
 _SAMPLE_KEYS = {
     "sample_id",
     "n",
@@ -88,9 +111,11 @@ _SAMPLE_KEYS = {
 }
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory and a rename; the file
-    gets mode 0o666 minus the umask, like one created by ``open``."""
+def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks in order via a temp file in the target directory,
+    renamed onto ``path`` after the last one; the file gets mode 0o666 minus
+    the umask, like one created by ``open``.  If a chunk raises, the temp
+    file is removed and ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)  # the umask can only be read by setting it
     os.umask(umask)
@@ -98,12 +123,16 @@ def atomic_write_text(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    atomic_write_chunks(path, (text,))
 
 
 def atomic_write_json(path: str, obj: Any) -> None:
@@ -153,14 +182,85 @@ def _gc_paused():
             gc.enable()
 
 
+def _rounds_to_array(obj: dict) -> dict:
+    """json object_hook: a nonempty ``rounds`` list becomes a float64 array as
+    its object closes; one that does not convert is left for _parse_sample."""
+    rounds = obj.get("rounds")
+    if type(rounds) is list and rounds:
+        try:
+            obj["rounds"] = np.asarray(rounds, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
+
+
+def _stream_samples(fh) -> list | None:
+    """The sample objects of a file in the writer's layout, read a chunk at a
+    time and parsed one sample at a time; None for any other layout and for a
+    file that is not valid JSON, which the caller then parses whole."""
+    buf = fh.read(max(_CHUNK_CHARS, len(_HEAD)))
+    if not buf.startswith(_HEAD):
+        return None
+    pos = len(_HEAD)
+    decode = json.JSONDecoder(object_hook=_rounds_to_array).raw_decode
+
+    def refill() -> bool:
+        nonlocal buf, pos
+        more = fh.read(max(_CHUNK_CHARS, len(buf) - pos))
+        buf, pos = buf[pos:] + more, 0
+        return bool(more)
+
+    def peek() -> str:
+        """The next character after whitespace, or "" at the end of the file."""
+        nonlocal pos
+        pos = _WHITESPACE.match(buf, pos).end()
+        while pos == len(buf) and refill():
+            pos = _WHITESPACE.match(buf, pos).end()
+        return buf[pos : pos + 1]
+
+    def value():
+        while True:
+            try:
+                return decode(buf, pos)
+            except json.JSONDecodeError:  # a sample cut by the chunk's end
+                if not refill():
+                    raise
+
+    samples = []
+    try:
+        char = peek()
+        while char != "]":
+            sample, pos = value()
+            samples.append(sample)
+            char = peek()
+            if char == ",":
+                pos += 1
+                peek()
+            elif char != "]":
+                return None
+        pos += 1
+        if peek() == "}":
+            pos += 1
+            if peek() == "":
+                return samples
+    except ValueError:
+        pass
+    return None
+
+
 @_gc_paused()
 def load_trajectories(path: str) -> list[DeliberationTrajectory]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            samples = _stream_samples(fh)
+            if samples is None:
+                fh.seek(0)
+                doc = json.load(fh, object_hook=_rounds_to_array)
+            else:
+                doc = {"schema_version": SCHEMA_VERSION, "samples": samples}
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, bad UTF-8 or an over-long integer
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -198,11 +298,11 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
     if not isinstance(sid, str) or not sid:
         raise ParseError(f"sample #{pos}: sample_id must be a nonempty string")
     rounds = raw.get("rounds")
-    if not isinstance(rounds, list) or not rounds:
+    if not isinstance(rounds, (list, np.ndarray)) or not len(rounds):
         raise ParseError(f"sample {sid!r}: rounds must be a nonempty list")
     try:
         snaps = np.asarray(rounds, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"sample {sid!r}: non-numeric or ragged rounds") from exc
     if snaps.ndim != 3:
         raise ShapeMismatch(
@@ -266,8 +366,14 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
 
 @_gc_paused()
 def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
-    samples = []
-    for traj in trajs:
+    atomic_write_chunks(path, _trajectory_chunks(trajs))
+
+
+def _trajectory_chunks(trajs: list[DeliberationTrajectory]) -> Iterable[str]:
+    """The trajectory document as text, one sample's entry per chunk."""
+    encode = json.JSONEncoder(allow_nan=False).encode
+    yield _HEAD
+    for k, traj in enumerate(trajs):
         meta = dict(traj.metadata)
         names = None
         if "label_names" in meta:
@@ -282,8 +388,8 @@ def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
         if names is not None:
             entry["label_names"] = names
         entry["metadata"] = meta
-        samples.append(entry)
-    atomic_write_json(path, {"schema_version": SCHEMA_VERSION, "samples": samples})
+        yield f", {encode(entry)}" if k else encode(entry)
+    yield "]}\n"
 
 
 # -- parameter serialization ----------------------------------------------
@@ -306,7 +412,7 @@ def params_from_dict(raw: dict[str, Any]) -> FJParameters:
         mask = raw.get("mask")
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad parameter dictionary: {exc}") from exc
     if mask is None:
         mask = FJParameters.complete_mask(gamma.shape[0] if gamma.ndim == 1 else 0)

@@ -21,7 +21,7 @@ uniforms where applicable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .errors import (
     NoConvergence,
     UnbalancedScenario,
 )
-from .metrics import _brier_rows, _confidence_rows
+from .metrics import _brier_rows, _confidence_rows, confidence_metrics
+from .model import FJParameters
 from .routing import LabeledSnapshotSet
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "wrong_majority_holds",
     "uniform_mixture_profile",
     "project_simplex",
+    "per_sample_params",
 ]
 
 _BALANCED_TOL = 1e-12
@@ -364,3 +366,22 @@ def wrong_majority_holds(sc: ImperfectScenario) -> bool:
     mix = uniform_mixture_profile(sc)
     top = int(np.argmax(mix))
     return top == 1 and mix[1] > np.max(np.delete(mix, 1))
+
+
+def per_sample_params(
+    base: FJParameters, innates, gamma_mode: str, gamma_min: float, gamma_max: float
+) -> list[FJParameters]:
+    """One FJParameters per innate snapshot of ``innates`` (m, n, d).
+
+    gamma_mode "random" gives every sample ``base``; "confidence" gives each
+    agent the stubbornness γ = clip(confidence of its innate belief,
+    gamma_min, gamma_max), with ``base``'s α and w.
+    """
+    if gamma_mode == "random":
+        return [base] * len(innates)
+    if gamma_mode == "confidence":
+        return [
+            replace(base, gamma=np.clip(conf, gamma_min, gamma_max))
+            for conf, _ in map(confidence_metrics, innates)
+        ]
+    raise InvalidScenario(f"unknown gamma_mode {gamma_mode!r}")

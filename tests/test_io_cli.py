@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fjlab.cli import _draw_pool_params, _t_quantile, build_parser, mean_ci, run
 from fjlab.config import FitSection, eta_vector, load_config
-from fjlab.dynamics import influence_weights, simulate
+from fjlab.dynamics import influence_weights, simulate, simulate_pool
 from fjlab.estimation import FitConfig
 from fjlab.errors import (
     ConfigError,
@@ -25,11 +26,13 @@ from fjlab.errors import (
     NumericalError,
     ParseError,
     SchemaVersionUnsupported,
+    ShapeMismatch,
     WeightNotSimplex,
 )
 from fjlab import io as fio
 from fjlab import verify as verify_mod
 from fjlab.io import (
+    atomic_write_chunks,
     atomic_write_json,
     format_cell,
     load_trajectories,
@@ -40,6 +43,7 @@ from fjlab.io import (
 )
 from fjlab.metrics import MetricColumns, confidence_metrics, stacked_metrics
 from fjlab.model import DeliberationTrajectory, FJParameters
+from fjlab.scenarios import ImperfectScenario, gen_imperfect
 
 
 def read_json(out, name):
@@ -235,6 +239,231 @@ class TestTrajectoryRoundTrip:
         assert again.metadata == back.metadata
         save_trajectories(path, [again])
         assert (out / "t.json").read_bytes() == first
+
+
+def reference_document(trajs):
+    """The trajectory file as one json.dumps call over every entry."""
+    samples = []
+    for traj in trajs:
+        meta = dict(traj.metadata)
+        names = json.loads(meta.pop("label_names")) if "label_names" in meta else None
+        entry = {
+            "sample_id": traj.sample_id,
+            "n": traj.n,
+            "d": traj.d,
+            "rounds": traj.snapshots.tolist(),
+            "correct_label": traj.correct_label,
+        }
+        if names is not None:
+            entry["label_names"] = names
+        entry["metadata"] = meta
+        samples.append(entry)
+    return json.dumps({"schema_version": "1", "samples": samples}, allow_nan=False) + "\n"
+
+
+def corpus_trajs(count=200, n=8, d=6, rounds=20):
+    """Samples of the analyze-corpus workload's shape (n = 8, d = 6, 20 rounds)."""
+    rng = np.random.default_rng(5)
+    return [
+        DeliberationTrajectory(
+            snapshots=rng.dirichlet(np.ones(d), size=(rounds + 1, n)),
+            sample_id=f"sample-{k:04d}",
+            correct_label=int(rng.integers(d)),
+            metadata={"pool": str(k % 4)},
+        )
+        for k in range(count)
+    ]
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class _Raises:
+    """A trajectory whose metadata cannot be read, to fail a save midway."""
+
+    @property
+    def metadata(self):
+        raise RuntimeError("boom")
+
+
+def _mixed_trajs():
+    rng = np.random.default_rng(2)
+    return [
+        DeliberationTrajectory(
+            snapshots=rng.dirichlet(np.ones(d), size=(t + 1, n)), sample_id=f"m{k}"
+        )
+        for k, (t, n, d) in enumerate([(1, 2, 2), (4, 3, 5), (0, 2, 3)])
+    ]
+
+
+class TestStreamedTrajectoryFiles:
+    @pytest.mark.parametrize(
+        "trajs",
+        [
+            lambda: [],
+            _mixed_trajs,
+            lambda: [replace(t, correct_label=None) for t in sample_trajs()],
+            sample_trajs,
+            lambda: [
+                replace(
+                    sample_trajs(count=1)[0],
+                    sample_id='é "q" \\ 日本',
+                    metadata={"note": 'caf\u00e9 "quoted" back\\slash \u65e5\n', "q\"k": "\\"},
+                )
+            ],
+        ],
+        ids=["empty", "mixed-shapes", "unlabelled", "label-names", "escapes"],
+    )
+    def test_bytes_equal_one_dumps(self, tmp_path, trajs):
+        trajs = trajs()
+        path = tmp_path / "t.json"
+        save_trajectories(str(path), trajs)
+        assert path.read_bytes() == reference_document(trajs).encode("utf-8")
+
+    def test_failed_save_leaves_the_target(self, tmp_path):
+        path = tmp_path / "t.json"
+        save_trajectories(str(path), sample_trajs())
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="boom"):
+            save_trajectories(str(path), corpus_trajs(count=20) + [_Raises()])
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["t.json"]
+
+    def test_failed_chunk_leaves_the_target(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("old\n", encoding="utf-8")
+
+        def chunks():
+            yield "new " * 10_000
+            raise ValueError("midway")
+
+        with pytest.raises(ValueError, match="midway"):
+            atomic_write_chunks(str(path), chunks())
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["t.txt"]
+        atomic_write_chunks(str(path), iter(["a", "b", "\n"]))
+        assert path.read_text(encoding="utf-8") == "ab\n"
+
+    @pytest.mark.parametrize(
+        "sample, error, message",
+        [
+            ({"rounds": [[[0.5, 0.5], [0.5]]]}, ParseError, "sample 'x': non-numeric or ragged rounds"),
+            ({"rounds": [[["a", "b"]]]}, ParseError, "sample 'x': non-numeric or ragged rounds"),
+            ({"rounds": [[[0.5, {"rounds": [1.0]}]]]}, ParseError, "sample 'x': non-numeric or ragged rounds"),
+            ({"rounds": []}, ParseError, "sample 'x': rounds must be a nonempty list"),
+            ({"rounds": {"a": 1}}, ParseError, "sample 'x': rounds must be a nonempty list"),
+            (
+                {"rounds": [[0.5, 0.5]]},
+                ShapeMismatch,
+                "sample 'x': rounds must be (T+1, n, d), got (1, 2)",
+            ),
+            (
+                {"metadata": {"rounds": [[[0.5, 0.5]]]}},
+                ParseError,
+                "sample 'x': metadata must map strings to strings",
+            ),
+        ],
+        ids=["ragged", "non-numeric", "nested-object", "empty", "object", "2-d", "in-metadata"],
+    )
+    def test_same_errors_on_load(self, tmp_path, sample, error, message):
+        path = tmp_path / "t.json"
+        raw = {"sample_id": "x", "rounds": [[[0.5, 0.5]]], **sample}
+        path.write_text(json.dumps({"schema_version": "1", "samples": [raw]}), encoding="utf-8")
+        with pytest.raises(error) as err:
+            load_trajectories(str(path))
+        assert str(err.value) == message
+
+    def test_top_level_rounds_is_an_unknown_key(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(
+            json.dumps({"schema_version": "1", "samples": [], "rounds": [[[0.5, 0.5]]]}),
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            load_trajectories(str(path))
+        assert str(err.value) == f"{path}: unknown top-level keys ['rounds']"
+
+    @staticmethod
+    def _as_tuples(trajs):
+        return [
+            (t.sample_id, t.correct_label, t.metadata, t.snapshots.tobytes(), t.snapshots.shape)
+            for t in trajs
+        ]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100, fio._CHUNK_CHARS])
+    @pytest.mark.parametrize(
+        "layout",
+        ["written", "spaced", "empty", "empty-spaced"],
+    )
+    def test_chunked_parse_equals_whole_parse(self, tmp_path, monkeypatch, chunk, layout):
+        trajs = [] if layout.startswith("empty") else _mixed_trajs() + sample_trajs()
+        text = reference_document(trajs)
+        if layout.endswith("spaced"):
+            # JSON whitespace around every separator after the head
+            head, _, rest = text.partition("[")
+            text = head + "[ \n" + rest.replace("}, {", "}\t,\r\n {")[:-3] + " ] \n}\n\n"
+        path = tmp_path / "t.json"
+        path.write_text(text, encoding="utf-8")
+        whole = tmp_path / "whole.json"
+        whole.write_text(json.dumps(json.loads(text), indent=1), encoding="utf-8")
+        monkeypatch.setattr(fio, "_CHUNK_CHARS", chunk)
+        with open(path, encoding="utf-8") as fh:
+            assert fio._stream_samples(fh) is not None
+        with open(whole, encoding="utf-8") as fh:
+            assert fio._stream_samples(fh) is None
+        got = self._as_tuples(load_trajectories(str(path)))
+        assert got == self._as_tuples(load_trajectories(str(whole)))
+        assert len(got) == len(trajs)
+
+    @pytest.mark.parametrize("chunk", [7, fio._CHUNK_CHARS])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: text[:-1] + "x\n",
+            lambda text: text.replace("]}", ", ]}"),
+            lambda text: text.replace("]}", "], \"extra\": 1}"),
+            lambda text: text.replace('"s1"', '"s1\\q"'),
+            lambda text: text.replace("0.", "00.", 1),
+        ],
+        ids=["truncated", "trailing", "trailing-comma", "extra-key", "bad-escape", "bad-number"],
+    )
+    def test_invalid_file_gives_the_whole_parse_error(self, tmp_path, monkeypatch, chunk, edit):
+        text = edit(reference_document(sample_trajs(count=3)))
+        path = tmp_path / "t.json"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(fio, "_CHUNK_CHARS", chunk)
+        with pytest.raises(ParseError) as err:
+            load_trajectories(str(path))
+        try:
+            json.loads(text)
+        except ValueError as exc:
+            assert str(err.value) == f"{path} is not valid JSON: {exc}"
+        else:
+            assert str(err.value) == f"{path}: unknown top-level keys ['extra']"
+
+    def test_save_peak_is_below_half_the_snapshots(self, tmp_path):
+        trajs = corpus_trajs()
+        nbytes = sum(t.snapshots.nbytes for t in trajs)
+        peak = traced_peak(lambda: save_trajectories(str(tmp_path / "t.json"), trajs))
+        assert peak < 0.5 * nbytes
+
+    def test_load_peak_is_below_the_whole_text_and_its_bytes(self, tmp_path):
+        path = str(tmp_path / "t.json")
+        trajs = corpus_trajs()
+        save_trajectories(path, trajs)
+        back = []
+        peak = traced_peak(lambda: back.extend(load_trajectories(path)))
+        # json.load of the whole file holds its bytes and its text at once: 2x
+        assert peak < 1.75 * os.path.getsize(path)
+        assert all(np.array_equal(a.snapshots, b.snapshots) for a, b in zip(back, trajs))
 
 
 class TestParamsDict:
@@ -574,6 +803,60 @@ class TestCLI:
         assert len(trajs) == 1
         assert trajs[0].rounds == 4
         assert trajs[0].correct_label == 1
+
+    @staticmethod
+    def _inline_gamma_document(sim):
+        """simulate's trajectories.json as it was built with the γ rule written
+        inline, before the rule moved into the library, and one json.dumps."""
+        sset = None
+        if sim.mode == "scenario":
+            sc = ImperfectScenario(n=sim.agents, d=sim.labels, p=sim.p, u=sim.u, c=sim.c)
+            sset = gen_imperfect(sc, sim.pools * sim.samples, sim.seed)
+        rng = np.random.default_rng(sim.seed)
+        trajs = []
+        for pool in range(sim.pools):
+            pool_params = _draw_pool_params(rng, sim)
+            first = pool * sim.samples
+            metadata = {"pool": str(pool)}
+            if sset is None:
+                innates, labels = [], []
+                for _ in range(sim.samples):
+                    innates.append(rng.dirichlet(np.ones(sim.labels), size=sim.agents))
+                    labels.append(int(rng.integers(sim.labels)))
+                innates = np.stack(innates)
+            else:
+                innates = sset.beliefs[first : first + sim.samples]
+                labels = [int(y) for y in sset.labels[first : first + sim.samples]]
+                metadata["scenario"] = sim.scenario
+            params = [pool_params] * sim.samples
+            if sim.gamma_mode == "confidence":
+                params = [
+                    replace(pool_params, gamma=np.clip(conf, sim.gamma_min, sim.gamma_max))
+                    for conf, _ in map(confidence_metrics, innates)
+                ]
+            ids = [f"sample-{first + k:04d}" for k in range(sim.samples)]
+            trajs += simulate_pool(
+                params, innates, sim.rounds, sample_ids=ids, correct_labels=labels, metadata=metadata
+            )
+        return reference_document(trajs).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "mode, gamma_mode",
+        [("random", "random"), ("scenario", "random"), ("scenario", "confidence")],
+    )
+    def test_gamma_rule_keeps_the_file(self, tmp_path, mode, gamma_mode):
+        out = str(tmp_path)
+        size = dict(pools=2, samples=3, agents=4, labels=3, rounds=4)
+        argv = ["--output-dir", out, "--seed", "11", "--quiet", "simulate", "--mode", mode]
+        argv += ["--gamma-mode", gamma_mode]
+        for key, value in size.items():
+            argv += [f"--{key}", str(value)]
+        assert run(argv) == 0
+        sim = replace(
+            load_config(None).with_seed(11).simulate, mode=mode, gamma_mode=gamma_mode, **size
+        )
+        with open(os.path.join(out, "trajectories.json"), "rb") as fh:
+            assert fh.read() == self._inline_gamma_document(sim)
 
     def test_scenario_mode_with_confidence_gamma(self, tmp_path):
         out = str(tmp_path)
@@ -924,6 +1207,55 @@ class TestCLI:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"fjlab: error: {pfile!r}: {message}: ")
 
+    @pytest.mark.parametrize(
+        "literal", ["1" + "0" * 400, "1" * 5000], ids=["float-overflow", "digit-limit"]
+    )
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("trajectories", "sample 'sample-0001': non-numeric or ragged rounds"),
+            ("fits", "per_sample entry 0: bad parameter dictionary: int too large"),
+            ("params-innate", "bad 'innate' snapshot: int too large"),
+            ("params-gamma", "bad parameter dictionary: int too large"),
+        ],
+    )
+    def test_huge_integer_literal_exits_1(self, tmp_path, capsys, kind, message, literal):
+        """An integer too large for a float is bad input; one past Python's
+        integer parse limit (4,300 digits) fails as the file's JSON."""
+        out = str(tmp_path)
+        if kind == "trajectories":
+            assert self._simulate(out) == 0
+            name = "trajectories.json"
+            doc = read_json(out, name)
+            doc["samples"][1]["rounds"][0][0][0] = "HUGE"
+            argv = ["fit", "--input", os.path.join(out, name)]
+        elif kind == "fits":
+            assert self._simulate(out) == 0
+            assert run(["--output-dir", out, "--quiet", "fit"]) == 0
+            name = "fits.json"
+            doc = read_json(out, name)
+            doc["per_sample"][0]["params"]["gamma"][0] = "HUGE"
+            argv = ["analyze"]
+        else:
+            name = "params.json"
+            doc = params_to_dict(sample_params())
+            doc["innate"] = np.full((3, 3), 1.0 / 3).tolist()
+            if kind == "params-innate":
+                doc["innate"][0][0] = "HUGE"
+            else:
+                doc["gamma"][0] = "HUGE"
+            argv = ["simulate", "--mode", "params", "--params-file", os.path.join(out, name)]
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc).replace('"HUGE"', literal))
+        capsys.readouterr()
+        assert run(["--output-dir", out, "--quiet"] + argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("fjlab: error: ")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python 3.10.7+
+        assert (name if 0 < limit < len(literal) else message) in line
+
     def test_confidence_order_error_prints_plain_floats(self, tmp_path, capsys):
         argv = ["--output-dir", str(tmp_path), "--quiet", "simulate", "--mode", "scenario"]
         assert run(argv + ["--scenario", "imperfect", "--labels", "2"]) == 1
@@ -1055,7 +1387,7 @@ class TestGCPause:
     def test_paused_during_and_enabled_after(self, tmp_path, monkeypatch):
         path = str(tmp_path / "t.json")
         parsed = self._watch(monkeypatch, "_parse_sample")
-        written = self._watch(monkeypatch, "atomic_write_json")
+        written = self._watch(monkeypatch, "atomic_write_chunks")
         assert gc.isenabled()
         save_trajectories(path, sample_trajs())
         assert gc.isenabled()

@@ -12,6 +12,8 @@ from fjlab.errors import (
     UnbalancedScenario,
 )
 from fjlab import scenarios
+from fjlab.metrics import confidence_metrics
+from fjlab.model import FJParameters
 from fjlab.scenarios import (
     ExclusiveScenario,
     ImperfectScenario,
@@ -22,6 +24,7 @@ from fjlab.scenarios import (
     imperfect_gap,
     moe_advantage_check,
     optimal_fixed_ensemble,
+    per_sample_params,
     project_simplex,
     routing_error_threshold,
     uniform_mixture_profile,
@@ -411,3 +414,34 @@ class TestGenImperfect:
         b = gen_imperfect(sc, 150, seed=6)
         assert a.beliefs.tobytes() == b.beliefs.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
+
+
+class TestPerSampleParams:
+    @staticmethod
+    def base(n=5):
+        w = np.full((n, n), 1.0 / (n - 1))
+        np.fill_diagonal(w, 0.0)
+        return FJParameters(
+            gamma=np.full(n, 0.5), alpha=np.full(n, 0.3), w=w, mask=FJParameters.complete_mask(n)
+        )
+
+    def test_random_mode_shares_the_base(self):
+        base = self.base()
+        innates = gen_imperfect(ImperfectScenario(n=5, d=4, p=0.9, u=0.05, c=0.7), 3, 0).beliefs
+        assert per_sample_params(base, innates, "random", 0.1, 0.9) == [base] * 3
+
+    def test_confidence_mode_sets_gamma_per_sample(self):
+        base = self.base()
+        innates = gen_imperfect(ImperfectScenario(n=5, d=4, p=0.9, u=0.05, c=0.7), 6, 0).beliefs
+        params = per_sample_params(base, innates, "confidence", 0.2, 0.6)
+        assert len(params) == 6
+        for p, innate in zip(params, innates):
+            want = np.clip(confidence_metrics(innate)[0], 0.2, 0.6)
+            np.testing.assert_array_equal(p.gamma, want)
+            np.testing.assert_array_equal(p.alpha, base.alpha)
+            np.testing.assert_array_equal(p.w, base.w)
+        assert len({p.gamma.tobytes() for p in params}) > 1
+
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(InvalidScenario, match="gamma_mode"):
+            per_sample_params(self.base(), np.full((1, 5, 4), 0.25), "fixed", 0.1, 0.9)
