@@ -36,7 +36,35 @@ other layout, and any file that is not valid JSON, is parsed whole by
 ``object_hook``: as the scanner closes each object, a nonempty ``rounds``
 list becomes a float64 array, so a sample's nested lists are freed before
 the next sample is parsed.  A ``rounds`` that does not convert stays a
-list, and the sample check raises on it.
+list, and the sample check raises on it.  A trajectory adopts the array
+its load checked, frozen in place, without the constructor's second check
+and copy.
+
+Large trajectory text (``_SPLIT_BYTES``, 4 MiB; for a save, as estimated
+from the number of floats) is split between this process and one child
+made by ``os.fork``, where ``os.fork`` exists, at least 2 CPUs are usable
+(``os.sched_getaffinity``) and Python is older than 3.12, from which a fork
+in a process with threads warns.  The child writes its output to an
+anonymous temp file.  A save's child encodes the second half of the
+samples, in a temp file next to the target, while this process streams the
+head and the first half; this process then appends the child's text, and
+the bytes are those of the serial writer.  A load cuts the file at the
+first writer separator ``, {"sample_id": `` after its middle byte.  The
+child parses the text after the separator's ``", "``, which must end in
+``]}`` and whitespace, and pickles each sample object, rounds array and
+all, one after another; this process parses the text before the cut, which
+must start with the writer's head and end after a sample, decoding its
+bytes incrementally so that a character split by a read is whole, then
+unpickles the child's samples one at a time after its own.  The split
+stands only when both halves parse to their exact ends: the text is then
+half one, ``", "`` and half two, the same JSON value, so the samples are
+the serial parse's; the sample checks then run over all samples in file
+order.  Any other outcome falls back to the serial code, which raises the
+exact serial error: no separator, a half that does not parse or decode, a
+child that exits non-zero or could not be made.  When a save's child
+fails, this process encodes the second half itself, so a failing sample
+raises its own error.  Every path kills and reaps the child, also on an
+interrupt, and closes the temp file.
 
 Loading and saving trajectories pause the cyclic garbage collector while
 they parse or build the document.  Its tree of lists and dicts holds no
@@ -55,6 +83,7 @@ as empty cells.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import gc
@@ -62,6 +91,8 @@ import io
 import json
 import math
 import os
+import pickle
+import sys
 import tempfile
 from collections.abc import Iterable
 from typing import Any
@@ -99,6 +130,14 @@ _HEAD = f'{{"schema_version": {json.dumps(SCHEMA_VERSION)}, "samples": ['
 # peak RSS of a pipeline on small files by about 0.2 MiB
 _CHUNK_CHARS = 1 << 16
 _WHITESPACE = json.decoder.WHITESPACE
+# what the writer puts between two samples; a split load cuts the file at one
+_SEPARATOR = b', {"sample_id": '
+# trajectory text from which save and load split the samples with a forked
+# child; a float and its ", " take about 20 bytes of it
+_SPLIT_BYTES = 4 << 20
+_FLOAT_TEXT_BYTES = 20
+# SIGKILL is 9 on every POSIX system; the signal module is not loaded for it
+_SIGKILL = 9
 
 _SAMPLE_KEYS = {
     "sample_id",
@@ -194,15 +233,97 @@ def _rounds_to_array(obj: dict) -> dict:
     return obj
 
 
-def _stream_samples(fh) -> list | None:
-    """The sample objects of a file in the writer's layout, read a chunk at a
-    time and parsed one sample at a time; None for any other layout and for a
-    file that is not valid JSON, which the caller then parses whole."""
+@contextlib.contextmanager
+def _forked(work, directory: str | None = None):
+    """Run ``work(part)`` in a child made by ``os.fork`` while the block runs;
+    ``part`` is an anonymous binary temp file in ``directory`` (by default
+    the temp directory) that takes the child's output.
+
+    Yields a function that waits for the child and returns ``part`` at its
+    start if ``work`` returned true, else None; or yields None when no child
+    could be made.  The child ends in ``os._exit``, so it runs no exit
+    handler and flushes no buffer it inherited.  Leaving the block kills and
+    reaps a child not yet waited for, also when the block raises or is
+    interrupted, and closes ``part``.
+    """
+    part = pid = status = None
+    try:
+        part = tempfile.TemporaryFile(dir=directory)
+        pid = os.fork()
+    except OSError:
+        pass
+    if pid == 0:
+        code = 1
+        try:
+            if work(part):
+                part.flush()
+                code = 0
+        finally:
+            os._exit(code)
+
+    def wait():
+        nonlocal status
+        if status is None:
+            status = os.waitpid(pid, 0)[1]
+        if status:
+            return None
+        part.seek(0)
+        return part
+
+    try:
+        yield None if pid is None else wait
+    finally:
+        if pid is not None and status is None:
+            os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+        if part is not None:
+            part.close()
+
+
+def _split_pays(text_bytes: int) -> bool:
+    """Whether save or load splits the samples with a forked child: the text
+    is large and a second CPU is usable."""
+    # From Python 3.12 os.fork warns in a process with threads, such as
+    # OpenBLAS's pool; silencing that would swap the process-wide warning
+    # filters, so 3.12 and later stay serial until the fork is checked there
+    if text_bytes < _SPLIT_BYTES or sys.version_info >= (3, 12) or not hasattr(os, "fork"):
+        return False
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+class _Utf8Range:
+    """``read(size)``: the UTF-8 text of bytes [start, end) of a binary file,
+    up to ``size`` bytes at a time; "" only at the end.  A character cut by
+    one read is completed by the next."""
+
+    def __init__(self, fh, start: int, end: int):
+        fh.seek(start)
+        self.fh, self.left = fh, end - start
+        self.decode = codecs.getincrementaldecoder("utf-8")().decode
+
+    def read(self, size: int) -> str:
+        text = ""
+        while not text and self.left:
+            data = self.fh.read(min(size, self.left))
+            self.left = self.left - len(data) if data else 0
+            text = self.decode(data, final=not self.left)
+        return text
+
+
+def _parse_samples(fh, emit, head: bool = True, tail: bool = True) -> bool:
+    """Parse text in the writer's layout from chunked reads of ``fh``, one
+    sample at a time, passing each sample object to ``emit``; True if the
+    text parsed to its exact end.  ``head``: the text starts with _HEAD,
+    else with a sample.  ``tail``: "]}" follows the samples, else the end.
+    Whitespace may sit around every separator and at the end."""
     buf = fh.read(max(_CHUNK_CHARS, len(_HEAD)))
-    if not buf.startswith(_HEAD):
-        return None
-    pos = len(_HEAD)
+    pos = 0
+    if head:
+        if not buf.startswith(_HEAD):
+            return False
+        pos = len(_HEAD)
     decode = json.JSONDecoder(object_hook=_rounds_to_array).raw_decode
+    longest = 0  # text of the longest sample so far
 
     def refill() -> bool:
         nonlocal buf, pos
@@ -211,7 +332,7 @@ def _stream_samples(fh) -> list | None:
         return bool(more)
 
     def peek() -> str:
-        """The next character after whitespace, or "" at the end of the file."""
+        """The next character after whitespace, or "" at the end of the text."""
         nonlocal pos
         pos = _WHITESPACE.match(buf, pos).end()
         while pos == len(buf) and refill():
@@ -219,45 +340,114 @@ def _stream_samples(fh) -> list | None:
         return buf[pos : pos + 1]
 
     def value():
+        nonlocal longest
+        # a sample as long as the longest so far is read whole before its
+        # parse, so that few parses start over on a sample cut by a read
+        while len(buf) - pos < longest and refill():
+            pass
         while True:
             try:
-                return decode(buf, pos)
+                obj, end = decode(buf, pos)
             except json.JSONDecodeError:  # a sample cut by the chunk's end
                 if not refill():
                     raise
+                continue
+            longest = max(longest, end - pos)
+            return obj, end
 
-    samples = []
     try:
         char = peek()
         while char != "]":
             sample, pos = value()
-            samples.append(sample)
+            emit(sample)
             char = peek()
             if char == ",":
                 pos += 1
                 peek()
+            elif char == "" and not tail:
+                return True
             elif char != "]":
-                return None
+                return False
+        if not tail:
+            return False
         pos += 1
         if peek() == "}":
             pos += 1
-            if peek() == "":
-                return samples
-    except ValueError:
+            return peek() == ""
+    except ValueError:  # a JSONDecodeError or bad UTF-8
         pass
+    return False
+
+
+def _stream_samples(fh) -> list | None:
+    """The sample objects of a file in the writer's layout, read a chunk at a
+    time and parsed one sample at a time; None for any other layout and for a
+    file that is not valid JSON, which the caller then parses whole."""
+    samples: list = []
+    return samples if _parse_samples(fh, samples.append) else None
+
+
+def _find_separator(fh, start: int) -> int | None:
+    """The byte offset of the first sample separator at or after ``start``."""
+    fh.seek(start)
+    offset, window = start, b""
+    while chunk := fh.read(_CHUNK_CHARS):
+        window = window[1 - len(_SEPARATOR) :] + chunk
+        at = window.find(_SEPARATOR)
+        if at >= 0:
+            return offset + len(chunk) - len(window) + at
+        offset += len(chunk)
+    return None
+
+
+def _load_halves(path: str) -> list | None:
+    """The sample objects of a large file in the writer's layout, the second
+    half parsed by a forked child while this process parses the first; None
+    when the split does not apply or a half does not parse to its end."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if not _split_pays(size):
+            return None
+        cut = _find_separator(fh, size // 2)
+        if cut is None:
+            return None
+
+        def child(part) -> bool:
+            def send(sample) -> None:
+                pickle.dump(sample, part, protocol=5)
+
+            # its own file: one inherited shares its offset with this process
+            with open(path, "rb") as src:
+                return _parse_samples(_Utf8Range(src, cut + len(", "), size), send, head=False)
+
+        with _forked(child) as wait:
+            samples: list = []
+            if wait is not None and _parse_samples(
+                _Utf8Range(fh, 0, cut), samples.append, tail=False
+            ):
+                part = wait()
+                if part is not None:
+                    while part.peek(1):
+                        samples.append(pickle.load(part))
+                    return samples
     return None
 
 
 @_gc_paused()
 def load_trajectories(path: str) -> list[DeliberationTrajectory]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            samples = _stream_samples(fh)
-            if samples is None:
-                fh.seek(0)
-                doc = json.load(fh, object_hook=_rounds_to_array)
-            else:
-                doc = {"schema_version": SCHEMA_VERSION, "samples": samples}
+        samples = _load_halves(path)
+    except (OSError, ValueError):  # the serial load below reports the error
+        samples = None
+    try:
+        if samples is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                samples = _stream_samples(fh)
+                if samples is None:
+                    fh.seek(0)
+                    doc = json.load(fh, object_hook=_rounds_to_array)
+        if samples is not None:
+            doc = {"schema_version": SCHEMA_VERSION, "samples": samples}
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, bad UTF-8 or an over-long integer
@@ -359,21 +549,52 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
             )
         metadata["label_names"] = json.dumps(names)
     metadata["ingest_max_drift"] = repr(drift)
-    return DeliberationTrajectory(
-        snapshots=snaps, sample_id=sid, correct_label=label, metadata=metadata
-    )
+    # snaps passed the constructor's checks above and is this load's own array
+    return DeliberationTrajectory._from_checked(snaps, sid, label, metadata)
 
 
 @_gc_paused()
 def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
-    atomic_write_chunks(path, _trajectory_chunks(trajs))
+    half = len(trajs) // 2
+    floats = sum(t.snapshots.size for t in trajs if isinstance(t, DeliberationTrajectory))
+    if not half or not _split_pays(_FLOAT_TEXT_BYTES * floats):
+        atomic_write_chunks(path, _trajectory_chunks(trajs))
+        return
+    first, second = trajs[:half], trajs[half:]
+
+    def write_second(part) -> bool:
+        # the encoder escapes every character past ASCII
+        part.writelines(entry.encode("ascii") for entry in _sample_entries(second, half))
+        return True
+
+    with _forked(write_second, os.path.dirname(os.path.abspath(path))) as wait:
+
+        def chunks() -> Iterable[str]:
+            yield _HEAD
+            yield from _sample_entries(first)
+            part = None if wait is None else wait()
+            if part is not None:
+                while chunk := part.read(_CHUNK_CHARS):
+                    yield chunk.decode("ascii")
+            else:  # encoded here, so a failing sample raises its own error
+                yield from _sample_entries(second, half)
+            yield "]}\n"
+
+        atomic_write_chunks(path, chunks())
 
 
 def _trajectory_chunks(trajs: list[DeliberationTrajectory]) -> Iterable[str]:
     """The trajectory document as text, one sample's entry per chunk."""
-    encode = json.JSONEncoder(allow_nan=False).encode
     yield _HEAD
-    for k, traj in enumerate(trajs):
+    yield from _sample_entries(trajs)
+    yield "]}\n"
+
+
+def _sample_entries(trajs: list[DeliberationTrajectory], start: int = 0) -> Iterable[str]:
+    """Each sample's entry as text, after ", " unless it is the document's
+    first; ``start`` is the index in the document of ``trajs[0]``."""
+    encode = json.JSONEncoder(allow_nan=False).encode
+    for k, traj in enumerate(trajs, start):
         meta = dict(traj.metadata)
         names = None
         if "label_names" in meta:
@@ -389,7 +610,6 @@ def _trajectory_chunks(trajs: list[DeliberationTrajectory]) -> Iterable[str]:
             entry["label_names"] = names
         entry["metadata"] = meta
         yield f", {encode(entry)}" if k else encode(entry)
-    yield "]}\n"
 
 
 # -- parameter serialization ----------------------------------------------

@@ -206,6 +206,22 @@ class DeliberationTrajectory:
             raise ShapeMismatch("metadata must map strings to strings")
         object.__setattr__(self, "snapshots", _freeze(snaps))
 
+    @classmethod
+    def _from_checked(
+        cls, snapshots: np.ndarray, sample_id: str, correct_label: int | None,
+        metadata: dict[str, str],
+    ) -> DeliberationTrajectory:
+        """A trajectory over a float64 array that has passed the checks of
+        ``__post_init__`` and that no one else holds: it is frozen in place
+        instead of copied.  For loaders, which check every cell themselves."""
+        snapshots.setflags(write=False)
+        traj = object.__new__(cls)
+        vars(traj).update(
+            snapshots=snapshots, sample_id=sample_id, correct_label=correct_label,
+            metadata=metadata,
+        )
+        return traj
+
     @property
     def rounds(self) -> int:
         """Number of update steps T (snapshots minus one)."""

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from fjlab.errors import (
     ConfigError,
     DegenerateStubbornness,
     InvariantViolation,
+    LabelOutOfRange,
     NegativeEntry,
     NumericalError,
     ParseError,
@@ -286,11 +288,20 @@ def traced_peak(call):
 
 
 class _Raises:
-    """A trajectory whose metadata cannot be read, to fail a save midway."""
+    """A trajectory whose metadata cannot be read, to fail a save midway:
+    reading it raises ``error`` in process ``pid``, or in any if None."""
+
+    def __init__(self, error=RuntimeError("boom"), pid=None):
+        self.error, self.pid = error, pid
 
     @property
     def metadata(self):
-        raise RuntimeError("boom")
+        if self.pid in (None, os.getpid()):
+            raise self.error
+        return {}
+
+    sample_id, n, d, correct_label = "r", 1, 2, None
+    snapshots = np.array([[[0.5, 0.5]]])
 
 
 def _mixed_trajs():
@@ -464,6 +475,299 @@ class TestStreamedTrajectoryFiles:
         # json.load of the whole file holds its bytes and its text at once: 2x
         assert peak < 1.75 * os.path.getsize(path)
         assert all(np.array_equal(a.snapshots, b.snapshots) for a, b in zip(back, trajs))
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "split"])
+    def test_load_peak_is_below_six_tenths_of_the_file(self, tmp_path, monkeypatch, cpus):
+        path = str(tmp_path / "t.json")
+        trajs = corpus_trajs()
+        save_trajectories(path, trajs)
+        monkeypatch.setattr(fio, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        back = []
+        peak = traced_peak(lambda: back.extend(load_trajectories(path)))
+        # the arrays take 0.38x the file; a trajectory adopts its array uncopied
+        assert peak < 0.6 * os.path.getsize(path)
+        for a, b in zip(back, trajs):
+            assert a.snapshots.tobytes() == b.snapshots.tobytes()
+            assert not a.snapshots.flags.writeable
+
+    def test_each_sample_is_decoded_about_once(self, tmp_path, monkeypatch):
+        trajs = corpus_trajs()
+        path = tmp_path / "t.json"
+        save_trajectories(str(path), trajs)
+        # a sample longer than every one before it may be cut by a read once
+        lengths = [len(entry) for entry in fio._sample_entries(trajs, 1)]
+        records = sum(1 for k, n in enumerate(lengths) if n > max(lengths[:k], default=0))
+        calls = []
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def counted(self, s, idx=0):
+            calls.append(idx)
+            return raw_decode(self, s, idx)
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert len(load_trajectories(str(path))) == len(trajs)
+        assert len(trajs) <= len(calls) <= len(trajs) + records
+
+
+def _count_forks(monkeypatch, fail=False):
+    """Wrap os.fork so each call is recorded; with ``fail`` it raises instead."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        if fail:
+            raise OSError("no fork here")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _record_calls(monkeypatch, name):
+    """Wrap fio's function ``name`` so each call made in this process is recorded."""
+    calls = []
+    inner = getattr(fio, name)
+    parent = os.getpid()
+
+    def recorded(*args, **kwargs):
+        if os.getpid() == parent:
+            calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fio, name, recorded)
+    return calls
+
+
+def _escaped_trajs(count=6):
+    """Samples with label names, quotes, backslashes and non-ASCII text."""
+    return [
+        replace(
+            traj,
+            sample_id=f'é "q{k}" \\ 日本 😀',
+            metadata={
+                "note": 'café "quoted" back\\slash 日\n',
+                "q\"k": "\\",
+                "label_names": json.dumps(["ä", '"b"', "c\\", "日"]),
+            },
+        )
+        for k, traj in enumerate(sample_trajs(count=count))
+    ]
+
+
+class TestSplitTrajectoryIo:
+    """Save and load split the samples with one forked child when the text is
+    large and two CPUs are usable: same bytes, same values, same errors, and
+    no child left behind."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        monkeypatch.setattr(fio, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield _count_forks(monkeypatch)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _serial(path):
+        """The result of the serial load (os.fork raising), or its error."""
+        with pytest.MonkeyPatch.context() as mp:
+            forks = _count_forks(mp, fail=True)
+            try:
+                result = TestStreamedTrajectoryFiles._as_tuples(load_trajectories(str(path)))
+            except Exception as exc:
+                result = (type(exc), str(exc))
+        return result, forks
+
+    @pytest.mark.parametrize("trajs", [_escaped_trajs, lambda: corpus_trajs(count=9)])
+    def test_save_bytes_equal_one_dumps(self, tmp_path, monkeypatch, forks, trajs):
+        trajs = trajs()
+        encoded = _record_calls(monkeypatch, "_sample_entries")
+        path = tmp_path / "t.json"
+        save_trajectories(str(path), trajs)
+        assert len(forks) == 1
+        assert len(encoded) == 1  # the child encoded the second half
+        assert path.read_bytes() == reference_document(trajs).encode("utf-8")
+        assert sorted(os.listdir(tmp_path)) == ["t.json"]
+
+    def test_save_without_fork_is_the_same(self, tmp_path, forks, monkeypatch):
+        failed = _count_forks(monkeypatch, fail=True)
+        trajs = _escaped_trajs()
+        path = tmp_path / "t.json"
+        save_trajectories(str(path), trajs)
+        assert len(failed) == 1
+        assert path.read_bytes() == reference_document(trajs).encode("utf-8")
+        assert sorted(os.listdir(tmp_path)) == ["t.json"]
+
+    @pytest.mark.parametrize("chunk", [1, 7, fio._CHUNK_CHARS])
+    def test_load_equals_the_serial_load(self, tmp_path, monkeypatch, forks, chunk):
+        trajs = _escaped_trajs() + corpus_trajs(count=5)
+        path = tmp_path / "t.json"
+        path.write_text(reference_document(trajs), encoding="utf-8")
+        serial, serial_forks = self._serial(path)
+        assert len(serial_forks) == 1 and len(serial) == len(trajs)
+        monkeypatch.setattr(fio, "_CHUNK_CHARS", chunk)
+        serial_parses = _record_calls(monkeypatch, "_stream_samples")
+        got = load_trajectories(str(path))
+        assert forks == [os.getpid()]
+        assert serial_parses == []  # both halves parsed to their ends
+        assert TestStreamedTrajectoryFiles._as_tuples(got) == serial
+        assert all(not t.snapshots.flags.writeable for t in got)
+
+    @pytest.mark.parametrize("chunk", [1, 3, fio._CHUNK_CHARS])
+    def test_non_ascii_file_loads_as_json_load_reads_it(self, tmp_path, monkeypatch, forks, chunk):
+        # two- to four-byte characters on both sides of the cut, with spaces
+        samples = [
+            {
+                "sample_id": f"ü{'日' * k}😀{k}",
+                "rounds": [[[0.25, 0.75], [1.0, 0.0]]],
+                "metadata": {"ñ": "€" * k + "é \U0001f600"},
+            }
+            for k in range(12)
+        ]
+        text = json.dumps({"schema_version": "1", "samples": samples}, ensure_ascii=False)
+        text = text.replace("]}, {", "]} ,\n {")
+        path = tmp_path / "t.json"
+        path.write_bytes(text.encode("utf-8") + b" \n")
+        monkeypatch.setattr(fio, "_CHUNK_CHARS", chunk)
+        serial_parses = _record_calls(monkeypatch, "_stream_samples")
+        got = load_trajectories(str(path))
+        assert len(forks) == 1 and serial_parses == []
+        with open(path, encoding="utf-8") as fh:
+            want = json.load(fh)["samples"]
+        assert [t.sample_id for t in got] == [s["sample_id"] for s in want]
+        assert [{k: v for k, v in t.metadata.items() if k != "ingest_max_drift"} for t in got] == [
+            s["metadata"] for s in want
+        ]
+        assert all(t.snapshots.tolist() == s["rounds"] for t, s in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda last: last.replace("0.", "00.", 1),
+            lambda last: last[:-40],
+            lambda last: re.sub(r"\[\[\[[^,]*", "[[[NaN", last, count=1),
+            lambda last: re.sub(r"\[\[\[[^,]*", "[[[0.9", last, count=1),
+            lambda last: re.sub(r'"correct_label": \d+', '"correct_label": 99', last),
+            lambda last: last.replace('"s9"', '"s0"'),
+            lambda last: last + ", 7",
+            lambda last: last[: -len("]}\n")],
+        ],
+        ids=[
+            "bad-number", "truncated", "nan-row", "off-simplex", "label", "duplicate-id",
+            "extra", "unclosed",
+        ],
+    )
+    def test_an_edit_in_the_second_half_gives_the_serial_error(self, tmp_path, forks, edit):
+        text = reference_document(sample_trajs(count=10))
+        head, sep, last = text.rpartition(', {"sample_id": ')
+        last = edit(sep + last)
+        path = tmp_path / "t.json"
+        path.write_text(head + last, encoding="utf-8")
+        serial, _ = self._serial(path)
+        assert serial[0] in (ParseError, InvariantViolation, LabelOutOfRange)
+        with pytest.raises(Exception) as err:
+            load_trajectories(str(path))
+        assert len(forks) == 1
+        assert (type(err.value), str(err.value)) == serial
+
+    @pytest.mark.parametrize("chunk", [7, fio._CHUNK_CHARS], ids=["later-read", "first-read"])
+    def test_bad_utf8_in_the_first_half_gives_the_serial_error(
+        self, tmp_path, monkeypatch, forks, capsys, chunk
+    ):
+        text = reference_document(sample_trajs(count=10)).encode("utf-8")
+        path = tmp_path / "t.json"
+        path.write_bytes(text.replace(b'"s1"', b'"s\xff"', 1))
+        serial, _ = self._serial(path)
+        assert serial[0] is ParseError and "not valid JSON" in serial[1]
+        monkeypatch.setattr(fio, "_CHUNK_CHARS", chunk)
+        with pytest.raises(ParseError) as err:
+            load_trajectories(str(path))
+        assert len(forks) == 1
+        assert str(err.value) == serial[1]
+        capsys.readouterr()
+        argv = ["--output-dir", str(tmp_path), "--quiet", "fit", "--input", str(path)]
+        assert run(argv) == 1
+        assert len(forks) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"fjlab: error: {serial[1]}"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            _Raises,
+            lambda: replace(sample_trajs(count=1)[0], metadata={"label_names": "[no json"}),
+        ],
+        ids=["raises", "bad-label-names"],
+    )
+    def test_a_failed_save_in_the_childs_half_leaves_the_target(self, tmp_path, forks, bad):
+        path = tmp_path / "t.json"
+        save_trajectories(str(path), sample_trajs())
+        before = path.read_bytes()
+        forks.clear()
+        trajs = sample_trajs(count=5) + [bad()]
+        with pytest.raises(Exception) as serial:
+            list(fio._trajectory_chunks(trajs))
+        with pytest.raises(type(serial.value)) as err:
+            save_trajectories(str(path), trajs)
+        assert str(err.value) == str(serial.value)
+        assert len(forks) == 1
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["t.json"]
+
+    def test_a_nan_in_the_childs_half_raises_the_encoders_error(self, tmp_path, forks):
+        nan = _Raises(None, pid=-1)
+        nan.snapshots = np.array([[[np.nan, 1.0]]])
+        trajs = sample_trajs(count=3) + [nan]
+        with pytest.raises(ValueError) as serial:
+            list(fio._trajectory_chunks(trajs))
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError) as err:
+            save_trajectories(str(path), trajs)
+        assert str(err.value) == str(serial.value)
+        assert len(forks) == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_interrupt_in_the_parents_half(self, tmp_path, forks, monkeypatch):
+        path = tmp_path / "t.json"
+        save_trajectories(str(path), sample_trajs())
+        before = path.read_bytes()
+        forks.clear()
+        trajs = [_Raises(KeyboardInterrupt(), pid=os.getpid())] + sample_trajs(count=3)
+        with pytest.raises(KeyboardInterrupt):
+            save_trajectories(str(path), trajs)
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["t.json"]
+        rounds_to_array = fio._rounds_to_array
+        parent = os.getpid()
+
+        def interrupted(obj):
+            if os.getpid() == parent and "sample_id" in obj:
+                raise KeyboardInterrupt
+            return rounds_to_array(obj)
+
+        monkeypatch.setattr(fio, "_rounds_to_array", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_trajectories(str(path))
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("case", ["below-threshold", "one-cpu", "python-3.12"])
+    def test_no_fork_when_small_or_on_one_cpu(self, tmp_path, monkeypatch, case):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        if case != "below-threshold":
+            monkeypatch.setattr(fio, "_SPLIT_BYTES", 1)
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        if case == "python-3.12":
+            monkeypatch.setattr(sys, "version_info", (3, 12, 0, "final", 0))
+        forks = _count_forks(monkeypatch)
+        path = str(tmp_path / "t.json")
+        trajs = corpus_trajs(count=20)
+        save_trajectories(path, trajs)
+        assert len(load_trajectories(path)) == len(trajs)
+        assert forks == []
 
 
 class TestParamsDict:

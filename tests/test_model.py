@@ -218,3 +218,13 @@ class TestTrajectory:
         with pytest.raises(ShapeMismatch):
             DeliberationTrajectory(snapshots=snaps, metadata={"pool": 3})
 
+
+    def test_constructor_copies_and_freezes_the_callers_array(self):
+        snaps = np.full((2, 2, 2), 0.5)
+        traj = DeliberationTrajectory(snapshots=snaps)
+        assert not np.shares_memory(traj.snapshots, snaps)
+        assert not traj.snapshots.flags.writeable
+        snaps[0, 0] = [1.0, 0.0]  # the caller's array stays writable and apart
+        np.testing.assert_array_equal(traj.snapshots, np.full((2, 2, 2), 0.5))
+        with pytest.raises(ValueError):
+            traj.snapshots[0, 0, 0] = 1.0

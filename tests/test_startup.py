@@ -61,6 +61,72 @@ def test_cli_loads_no_scipy_and_stages_import_no_numpy_module():
     assert [m for m in loaded_late if m.startswith(("scipy", "numpy"))] == []
 
 
+# Runs in a fresh interpreter: saves and loads a corpus above the size at
+# which trajectory io splits the samples with a forked child, and reports
+# the modules those calls loaded and the forks they made.
+SPLIT_IO = textwrap.dedent(
+    """
+    import json, os, sys, tempfile
+    import numpy as np
+    import fjlab.cli
+    from fjlab import io as fio
+    from fjlab.model import DeliberationTrajectory
+
+    rng = np.random.default_rng(3)
+    trajs = [
+        DeliberationTrajectory(
+            snapshots=rng.dirichlet(np.ones(6), size=(21, 8)), sample_id=f"s{k}"
+        )
+        for k in range(260)
+    ]
+    assert sum(t.snapshots.size for t in trajs) * fio._FLOAT_TEXT_BYTES > fio._SPLIT_BYTES
+    forks = []
+    fork = os.fork
+    def counted():
+        forks.append(1)
+        return fork()
+    os.fork = counted
+    path = os.path.join(tempfile.mkdtemp(), "trajectories.json")
+    before = set(sys.modules)
+    fio.save_trajectories(path, trajs)
+    back = fio.load_trajectories(path)
+    print(json.dumps({
+        "loaded": sorted(set(sys.modules) - before),
+        "process_modules": sorted(
+            {"multiprocessing", "concurrent.futures", "signal", "subprocess"} & set(sys.modules)
+        ),
+        "forks": len(forks),
+        "size": os.path.getsize(path),
+        "split_bytes": fio._SPLIT_BYTES,
+        "same": all(a.snapshots.tobytes() == b.snapshots.tobytes() for a, b in zip(back, trajs)),
+    }))
+    """
+)
+
+
+def test_split_trajectory_io_loads_no_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SPLIT_IO], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["size"] > report["split_bytes"]
+    assert report["same"]
+    # a save and a load each fork once where two CPUs are usable, before 3.12
+    two_cpus = (
+        sys.version_info < (3, 12)
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+    assert report["forks"] == (2 if two_cpus else 0)
+    assert report["loaded"] == []
+    # a fork needs none of the process modules, which would cost every start-up
+    assert report["process_modules"] == []
+
+
 def _requirement_name(spec: str) -> str:
     return re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower().replace("-", "_")
 
