@@ -15,11 +15,12 @@ around c_i0 = (1/2, 1/4, 1/4 * uniform w), the image of gamma = alpha =
 1/2 and uniform w, every fit is n independent convex problems, one per
 agent.  All of them, across every fit of a call, are solved as one stack
 per coefficient and row count: mse is least squares on the simplex, solved
-exactly by a primal active set over the stack (each face by lstsq), and kl
-runs Newton's method with the analytic Hessian from there, each problem
-stopping on its own.  Every problem gets the bits it gets alone.  Then
-gamma = c_0, alpha = c_1 / (1 - c_0) (1/2 when gamma = 1) and w_i. is
-proportional to the peer coefficients (uniform when they are all 0).
+exactly by a primal active set over the stack (each pass's faces in one
+least-squares stack per size), and kl runs Newton's method with the
+analytic Hessian from there, each problem stopping on its own.  Every
+problem gets the bits it gets alone.  Then gamma = c_0, alpha = c_1 /
+(1 - c_0) (1/2 when gamma = 1) and w_i. is proportional to the peer
+coefficients (uniform when they are all 0).
 Nothing is random, so FitConfig.restarts and seed have no effect.
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .constants import LOG_FLOOR
 from .dynamics import build_h
@@ -55,6 +57,7 @@ __all__ = [
 ]
 
 _FLAT_TOL = 1e-12
+_EPS = np.finfo(np.float64).eps
 _TERMINATIONS = ("converged", "step_underflow", "max_iters")  # mildest first
 
 
@@ -177,13 +180,35 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[..., None, :] @ v[..., None])[..., 0, 0]
 
 
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+# numpy's stacked least-squares kernel (LAPACK dgelsd per matrix); numpy 1.x
+# has none under this name
+_GELSD = getattr(_umath_linalg, "lstsq", None)
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(a[g], b[g])[0] for each g of a stack of equal-shape
+    problems, with the kernel call np.linalg.lstsq makes, so each problem
+    gets the bits it gets alone."""
+    if _GELSD is None:
+        return np.stack([np.linalg.lstsq(ag, bg)[0] for ag, bg in zip(a, b)])
+    rcond = _EPS * max(a.shape[1:])
+    with np.errstate(
+        call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        return _GELSD(a, b[..., None], rcond, signature="ddd->ddid")[0][..., 0]
+
+
 def _simplex_lsq(a: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Minimize ||a_b x_b - r_b|| over the simplex for each problem b of a
     stack, by a primal active set from the feasible x.
 
     Each pass solves every busy problem's free coordinates with their sum
-    fixed to 1 (by one lstsq per problem, so a rank-deficient face still
-    solves and each face gets the bits it gets alone), then
+    fixed to 1, the faces with the same number of free coordinates in one
+    least-squares stack (a rank-deficient face still solves), then
     each problem stops a step at the first coordinate it would make
     negative, frees the bound coordinate with the most negative
     multiplier, or is done.
@@ -194,12 +219,19 @@ def _simplex_lsq(a: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
     for _ in range(4 * k):  # bounds cycling on rounding-level multipliers
         if not busy.size:
             break
-        f, ab, rows = free[busy], a[busy], np.arange(busy.size)
-        target = np.zeros(f.shape)
-        for j, (fj, aj, rj) in enumerate(zip(f, ab, r[busy])):
-            *others, last = np.flatnonzero(fj)
-            z = np.linalg.lstsq(aj[:, others] - aj[:, [last]], rj - aj[:, last])[0]
-            target[j, others], target[j, last] = z, 1.0 - z.sum()
+        f, ab, rb, rows = free[busy], a[busy], r[busy], np.arange(busy.size)
+        target, sizes = np.zeros(f.shape), f.sum(axis=1)
+        for size in np.flatnonzero(np.bincount(sizes)):  # np.unique would import numpy.ma
+            g = np.flatnonzero(sizes == size)
+            cols = np.nonzero(f[g])[1].reshape(g.size, size)  # in order, as flatnonzero
+            others, last = cols[:, :-1], cols[:, -1]
+            z = np.zeros((g.size, 0))  # one free coordinate: no solve
+            if size > 1:
+                a_last = ab[g, :, last]
+                # (face, column, row): lstsq copies each face column by column
+                face = ab[g[:, None], :, others] - a_last[:, None, :]
+                z = _lstsq(face.transpose(0, 2, 1), rb[g] - a_last)
+            target[g[:, None], others], target[g, last] = z, 1.0 - z.sum(axis=1)
         xb = x[busy]
         leaving = target < 0.0
         step = leaving.any(axis=1)
@@ -209,7 +241,7 @@ def _simplex_lsq(a: np.ndarray, r: np.ndarray, x: np.ndarray) -> np.ndarray:
         bound = step[:, None] & f & ((moved <= 0.0) | (ratios == t))
         moved[bound] = 0.0
         f &= ~bound
-        grad = _rmatvec(ab, _matvec(ab, moved) - r[busy])
+        grad = _rmatvec(ab, _matvec(ab, moved) - rb)
         level = np.where(f, grad, 0.0).sum(axis=1, keepdims=True) / f.sum(axis=1, keepdims=True)
         mult = np.where(f, np.inf, grad - level)
         j = np.argmin(mult, axis=1)

@@ -181,12 +181,14 @@ class FJParameters:
         return ~np.eye(n, dtype=bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeliberationTrajectory:
     """Observed belief snapshots over rounds 0..T for one sample.
 
     snapshots has shape (T+1, n, d); round 0 holds the innate beliefs.
     metadata is a flat string-to-string map carried through file I/O.
+    Equality is identity: comparing snapshots arrays has no single truth
+    value.
     """
 
     snapshots: np.ndarray

@@ -9,10 +9,13 @@ from fjlab.errors import (
     EmptyInput,
     InsufficientSamples,
 )
+from fjlab import estimation
 from fjlab.estimation import (
     _TERMINATIONS,
     FitConfig,
+    _lstsq,
     _quartile,
+    _simplex_lsq,
     _solve,
     fit_global,
     fit_objective,
@@ -350,6 +353,98 @@ class TestSolver:
         assert isinstance(report.params, FJParameters)
         assert report.termination == "converged"
         assert report.mse < 1e-20
+
+
+def simplex_stack(seed, b, rows, k):
+    """A stack of b problems (a, r, feasible x) whose first active-set pass
+    mixes face sizes: problem 0 starts at a vertex (one free coordinate),
+    problem 1 inside the simplex, the rest on random faces; every other
+    problem has a zero column and the others a duplicate column."""
+    rng = np.random.default_rng(seed)
+    a, r = rng.normal(size=(b, rows, k)), rng.normal(size=(b, rows))
+    a[::2, :, rng.integers(k)] = 0.0
+    i, j = rng.integers(k, size=2)
+    a[1::2, :, i] = a[1::2, :, j]
+    x = rng.dirichlet(np.ones(k), size=b) * (rng.random((b, k)) < 0.6)
+    x[np.arange(b), rng.integers(k, size=b)] += 0.5
+    x[0], x[1] = np.eye(k)[rng.integers(k)], 1.0
+    return a, r, x / x.sum(axis=1, keepdims=True)
+
+
+def same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestStackedFaces:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 10),
+        st.integers(1, 12),
+        st.integers(2, 9),
+    )
+    def test_stack_matches_the_per_problem_reference_bitwise(self, seed, b, rows, k):
+        # rows from 1, so faces with fewer rows than free columns come up
+        a, r, x = simplex_stack(seed, b, rows, k)
+        got = _simplex_lsq(a, r, x)
+        for p in range(b):
+            same_bits(got[p], reference_simplex_lsq(a[p], r[p], x[p]))
+
+    def test_passes_stack_faces_by_size(self, monkeypatch):
+        a, r, x = simplex_stack(3, 12, 4, 7)
+        shapes = []
+
+        def record(face, rhs):
+            shapes.append(face.shape)
+            return _lstsq(face, rhs)
+
+        monkeypatch.setattr(estimation, "_lstsq", record)
+        got = _simplex_lsq(a, r, x)
+        for p in range(12):
+            same_bits(got[p], reference_simplex_lsq(a[p], r[p], x[p]))
+        assert any(g > 1 for g, _, _ in shapes)
+        assert len({cols for _, _, cols in shapes}) > 2
+        assert any(rows < cols for _, rows, cols in shapes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_face_of_a_stack_gets_its_lstsq_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        face, rhs = rng.normal(size=(5, 3 + seed, 4)), rng.normal(size=(5, 3 + seed))
+        face[1, :, 2] = face[1, :, 0]
+        got = _lstsq(face, rhs)
+        for g in range(5):
+            same_bits(got[g], np.linalg.lstsq(face[g], rhs[g])[0])
+
+    def test_rank_cutoff_is_lstsqs(self):
+        # singular values 1 and 1e-15 on 8 rows: lstsq's cutoff, 8 eps, drops
+        # the second, so the solution stays of order 1
+        rng = np.random.default_rng(0)
+        u = np.linalg.qr(rng.normal(size=(3, 8, 2)))[0]
+        v = np.linalg.qr(rng.normal(size=(3, 2, 2)))[0]
+        face, rhs = u * np.array([1.0, 1e-15]) @ v.transpose(0, 2, 1), rng.normal(size=(3, 8))
+        got = _lstsq(face, rhs)
+        for g in range(3):
+            same_bits(got[g], np.linalg.lstsq(face[g], rhs[g])[0])
+        assert np.abs(got).max() < 10.0
+
+    def test_a_nan_face_raises_lstsqs_error(self):
+        a, r, x = simplex_stack(5, 4, 6, 4)
+        a[1, 3, 1] = np.nan  # problem 1's first face holds every coordinate
+        with pytest.raises(np.linalg.LinAlgError) as alone:
+            np.linalg.lstsq(a[1, :, :3] - a[1, :, 3:], r[1] - a[1, :, 3])
+        with pytest.raises(np.linalg.LinAlgError) as stacked:
+            _simplex_lsq(a, r, x)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value) == "SVD did not converge in Linear Least Squares"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fallback_without_the_stacked_kernel_gives_the_same_bits(self, seed, monkeypatch):
+        a, r, x = simplex_stack(seed, 8, 2 + 2 * seed, 6)
+        face, rhs = a[:, :, :5] - a[:, :, 5:], r - a[:, :, 5]
+        stacked = _simplex_lsq(a, r, x), _lstsq(face, rhs)
+        monkeypatch.setattr(estimation, "_GELSD", None)  # numpy 1.x
+        for got, want in zip((_simplex_lsq(a, r, x), _lstsq(face, rhs)), stacked):
+            same_bits(got, want)
 
 
 class TestFitConfig:

@@ -219,6 +219,14 @@ class TestTrajectory:
             DeliberationTrajectory(snapshots=snaps, metadata={"pool": 3})
 
 
+    def test_equality_is_identity(self):
+        traj = DeliberationTrajectory(snapshots=np.full((3, 2, 2), 0.5), sample_id="s")
+        copy = DeliberationTrajectory(snapshots=traj.snapshots, sample_id="s")
+        assert traj == traj
+        assert (traj == copy) is False
+        assert traj != copy
+        assert len({traj, copy}) == 2
+
     def test_constructor_copies_and_freezes_the_callers_array(self):
         snaps = np.full((2, 2, 2), 0.5)
         traj = DeliberationTrajectory(snapshots=snaps)
