@@ -44,12 +44,13 @@ Large trajectory text (``_SPLIT_BYTES``, 4 MiB; for a save, as estimated
 from the number of floats) is split between this process and one child
 made by ``os.fork``, where ``os.fork`` exists, at least 2 CPUs are usable
 (``os.sched_getaffinity``) and Python is older than 3.12, from which a fork
-in a process with threads warns.  The child writes its output to an
-anonymous temp file.  A save's child encodes the second half of the
-samples, in a temp file next to the target, while this process streams the
-head and the first half; this process then appends the child's text, and
-the bytes are those of the serial writer.  A load cuts the file at the
-first writer separator ``, {"sample_id": `` after its middle byte.  The
+in a process with threads warns.  The child runs on the usable CPUs other
+than this process's and writes its output to an anonymous temp file.  A
+save's child encodes the second half of the samples, in a temp file next to
+the target, while this process streams the head and the first half; this
+process then appends the child's text, and the bytes are those of the
+serial writer.  A load cuts the file at the first writer separator
+``, {"sample_id": `` after its middle byte.  The
 child parses the text after the separator's ``", "``, which must end in
 ``]}`` and whitespace, and pickles each sample object, rounds array and
 all, one after another; this process parses the text before the cut, which
@@ -233,6 +234,37 @@ def _rounds_to_array(obj: dict) -> dict:
     return obj
 
 
+def _fork_helps() -> bool:
+    """Whether work can be split with a child made by ``os.fork``: the
+    platform has it, Python is older than 3.12 and a second CPU is usable."""
+    # From Python 3.12 os.fork warns in a process with threads, such as
+    # OpenBLAS's pool; silencing that would swap the process-wide warning
+    # filters, so 3.12 and later stay serial until the fork is checked there
+    if sys.version_info >= (3, 12) or not hasattr(os, "fork"):
+        return False
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process last ran on (field 39 of /proc/self/stat), or
+    None where that cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # the command name in field 2 may hold spaces and ")"
+            return int(fh.read().rpartition(b")")[2].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _child_cpus(usable: set[int], current: int | None) -> set[int] | None:
+    """The CPUs a forked child is placed on: the usable ones other than its
+    parent's ``current``, or None (it stays where it was placed) when that
+    CPU is unknown or no other one is usable."""
+    if current is None:
+        return None
+    return set(usable) - {current} or None
+
+
 @contextlib.contextmanager
 def _forked(work, directory: str | None = None):
     """Run ``work(part)`` in a child made by ``os.fork`` while the block runs;
@@ -241,12 +273,17 @@ def _forked(work, directory: str | None = None):
 
     Yields a function that waits for the child and returns ``part`` at its
     start if ``work`` returned true, else None; or yields None when no child
-    could be made.  The child ends in ``os._exit``, so it runs no exit
-    handler and flushes no buffer it inherited.  Leaving the block kills and
-    reaps a child not yet waited for, also when the block raises or is
-    interrupted, and closes ``part``.
+    could be made.  The child runs on the usable CPUs other than the one this
+    process is on, so that the scheduler does not leave both on one CPU; it
+    runs where it was placed when that CPU is unknown or the affinity cannot
+    be set.  The child ends in ``os._exit``, so it runs no exit handler and
+    flushes no buffer it inherited.  Leaving the block kills and reaps a child
+    not yet waited for, also when the block raises or is interrupted, and
+    closes ``part``.
     """
-    part = pid = status = None
+    part = pid = status = cpus = None
+    if hasattr(os, "sched_setaffinity"):
+        cpus = _child_cpus(os.sched_getaffinity(0), _current_cpu())
     try:
         part = tempfile.TemporaryFile(dir=directory)
         pid = os.fork()
@@ -255,6 +292,9 @@ def _forked(work, directory: str | None = None):
     if pid == 0:
         code = 1
         try:
+            if cpus is not None:
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, cpus)
             if work(part):
                 part.flush()
                 code = 0
@@ -282,13 +322,8 @@ def _forked(work, directory: str | None = None):
 
 def _split_pays(text_bytes: int) -> bool:
     """Whether save or load splits the samples with a forked child: the text
-    is large and a second CPU is usable."""
-    # From Python 3.12 os.fork warns in a process with threads, such as
-    # OpenBLAS's pool; silencing that would swap the process-wide warning
-    # filters, so 3.12 and later stay serial until the fork is checked there
-    if text_bytes < _SPLIT_BYTES or sys.version_info >= (3, 12) or not hasattr(os, "fork"):
-        return False
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    is large and a fork helps."""
+    return text_bytes >= _SPLIT_BYTES and _fork_helps()
 
 
 class _Utf8Range:

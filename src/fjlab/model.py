@@ -112,7 +112,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FJParameters:
     """Per-agent update parameters and the directed peer-weight matrix.
 
@@ -120,6 +120,8 @@ class FJParameters:
     alpha -- retention of the own current belief, in [0, 1], shape (n,)
     w     -- row-stochastic nonnegative peer weights, zero diagonal, (n, n)
     mask  -- boolean adjacency; w must vanish outside it
+
+    Equality is identity: comparing the arrays has no single truth value.
     """
 
     gamma: np.ndarray

@@ -5,16 +5,25 @@ against an independently computed numerical result, and returns a
 CheckResult.  The CLI ``verify`` command runs them and writes a plain
 text report plus a JSON twin; the acceptance test suite runs the same
 functions with pinned budgets.
+
+Where a forked child helps (``io._fork_helps``), ``run_all_checks`` runs
+the selected checks sized by ``scenario_samples`` in one child made by
+``io._forked`` while this process runs the others.  The checks share no
+state and each has its own seed, so the results are the serial loop's.
+Any failure of the split falls back to the serial loop, which raises the
+serial error.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import _checked_influence, _fixed_point, _run_rounds, _stack_h
 from .errors import ConfigError
+from .io import _fork_helps, _forked
 from .metrics import _diversity_rows, _log_loss_rows, _mixture, _pairwise_diversity_rows
 from .model import FJParameters, _check_rows
 from .routing import (
@@ -386,10 +395,40 @@ def run_all_checks(
     for name in checks:
         if name not in _CHECKS:
             raise ConfigError(f"unknown check {name!r}")
-    results = []
-    for name in checks:
+
+    def run(name: str) -> CheckResult:
         check, budget = _CHECKS[name]
-        results.append(
-            globals()[check](budgets[budget], seed=seed + 1 + DEFAULT_CHECKS.index(name))
-        )
-    return results
+        return globals()[check](budgets[budget], seed=seed + 1 + DEFAULT_CHECKS.index(name))
+
+    there = [name for name in checks if _CHECKS[name][1] == "scenario_samples"]
+    here = [name for name in checks if name not in there]
+    if here and there and _fork_helps():
+        results = _run_split(run, here, there)
+        if results is not None:
+            return [results[name] for name in checks]
+    return [run(name) for name in checks]
+
+
+def _run_split(run, here: list[str], there: list[str]) -> dict[str, CheckResult] | None:
+    """Each named check's result, ``there`` run by a forked child while this
+    process runs ``here``; None when the child could not be made or failed,
+    or a check here raised."""
+
+    def child(part) -> bool:
+        for name in there:
+            pickle.dump(run(name), part, protocol=5)
+        return True
+
+    with _forked(child) as wait:
+        if wait is None:
+            return None
+        try:
+            results = {name: run(name) for name in here}
+        except Exception:  # the serial loop raises it again, in check order
+            return None
+        part = wait()
+        if part is None:
+            return None
+        for name in there:
+            results[name] = pickle.load(part)
+        return results

@@ -770,6 +770,52 @@ class TestSplitTrajectoryIo:
         assert forks == []
 
 
+class TestChildPlacement:
+    """A forked child runs on the usable CPUs other than its parent's."""
+
+    @pytest.mark.parametrize(
+        "usable, current, want",
+        [
+            ({0, 1}, 0, {1}),
+            ({0, 1}, 1, {0}),
+            ({0, 1, 2, 3}, 2, {0, 1, 3}),
+            ({2, 3}, 0, {2, 3}),
+            ({0}, 0, None),
+            ({0, 1}, None, None),
+        ],
+        ids=["first", "second", "four", "parent-not-usable", "only-cpu", "unknown"],
+    )
+    def test_mask_rule(self, usable, current, want):
+        assert fio._child_cpus(usable, current) == want
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or fio._current_cpu() is None,
+        reason="no CPU affinity or /proc/self/stat",
+    )
+    def test_current_cpu_is_a_usable_cpu(self):
+        assert fio._current_cpu() in os.sched_getaffinity(0)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity")
+        or fio._current_cpu() is None
+        or len(os.sched_getaffinity(0)) < 2,
+        reason="needs CPU affinity, /proc/self/stat and two usable CPUs",
+    )
+    def test_child_runs_on_the_other_cpus(self):
+        usable = os.sched_getaffinity(0)
+
+        def work(part) -> bool:
+            part.write(json.dumps(sorted(os.sched_getaffinity(0))).encode())
+            return True
+
+        with fio._forked(work) as wait:
+            placed = set(json.loads(wait().read()))
+        assert len(placed) == len(usable) - 1 and placed < usable
+        assert os.sched_getaffinity(0) == usable  # this process is not moved
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestParamsDict:
     def test_round_trip(self):
         params = sample_params()

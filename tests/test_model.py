@@ -176,6 +176,14 @@ class TestFJParameters:
         with pytest.raises(ValueError):
             params.gamma[0] = 0.9
 
+    def test_equality_is_identity(self):
+        params = swap_params()
+        copy = FJParameters(gamma=params.gamma, alpha=params.alpha, w=params.w, mask=params.mask)
+        assert params == params
+        assert (params == copy) is False
+        assert params != copy
+        assert len({params, copy}) == 2
+
 
 class TestTrajectory:
     def test_properties(self):

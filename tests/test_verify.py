@@ -1,11 +1,15 @@
 import configparser
 import inspect
+import os
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
 
+from fjlab import verify as verify_mod
+from fjlab.cli import run
 from fjlab.config import VerifySection
 from fjlab.dynamics import build_h, equilibrium, influence_weights, simulate, spectral_radius
 from fjlab.metrics import diversity
@@ -23,6 +27,7 @@ from fjlab.verify import (
     check_routing_threshold,
     run_all_checks,
 )
+from test_io_cli import _count_forks
 
 
 def influence_consistency_per_draw(draws, seed, rounds):
@@ -196,3 +201,128 @@ class TestRunAllChecks:
         parser.read_string(block.group(0))
         for name, value in BUDGET_DEFAULTS.items():
             assert parser.getint("verify", name) == value, name
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12) or not hasattr(os, "fork"),
+    reason="run_all_checks forks only where os.fork exists, before Python 3.12",
+)
+class TestSplitChecks:
+    """Where two CPUs are usable, run_all_checks hands the checks sized by
+    scenario_samples to one forked child and runs the others itself: the
+    same results and reports, the same errors, and no child left behind."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield _count_forks(monkeypatch)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _serial(call):
+        """``call()``'s result with os.fork raising, or its error's type and text."""
+        with pytest.MonkeyPatch.context() as mp:
+            failed = _count_forks(mp, fail=True)
+            try:
+                result = call()
+            except Exception as exc:
+                result = (type(exc), str(exc))
+        return result, failed
+
+    @staticmethod
+    def _calls_here(monkeypatch):
+        """The names of the Monte Carlo checks that run in this process, as
+        they run; the child's calls are not seen."""
+        calls = []
+        parent = os.getpid()
+        for name in ("check_exclusive_scenario", "check_routing_threshold",
+                     "check_imperfect_scenario"):
+            inner = getattr(verify_mod, name)
+
+            def recorded(*args, inner=inner, name=name, **kwargs):
+                if os.getpid() == parent:
+                    calls.append(name)
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(verify_mod, name, recorded)
+        return calls
+
+    def test_reports_equal_the_serial_run_at_default_budgets(self, tmp_path, forks):
+        def verify(out):
+            return run(["--output-dir", str(out), "--quiet", "--seed", "1", "verify"])
+
+        assert verify(tmp_path / "split") == 0
+        assert len(forks) == 1
+        code, failed = self._serial(lambda: verify(tmp_path / "serial"))
+        assert code == 0 and len(failed) == 1
+        for name in ("verify_report.json", "verify_report.txt"):
+            split = (tmp_path / "split" / name).read_bytes()
+            assert split == (tmp_path / "serial" / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "checks, count",
+        [
+            (DEFAULT_CHECKS, 1),
+            (("condition_outcome_consistency", "routing_threshold"), 1),
+            (("ambiguity_identity", "diversity_forms", "influence_consistency"), 0),
+            (("imperfect_scenario", "exclusive_scenario"), 0),
+        ],
+        ids=["default", "one-each", "here-only", "child-only"],
+    )
+    def test_forks_once_when_both_sides_have_a_check(self, forks, monkeypatch, checks, count):
+        here = self._calls_here(monkeypatch)
+        got = run_all_checks(checks=checks, seed=3, **BUDGETS)
+        assert len(forks) == count
+        if count:
+            assert here == []  # the child ran the Monte Carlo checks
+        serial, _ = self._serial(lambda: run_all_checks(checks=checks, seed=3, **BUDGETS))
+        assert [r.name for r in got] == list(checks)
+        assert got == serial
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            ("check_routing_threshold",),
+            ("check_ambiguity_identity",),
+            # the child's check comes first in check order, so its error is the serial one
+            ("check_exclusive_scenario", "check_condition_outcome"),
+        ],
+        ids=["in-the-child", "here", "both-sides"],
+    )
+    def test_a_raising_check_gives_the_serial_error(self, forks, monkeypatch, broken):
+        for name in broken:
+
+            def raises(budget, seed, name=name):
+                raise ValueError(f"{name} broken at budget {budget}, seed {seed}")
+
+            monkeypatch.setattr(verify_mod, name, raises)
+        serial, failed = self._serial(lambda: run_all_checks(**BUDGETS))
+        assert serial[0] is ValueError and len(failed) == 1
+        with pytest.raises(ValueError) as err:
+            run_all_checks(**BUDGETS)
+        assert len(forks) == 1
+        assert (type(err.value), str(err.value)) == serial
+
+    def test_a_cpu_the_machine_lacks_leaves_the_split_working(self, forks, monkeypatch):
+        # the child's mask then names no CPU that exists, so setting it
+        # raises OSError, which the child ignores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4094, 4095}, raising=False)
+        here = self._calls_here(monkeypatch)
+        got = run_all_checks(seed=5, **BUDGETS)
+        assert len(forks) == 1 and here == []  # the child ran its checks
+        serial, _ = self._serial(lambda: run_all_checks(seed=5, **BUDGETS))
+        assert got == serial
+
+    @pytest.mark.parametrize("case", ["one-cpu", "no-affinity", "python-3.12"])
+    def test_no_fork_without_a_second_cpu_or_before_3_12(self, monkeypatch, case):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        if case == "no-affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        if case == "python-3.12":
+            monkeypatch.setattr(sys, "version_info", (3, 12, 0, "final", 0))
+        forks = _count_forks(monkeypatch)
+        assert len(run_all_checks(**BUDGETS)) == len(DEFAULT_CHECKS)
+        assert forks == []
