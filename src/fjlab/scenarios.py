@@ -16,7 +16,11 @@ per sample whose identity varies by region:
 Generation is vectorized from a counter-based Philox stream keyed by the
 seed; identical (scenario, samples, seed) triples reproduce bitwise. The
 draw order is fixed: regions first, then labels (then routing-noise
-uniforms where applicable).
+uniforms where applicable).  Both generators draw every sample's region
+and label first and then build the snapshots of a slice of samples at a
+time from them, with no further draw; ``gen_exclusive`` and
+``gen_imperfect`` take all samples as one slice, and verify's Monte Carlo
+checks take fixed-size slices, which hold the same snapshots.
 """
 
 from __future__ import annotations
@@ -113,10 +117,36 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def gen_exclusive(
-    sc: ExclusiveScenario, samples: int, seed: int
-) -> LabeledSnapshotSet:
-    """Draw a labeled snapshot batch; risks are exact conditional risks."""
+def _blocks(
+    n: int, rows: np.ndarray, risks, regions: np.ndarray, labels: np.ndarray, size: int
+):
+    """The labeled snapshots of consecutive slices of ``size`` samples (the
+    last one may be shorter), one LabeledSnapshotSet each.
+
+    ``rows`` holds the competent and the other agents' belief rows (2, d) in
+    canonical columns: each sample's label takes column 0, its shared wrong
+    label (label + 1) mod d column 1 and any other label column 2.  ``risks``
+    holds those two rows' exact risks.  The agent named by ``regions`` is a
+    sample's competent one.  Each sample's snapshot depends on its own region
+    and label only, so the slices together hold the snapshots of one slice.
+    """
+    comp, other = rows
+    d = comp.shape[0]
+    for start in range(0, len(labels), size):
+        where, y = regions[start : start + size], labels[start : start + size]
+        idx = np.arange(len(y))
+        cols = np.full((len(y), d), 2)
+        cols[idx, y] = 0
+        cols[idx, (y + 1) % d] = 1
+        beliefs = np.repeat(other[cols][:, None, :], n, axis=1)
+        beliefs[idx, where] = comp[cols]
+        risk = np.full((len(y), n), risks[1])
+        risk[idx, where] = risks[0]
+        yield LabeledSnapshotSet(beliefs=beliefs, labels=y, risks=risk, exact_risk=True)
+
+
+def _exclusive_blocks(sc: ExclusiveScenario, samples: int, seed: int, size: int):
+    """``gen_exclusive``'s samples in slices of ``size``; see ``_blocks``."""
     if samples < 1:
         raise InvalidScenario(f"samples must be >= 1, got {samples}")
     rng = _rng(seed)
@@ -124,17 +154,19 @@ def gen_exclusive(
     labels = rng.integers(0, sc.d, size=samples)
     p, u = sc.p, sc.u
     off = (1.0 - p) / (sc.d - 1)
-    beliefs = np.full((samples, sc.n, sc.d), u)
-    idx = np.arange(samples)
-    beliefs[idx, regions, :] = off
-    beliefs[idx, regions, labels] = p
+    comp = np.full(sc.d, off)
+    comp[0] = p
     comp_risk = (1.0 - p) ** 2 + (sc.d - 1) * off**2
     other_risk = (1.0 - u) ** 2 + (sc.d - 1) * u**2
-    risks = np.full((samples, sc.n), other_risk)
-    risks[idx, regions] = comp_risk
-    return LabeledSnapshotSet(
-        beliefs=beliefs, labels=labels, risks=risks, exact_risk=True
-    )
+    rows = np.stack([comp, np.full(sc.d, u)])
+    return _blocks(sc.n, rows, (comp_risk, other_risk), regions, labels, size)
+
+
+def gen_exclusive(
+    sc: ExclusiveScenario, samples: int, seed: int
+) -> LabeledSnapshotSet:
+    """Draw a labeled snapshot batch; risks are exact conditional risks."""
+    return next(_exclusive_blocks(sc, samples, seed, samples))
 
 
 @dataclass(frozen=True)
@@ -311,16 +343,13 @@ class ImperfectScenario:
         return comp, other
 
 
-def gen_imperfect(
-    sc: ImperfectScenario, samples: int, seed: int
-) -> LabeledSnapshotSet:
-    """Draw a labeled snapshot batch; raises ConfidenceOrderViolated when
-    the parameters do not leave the competent agent strictly most
-    confident (confidence routing is undefined there)."""
+def _imperfect_blocks(sc: ImperfectScenario, samples: int, seed: int, size: int):
+    """``gen_imperfect``'s samples in slices of ``size``; see ``_blocks``.
+    The checks of ``gen_imperfect`` run before anything is drawn."""
     if samples < 1:
         raise InvalidScenario(f"samples must be >= 1, got {samples}")
-    comp, other = sc.profile_rows()
-    c_comp, c_other = _confidence_rows(np.stack([comp, other]))
+    rows = np.stack(sc.profile_rows())
+    c_comp, c_other = _confidence_rows(rows)
     if not c_comp > c_other:
         raise ConfidenceOrderViolated(
             f"competent confidence {float(c_comp)!r} not strictly above {float(c_other)!r}"
@@ -328,20 +357,17 @@ def gen_imperfect(
     rng = _rng(seed)
     regions = rng.integers(0, sc.n, size=samples)
     labels = rng.integers(0, sc.d, size=samples)
-    idx = np.arange(samples)
-    # Each sample's columns, gathered from the canonical rows: its label
-    # takes column 0, the shared wrong label column 1 and the rest column 2.
-    cols = np.full((samples, sc.d), 2)
-    cols[idx, labels] = 0
-    cols[idx, (labels + 1) % sc.d] = 1
-    beliefs = np.repeat(other[cols][:, None, :], sc.n, axis=1)
-    beliefs[idx, regions] = comp[cols]
-    comp_risk, other_risk = _brier_rows(np.stack([comp, other])[None], np.zeros(1, int))[0]
-    risks = np.full((samples, sc.n), other_risk)
-    risks[idx, regions] = comp_risk
-    return LabeledSnapshotSet(
-        beliefs=beliefs, labels=labels, risks=risks, exact_risk=True
-    )
+    risks = _brier_rows(rows[None], np.zeros(1, int))[0]
+    return _blocks(sc.n, rows, risks, regions, labels, size)
+
+
+def gen_imperfect(
+    sc: ImperfectScenario, samples: int, seed: int
+) -> LabeledSnapshotSet:
+    """Draw a labeled snapshot batch; raises ConfidenceOrderViolated when
+    the parameters do not leave the competent agent strictly most
+    confident (confidence routing is undefined there)."""
+    return next(_imperfect_blocks(sc, samples, seed, samples))
 
 
 def imperfect_gap(sc: ImperfectScenario) -> float:

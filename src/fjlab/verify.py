@@ -7,11 +7,17 @@ text report plus a JSON twin; the acceptance test suite runs the same
 functions with pinned budgets.
 
 Where a forked child helps (``io._fork_helps``), ``run_all_checks`` runs
-the selected checks sized by ``scenario_samples`` in one child made by
-``io._forked`` while this process runs the others.  The checks share no
-state and each has its own seed, so the results are the serial loop's.
-Any failure of the split falls back to the serial loop, which raises the
-serial error.
+the selected checks whose ``_CHECKS`` entry names the child side in one
+child made by ``io._forked`` while this process runs the others.  The
+checks share no state and each has its own seed, so the results are the
+serial loop's.  Any failure of the split falls back to the serial loop,
+which raises the serial error.
+
+The two Monte Carlo scenario checks build their snapshots ``_BLOCK_SAMPLES``
+samples at a time, so their working set stays a few MiB at any budget.
+Each sample's loss and hits depend on that sample alone, and every mean is
+taken over the concatenation of the per-sample arrays, so the report's bits
+are those of one stack of all samples.
 """
 
 from __future__ import annotations
@@ -37,10 +43,11 @@ from .routing import (
 from .scenarios import (
     ExclusiveScenario,
     ImperfectScenario,
+    _exclusive_blocks,
+    _imperfect_blocks,
     empirical_route_crossover,
     exclusive_losses,
     gen_exclusive,
-    gen_imperfect,
     imperfect_gap,
     moe_advantage_check,
     optimal_fixed_ensemble,
@@ -68,6 +75,10 @@ BUDGET_DEFAULTS = dict(
     prop_draws=200, identity_draws=1000, scenario_samples=100_000, consistency_samples=500
 )
 
+
+# The Monte Carlo scenario checks build their snapshots this many samples at a
+# time, so each holds a few MiB of snapshots at any budget.
+_BLOCK_SAMPLES = 8192
 
 # numpy sums a row of fewer than 8 entries one entry at a time, and a longer
 # one pairwise, so trailing zeros change a row sum's bits only from 8 on.
@@ -235,11 +246,13 @@ def check_exclusive_scenario(
     sc = ExclusiveScenario(n=5, d=10, epsilon=0.1)
     losses = exclusive_losses(sc, np.full(sc.n, 1.0 / sc.n))
     closed_gap = losses.gap_balanced
-    sset = gen_exclusive(sc, samples, seed)
-    uniform = np.full((sset.m, sset.n), 1.0 / sset.n)
-    emp_ens = float(_log_losses(sset, uniform).mean())
-    hard = hard_confidence_weights(sset.beliefs)
-    emp_moe = float(_log_losses(sset, hard).mean())
+    ens, moe = [], []
+    for sset in _exclusive_blocks(sc, samples, seed, _BLOCK_SAMPLES):
+        uniform = np.full((sset.m, sset.n), 1.0 / sset.n)
+        ens.append(_log_losses(sset, uniform))
+        moe.append(_log_losses(sset, hard_confidence_weights(sset.beliefs)))
+    emp_ens = float(np.concatenate(ens).mean())
+    emp_moe = float(np.concatenate(moe).mean())
     emp_gap = emp_ens - emp_moe
     a_star = optimal_fixed_ensemble(sc)
     opt_dev = float(np.abs(a_star - 1.0 / sc.n).max())
@@ -294,16 +307,18 @@ def check_imperfect_scenario(
     routing; the uniform ensemble being confidently wrong everywhere."""
     sc = ImperfectScenario(n=5, d=4, p=0.9, u=0.05, c=0.7)
     closed = imperfect_gap(sc)
-    sset = gen_imperfect(sc, samples, seed)
-    uniform = np.full((sset.m, sset.n), 1.0 / sset.n)
-    hard = hard_confidence_weights(sset.beliefs)
-    emp_gap = float(_log_losses(sset, uniform).mean() - _log_losses(sset, hard).mean())
-    chosen = np.argmax(hard, axis=1)
-    routed_rows = sset.beliefs[np.arange(sset.m), chosen, :]
-    routed_acc = float((np.argmax(routed_rows, axis=1) == sset.labels).mean())
-    mix = _mixture(uniform, sset.beliefs)
-    wrong = (sset.labels + 1) % sset.d
-    ens_wrong_rate = float((np.argmax(mix, axis=1) == wrong).mean())
+    ens, routed, routed_hits, wrong_hits = [], [], [], []
+    for sset in _imperfect_blocks(sc, samples, seed, _BLOCK_SAMPLES):
+        mix = _mixture(np.full((sset.m, sset.n), 1.0 / sset.n), sset.beliefs)
+        hard = hard_confidence_weights(sset.beliefs)
+        routed_rows = sset.beliefs[np.arange(sset.m), np.argmax(hard, axis=1)]
+        ens.append(_log_loss_rows(mix, sset.labels))
+        routed.append(_log_losses(sset, hard))
+        routed_hits.append(np.argmax(routed_rows, axis=1) == sset.labels)
+        wrong_hits.append(np.argmax(mix, axis=1) == (sset.labels + 1) % sset.d)
+    emp_gap = float(np.concatenate(ens).mean() - np.concatenate(routed).mean())
+    routed_acc = float(np.concatenate(routed_hits).mean())
+    ens_wrong_rate = float(np.concatenate(wrong_hits).mean())
     majority_wrong = wrong_majority_holds(sc)
     passed = (
         abs(emp_gap - closed) <= mc_tol
@@ -355,17 +370,20 @@ def check_condition_outcome(
     )
 
 
-# Each check's function, by its name in this module, and the run_all_checks
-# budget that sizes it; position k runs with seed + 1 + k.  The name is looked
-# up at call time, so a wrapper set on the module attribute is the one called.
+# Each check's function, by its name in this module, the run_all_checks budget
+# that sizes it, and the side of the split it runs on: "parent" or "child";
+# position k runs with seed + 1 + k.  The name is looked up at call time, so a
+# wrapper set on the module attribute is the one called.
 _CHECKS = {
-    "influence_consistency": ("check_influence_consistency", "prop_draws"),
-    "ambiguity_identity": ("check_ambiguity_identity", "identity_draws"),
-    "diversity_forms": ("check_diversity_forms", "identity_draws"),
-    "exclusive_scenario": ("check_exclusive_scenario", "scenario_samples"),
-    "routing_threshold": ("check_routing_threshold", "scenario_samples"),
-    "imperfect_scenario": ("check_imperfect_scenario", "scenario_samples"),
-    "condition_outcome_consistency": ("check_condition_outcome", "consistency_samples"),
+    "influence_consistency": ("check_influence_consistency", "prop_draws", "parent"),
+    "ambiguity_identity": ("check_ambiguity_identity", "identity_draws", "parent"),
+    "diversity_forms": ("check_diversity_forms", "identity_draws", "parent"),
+    "exclusive_scenario": ("check_exclusive_scenario", "scenario_samples", "child"),
+    "routing_threshold": ("check_routing_threshold", "scenario_samples", "child"),
+    "imperfect_scenario": ("check_imperfect_scenario", "scenario_samples", "child"),
+    "condition_outcome_consistency": (
+        "check_condition_outcome", "consistency_samples", "parent"
+    ),
 }
 DEFAULT_CHECKS = tuple(_CHECKS)
 
@@ -397,10 +415,10 @@ def run_all_checks(
             raise ConfigError(f"unknown check {name!r}")
 
     def run(name: str) -> CheckResult:
-        check, budget = _CHECKS[name]
+        check, budget, _ = _CHECKS[name]
         return globals()[check](budgets[budget], seed=seed + 1 + DEFAULT_CHECKS.index(name))
 
-    there = [name for name in checks if _CHECKS[name][1] == "scenario_samples"]
+    there = [name for name in checks if _CHECKS[name][2] == "child"]
     here = [name for name in checks if name not in there]
     if here and there and _fork_helps():
         results = _run_split(run, here, there)

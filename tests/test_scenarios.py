@@ -14,6 +14,7 @@ from fjlab.errors import (
 from fjlab import scenarios
 from fjlab.metrics import confidence_metrics
 from fjlab.model import FJParameters
+from fjlab.verify import _BLOCK_SAMPLES
 from fjlab.scenarios import (
     ExclusiveScenario,
     ImperfectScenario,
@@ -414,6 +415,66 @@ class TestGenImperfect:
         b = gen_imperfect(sc, 150, seed=6)
         assert a.beliefs.tobytes() == b.beliefs.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
+
+
+def _assert_same_snapshots(blocks, whole):
+    for name in ("beliefs", "labels", "risks"):
+        joined = np.concatenate([getattr(block, name) for block in blocks])
+        part = getattr(whole, name)
+        assert joined.dtype == part.dtype and joined.shape == part.shape, name
+        assert joined.tobytes() == part.tobytes(), name
+
+
+class TestBlocks:
+    """verify's scenario checks build the generators' snapshots one block
+    of samples at a time; together the blocks hold gen_*'s batch."""
+
+    SAMPLES = 2 * _BLOCK_SAMPLES + 3
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_exclusive_blocks_join_to_gen_exclusive(self, seed):
+        sc = std_exclusive()
+        blocks = list(scenarios._exclusive_blocks(sc, self.SAMPLES, seed, _BLOCK_SAMPLES))
+        assert [b.m for b in blocks] == [_BLOCK_SAMPLES, _BLOCK_SAMPLES, 3]
+        assert all(b.exact_risk for b in blocks)
+        _assert_same_snapshots(blocks, gen_exclusive(sc, self.SAMPLES, seed))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_imperfect_blocks_join_to_gen_imperfect(self, seed):
+        sc = ImperfectScenario(n=5, d=4, p=0.9, u=0.05, c=0.7)
+        blocks = list(scenarios._imperfect_blocks(sc, self.SAMPLES, seed, _BLOCK_SAMPLES))
+        assert [b.m for b in blocks] == [_BLOCK_SAMPLES, _BLOCK_SAMPLES, 3]
+        assert all(b.exact_risk for b in blocks)
+        _assert_same_snapshots(blocks, gen_imperfect(sc, self.SAMPLES, seed))
+
+    @pytest.mark.parametrize(
+        "sc",
+        [
+            ExclusiveScenario(n=2, d=2, epsilon=0.3),
+            ExclusiveScenario(n=4, d=3, epsilon=0.1, rho=[0.4, 0.3, 0.2, 0.1]),
+            ImperfectScenario(n=4, d=2, p=0.8, u=0.3),
+            ImperfectScenario(n=3, d=3, p=0.9, u=0.05, c=0.6),
+        ],
+        ids=repr,
+    )
+    def test_small_scenarios_and_block_sizes(self, sc):
+        make, gen = (
+            (scenarios._exclusive_blocks, gen_exclusive)
+            if isinstance(sc, ExclusiveScenario)
+            else (scenarios._imperfect_blocks, gen_imperfect)
+        )
+        for size in (1, 7, 30, 31):
+            _assert_same_snapshots(list(make(sc, 30, 8, size)), gen(sc, 30, 8))
+
+    def test_imperfect_order_is_checked_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(scenarios, "_rng", lambda seed: drawn.append(seed))
+        sc = ImperfectScenario(n=3, d=4, p=0.26, u=0.05, c=0.85)
+        with pytest.raises(ConfidenceOrderViolated):
+            gen_imperfect(sc, 10, seed=5)
+        with pytest.raises(ConfidenceOrderViolated):
+            scenarios._imperfect_blocks(sc, 10, 5, 4)
+        assert drawn == []
 
 
 class TestPerSampleParams:

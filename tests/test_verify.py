@@ -4,6 +4,7 @@ import os
 import pathlib
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,25 @@ from fjlab import verify as verify_mod
 from fjlab.cli import run
 from fjlab.config import VerifySection
 from fjlab.dynamics import build_h, equilibrium, influence_weights, simulate, spectral_radius
-from fjlab.metrics import diversity
-from fjlab.routing import ambiguity_decomposition
+from fjlab.metrics import _log_loss_rows, _mixture, diversity
+from fjlab.routing import ambiguity_decomposition, hard_confidence_weights
+from fjlab.scenarios import (
+    ExclusiveScenario,
+    ImperfectScenario,
+    exclusive_losses,
+    gen_exclusive,
+    gen_imperfect,
+    imperfect_gap,
+    moe_advantage_check,
+    optimal_fixed_ensemble,
+    wrong_majority_holds,
+)
 from fjlab.verify import (
+    _BLOCK_SAMPLES,
+    _CHECKS,
     BUDGET_DEFAULTS,
     DEFAULT_CHECKS,
+    CheckResult,
     _random_contractive,
     check_ambiguity_identity,
     check_condition_outcome,
@@ -85,6 +100,130 @@ def diversity_forms_per_draw(draws, seed):
         a = rng.dirichlet(np.ones(n))
         worst = max(worst, abs(diversity(s, a, "moment") - diversity(s, a, "pairwise")))
     return {"max_abs_gap": worst, "draws": float(draws)}
+
+
+def _log_losses(sset, weights):
+    return _log_loss_rows(_mixture(weights, sset.beliefs), sset.labels)
+
+
+def exclusive_scenario_one_stack(samples, seed, mc_tol=0.01):
+    """The check on one stack of all samples, as it ran before the samples
+    were taken in blocks; kept as the reference."""
+    sc = ExclusiveScenario(n=5, d=10, epsilon=0.1)
+    losses = exclusive_losses(sc, np.full(sc.n, 1.0 / sc.n))
+    closed_gap = losses.gap_balanced
+    sset = gen_exclusive(sc, samples, seed)
+    uniform = np.full((sset.m, sset.n), 1.0 / sset.n)
+    emp_ens = float(_log_losses(sset, uniform).mean())
+    hard = hard_confidence_weights(sset.beliefs)
+    emp_moe = float(_log_losses(sset, hard).mean())
+    emp_gap = emp_ens - emp_moe
+    a_star = optimal_fixed_ensemble(sc)
+    opt_dev = float(np.abs(a_star - 1.0 / sc.n).max())
+    grid_ok = True
+    for n in range(2, 9):
+        for d in (2, 4, 10):
+            for eps in (0.05, 0.1, 0.3):
+                if not moe_advantage_check(ExclusiveScenario(n=n, d=d, epsilon=eps)):
+                    grid_ok = False
+    passed = (
+        abs(emp_gap - closed_gap) <= mc_tol
+        and opt_dev <= 1e-6
+        and grid_ok
+        and abs(emp_moe - losses.l_moe) <= mc_tol
+    )
+    return CheckResult(
+        name="exclusive_scenario",
+        passed=bool(passed),
+        measured={
+            "closed_form_gap": float(closed_gap),
+            "monte_carlo_gap": emp_gap,
+            "optimal_mixture_max_dev_from_uniform": opt_dev,
+            "grid_advantage_all_hold": float(grid_ok),
+            "samples": float(samples),
+        },
+        detail="n=5, d=10, epsilon=0.1; grid n=2..8, d in {2,4,10}, eps in {.05,.1,.3}",
+    )
+
+
+def imperfect_scenario_one_stack(samples, seed, mc_tol=0.01):
+    """The check on one stack of all samples, as it ran before the samples
+    were taken in blocks; kept as the reference."""
+    sc = ImperfectScenario(n=5, d=4, p=0.9, u=0.05, c=0.7)
+    closed = imperfect_gap(sc)
+    sset = gen_imperfect(sc, samples, seed)
+    uniform = np.full((sset.m, sset.n), 1.0 / sset.n)
+    hard = hard_confidence_weights(sset.beliefs)
+    emp_gap = float(_log_losses(sset, uniform).mean() - _log_losses(sset, hard).mean())
+    chosen = np.argmax(hard, axis=1)
+    routed_rows = sset.beliefs[np.arange(sset.m), chosen, :]
+    routed_acc = float((np.argmax(routed_rows, axis=1) == sset.labels).mean())
+    mix = _mixture(uniform, sset.beliefs)
+    wrong = (sset.labels + 1) % sset.d
+    ens_wrong_rate = float((np.argmax(mix, axis=1) == wrong).mean())
+    majority_wrong = wrong_majority_holds(sc)
+    passed = (
+        abs(emp_gap - closed) <= mc_tol
+        and routed_acc == 1.0
+        and majority_wrong
+        and ens_wrong_rate == 1.0
+    )
+    return CheckResult(
+        name="imperfect_scenario",
+        passed=bool(passed),
+        measured={
+            "closed_form_gap": closed,
+            "monte_carlo_gap": emp_gap,
+            "confidence_routing_accuracy": routed_acc,
+            "ensemble_shared_wrong_rate": ens_wrong_rate,
+            "samples": float(samples),
+        },
+        detail="n=5, d=4, p=0.9, u=0.05, c=0.7",
+    )
+
+
+SCENARIO_CHECKS = [
+    (check_exclusive_scenario, exclusive_scenario_one_stack),
+    (check_imperfect_scenario, imperfect_scenario_one_stack),
+]
+B = _BLOCK_SAMPLES
+
+
+class TestScenarioBlocks:
+    """The Monte Carlo scenario checks take their samples in blocks of
+    _BLOCK_SAMPLES; each result must keep the bits of one stack."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got == want
+        # repr tells -0.0 from 0.0 and shows every bit of a float
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("samples", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("check, reference", SCENARIO_CHECKS)
+    def test_block_boundaries_match_one_stack(self, check, reference, samples):
+        for seed in (0, 3):
+            self._same(check(samples, seed=seed), reference(samples, seed))
+
+    @pytest.mark.parametrize("check, reference", SCENARIO_CHECKS)
+    def test_default_budget_matches_one_stack(self, check, reference):
+        samples = BUDGET_DEFAULTS["scenario_samples"]
+        got = check(samples, seed=0)
+        assert got.passed
+        self._same(got, reference(samples, 0))
+
+    @pytest.mark.parametrize("check", [check for check, _ in SCENARIO_CHECKS])
+    def test_working_set_stays_small_at_the_default_budget(self, check):
+        # one stack of 100,000 samples peaked at 96.1 MiB (exclusive) and
+        # 50.4 MiB (imperfect); blocks keep each check near 10 MiB
+        check(1)
+        tracemalloc.start()
+        try:
+            check(BUDGET_DEFAULTS["scenario_samples"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestInfluenceConsistency:
@@ -183,6 +322,11 @@ class TestRunAllChecks:
         for seed in (30, 40, 50, 60):
             (got,) = run_all_checks(checks=(name,), seed=seed, **BUDGETS)
             assert got == check(BUDGETS[budget], seed=seed + position + 1)
+
+    def test_each_check_names_its_side_of_the_split(self):
+        assert {side for _, _, side in _CHECKS.values()} <= {"parent", "child"}
+        child = {name for name, (_, _, side) in _CHECKS.items() if side == "child"}
+        assert child == {"exclusive_scenario", "routing_threshold", "imperfect_scenario"}
 
     def test_budget_defaults_have_one_source(self):
         # every copy of a default budget equals verify.BUDGET_DEFAULTS
