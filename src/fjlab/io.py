@@ -40,32 +40,9 @@ list, and the sample check raises on it.  A trajectory adopts the array
 its load checked, frozen in place, without the constructor's second check
 and copy.
 
-Large trajectory text (``_SPLIT_BYTES``, 4 MiB; for a save, as estimated
-from the number of floats) is split between this process and one child
-made by ``os.fork``, where ``os.fork`` exists, at least 2 CPUs are usable
-(``os.sched_getaffinity``) and Python is older than 3.12, from which a fork
-in a process with threads warns.  The child runs on the usable CPUs other
-than this process's and writes its output to an anonymous temp file.  A
-save's child encodes the second half of the samples, in a temp file next to
-the target, while this process streams the head and the first half; this
-process then appends the child's text, and the bytes are those of the
-serial writer.  A load cuts the file at the first writer separator
-``, {"sample_id": `` after its middle byte.  The
-child parses the text after the separator's ``", "``, which must end in
-``]}`` and whitespace, and pickles each sample object, rounds array and
-all, one after another; this process parses the text before the cut, which
-must start with the writer's head and end after a sample, decoding its
-bytes incrementally so that a character split by a read is whole, then
-unpickles the child's samples one at a time after its own.  The split
-stands only when both halves parse to their exact ends: the text is then
-half one, ``", "`` and half two, the same JSON value, so the samples are
-the serial parse's; the sample checks then run over all samples in file
-order.  Any other outcome falls back to the serial code, which raises the
-exact serial error: no separator, a half that does not parse or decode, a
-child that exits non-zero or could not be made.  When a save's child
-fails, this process encodes the second half itself, so a failing sample
-raises its own error.  Every path kills and reaps the child, also on an
-interrupt, and closes the temp file.
+Large trajectory text is split between this process and one forked child
+(``_fork``): ``save_trajectories`` and ``_load_halves`` say how, and why
+the bytes, samples and errors are those of the serial code.
 
 Loading and saving trajectories pause the cyclic garbage collector while
 they parse or build the document.  Its tree of lists and dicts holds no
@@ -93,13 +70,13 @@ import json
 import math
 import os
 import pickle
-import sys
 import tempfile
 from collections.abc import Iterable
 from typing import Any
 
 import numpy as np
 
+from ._fork import _fork_helps, _forked
 from .constants import TAU_SIMPLEX
 from .errors import (
     InvariantViolation,
@@ -137,8 +114,6 @@ _SEPARATOR = b', {"sample_id": '
 # child; a float and its ", " take about 20 bytes of it
 _SPLIT_BYTES = 4 << 20
 _FLOAT_TEXT_BYTES = 20
-# SIGKILL is 9 on every POSIX system; the signal module is not loaded for it
-_SIGKILL = 9
 
 _SAMPLE_KEYS = {
     "sample_id",
@@ -234,95 +209,10 @@ def _rounds_to_array(obj: dict) -> dict:
     return obj
 
 
-def _fork_helps() -> bool:
-    """Whether work can be split with a child made by ``os.fork``: the
-    platform has it, Python is older than 3.12 and a second CPU is usable."""
-    # From Python 3.12 os.fork warns in a process with threads, such as
-    # OpenBLAS's pool; silencing that would swap the process-wide warning
-    # filters, so 3.12 and later stay serial until the fork is checked there
-    if sys.version_info >= (3, 12) or not hasattr(os, "fork"):
-        return False
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on (field 39 of /proc/self/stat), or
-    None where that cannot be read."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            # the command name in field 2 may hold spaces and ")"
-            return int(fh.read().rpartition(b")")[2].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def _child_cpus(usable: set[int], current: int | None) -> set[int] | None:
-    """The CPUs a forked child is placed on: the usable ones other than its
-    parent's ``current``, or None (it stays where it was placed) when that
-    CPU is unknown or no other one is usable."""
-    if current is None:
-        return None
-    return set(usable) - {current} or None
-
-
-@contextlib.contextmanager
-def _forked(work, directory: str | None = None):
-    """Run ``work(part)`` in a child made by ``os.fork`` while the block runs;
-    ``part`` is an anonymous binary temp file in ``directory`` (by default
-    the temp directory) that takes the child's output.
-
-    Yields a function that waits for the child and returns ``part`` at its
-    start if ``work`` returned true, else None; or yields None when no child
-    could be made.  The child runs on the usable CPUs other than the one this
-    process is on, so that the scheduler does not leave both on one CPU; it
-    runs where it was placed when that CPU is unknown or the affinity cannot
-    be set.  The child ends in ``os._exit``, so it runs no exit handler and
-    flushes no buffer it inherited.  Leaving the block kills and reaps a child
-    not yet waited for, also when the block raises or is interrupted, and
-    closes ``part``.
-    """
-    part = pid = status = cpus = None
-    if hasattr(os, "sched_setaffinity"):
-        cpus = _child_cpus(os.sched_getaffinity(0), _current_cpu())
-    try:
-        part = tempfile.TemporaryFile(dir=directory)
-        pid = os.fork()
-    except OSError:
-        pass
-    if pid == 0:
-        code = 1
-        try:
-            if cpus is not None:
-                with contextlib.suppress(OSError):
-                    os.sched_setaffinity(0, cpus)
-            if work(part):
-                part.flush()
-                code = 0
-        finally:
-            os._exit(code)
-
-    def wait():
-        nonlocal status
-        if status is None:
-            status = os.waitpid(pid, 0)[1]
-        if status:
-            return None
-        part.seek(0)
-        return part
-
-    try:
-        yield None if pid is None else wait
-    finally:
-        if pid is not None and status is None:
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
-        if part is not None:
-            part.close()
-
-
 def _split_pays(text_bytes: int) -> bool:
     """Whether save or load splits the samples with a forked child: the text
-    is large and a fork helps."""
+    is at least ``_SPLIT_BYTES`` (for a save, as estimated from the number of
+    floats) and a fork helps (``_fork._fork_helps``)."""
     return text_bytes >= _SPLIT_BYTES and _fork_helps()
 
 
@@ -438,7 +328,21 @@ def _find_separator(fh, start: int) -> int | None:
 def _load_halves(path: str) -> list | None:
     """The sample objects of a large file in the writer's layout, the second
     half parsed by a forked child while this process parses the first; None
-    when the split does not apply or a half does not parse to its end."""
+    when the split does not apply or a half does not parse to its end.
+
+    The file is cut at the first writer separator ``, {"sample_id": `` after
+    its middle byte.  The child parses the text after the separator's ``", "``,
+    which must end in ``]}`` and whitespace, and pickles each sample object,
+    rounds array and all, to its temp file.  This process parses the text
+    before the cut, which must start with the writer's head and end after a
+    sample, decoding its bytes incrementally so that a character split by a
+    read is whole, then unpickles the child's samples after its own.  When
+    both halves parse to their exact ends, the text is half one, ``", "`` and
+    half two, the same JSON value, so the samples are the serial parse's.
+    Any other outcome (no separator, a half that does not parse or decode, a
+    child that exits non-zero or could not be made) leaves the serial load,
+    which raises the exact serial error.
+    """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if not _split_pays(size):
@@ -590,6 +494,15 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
 
 @_gc_paused()
 def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
+    """Write the samples as one trajectory document, atomically.
+
+    For large text a forked child encodes the second half of the samples
+    into a temp file next to the target while this process streams the head
+    and the first half; this process then appends the child's text, and the
+    bytes are those of the serial writer.  When the child fails, this
+    process encodes the second half itself, so a failing sample raises its
+    own error.
+    """
     half = len(trajs) // 2
     floats = sum(t.snapshots.size for t in trajs if isinstance(t, DeliberationTrajectory))
     if not half or not _split_pays(_FLOAT_TEXT_BYTES * floats):

@@ -16,11 +16,10 @@ per sample whose identity varies by region:
 Generation is vectorized from a counter-based Philox stream keyed by the
 seed; identical (scenario, samples, seed) triples reproduce bitwise. The
 draw order is fixed: regions first, then labels (then routing-noise
-uniforms where applicable).  Both generators draw every sample's region
-and label first and then build the snapshots of a slice of samples at a
-time from them, with no further draw; ``gen_exclusive`` and
-``gen_imperfect`` take all samples as one slice, and verify's Monte Carlo
-checks take fixed-size slices, which hold the same snapshots.
+uniforms where applicable).  A sample's snapshot depends on its region and
+label alone, so both generators draw those, build the n·d distinct
+snapshots once (``_table``) and gather them; verify's Monte Carlo checks
+score that table once and gather the scores.
 """
 
 from __future__ import annotations
@@ -117,36 +116,38 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _blocks(
-    n: int, rows: np.ndarray, risks, regions: np.ndarray, labels: np.ndarray, size: int
-):
-    """The labeled snapshots of consecutive slices of ``size`` samples (the
-    last one may be shorter), one LabeledSnapshotSet each.
+def _table(n: int, rows: np.ndarray, risks, regions: np.ndarray, labels: np.ndarray):
+    """The n·d distinct labeled snapshots as one LabeledSnapshotSet, row
+    ``region * d + label`` for each pair, and the drawn samples' rows.
 
     ``rows`` holds the competent and the other agents' belief rows (2, d) in
-    canonical columns: each sample's label takes column 0, its shared wrong
+    canonical columns: a snapshot's label takes column 0, its shared wrong
     label (label + 1) mod d column 1 and any other label column 2.  ``risks``
-    holds those two rows' exact risks.  The agent named by ``regions`` is a
-    sample's competent one.  Each sample's snapshot depends on its own region
-    and label only, so the slices together hold the snapshots of one slice.
+    holds those two rows' exact risks.  The region names the competent agent.
     """
     comp, other = rows
     d = comp.shape[0]
-    for start in range(0, len(labels), size):
-        where, y = regions[start : start + size], labels[start : start + size]
-        idx = np.arange(len(y))
-        cols = np.full((len(y), d), 2)
-        cols[idx, y] = 0
-        cols[idx, (y + 1) % d] = 1
-        beliefs = np.repeat(other[cols][:, None, :], n, axis=1)
-        beliefs[idx, where] = comp[cols]
-        risk = np.full((len(y), n), risks[1])
-        risk[idx, where] = risks[0]
-        yield LabeledSnapshotSet(beliefs=beliefs, labels=y, risks=risk, exact_risk=True)
+    idx = np.arange(n * d)
+    where, y = np.divmod(idx, d)
+    cols = np.full((n * d, d), 2)
+    cols[idx, y] = 0
+    cols[idx, (y + 1) % d] = 1
+    beliefs = np.repeat(other[cols][:, None, :], n, axis=1)
+    beliefs[idx, where] = comp[cols]
+    risk = np.full((n * d, n), risks[1])
+    risk[idx, where] = risks[0]
+    table = LabeledSnapshotSet(beliefs=beliefs, labels=y, risks=risk, exact_risk=True)
+    return table, regions * d + labels
 
 
-def _exclusive_blocks(sc: ExclusiveScenario, samples: int, seed: int, size: int):
-    """``gen_exclusive``'s samples in slices of ``size``; see ``_blocks``."""
+def _gather(table: LabeledSnapshotSet, keys: np.ndarray) -> LabeledSnapshotSet:
+    """The samples' batch: each one's row of ``_table``'s table."""
+    rows = {name: getattr(table, name)[keys] for name in ("beliefs", "labels", "risks")}
+    return replace(table, **rows)
+
+
+def _exclusive_table(sc: ExclusiveScenario, samples: int, seed: int):
+    """``gen_exclusive``'s table and sample rows; see ``_table``."""
     if samples < 1:
         raise InvalidScenario(f"samples must be >= 1, got {samples}")
     rng = _rng(seed)
@@ -159,14 +160,14 @@ def _exclusive_blocks(sc: ExclusiveScenario, samples: int, seed: int, size: int)
     comp_risk = (1.0 - p) ** 2 + (sc.d - 1) * off**2
     other_risk = (1.0 - u) ** 2 + (sc.d - 1) * u**2
     rows = np.stack([comp, np.full(sc.d, u)])
-    return _blocks(sc.n, rows, (comp_risk, other_risk), regions, labels, size)
+    return _table(sc.n, rows, (comp_risk, other_risk), regions, labels)
 
 
 def gen_exclusive(
     sc: ExclusiveScenario, samples: int, seed: int
 ) -> LabeledSnapshotSet:
     """Draw a labeled snapshot batch; risks are exact conditional risks."""
-    return next(_exclusive_blocks(sc, samples, seed, samples))
+    return _gather(*_exclusive_table(sc, samples, seed))
 
 
 @dataclass(frozen=True)
@@ -343,9 +344,9 @@ class ImperfectScenario:
         return comp, other
 
 
-def _imperfect_blocks(sc: ImperfectScenario, samples: int, seed: int, size: int):
-    """``gen_imperfect``'s samples in slices of ``size``; see ``_blocks``.
-    The checks of ``gen_imperfect`` run before anything is drawn."""
+def _imperfect_table(sc: ImperfectScenario, samples: int, seed: int):
+    """``gen_imperfect``'s table and sample rows; see ``_table``.  The checks
+    of ``gen_imperfect`` run before anything is drawn."""
     if samples < 1:
         raise InvalidScenario(f"samples must be >= 1, got {samples}")
     rows = np.stack(sc.profile_rows())
@@ -358,7 +359,7 @@ def _imperfect_blocks(sc: ImperfectScenario, samples: int, seed: int, size: int)
     regions = rng.integers(0, sc.n, size=samples)
     labels = rng.integers(0, sc.d, size=samples)
     risks = _brier_rows(rows[None], np.zeros(1, int))[0]
-    return _blocks(sc.n, rows, risks, regions, labels, size)
+    return _table(sc.n, rows, risks, regions, labels)
 
 
 def gen_imperfect(
@@ -367,7 +368,7 @@ def gen_imperfect(
     """Draw a labeled snapshot batch; raises ConfidenceOrderViolated when
     the parameters do not leave the competent agent strictly most
     confident (confidence routing is undefined there)."""
-    return next(_imperfect_blocks(sc, samples, seed, samples))
+    return _gather(*_imperfect_table(sc, samples, seed))
 
 
 def imperfect_gap(sc: ImperfectScenario) -> float:

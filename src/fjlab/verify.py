@@ -6,18 +6,17 @@ CheckResult.  The CLI ``verify`` command runs them and writes a plain
 text report plus a JSON twin; the acceptance test suite runs the same
 functions with pinned budgets.
 
-Where a forked child helps (``io._fork_helps``), ``run_all_checks`` runs
+Where a forked child helps (``_fork._fork_helps``), ``run_all_checks`` runs
 the selected checks whose ``_CHECKS`` entry names the child side in one
-child made by ``io._forked`` while this process runs the others.  The
+child made by ``_fork._forked`` while this process runs the others.  The
 checks share no state and each has its own seed, so the results are the
 serial loop's.  Any failure of the split falls back to the serial loop,
 which raises the serial error.
 
-The two Monte Carlo scenario checks build their snapshots ``_BLOCK_SAMPLES``
-samples at a time, so their working set stays a few MiB at any budget.
-Each sample's loss and hits depend on that sample alone, and every mean is
-taken over the concatenation of the per-sample arrays, so the report's bits
-are those of one stack of all samples.
+A Monte Carlo scenario check scores each of its n·d distinct (region,
+label) snapshots once and gathers the scores by the drawn samples' keys:
+each sample's value is the float its own snapshot gives, in sample order,
+so every mean has the bits of scoring all samples one by one.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fork import _fork_helps, _forked
 from .dynamics import _checked_influence, _fixed_point, _run_rounds, _stack_h
 from .errors import ConfigError
-from .io import _fork_helps, _forked
 from .metrics import _diversity_rows, _log_loss_rows, _mixture, _pairwise_diversity_rows
 from .model import FJParameters, _check_rows
 from .routing import (
@@ -43,8 +42,8 @@ from .routing import (
 from .scenarios import (
     ExclusiveScenario,
     ImperfectScenario,
-    _exclusive_blocks,
-    _imperfect_blocks,
+    _exclusive_table,
+    _imperfect_table,
     empirical_route_crossover,
     exclusive_losses,
     gen_exclusive,
@@ -74,11 +73,6 @@ __all__ = [
 BUDGET_DEFAULTS = dict(
     prop_draws=200, identity_draws=1000, scenario_samples=100_000, consistency_samples=500
 )
-
-
-# The Monte Carlo scenario checks build their snapshots this many samples at a
-# time, so each holds a few MiB of snapshots at any budget.
-_BLOCK_SAMPLES = 8192
 
 # numpy sums a row of fewer than 8 entries one entry at a time, and a longer
 # one pairwise, so trailing zeros change a row sum's bits only from 8 on.
@@ -246,13 +240,10 @@ def check_exclusive_scenario(
     sc = ExclusiveScenario(n=5, d=10, epsilon=0.1)
     losses = exclusive_losses(sc, np.full(sc.n, 1.0 / sc.n))
     closed_gap = losses.gap_balanced
-    ens, moe = [], []
-    for sset in _exclusive_blocks(sc, samples, seed, _BLOCK_SAMPLES):
-        uniform = np.full((sset.m, sset.n), 1.0 / sset.n)
-        ens.append(_log_losses(sset, uniform))
-        moe.append(_log_losses(sset, hard_confidence_weights(sset.beliefs)))
-    emp_ens = float(np.concatenate(ens).mean())
-    emp_moe = float(np.concatenate(moe).mean())
+    table, keys = _exclusive_table(sc, samples, seed)
+    uniform = np.full((table.m, table.n), 1.0 / table.n)
+    emp_ens = float(_log_losses(table, uniform)[keys].mean())
+    emp_moe = float(_log_losses(table, hard_confidence_weights(table.beliefs))[keys].mean())
     emp_gap = emp_ens - emp_moe
     a_star = optimal_fixed_ensemble(sc)
     opt_dev = float(np.abs(a_star - 1.0 / sc.n).max())
@@ -307,18 +298,14 @@ def check_imperfect_scenario(
     routing; the uniform ensemble being confidently wrong everywhere."""
     sc = ImperfectScenario(n=5, d=4, p=0.9, u=0.05, c=0.7)
     closed = imperfect_gap(sc)
-    ens, routed, routed_hits, wrong_hits = [], [], [], []
-    for sset in _imperfect_blocks(sc, samples, seed, _BLOCK_SAMPLES):
-        mix = _mixture(np.full((sset.m, sset.n), 1.0 / sset.n), sset.beliefs)
-        hard = hard_confidence_weights(sset.beliefs)
-        routed_rows = sset.beliefs[np.arange(sset.m), np.argmax(hard, axis=1)]
-        ens.append(_log_loss_rows(mix, sset.labels))
-        routed.append(_log_losses(sset, hard))
-        routed_hits.append(np.argmax(routed_rows, axis=1) == sset.labels)
-        wrong_hits.append(np.argmax(mix, axis=1) == (sset.labels + 1) % sset.d)
-    emp_gap = float(np.concatenate(ens).mean() - np.concatenate(routed).mean())
-    routed_acc = float(np.concatenate(routed_hits).mean())
-    ens_wrong_rate = float(np.concatenate(wrong_hits).mean())
+    table, keys = _imperfect_table(sc, samples, seed)
+    mix = _mixture(np.full((table.m, table.n), 1.0 / table.n), table.beliefs)
+    hard = hard_confidence_weights(table.beliefs)
+    routed_rows = table.beliefs[np.arange(table.m), np.argmax(hard, axis=1)]
+    ens = _log_loss_rows(mix, table.labels)[keys]
+    emp_gap = float(ens.mean() - _log_losses(table, hard)[keys].mean())
+    routed_acc = float((np.argmax(routed_rows, axis=1) == table.labels)[keys].mean())
+    ens_wrong_rate = float((np.argmax(mix, axis=1) == (table.labels + 1) % table.d)[keys].mean())
     majority_wrong = wrong_majority_holds(sc)
     passed = (
         abs(emp_gap - closed) <= mc_tol
@@ -376,8 +363,8 @@ def check_condition_outcome(
 # wrapper set on the module attribute is the one called.
 _CHECKS = {
     "influence_consistency": ("check_influence_consistency", "prop_draws", "parent"),
-    "ambiguity_identity": ("check_ambiguity_identity", "identity_draws", "parent"),
-    "diversity_forms": ("check_diversity_forms", "identity_draws", "parent"),
+    "ambiguity_identity": ("check_ambiguity_identity", "identity_draws", "child"),
+    "diversity_forms": ("check_diversity_forms", "identity_draws", "child"),
     "exclusive_scenario": ("check_exclusive_scenario", "scenario_samples", "child"),
     "routing_threshold": ("check_routing_threshold", "scenario_samples", "child"),
     "imperfect_scenario": ("check_imperfect_scenario", "scenario_samples", "child"),

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import io
 import json
 import math
@@ -31,6 +32,7 @@ from fjlab.errors import (
     ShapeMismatch,
     WeightNotSimplex,
 )
+from fjlab import _fork
 from fjlab import io as fio
 from fjlab import verify as verify_mod
 from fjlab.io import (
@@ -786,18 +788,18 @@ class TestChildPlacement:
         ids=["first", "second", "four", "parent-not-usable", "only-cpu", "unknown"],
     )
     def test_mask_rule(self, usable, current, want):
-        assert fio._child_cpus(usable, current) == want
+        assert _fork._child_cpus(usable, current) == want
 
     @pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity") or fio._current_cpu() is None,
+        not hasattr(os, "sched_setaffinity") or _fork._current_cpu() is None,
         reason="no CPU affinity or /proc/self/stat",
     )
     def test_current_cpu_is_a_usable_cpu(self):
-        assert fio._current_cpu() in os.sched_getaffinity(0)
+        assert _fork._current_cpu() in os.sched_getaffinity(0)
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity")
-        or fio._current_cpu() is None
+        or _fork._current_cpu() is None
         or len(os.sched_getaffinity(0)) < 2,
         reason="needs CPU affinity, /proc/self/stat and two usable CPUs",
     )
@@ -808,7 +810,7 @@ class TestChildPlacement:
             part.write(json.dumps(sorted(os.sched_getaffinity(0))).encode())
             return True
 
-        with fio._forked(work) as wait:
+        with _fork._forked(work) as wait:
             placed = set(json.loads(wait().read()))
         assert len(placed) == len(usable) - 1 and placed < usable
         assert os.sched_getaffinity(0) == usable  # this process is not moved
@@ -1207,6 +1209,23 @@ class TestCLI:
         )
         with open(os.path.join(out, "trajectories.json"), "rb") as fh:
             assert fh.read() == self._inline_gamma_document(sim)
+
+    @pytest.mark.parametrize(
+        "scenario, digest",
+        [
+            ("exclusive", "f2a872efa09c490d517d5261a58c1bfec94f42735b50b05f249bc05056992f29"),
+            ("imperfect", "96aea0895a8e06884db3de79a775436332ad56a68a2bfb5dd4b37f21416e85a3"),
+        ],
+    )
+    def test_scenario_mode_keeps_its_recorded_file(self, tmp_path, scenario, digest):
+        # sha256 of trajectories.json, recorded when every sample's snapshot
+        # was built on its own
+        argv = ["--output-dir", str(tmp_path), "--seed", "4", "--quiet", "simulate"]
+        argv += ["--mode", "scenario", "--scenario", scenario, "--agents", "4", "--labels", "3"]
+        argv += ["--pools", "2", "--samples", "5", "--rounds", "3"]
+        assert run(argv) == 0
+        written = (tmp_path / "trajectories.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest
 
     def test_scenario_mode_with_confidence_gamma(self, tmp_path):
         out = str(tmp_path)

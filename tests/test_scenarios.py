@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from fjlab.errors import (
 from fjlab import scenarios
 from fjlab.metrics import confidence_metrics
 from fjlab.model import FJParameters
-from fjlab.verify import _BLOCK_SAMPLES
 from fjlab.scenarios import (
     ExclusiveScenario,
     ImperfectScenario,
@@ -417,54 +417,65 @@ class TestGenImperfect:
         assert a.labels.tobytes() == b.labels.tobytes()
 
 
-def _assert_same_snapshots(blocks, whole):
+def _digest(sset):
+    """sha256 of a batch's beliefs, labels and risks, with dtypes and shapes."""
+    h = hashlib.sha256()
     for name in ("beliefs", "labels", "risks"):
-        joined = np.concatenate([getattr(block, name) for block in blocks])
-        part = getattr(whole, name)
-        assert joined.dtype == part.dtype and joined.shape == part.shape, name
-        assert joined.tobytes() == part.tobytes(), name
+        a = getattr(sset, name)
+        h.update(f"{name} {a.dtype.str} {a.shape};".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
-class TestBlocks:
-    """verify's scenario checks build the generators' snapshots one block
-    of samples at a time; together the blocks hold gen_*'s batch."""
+# Each scenario's sha256 (``_digest``) of its 1,000-sample batch at seeds 0
+# and 3, recorded when every sample's snapshot was built on its own.
+GENERATOR_DIGESTS = [
+    (
+        ExclusiveScenario(n=5, d=10, epsilon=0.1),
+        "734a6f76d5a2ac10a49bb3ea8dfdf216883da50046636278949214b97d92381d",
+        "47cfeeee7e7d7fa4834b7e1bcd2808783f18d3d6c399f2684f461f13782403f4",
+    ),
+    (
+        ImperfectScenario(n=5, d=4, p=0.9, u=0.05, c=0.7),
+        "bc4fe773a7fbf4398ce76abb905087f280110cec4374f571186b19e7fe2a079f",
+        "f9c6187c5ca1293168e359b2e2dc8f7a9c9f6f81379dad1966613b18a50a2370",
+    ),
+    (
+        ExclusiveScenario(n=2, d=2, epsilon=0.3),
+        "169649a446400cc4e6878f49921f734e4c38752da75a1b5a5da9be24786868f4",
+        "2696cf3fd198b8022b767534b03e51624f9792ad5d986735cca37b37f07ff504",
+    ),
+    (
+        ExclusiveScenario(n=4, d=3, epsilon=0.1, rho=[0.4, 0.3, 0.2, 0.1]),
+        "d3e017df5682786903e69327172cd8979501d1653977891a70c04641d85add6b",
+        "80df360ad6247c2609ee8f34f3b6626968b87f1b82576a1b5f4dfe432ade8bad",
+    ),
+    (
+        ImperfectScenario(n=4, d=2, p=0.8, u=0.3),
+        "0d6af2db9dda7b355709c36cb560c91a1e9cfc59eee23f0a7ea74e36372dbe7a",
+        "432ecbfec384fe11f6276b572550571a44a19a23447ddbcfc506cb7486717b51",
+    ),
+    (
+        ImperfectScenario(n=3, d=3, p=0.9, u=0.05, c=0.6),
+        "96089b6f2d3bb3785dd074b8b508d13284b26d3c15033abec0a846e58d29212a",
+        "f9ee194f2247da522aa7df9c32f8d3139e0e9d514b583f86cc9b9d5bec0f7d28",
+    ),
+]
 
-    SAMPLES = 2 * _BLOCK_SAMPLES + 3
 
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_exclusive_blocks_join_to_gen_exclusive(self, seed):
-        sc = std_exclusive()
-        blocks = list(scenarios._exclusive_blocks(sc, self.SAMPLES, seed, _BLOCK_SAMPLES))
-        assert [b.m for b in blocks] == [_BLOCK_SAMPLES, _BLOCK_SAMPLES, 3]
-        assert all(b.exact_risk for b in blocks)
-        _assert_same_snapshots(blocks, gen_exclusive(sc, self.SAMPLES, seed))
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_imperfect_blocks_join_to_gen_imperfect(self, seed):
-        sc = ImperfectScenario(n=5, d=4, p=0.9, u=0.05, c=0.7)
-        blocks = list(scenarios._imperfect_blocks(sc, self.SAMPLES, seed, _BLOCK_SAMPLES))
-        assert [b.m for b in blocks] == [_BLOCK_SAMPLES, _BLOCK_SAMPLES, 3]
-        assert all(b.exact_risk for b in blocks)
-        _assert_same_snapshots(blocks, gen_imperfect(sc, self.SAMPLES, seed))
+class TestGeneratorTable:
+    """gen_exclusive and gen_imperfect gather one table of the n·d distinct
+    (region, label) snapshots by each sample's key."""
 
     @pytest.mark.parametrize(
-        "sc",
-        [
-            ExclusiveScenario(n=2, d=2, epsilon=0.3),
-            ExclusiveScenario(n=4, d=3, epsilon=0.1, rho=[0.4, 0.3, 0.2, 0.1]),
-            ImperfectScenario(n=4, d=2, p=0.8, u=0.3),
-            ImperfectScenario(n=3, d=3, p=0.9, u=0.05, c=0.6),
-        ],
-        ids=repr,
+        "sc, at_0, at_3", GENERATOR_DIGESTS, ids=[repr(sc) for sc, _, _ in GENERATOR_DIGESTS]
     )
-    def test_small_scenarios_and_block_sizes(self, sc):
-        make, gen = (
-            (scenarios._exclusive_blocks, gen_exclusive)
-            if isinstance(sc, ExclusiveScenario)
-            else (scenarios._imperfect_blocks, gen_imperfect)
-        )
-        for size in (1, 7, 30, 31):
-            _assert_same_snapshots(list(make(sc, 30, 8, size)), gen(sc, 30, 8))
+    def test_batches_keep_their_recorded_bits(self, sc, at_0, at_3):
+        gen = gen_exclusive if isinstance(sc, ExclusiveScenario) else gen_imperfect
+        for seed, want in ((0, at_0), (3, at_3)):
+            sset = gen(sc, 1000, seed)
+            assert sset.exact_risk
+            assert _digest(sset) == want, seed
 
     def test_imperfect_order_is_checked_before_any_draw(self, monkeypatch):
         drawn = []
@@ -473,7 +484,7 @@ class TestBlocks:
         with pytest.raises(ConfidenceOrderViolated):
             gen_imperfect(sc, 10, seed=5)
         with pytest.raises(ConfidenceOrderViolated):
-            scenarios._imperfect_blocks(sc, 10, 5, 4)
+            scenarios._imperfect_table(sc, 10, 5)
         assert drawn == []
 
 

@@ -13,6 +13,7 @@ from fjlab import verify as verify_mod
 from fjlab.cli import run
 from fjlab.config import VerifySection
 from fjlab.dynamics import build_h, equilibrium, influence_weights, simulate, spectral_radius
+from fjlab.errors import InvalidScenario
 from fjlab.metrics import _log_loss_rows, _mixture, diversity
 from fjlab.routing import ambiguity_decomposition, hard_confidence_weights
 from fjlab.scenarios import (
@@ -27,7 +28,6 @@ from fjlab.scenarios import (
     wrong_majority_holds,
 )
 from fjlab.verify import (
-    _BLOCK_SAMPLES,
     _CHECKS,
     BUDGET_DEFAULTS,
     DEFAULT_CHECKS,
@@ -107,8 +107,8 @@ def _log_losses(sset, weights):
 
 
 def exclusive_scenario_one_stack(samples, seed, mc_tol=0.01):
-    """The check on one stack of all samples, as it ran before the samples
-    were taken in blocks; kept as the reference."""
+    """The check on one stack of all samples, each scored on its own, as it
+    ran before the distinct snapshots were scored once; kept as the reference."""
     sc = ExclusiveScenario(n=5, d=10, epsilon=0.1)
     losses = exclusive_losses(sc, np.full(sc.n, 1.0 / sc.n))
     closed_gap = losses.gap_balanced
@@ -147,8 +147,8 @@ def exclusive_scenario_one_stack(samples, seed, mc_tol=0.01):
 
 
 def imperfect_scenario_one_stack(samples, seed, mc_tol=0.01):
-    """The check on one stack of all samples, as it ran before the samples
-    were taken in blocks; kept as the reference."""
+    """The check on one stack of all samples, each scored on its own, as it
+    ran before the distinct snapshots were scored once; kept as the reference."""
     sc = ImperfectScenario(n=5, d=4, p=0.9, u=0.05, c=0.7)
     closed = imperfect_gap(sc)
     sset = gen_imperfect(sc, samples, seed)
@@ -182,16 +182,18 @@ def imperfect_scenario_one_stack(samples, seed, mc_tol=0.01):
     )
 
 
+# Each Monte Carlo check, its per-sample reference, and its scenario's n·d,
+# the number of distinct (region, label) snapshots.
 SCENARIO_CHECKS = [
-    (check_exclusive_scenario, exclusive_scenario_one_stack),
-    (check_imperfect_scenario, imperfect_scenario_one_stack),
+    (check_exclusive_scenario, exclusive_scenario_one_stack, 5 * 10),
+    (check_imperfect_scenario, imperfect_scenario_one_stack, 5 * 4),
 ]
-B = _BLOCK_SAMPLES
 
 
-class TestScenarioBlocks:
-    """The Monte Carlo scenario checks take their samples in blocks of
-    _BLOCK_SAMPLES; each result must keep the bits of one stack."""
+class TestScenarioTable:
+    """The Monte Carlo scenario checks score the n·d distinct snapshots once
+    and gather each sample's values by its (region, label); each result must
+    keep the bits of the per-sample reference."""
 
     @staticmethod
     def _same(got, want):
@@ -199,23 +201,34 @@ class TestScenarioBlocks:
         # repr tells -0.0 from 0.0 and shows every bit of a float
         assert repr(got) == repr(want)
 
-    @pytest.mark.parametrize("samples", [1, B - 1, B, B + 1, 2 * B + 3])
-    @pytest.mark.parametrize("check, reference", SCENARIO_CHECKS)
-    def test_block_boundaries_match_one_stack(self, check, reference, samples):
+    # below n·d some (region, label) keys are never drawn, and the table
+    # still holds their snapshots
+    @pytest.mark.parametrize(
+        "check, reference, samples",
+        [(c, r, samples) for c, r, nd in SCENARIO_CHECKS for samples in (1, 3, nd - 1, nd)],
+        ids=lambda value: value if isinstance(value, int) else value.__name__,
+    )
+    def test_small_budgets_match_the_per_sample_reference(self, check, reference, samples):
         for seed in (0, 3):
             self._same(check(samples, seed=seed), reference(samples, seed))
 
-    @pytest.mark.parametrize("check, reference", SCENARIO_CHECKS)
-    def test_default_budget_matches_one_stack(self, check, reference):
+    @pytest.mark.parametrize("check, reference, nd", SCENARIO_CHECKS)
+    def test_default_budget_matches_the_per_sample_reference(self, check, reference, nd):
         samples = BUDGET_DEFAULTS["scenario_samples"]
         got = check(samples, seed=0)
         assert got.passed
         self._same(got, reference(samples, 0))
 
-    @pytest.mark.parametrize("check", [check for check, _ in SCENARIO_CHECKS])
+    @pytest.mark.parametrize("check", [check for check, _, _ in SCENARIO_CHECKS])
+    def test_no_samples_is_an_invalid_scenario(self, check):
+        with pytest.raises(InvalidScenario, match="samples must be >= 1, got 0"):
+            check(0)
+
+    @pytest.mark.parametrize("check", [check for check, _, _ in SCENARIO_CHECKS])
     def test_working_set_stays_small_at_the_default_budget(self, check):
         # one stack of 100,000 samples peaked at 96.1 MiB (exclusive) and
-        # 50.4 MiB (imperfect); blocks keep each check near 10 MiB
+        # 50.4 MiB (imperfect), blocks of 8,192 samples at 11.5 and 8.1 MiB;
+        # the table and the drawn keys peak at 2.3 MiB
         check(1)
         tracemalloc.start()
         try:
@@ -223,7 +236,7 @@ class TestScenarioBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 6 * 2**20
 
 
 class TestInfluenceConsistency:
@@ -326,7 +339,13 @@ class TestRunAllChecks:
     def test_each_check_names_its_side_of_the_split(self):
         assert {side for _, _, side in _CHECKS.values()} <= {"parent", "child"}
         child = {name for name, (_, _, side) in _CHECKS.items() if side == "child"}
-        assert child == {"exclusive_scenario", "routing_threshold", "imperfect_scenario"}
+        assert child == {
+            "ambiguity_identity",
+            "diversity_forms",
+            "exclusive_scenario",
+            "routing_threshold",
+            "imperfect_scenario",
+        }
 
     def test_budget_defaults_have_one_source(self):
         # every copy of a default budget equals verify.BUDGET_DEFAULTS
@@ -352,8 +371,8 @@ class TestRunAllChecks:
     reason="run_all_checks forks only where os.fork exists, before Python 3.12",
 )
 class TestSplitChecks:
-    """Where two CPUs are usable, run_all_checks hands the checks sized by
-    scenario_samples to one forked child and runs the others itself: the
+    """Where two CPUs are usable, run_all_checks hands the checks on the
+    child side of _CHECKS to one forked child and runs the others itself: the
     same results and reports, the same errors, and no child left behind."""
 
     @pytest.fixture
@@ -376,12 +395,11 @@ class TestSplitChecks:
 
     @staticmethod
     def _calls_here(monkeypatch):
-        """The names of the Monte Carlo checks that run in this process, as
+        """The names of the child side's checks that run in this process, as
         they run; the child's calls are not seen."""
         calls = []
         parent = os.getpid()
-        for name in ("check_exclusive_scenario", "check_routing_threshold",
-                     "check_imperfect_scenario"):
+        for name in [check for check, _, side in _CHECKS.values() if side == "child"]:
             inner = getattr(verify_mod, name)
 
             def recorded(*args, inner=inner, name=name, **kwargs):
@@ -409,8 +427,8 @@ class TestSplitChecks:
         [
             (DEFAULT_CHECKS, 1),
             (("condition_outcome_consistency", "routing_threshold"), 1),
-            (("ambiguity_identity", "diversity_forms", "influence_consistency"), 0),
-            (("imperfect_scenario", "exclusive_scenario"), 0),
+            (("condition_outcome_consistency", "influence_consistency"), 0),
+            (("imperfect_scenario", "diversity_forms", "exclusive_scenario"), 0),
         ],
         ids=["default", "one-each", "here-only", "child-only"],
     )
@@ -419,7 +437,7 @@ class TestSplitChecks:
         got = run_all_checks(checks=checks, seed=3, **BUDGETS)
         assert len(forks) == count
         if count:
-            assert here == []  # the child ran the Monte Carlo checks
+            assert here == []  # the child ran its checks
         serial, _ = self._serial(lambda: run_all_checks(checks=checks, seed=3, **BUDGETS))
         assert [r.name for r in got] == list(checks)
         assert got == serial
@@ -428,7 +446,7 @@ class TestSplitChecks:
         "broken",
         [
             ("check_routing_threshold",),
-            ("check_ambiguity_identity",),
+            ("check_condition_outcome",),
             # the child's check comes first in check order, so its error is the serial one
             ("check_exclusive_scenario", "check_condition_outcome"),
         ],
