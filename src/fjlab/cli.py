@@ -46,7 +46,7 @@ from .errors import (
 )
 from .estimation import fit_pools, fit_samples, parameter_variability
 from .metrics import MetricColumns, spearman, stacked_metrics
-from .model import DeliberationTrajectory, FJParameters
+from .model import DeliberationTrajectory, FJParameters, _dirichlet_rows
 from .scenarios import (
     ExclusiveScenario,
     ImperfectScenario,
@@ -227,11 +227,12 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
             ids = [f"sample-{first + k:04d}" for k in range(sim.samples)]
             metadata = {"pool": str(pool)}
             if sset is None:
+                # each sample's Dirichlet(1) rows as exponentials, then its label
                 innates, labels = [], []
                 for _ in range(sim.samples):
-                    innates.append(rng.dirichlet(np.ones(sim.labels), size=sim.agents))
+                    innates.append(rng.standard_exponential((sim.agents, sim.labels)))
                     labels.append(int(rng.integers(sim.labels)))
-                innates = np.stack(innates)
+                innates = _dirichlet_rows(np.stack(innates))
             else:
                 innates = sset.beliefs[first : first + sim.samples]
                 labels = [int(y) for y in sset.labels[first : first + sim.samples]]

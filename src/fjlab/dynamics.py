@@ -56,6 +56,8 @@ __all__ = [
     "settle",
 ]
 
+_DRIFT_BLOCK = 1 << 15  # snapshot entries per block of simulate_pool's drift temporary
+
 
 def build_h(params: FJParameters) -> np.ndarray:
     """Linear round operator H = (I - G) (A + (I - A) W); nonnegative,
@@ -78,48 +80,36 @@ def fj_step(params: FJParameters, innate: np.ndarray, current: np.ndarray) -> np
     innate = validate_snapshot(innate)
     current = validate_snapshot(current)
     if innate.shape != current.shape or innate.shape[0] != params.n:
-        raise ShapeMismatch(
-            f"innate {innate.shape}, current {current.shape}, n={params.n}"
-        )
-    return _round(params.gamma[:, None] * innate, build_h(params), current)[0]
+        raise ShapeMismatch(f"innate {innate.shape}, current {current.shape}, n={params.n}")
+    return _round(params.gamma[:, None] * innate, build_h(params), current)
 
 
-def _round(
-    gs: np.ndarray, h: np.ndarray, current: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _round(gs: np.ndarray, h: np.ndarray, current: np.ndarray) -> np.ndarray:
     """One round B <- G S + H B from precomputed G S and H, on one snapshot
     (n, d) or a stack (m, n, d), with G S shaped like the snapshots and H
     shared (n, n) or per sample (m, n, n); returns the renormalized
-    snapshots and, per sample, how far their row sums drifted from 1."""
+    snapshots."""
     out = h @ current
     out += gs
     # Rows are convex combinations of simplex rows, so only float rounding
-    # (or an empty neighborhood row) moves the mass off 1; renormalize and
-    # report how far it drifted.
-    drift = np.abs(out.sum(axis=-1) - 1.0).max(axis=-1)
+    # (or an empty neighborhood row) moves the mass off 1; renormalize.
     np.maximum(out, 0.0, out=out)
     out /= out.sum(axis=-1, keepdims=True)
-    return out, drift
+    return out
 
 
 def _run_rounds(
-    gs: np.ndarray,
-    h: np.ndarray,
-    start: np.ndarray,
-    rounds: int,
-    snaps: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    gs: np.ndarray, h: np.ndarray, start: np.ndarray, rounds: int, snaps: np.ndarray | None = None
+) -> np.ndarray:
     """``rounds`` rounds from the stack ``start`` (m, n, d), shapes as in
     ``_round``; fills ``snaps[:, t + 1]`` after round t when given.  Returns
-    the final stack and each sample's worst drift."""
+    the final stack."""
     current = start
-    worst = np.zeros(start.shape[0])
     for t in range(rounds):
-        current, drift = _round(gs, h, current)
-        np.maximum(worst, drift, out=worst)
+        current = _round(gs, h, current)
         if snaps is not None:
             snaps[:, t + 1] = current
-    return current, worst
+    return current
 
 
 def spectral_radius(h: np.ndarray):
@@ -255,12 +245,8 @@ def simulate(
     renormalization absorbed under the "max_drift" metadata key.
     """
     return simulate_pool(
-        [params],
-        validate_snapshot(innate)[None],
-        rounds,
-        sample_ids=[sample_id],
-        correct_labels=[correct_label],
-        metadata=metadata,
+        [params], validate_snapshot(innate)[None], rounds, sample_ids=[sample_id],
+        correct_labels=[correct_label], metadata=metadata,
     )[0]
 
 
@@ -297,12 +283,19 @@ def simulate_pool(
     snaps = np.empty((m, rounds + 1) + innates.shape[1:])
     snaps[:, 0] = innates
     gs = gamma[:, :, None] * innates
-    _, worst = _run_rounds(gs, _stack_h(gamma, alpha, w), innates, rounds, snaps)
+    h = _stack_h(gamma, alpha, w)
+    _run_rounds(gs, h, innates, rounds, snaps)
+    # each sample's worst row drift |(H B(t) + G S).sum(-1) - 1| over rounds t
+    # and agents: round t's own products on the stored snapshots, block by block
+    worst = np.zeros(m)
+    step = max(1, _DRIFT_BLOCK // innates.size)
+    for t in range(0, rounds, step):
+        out = h[:, None] @ snaps[:, t : min(t + step, rounds)]
+        out += gs[:, None]
+        np.maximum(worst, np.abs(out.sum(axis=-1) - 1.0).max(axis=(1, 2)), out=worst)
     return [
         DeliberationTrajectory(
-            snapshots=snap,
-            sample_id=sample_id,
-            correct_label=label,
+            snapshots=snap, sample_id=sample_id, correct_label=label,
             metadata={**(metadata or {}), "max_drift": repr(float(drift))},
         )
         for snap, drift, sample_id, label in zip(snaps, worst, sample_ids, correct_labels)
@@ -326,7 +319,7 @@ def settle(
     gs, h = params.gamma[:, None] * innate, build_h(params)
     current = innate
     for _ in range(max_rounds):
-        nxt, _ = _round(gs, h, current)
+        nxt = _round(gs, h, current)
         if np.abs(nxt - current).max() <= atol:
             return nxt
         current = nxt

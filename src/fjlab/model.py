@@ -92,6 +92,56 @@ def validate_snapshot(s, tau: float = TAU_SIMPLEX) -> np.ndarray:
     return _belief_array(s, 2, "snapshot", tau)
 
 
+def _dirichlet_rows(exps: np.ndarray) -> np.ndarray:
+    """Standard exponential rows (..., d) scaled in place onto the simplex as
+    ``rng.dirichlet(np.ones(d))`` scales the same draws, by the reciprocal of
+    a sum added entry by entry (``sum`` adds pairwise from 8), bit for bit."""
+    acc = exps[..., 0].copy()
+    for j in range(1, exps.shape[-1]):
+        acc += exps[..., j]
+    exps *= (1.0 / acc)[..., None]
+    return exps
+
+
+def _check_params(gamma: np.ndarray, alpha: np.ndarray, w: np.ndarray, mask: np.ndarray) -> None:
+    """The one check of FJ parameters (float arrays, a boolean mask), on one
+    system, gamma and alpha (n,) and w and mask (n, n), or on a stack (m, n)
+    and (m, n, n) with one mask for the stack or one per system."""
+    n = gamma.shape[-1]
+    if n == 0:
+        raise ShapeMismatch("parameters need at least one agent")
+    shape = (*gamma.shape, n)
+    if alpha.shape != gamma.shape or w.shape != shape or mask.shape not in ((n, n), shape):
+        raise ShapeMismatch(
+            f"inconsistent shapes: gamma {gamma.shape}, alpha {alpha.shape}, "
+            f"w {w.shape}, mask {mask.shape}"
+        )
+    # NaN passes every range comparison below, so reject it first
+    for name, arr in (("gamma", gamma), ("alpha", alpha), ("w", w)):
+        if not np.isfinite(arr).all():
+            raise WeightNotSimplex(f"{name} has a non-finite entry")
+    for name, arr in (("gamma", gamma), ("alpha", alpha)):
+        if arr.min() < 0.0 or arr.max() > 1.0:
+            raise WeightNotSimplex(f"{name} entries must lie in [0, 1]")
+    if mask.diagonal(axis1=-2, axis2=-1).any():
+        raise ShapeMismatch("mask diagonal must be False (no self-loops)")
+    if w.min() < 0.0:
+        raise NegativeEntry(f"w entry {float(w.min())!r} is negative")
+    if np.any((w != 0.0) & ~mask):
+        raise WeightNotSimplex("w must be exactly 0 outside the mask")
+    row_has_edge = mask.any(axis=-1)
+    sums = w.sum(axis=-1)
+    bad = row_has_edge & (np.abs(sums - 1.0) > TAU_SIMPLEX)
+    if bad.any():
+        *system, i = np.argwhere(bad)[0]
+        where = f"w{list(map(int, system))} row {i}" if system else f"w row {i}"
+        raise WeightNotSimplex(
+            f"{where} sums to {float(sums[(*system, i)])!r}, not 1 within {TAU_SIMPLEX!r}"
+        )
+    if np.any((sums != 0.0) & ~row_has_edge):
+        raise WeightNotSimplex("rows without allowed edges must be all-zero")
+
+
 def check_label(y: int, d: int) -> int:
     """An integer label in [0, d); non-integers, bools among them, are
     rejected, not truncated."""
@@ -133,45 +183,10 @@ class FJParameters:
         gamma = _as_float_array(self.gamma, 1, "gamma")
         alpha = _as_float_array(self.alpha, 1, "alpha")
         w = _as_float_array(self.w, 2, "w")
-        mask = np.asarray(self.mask)
-        if mask.dtype != np.bool_:
-            mask = mask.astype(bool)
-        n = gamma.shape[0]
-        if n == 0:
-            raise ShapeMismatch("parameters need at least one agent")
-        if alpha.shape != (n,) or w.shape != (n, n) or mask.shape != (n, n):
-            raise ShapeMismatch(
-                f"inconsistent shapes: gamma {gamma.shape}, alpha {alpha.shape}, "
-                f"w {w.shape}, mask {mask.shape}"
-            )
-        # NaN passes every range comparison below, so reject it first
-        for name, arr in (("gamma", gamma), ("alpha", alpha), ("w", w)):
-            if not np.isfinite(arr).all():
-                raise WeightNotSimplex(f"{name} has a non-finite entry")
-        if gamma.min() < 0.0 or gamma.max() > 1.0:
-            raise WeightNotSimplex("gamma entries must lie in [0, 1]")
-        if alpha.min() < 0.0 or alpha.max() > 1.0:
-            raise WeightNotSimplex("alpha entries must lie in [0, 1]")
-        if mask.diagonal().any():
-            raise ShapeMismatch("mask diagonal must be False (no self-loops)")
-        if w.min() < 0.0:
-            raise NegativeEntry(f"w entry {float(w.min())!r} is negative")
-        if np.any(w[~mask] != 0.0):
-            raise WeightNotSimplex("w must be exactly 0 outside the mask")
-        row_has_edge = mask.any(axis=1)
-        sums = w.sum(axis=1)
-        bad = row_has_edge & (np.abs(sums - 1.0) > TAU_SIMPLEX)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise WeightNotSimplex(
-                f"w row {i} sums to {float(sums[i])!r}, not 1 within {TAU_SIMPLEX!r}"
-            )
-        if np.any(sums[~row_has_edge] != 0.0):
-            raise WeightNotSimplex("rows without allowed edges must be all-zero")
-        object.__setattr__(self, "gamma", _freeze(gamma))
-        object.__setattr__(self, "alpha", _freeze(alpha))
-        object.__setattr__(self, "w", _freeze(w))
-        object.__setattr__(self, "mask", _freeze(mask))
+        mask = np.asarray(self.mask, dtype=bool)
+        _check_params(gamma, alpha, w, mask)
+        for name, arr in (("gamma", gamma), ("alpha", alpha), ("w", w), ("mask", mask)):
+            object.__setattr__(self, name, _freeze(arr))
 
     @property
     def n(self) -> int:

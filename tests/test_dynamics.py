@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fjlab import dynamics
 from fjlab.dynamics import (
     _round,
     aggregate_pi,
@@ -141,27 +142,51 @@ class TestStepAndSimulate:
             simulate(params, np.full((3, 2), 0.5), 1)
 
 
+def round_with_drift(gs, h, current):
+    """One round as the kernel ran it when it also returned each sample's
+    row drift, measured before renormalizing; kept as the reference."""
+    out = h @ current
+    out += gs
+    drift = np.abs(out.sum(axis=-1) - 1.0).max(axis=-1)
+    np.maximum(out, 0.0, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out, drift
+
+
 class TestStackedRounds:
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 6),
         st.integers(2, 8),
-        st.integers(2, 8),
+        st.integers(2, 12),
+        st.integers(0, 6),
     )
-    def test_stack_equals_slice_by_slice(self, seed, m, n, d):
+    def test_stack_equals_slice_by_slice(self, seed, m, n, d, rounds):
         rng = np.random.default_rng(seed)
         systems = [random_contractive(rng, n=n, d=d) for _ in range(m)]
         gs = np.stack([p.gamma[:, None] * innate for p, innate in systems])
         hs = np.stack([build_h(p) for p, _ in systems])
         current = rng.dirichlet(np.ones(d), size=(m, n))
         for h in (hs[0], hs):  # shared (n, n), then one per sample (m, n, n)
-            out, drift = _round(gs, h, current)
-            assert drift.shape == (m,)
+            out = _round(gs, h, current)
+            np.testing.assert_array_equal(out, round_with_drift(gs, h, current)[0])
             for k in range(m):
-                out_k, drift_k = _round(gs[k], h if h.ndim == 2 else h[k], current[k])
+                out_k = _round(gs[k], h if h.ndim == 2 else h[k], current[k])
                 np.testing.assert_array_equal(out[k], out_k)
-                assert drift[k] == drift_k
+        # the pool's drift, read from its stored snapshots, has each round's bits
+        innates = np.stack([innate for _, innate in systems])
+        pool = simulate_pool(
+            [p for p, _ in systems], innates, rounds, sample_ids=list("abcdef")[:m],
+            correct_labels=[None] * m,
+        )
+        current, worst = innates, np.zeros(m)
+        for t in range(rounds):
+            current, drift = round_with_drift(gs, hs, current)
+            for k, traj in enumerate(pool):
+                np.testing.assert_array_equal(traj.snapshots[t + 1], current[k])
+            np.maximum(worst, drift, out=worst)
+        assert [traj.metadata["max_drift"] for traj in pool] == [repr(float(x)) for x in worst]
 
     @pytest.mark.parametrize("rounds", [0, 1, 7])
     @pytest.mark.parametrize("m", [1, 5])
@@ -199,7 +224,10 @@ class TestStackedRounds:
                 assert traj.metadata == alone.metadata
         assert meta == {"pool": "7"}
 
-    def test_max_drift_is_the_worst_round(self):
+    # one round per block of the drift's temporary, three, and all twenty
+    @pytest.mark.parametrize("block", [1, 3 * 5 * 4 * 3, dynamics._DRIFT_BLOCK])
+    def test_max_drift_is_the_worst_round(self, monkeypatch, block):
+        monkeypatch.setattr(dynamics, "_DRIFT_BLOCK", block)
         rng = np.random.default_rng(0)
         params, _ = random_contractive(rng, n=4, d=3)
         innates = rng.dirichlet(np.ones(3), size=(5, 4))
@@ -211,7 +239,7 @@ class TestStackedRounds:
         for k, traj in enumerate(pool):
             current, drifts = innates[k], []
             for _ in range(20):
-                current, drift = _round(gs[k], h, current)
+                current, drift = round_with_drift(gs[k], h, current)
                 drifts.append(float(drift))
             assert traj.metadata["max_drift"] == repr(max(drifts))
             last_is_worst.append(drifts[-1] == max(drifts))

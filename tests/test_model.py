@@ -12,6 +12,8 @@ from fjlab.errors import (
 from fjlab.model import (
     DeliberationTrajectory,
     FJParameters,
+    _check_params,
+    _dirichlet_rows,
     check_label,
     normalize_belief,
     validate_belief,
@@ -183,6 +185,87 @@ class TestFJParameters:
         assert (params == copy) is False
         assert params != copy
         assert len({params, copy}) == 2
+
+
+def _set(field, index, value):
+    """A corruption of one system's (gamma, alpha, w, mask): field[index] = value."""
+
+    def corrupt(system):
+        system[field][index] = value
+
+    return corrupt
+
+
+# Each way to break a valid 3-agent system, with the error FJParameters raises.
+CORRUPTIONS = [
+    (_set("gamma", 1, np.nan), WeightNotSimplex),
+    (_set("alpha", 0, -0.25), WeightNotSimplex),
+    (_set("w", (2, 0), np.inf), WeightNotSimplex),
+    (_set("mask", (1, 1), True), ShapeMismatch),
+    (_set("w", (0, 1), -0.5), NegativeEntry),
+    (_set("w", (1, 2), 0.6), WeightNotSimplex),
+    (_set("mask", (1, 2), False), WeightNotSimplex),
+]
+
+
+class TestParameterStacks:
+    """``_check_params`` checks a stack of systems as FJParameters checks
+    each one: the same error for the first property a system breaks."""
+
+    @staticmethod
+    def _systems(m):
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0.1, 1.0, (m, 3, 3)) * complete(3)
+        w /= w.sum(axis=-1, keepdims=True)
+        return [
+            {"gamma": g, "alpha": a, "w": ws, "mask": complete(3)}
+            for g, a, ws in zip(rng.uniform(0, 1, (m, 3)), rng.uniform(0, 1, (m, 3)), w)
+        ]
+
+    def test_a_valid_stack_passes_with_a_shared_or_own_mask(self):
+        systems = self._systems(4)
+        stack = {key: np.stack([s[key] for s in systems]) for key in systems[0]}
+        _check_params(**stack)
+        _check_params(**{**stack, "mask": complete(3)})
+
+    @pytest.mark.parametrize("corrupt, error", CORRUPTIONS)
+    def test_a_broken_system_fails_the_stack_as_it_fails_alone(self, corrupt, error):
+        systems = self._systems(4)
+        corrupt(systems[2])
+        with pytest.raises(error) as alone:
+            FJParameters(**systems[2])
+        stack = {key: np.stack([s[key] for s in systems]) for key in systems[0]}
+        with pytest.raises(error) as stacked:
+            _check_params(**stack)
+        # a weight row's message names its system in the stack
+        assert str(stacked.value) == str(alone.value).replace("w row", "w[2] row")
+
+    def test_inconsistent_stack_shapes(self):
+        systems = self._systems(2)
+        stack = {key: np.stack([s[key] for s in systems]) for key in systems[0]}
+        with pytest.raises(ShapeMismatch, match="inconsistent shapes"):
+            _check_params(**{**stack, "alpha": stack["alpha"][:1]})
+        with pytest.raises(ShapeMismatch, match="inconsistent shapes"):
+            _check_params(**{**stack, "mask": np.stack([complete(3)] * 3)})
+
+
+class TestDirichletRows:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_exponentials_give_dirichlet_bits(self, seed):
+        ours, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in range(1, 11):
+            for d in range(2, 13):
+                got = _dirichlet_rows(ours.standard_exponential((n, d)))
+                want = numpy.dirichlet(np.ones(d), size=n)
+                assert got.tobytes() == want.tobytes(), (n, d)
+        # the same draws, so the stream goes on from the same point
+        assert ours.bit_generator.state == numpy.bit_generator.state
+
+    def test_a_stack_scales_as_its_draws_one_by_one(self):
+        ours, numpy = np.random.default_rng(3), np.random.default_rng(3)
+        got = _dirichlet_rows(np.stack([ours.standard_exponential((4, 9)) for _ in range(6)]))
+        want = np.stack([numpy.dirichlet(np.ones(9), size=4) for _ in range(6)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTrajectory:

@@ -1,10 +1,12 @@
 import configparser
+import hashlib
 import inspect
 import os
 import pathlib
 import re
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fjlab.config import VerifySection
 from fjlab.dynamics import build_h, equilibrium, influence_weights, simulate, spectral_radius
 from fjlab.errors import InvalidScenario
 from fjlab.metrics import _log_loss_rows, _mixture, diversity
+from fjlab.model import FJParameters
 from fjlab.routing import ambiguity_decomposition, hard_confidence_weights
 from fjlab.scenarios import (
     ExclusiveScenario,
@@ -32,7 +35,6 @@ from fjlab.verify import (
     BUDGET_DEFAULTS,
     DEFAULT_CHECKS,
     CheckResult,
-    _random_contractive,
     check_ambiguity_identity,
     check_condition_outcome,
     check_diversity_forms,
@@ -43,6 +45,23 @@ from fjlab.verify import (
     run_all_checks,
 )
 from test_io_cli import _count_forks
+
+
+def _random_contractive(rng, n_max=6, d_max=8):
+    """One draw of the influence check as its own validated FJParameters: a
+    random all-to-all system with spectral radius bounded away from 1, and
+    an innate snapshot; kept as the per-draw reference."""
+    n = int(rng.integers(2, n_max + 1))
+    d = int(rng.integers(2, d_max + 1))
+    gamma = rng.uniform(0.05, 0.95, n)
+    alpha = rng.uniform(0.05, 0.95, n)
+    mask = FJParameters.complete_mask(n)
+    w = rng.uniform(0.0, 1.0, (n, n))
+    w[~mask] = 0.0
+    w /= w.sum(axis=1, keepdims=True)
+    innate = rng.dirichlet(np.ones(d), size=n)
+    params = FJParameters(gamma=gamma, alpha=alpha, w=w, mask=mask)
+    return params, innate
 
 
 def influence_consistency_per_draw(draws, seed, rounds):
@@ -238,6 +257,28 @@ class TestScenarioTable:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
+    def test_imperfect_rates_name_the_first_broken_snapshot(self, monkeypatch):
+        # roll the columns of the (region 3, label 2) snapshot: its competent
+        # agent then backs the shared wrong label and the mixture the next one
+        table_of = verify_mod._imperfect_table
+
+        def broken(sc, samples, seed):
+            table, keys = table_of(sc, samples, seed)
+            beliefs = table.beliefs.copy()
+            beliefs[3 * sc.d + 2] = np.roll(beliefs[3 * sc.d + 2], 1, axis=-1)
+            return replace(table, beliefs=beliefs), keys
+
+        monkeypatch.setattr(verify_mod, "_imperfect_table", broken)
+        res = check_imperfect_scenario(1000, seed=0)
+        assert not res.passed
+        # one of the n·d = 20 snapshots, however often it was drawn
+        assert res.measured["confidence_routing_accuracy"] == 19 / 20
+        assert res.measured["ensemble_shared_wrong_rate"] == 19 / 20
+        assert res.detail == (
+            "n=5, d=4, p=0.9, u=0.05, c=0.7; routing misses at (region 3, label 2); "
+            "ensemble not shared-wrong at (region 3, label 2)"
+        )
+
 
 class TestInfluenceConsistency:
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -275,6 +316,23 @@ class TestInfluenceConsistency:
         res = check_influence_consistency(draws=12, seed=113, rounds=500)
         assert res.measured == influence_consistency_per_draw(12, 113, 500)
 
+    def test_each_stack_is_checked_once(self, monkeypatch):
+        # every draw's parameters pass the check FJParameters runs, one call
+        # per (n, d) stack
+        checked = []
+
+        def record(gamma, alpha, w, mask):
+            checked.append(gamma.shape)
+            return check_params(gamma, alpha, w, mask)
+
+        check_params = verify_mod._check_params
+        monkeypatch.setattr(verify_mod, "_check_params", record)
+        check_influence_consistency(draws=60, seed=5, rounds=1)
+        rng = np.random.default_rng(5)
+        shapes = [_random_contractive(rng)[1].shape for _ in range(60)]
+        assert sum(m for m, _ in checked) == 60
+        assert len(checked) == len(set(shapes))
+
     def test_fails_without_the_iteration(self):
         # one round is far from the fixed point, so a check that stopped
         # iterating (or read the solve twice) would show up here
@@ -302,6 +360,28 @@ class TestIdentityChecks:
     def test_one_member_groups_match_per_draw_loop(self, check, reference, default_seed, draws):
         for seed in range(10):
             assert check(draws, seed=seed).measured == reference(draws, seed), seed
+
+
+# sha256 of verify_report.json and verify_report.txt at default budgets,
+# recorded while the check draws still called rng.dirichlet, every round
+# still measured its drift and each draw built its own FJParameters.
+REPORT_DIGESTS = {
+    0: (
+        "ad582cc1e530d6512b79f1336f73c3fa8375591b8d6d64081442c399c01988a8",
+        "bbb64e3006cd3ebee8db7e28eaeb97d982fb83098fe6b3680c350ff5e4788d09",
+    ),
+    1: (
+        "0581b916db709a056a3ecddd63f2da27e75bbac832fe6e1d651fc7db0343f9e3",
+        "47827a02c3b4c59c523dc329c7a8fab7ef055b062cae562f4d50a2abb9daaed7",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
+def test_default_reports_keep_their_recorded_bytes(tmp_path, seed):
+    assert run(["--output-dir", str(tmp_path), "--quiet", "--seed", str(seed), "verify"]) == 0
+    for name, digest in zip(("verify_report.json", "verify_report.txt"), REPORT_DIGESTS[seed]):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 # Small budgets, each a different number so a check fed the wrong one shows.
