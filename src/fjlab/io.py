@@ -29,10 +29,12 @@ streams the document: the head, then each sample's entry encoded on its
 own by the C encoder (``JSONEncoder.encode``; ``iterencode`` would fall
 back to the pure-Python encoder), then the closing brackets.  The bytes
 equal ``json.dumps(document, allow_nan=False) + "\n"``.  The reader
-parses a file that starts with the writer's head one sample at a time
-from 64 KiB reads (``raw_decode``), so it never holds the whole text; any
-other layout, and any file that is not valid JSON, is parsed whole by
-``json.load``, which also gives the exact error.  Both parses pass an
+streams a file in the writer's layout: the head, then ``, {"sample_id": ``
+between samples.  It reads 64 KiB at a time, cuts the bytes at each
+separator and parses each sample on its own (``_parse_range``), so it never
+holds the whole text.  Any other layout, extra whitespace included, and any
+file that is not valid JSON, is parsed whole by ``json.load``, which gives
+the exact error; the checks on the samples are the same.  Both parses pass an
 ``object_hook``: as the scanner closes each object, a nonempty ``rounds``
 list becomes a float64 array, so a sample's nested lists are freed before
 the next sample is parsed.  A ``rounds`` that does not convert stays a
@@ -61,7 +63,6 @@ as empty cells.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import csv
 import gc
@@ -102,13 +103,13 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
-# the head of a file in the writer's layout, which the reader parses in chunks
+# the head of a file in the writer's layout, which the reader streams
 _HEAD = f'{{"schema_version": {json.dumps(SCHEMA_VERSION)}, "samples": ['
 # reads stay below glibc's 128 KiB mmap threshold; 1 MiB reads raised the
 # peak RSS of a pipeline on small files by about 0.2 MiB
-_CHUNK_CHARS = 1 << 16
-_WHITESPACE = json.decoder.WHITESPACE
-# what the writer puts between two samples; a split load cuts the file at one
+_CHUNK_BYTES = 1 << 16
+# what the writer puts between two samples; the reader cuts the text at each
+# one, and a split load cuts the file at one near its middle
 _SEPARATOR = b', {"sample_id": '
 # trajectory text from which save and load split the samples with a forked
 # child; a float and its ", " take about 20 bytes of it
@@ -216,107 +217,59 @@ def _split_pays(text_bytes: int) -> bool:
     return text_bytes >= _SPLIT_BYTES and _fork_helps()
 
 
-class _Utf8Range:
-    """``read(size)``: the UTF-8 text of bytes [start, end) of a binary file,
-    up to ``size`` bytes at a time; "" only at the end.  A character cut by
-    one read is completed by the next."""
+def _parse_range(fh, start: int, end: int, emit) -> bool:
+    """Parse bytes [start, end) of a binary file in the writer's layout one
+    sample at a time, passing each sample object to ``emit``; True if every
+    sample parsed.  The range starts with _HEAD when ``start`` is 0, else
+    with a sample, and ends with "]}" and whitespace when ``end`` is the
+    file's size, else with a sample.
 
-    def __init__(self, fh, start: int, end: int):
-        fh.seek(start)
-        self.fh, self.left = fh, end - start
-        self.decode = codecs.getincrementaldecoder("utf-8")().decode
-
-    def read(self, size: int) -> str:
-        text = ""
-        while not text and self.left:
-            data = self.fh.read(min(size, self.left))
-            self.left = self.left - len(data) if data else 0
-            text = self.decode(data, final=not self.left)
-        return text
-
-
-def _parse_samples(fh, emit, head: bool = True, tail: bool = True) -> bool:
-    """Parse text in the writer's layout from chunked reads of ``fh``, one
-    sample at a time, passing each sample object to ``emit``; True if the
-    text parsed to its exact end.  ``head``: the text starts with _HEAD,
-    else with a sample.  ``tail``: "]}" follows the samples, else the end.
-    Whitespace may sit around every separator and at the end."""
-    buf = fh.read(max(_CHUNK_CHARS, len(_HEAD)))
-    pos = 0
-    if head:
-        if not buf.startswith(_HEAD):
-            return False
-        pos = len(_HEAD)
-    decode = json.JSONDecoder(object_hook=_rounds_to_array).raw_decode
-    longest = 0  # text of the longest sample so far
-
-    def refill() -> bool:
-        nonlocal buf, pos
-        more = fh.read(max(_CHUNK_CHARS, len(buf) - pos))
-        buf, pos = buf[pos:] + more, 0
-        return bool(more)
-
-    def peek() -> str:
-        """The next character after whitespace, or "" at the end of the text."""
-        nonlocal pos
-        pos = _WHITESPACE.match(buf, pos).end()
-        while pos == len(buf) and refill():
-            pos = _WHITESPACE.match(buf, pos).end()
-        return buf[pos : pos + 1]
-
-    def value():
-        nonlocal longest
-        # a sample as long as the longest so far is read whole before its
-        # parse, so that few parses start over on a sample cut by a read
-        while len(buf) - pos < longest and refill():
-            pass
-        while True:
-            try:
-                obj, end = decode(buf, pos)
-            except json.JSONDecodeError:  # a sample cut by the chunk's end
-                if not refill():
-                    raise
-                continue
-            longest = max(longest, end - pos)
-            return obj, end
-
+    The range is cut at each _SEPARATOR, and each sample's bytes between two
+    cuts are parsed on their own.  A JSON string cannot hold the separator,
+    since its quote would be escaped, so when every piece parses, the cuts
+    were the array's own commas and the samples are those of the whole parse.
+    """
+    decode = json.JSONDecoder(object_hook=_rounds_to_array).decode
+    tail = end == os.fstat(fh.fileno()).st_size
+    fh.seek(start)
+    if start == 0 and fh.read(len(_HEAD)) != _HEAD.encode():
+        return False
+    left, buf, pos = end - fh.tell(), b"", 0  # buf[pos:] is not parsed yet
     try:
-        char = peek()
-        while char != "]":
-            sample, pos = value()
-            emit(sample)
-            char = peek()
-            if char == ",":
-                pos += 1
-                peek()
-            elif char == "" and not tail:
-                return True
-            elif char != "]":
+        # reads at least as long as the unparsed text: a long sample takes few
+        while data := fh.read(min(max(_CHUNK_BYTES, len(buf) - pos), left)):
+            left -= len(data)
+            buf, pos = buf[pos:] + data, 0
+            while (cut := buf.find(_SEPARATOR, pos)) >= 0:
+                emit(decode(buf[pos:cut].decode()))
+                pos = cut + len(", ")
+        last = buf[pos:]
+        if tail:
+            last = last.rstrip(b" \t\n\r")
+            if not last.endswith(b"]}"):
                 return False
-        if not tail:
-            return False
-        pos += 1
-        if peek() == "}":
-            pos += 1
-            return peek() == ""
+            last = last[: -len("]}")]
+        if last or not tail:  # only a document without samples ends empty
+            emit(decode(last.decode()))
     except ValueError:  # a JSONDecodeError or bad UTF-8
-        pass
-    return False
+        return False
+    return True
 
 
 def _stream_samples(fh) -> list | None:
-    """The sample objects of a file in the writer's layout, read a chunk at a
-    time and parsed one sample at a time; None for any other layout and for a
-    file that is not valid JSON, which the caller then parses whole."""
+    """The sample objects of a binary file in the writer's layout, parsed one
+    sample at a time; None for any other layout and for a file that is not
+    valid JSON, which the caller then parses whole."""
     samples: list = []
-    return samples if _parse_samples(fh, samples.append) else None
+    size = os.fstat(fh.fileno()).st_size
+    return samples if _parse_range(fh, 0, size, samples.append) else None
 
 
 def _find_separator(fh, start: int) -> int | None:
     """The byte offset of the first sample separator at or after ``start``."""
     fh.seek(start)
     offset, window = start, b""
-    while chunk := fh.read(_CHUNK_CHARS):
+    while chunk := fh.read(_CHUNK_BYTES):
         window = window[1 - len(_SEPARATOR) :] + chunk
         at = window.find(_SEPARATOR)
         if at >= 0:
@@ -335,8 +288,7 @@ def _load_halves(path: str) -> list | None:
     which must end in ``]}`` and whitespace, and pickles each sample object,
     rounds array and all, to its temp file.  This process parses the text
     before the cut, which must start with the writer's head and end after a
-    sample, decoding its bytes incrementally so that a character split by a
-    read is whole, then unpickles the child's samples after its own.  When
+    sample, then unpickles the child's samples after its own.  When
     both halves parse to their exact ends, the text is half one, ``", "`` and
     half two, the same JSON value, so the samples are the serial parse's.
     Any other outcome (no separator, a half that does not parse or decode, a
@@ -357,13 +309,11 @@ def _load_halves(path: str) -> list | None:
 
             # its own file: one inherited shares its offset with this process
             with open(path, "rb") as src:
-                return _parse_samples(_Utf8Range(src, cut + len(", "), size), send, head=False)
+                return _parse_range(src, cut + len(", "), size, send)
 
         with _forked(child) as wait:
             samples: list = []
-            if wait is not None and _parse_samples(
-                _Utf8Range(fh, 0, cut), samples.append, tail=False
-            ):
+            if wait is not None and _parse_range(fh, 0, cut, samples.append):
                 part = wait()
                 if part is not None:
                     while part.peek(1):
@@ -380,11 +330,11 @@ def load_trajectories(path: str) -> list[DeliberationTrajectory]:
         samples = None
     try:
         if samples is None:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
                 samples = _stream_samples(fh)
-                if samples is None:
-                    fh.seek(0)
-                    doc = json.load(fh, object_hook=_rounds_to_array)
+        if samples is None:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh, object_hook=_rounds_to_array)
         if samples is not None:
             doc = {"schema_version": SCHEMA_VERSION, "samples": samples}
     except OSError as exc:
@@ -522,7 +472,7 @@ def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
             yield from _sample_entries(first)
             part = None if wait is None else wait()
             if part is not None:
-                while chunk := part.read(_CHUNK_CHARS):
+                while chunk := part.read(_CHUNK_BYTES):
                     yield chunk.decode("ascii")
             else:  # encoded here, so a failing sample raises its own error
                 yield from _sample_entries(second, half)

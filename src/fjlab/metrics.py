@@ -205,19 +205,21 @@ def _brier_rows(beliefs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _mixture(weights: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
-    """(m, d) mixtures sum_j w_j s_j of (m, n, d) beliefs under (m, n) weights."""
-    return np.einsum("mn,mnd->md", weights, beliefs)
+    """(m, d) mixtures sum_j w_j s_j of (m, n, d) beliefs under (m, n) weights.
+
+    A stacked matmul, so one sample gets the bits of ``a @ s``.
+    """
+    return np.matmul(weights[:, None, :], beliefs)[:, 0]
 
 
 def _diversity_rows(beliefs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """(m,) moment-form diversity of each snapshot under (m, n) weights.
 
-    Both weighted sums are matmuls, so one sample gets the bits of
+    Both weighted sums are mixtures, so one sample gets the bits of
     ``a @ s`` and ``a @ sq``.
     """
-    w = weights[:, None, :]
-    sq = ((beliefs - np.matmul(w, beliefs)) ** 2).sum(axis=2)
-    return np.matmul(w, sq[:, :, None])[:, 0, 0]
+    sq = ((beliefs - _mixture(weights, beliefs)[:, None, :]) ** 2).sum(axis=2)
+    return _mixture(weights, sq[:, :, None])[:, 0]
 
 
 def _pairwise_diversity_rows(beliefs: np.ndarray, weights: np.ndarray) -> np.ndarray:

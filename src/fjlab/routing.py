@@ -183,11 +183,11 @@ def _ambiguity_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``ambiguity_decomposition`` of m snapshots (m, n, d) under (m, n)
     weights against (m,) labels, as three (m,) arrays; each mixture is
-    checked as a belief.  The weighted sums are matmuls, so one sample gets
+    checked as a belief.  The weighted sums are mixtures, so one sample gets
     the bits of ``a @ s`` and ``a @ r``."""
-    w = weights[:, None, :]
-    loss = _brier_rows(_check_rows(np.matmul(w, beliefs), "belief"), labels)[:, 0]
-    risk = np.matmul(w, _brier_rows(beliefs, labels)[:, :, None])[:, 0, 0]
+    mix = _check_rows(_mixture(weights, beliefs)[:, None, :], "belief")
+    loss = _brier_rows(mix, labels)[:, 0]
+    risk = _mixture(weights, _brier_rows(beliefs, labels)[:, :, None])[:, 0]
     rhs = risk - _diversity_rows(beliefs, weights)
     return loss, rhs, loss - rhs
 

@@ -110,7 +110,7 @@ def check_influence_consistency(
         draw = [rng.uniform(0.05, 0.95, n), rng.uniform(0.05, 0.95, n)]
         draw += [rng.uniform(0.0, 1.0, (n, n)), rng.standard_exponential((n, d))]
         groups.setdefault((n, d), []).append(draw)
-    worst_neg, worst_row, worst_rho = 0.0, 0.0, -np.inf
+    min_entry, worst_row, worst_rho = np.inf, 0.0, -np.inf
     by_width: dict[int, list] = {}
     for (n, d), members in groups.items():
         gamma, alpha, w, innate = (np.array(column) for column in zip(*members))
@@ -126,8 +126,9 @@ def check_influence_consistency(
         # equilibrium per shape; LAPACK solves a stack one system at a time,
         # so each draw gets its own bits.
         rho, m, fixed = _fixed_point(h, gamma[:, :, None] * np.eye(n), gs)
+        # the entries as solved: the check clips them at 0
+        min_entry = min(min_entry, float(m.min()))
         m = _checked_influence(m, gamma)
-        worst_neg = min(worst_neg, float(m.min()))
         worst_row = max(worst_row, float(np.abs(m.sum(axis=-1) - 1.0).max()))
         worst_rho = max(worst_rho, float((rho - (1.0 - gamma.min(axis=1))).max()))
         by_width.setdefault(max(d, _SEQUENTIAL_ROW), []).append((h, gs, innate, fixed))
@@ -152,12 +153,12 @@ def check_influence_consistency(
         gs, start, fixed = rows
         iterated = _run_rounds(gs, h, start, rounds)
         worst_gap = max(worst_gap, float(np.abs(iterated - fixed).max()))
-    passed = worst_neg >= -1e-12 and worst_row <= 1e-8 and worst_gap < 1e-6 and worst_rho <= 1e-10
+    passed = min_entry >= -1e-12 and worst_row <= 1e-8 and worst_gap < 1e-6 and worst_rho <= 1e-10
     return CheckResult(
         name="influence_consistency",
         passed=bool(passed),
         measured={
-            "min_influence_entry": worst_neg,
+            "min_influence_entry": min_entry,
             "max_row_sum_error": worst_row,
             "max_sim_vs_equilibrium": worst_gap,
             "max_rho_above_bound": worst_rho,

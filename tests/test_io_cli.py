@@ -410,49 +410,67 @@ class TestStreamedTrajectoryFiles:
             for t in trajs
         ]
 
-    @pytest.mark.parametrize("chunk", [1, 7, 100, fio._CHUNK_CHARS])
-    @pytest.mark.parametrize(
-        "layout",
-        ["written", "spaced", "empty", "empty-spaced"],
-    )
+    # reads shorter than the head included
+    @pytest.mark.parametrize("chunk", [1, 7, len(fio._HEAD) - 1, 100, fio._CHUNK_BYTES])
+    @pytest.mark.parametrize("layout", ["written", "empty"])
     def test_chunked_parse_equals_whole_parse(self, tmp_path, monkeypatch, chunk, layout):
-        trajs = [] if layout.startswith("empty") else _mixed_trajs() + sample_trajs()
+        trajs = [] if layout == "empty" else _mixed_trajs() + sample_trajs()
         text = reference_document(trajs)
-        if layout.endswith("spaced"):
-            # JSON whitespace around every separator after the head
-            head, _, rest = text.partition("[")
-            text = head + "[ \n" + rest.replace("}, {", "}\t,\r\n {")[:-3] + " ] \n}\n\n"
         path = tmp_path / "t.json"
         path.write_text(text, encoding="utf-8")
         whole = tmp_path / "whole.json"
         whole.write_text(json.dumps(json.loads(text), indent=1), encoding="utf-8")
-        monkeypatch.setattr(fio, "_CHUNK_CHARS", chunk)
-        with open(path, encoding="utf-8") as fh:
+        monkeypatch.setattr(fio, "_CHUNK_BYTES", chunk)
+        with open(path, "rb") as fh:
             assert fio._stream_samples(fh) is not None
-        with open(whole, encoding="utf-8") as fh:
+        with open(whole, "rb") as fh:
             assert fio._stream_samples(fh) is None
         got = self._as_tuples(load_trajectories(str(path)))
         assert got == self._as_tuples(load_trajectories(str(whole)))
         assert len(got) == len(trajs)
 
-    @pytest.mark.parametrize("chunk", [7, fio._CHUNK_CHARS])
+    @pytest.mark.parametrize("chunk", [7, fio._CHUNK_BYTES])
+    @pytest.mark.parametrize("layout", ["spaced", "empty-spaced"])
+    def test_other_whitespace_is_read_whole(self, tmp_path, monkeypatch, chunk, layout):
+        trajs = [] if layout == "empty-spaced" else _mixed_trajs() + sample_trajs()
+        written = tmp_path / "written.json"
+        save_trajectories(str(written), trajs)
+        text = written.read_text(encoding="utf-8")
+        # JSON whitespace around every separator after the head
+        head, _, rest = text.partition("[")
+        text = head + "[ \n" + rest.replace("}, {", "}\t,\r\n {")[:-3] + " ] \n}\n\n"
+        path = tmp_path / "t.json"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(fio, "_CHUNK_BYTES", chunk)
+        with open(path, "rb") as fh:
+            assert fio._stream_samples(fh) is None
+        got = self._as_tuples(load_trajectories(str(path)))
+        assert got == self._as_tuples(load_trajectories(str(written)))
+        assert len(got) == len(trajs)
+
+    @pytest.mark.parametrize("chunk", [7, fio._CHUNK_BYTES])
     @pytest.mark.parametrize(
         "edit",
         [
             lambda text: text[: len(text) // 2],
             lambda text: text[:-1] + "x\n",
             lambda text: text.replace("]}", ", ]}"),
+            lambda text: text.replace("]}", "}}"),
+            lambda text: text + "\x0c",
             lambda text: text.replace("]}", "], \"extra\": 1}"),
             lambda text: text.replace('"s1"', '"s1\\q"'),
             lambda text: text.replace("0.", "00.", 1),
         ],
-        ids=["truncated", "trailing", "trailing-comma", "extra-key", "bad-escape", "bad-number"],
+        ids=[
+            "truncated", "trailing", "trailing-comma", "unclosed-array", "form-feed",
+            "extra-key", "bad-escape", "bad-number",
+        ],
     )
     def test_invalid_file_gives_the_whole_parse_error(self, tmp_path, monkeypatch, chunk, edit):
         text = edit(reference_document(sample_trajs(count=3)))
         path = tmp_path / "t.json"
         path.write_text(text, encoding="utf-8")
-        monkeypatch.setattr(fio, "_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(fio, "_CHUNK_BYTES", chunk)
         with pytest.raises(ParseError) as err:
             load_trajectories(str(path))
         try:
@@ -493,13 +511,10 @@ class TestStreamedTrajectoryFiles:
             assert a.snapshots.tobytes() == b.snapshots.tobytes()
             assert not a.snapshots.flags.writeable
 
-    def test_each_sample_is_decoded_about_once(self, tmp_path, monkeypatch):
+    def test_each_sample_is_decoded_once(self, tmp_path, monkeypatch):
         trajs = corpus_trajs()
         path = tmp_path / "t.json"
         save_trajectories(str(path), trajs)
-        # a sample longer than every one before it may be cut by a read once
-        lengths = [len(entry) for entry in fio._sample_entries(trajs, 1)]
-        records = sum(1 for k, n in enumerate(lengths) if n > max(lengths[:k], default=0))
         calls = []
         raw_decode = json.JSONDecoder.raw_decode
 
@@ -510,7 +525,7 @@ class TestStreamedTrajectoryFiles:
         monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert len(load_trajectories(str(path))) == len(trajs)
-        assert len(trajs) <= len(calls) <= len(trajs) + records
+        assert len(calls) == len(trajs)
 
 
 def _count_forks(monkeypatch, fail=False):
@@ -541,6 +556,13 @@ def _record_calls(monkeypatch, name):
 
     monkeypatch.setattr(fio, name, recorded)
     return calls
+
+
+# text that JSON escapes or encodes past ASCII, and the writer's separator itself
+_TRICKY_TEXT = st.lists(
+    st.sampled_from(['"', "\\", "\n", "é", "日本", "\U0001f600", "a", fio._SEPARATOR.decode()]),
+    max_size=4,
+).map("".join)
 
 
 def _escaped_trajs(count=6):
@@ -603,14 +625,14 @@ class TestSplitTrajectoryIo:
         assert path.read_bytes() == reference_document(trajs).encode("utf-8")
         assert sorted(os.listdir(tmp_path)) == ["t.json"]
 
-    @pytest.mark.parametrize("chunk", [1, 7, fio._CHUNK_CHARS])
+    @pytest.mark.parametrize("chunk", [1, 7, fio._CHUNK_BYTES])
     def test_load_equals_the_serial_load(self, tmp_path, monkeypatch, forks, chunk):
         trajs = _escaped_trajs() + corpus_trajs(count=5)
         path = tmp_path / "t.json"
         path.write_text(reference_document(trajs), encoding="utf-8")
         serial, serial_forks = self._serial(path)
         assert len(serial_forks) == 1 and len(serial) == len(trajs)
-        monkeypatch.setattr(fio, "_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(fio, "_CHUNK_BYTES", chunk)
         serial_parses = _record_calls(monkeypatch, "_stream_samples")
         got = load_trajectories(str(path))
         assert forks == [os.getpid()]
@@ -618,7 +640,7 @@ class TestSplitTrajectoryIo:
         assert TestStreamedTrajectoryFiles._as_tuples(got) == serial
         assert all(not t.snapshots.flags.writeable for t in got)
 
-    @pytest.mark.parametrize("chunk", [1, 3, fio._CHUNK_CHARS])
+    @pytest.mark.parametrize("chunk", [1, 3, fio._CHUNK_BYTES])
     def test_non_ascii_file_loads_as_json_load_reads_it(self, tmp_path, monkeypatch, forks, chunk):
         # two- to four-byte characters on both sides of the cut, with spaces
         samples = [
@@ -633,7 +655,7 @@ class TestSplitTrajectoryIo:
         text = text.replace("]}, {", "]} ,\n {")
         path = tmp_path / "t.json"
         path.write_bytes(text.encode("utf-8") + b" \n")
-        monkeypatch.setattr(fio, "_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(fio, "_CHUNK_BYTES", chunk)
         serial_parses = _record_calls(monkeypatch, "_stream_samples")
         got = load_trajectories(str(path))
         assert len(forks) == 1 and serial_parses == []
@@ -644,6 +666,56 @@ class TestSplitTrajectoryIo:
             s["metadata"] for s in want
         ]
         assert all(t.snapshots.tolist() == s["rounds"] for t, s in zip(got, want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ids=st.lists(_TRICKY_TEXT.filter(bool), min_size=2, max_size=5, unique=True),
+        metadata=st.dictionaries(
+            _TRICKY_TEXT.filter(lambda k: k not in ("label_names", "ingest_max_drift")),
+            _TRICKY_TEXT,
+            max_size=3,
+        ),
+        names=st.lists(_TRICKY_TEXT, min_size=2, max_size=2),
+    )
+    def test_escaped_text_streams_and_loads_as_json_load_reads_it(
+        self, tmp_path_factory, ids, metadata, names
+    ):
+        rng = np.random.default_rng(0)
+        meta = {**metadata, "label_names": json.dumps(names)}
+        trajs = [
+            DeliberationTrajectory(
+                snapshots=rng.dirichlet(np.ones(2), size=(3, 2)), sample_id=sid, metadata=meta
+            )
+            for sid in ids
+        ]
+        path = tmp_path_factory.mktemp("escaped") / "t.json"
+        save_trajectories(str(path), trajs)
+        with open(path, "rb") as fh:
+            assert fio._stream_samples(fh) is not None
+        with open(path, encoding="utf-8") as fh:
+            want = json.load(fh)["samples"]
+        text = path.read_bytes()
+        splits = text.find(fio._SEPARATOR, len(text) // 2) >= 0
+        for cpus in ({0}, {0, 1}):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fio, "_SPLIT_BYTES", 1)
+                mp.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+                serial_parses = _record_calls(mp, "_stream_samples")
+                got = load_trajectories(str(path))
+            # split: both halves parsed to their ends, unless no separator
+            # follows the middle byte
+            assert len(serial_parses) == (len(cpus) == 1 or not splits)
+            assert [t.sample_id for t in got] == [s["sample_id"] for s in want]
+            assert [t.metadata["label_names"] for t in got] == [
+                json.dumps(s["label_names"]) for s in want
+            ]
+            assert [
+                {k: v for k, v in t.metadata.items() if k not in ("label_names", "ingest_max_drift")}
+                for t in got
+            ] == [s["metadata"] for s in want]
+            assert [t.snapshots.tolist() for t in got] == [s["rounds"] for s in want]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
         "edit",
@@ -675,16 +747,19 @@ class TestSplitTrajectoryIo:
         assert len(forks) == 1
         assert (type(err.value), str(err.value)) == serial
 
-    @pytest.mark.parametrize("chunk", [7, fio._CHUNK_CHARS], ids=["later-read", "first-read"])
+    @pytest.mark.parametrize("chunk", [7, fio._CHUNK_BYTES], ids=["later-read", "first-read"])
+    # a byte that starts no character, and an encoded surrogate, which strict
+    # UTF-8 rejects and json.loads of bytes would let through
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xed\xa0\x80"], ids=["ff", "surrogate"])
     def test_bad_utf8_in_the_first_half_gives_the_serial_error(
-        self, tmp_path, monkeypatch, forks, capsys, chunk
+        self, tmp_path, monkeypatch, forks, capsys, chunk, bad
     ):
         text = reference_document(sample_trajs(count=10)).encode("utf-8")
         path = tmp_path / "t.json"
-        path.write_bytes(text.replace(b'"s1"', b'"s\xff"', 1))
+        path.write_bytes(text.replace(b'"s1"', b'"s' + bad + b'"', 1))
         serial, _ = self._serial(path)
         assert serial[0] is ParseError and "not valid JSON" in serial[1]
-        monkeypatch.setattr(fio, "_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(fio, "_CHUNK_BYTES", chunk)
         with pytest.raises(ParseError) as err:
             load_trajectories(str(path))
         assert len(forks) == 1
@@ -754,6 +829,17 @@ class TestSplitTrajectoryIo:
         with pytest.raises(KeyboardInterrupt):
             load_trajectories(str(path))
         assert len(forks) == 2
+
+    def test_a_comma_before_the_first_sample_gives_the_serial_error(self, tmp_path, forks):
+        # the cut falls right after the head, so the first half is the head alone
+        path = tmp_path / "t.json"
+        path.write_text(fio._HEAD + ', {"sample_id": "x"}]}\n', encoding="utf-8")
+        serial, _ = self._serial(path)
+        assert serial[0] is ParseError and "not valid JSON" in serial[1]
+        with pytest.raises(ParseError) as err:
+            load_trajectories(str(path))
+        assert len(forks) == 1
+        assert str(err.value) == serial[1]
 
     @pytest.mark.parametrize("case", ["below-threshold", "one-cpu", "python-3.12"])
     def test_no_fork_when_small_or_on_one_cpu(self, tmp_path, monkeypatch, case):

@@ -8,11 +8,12 @@ from fjlab.errors import (
     ShapeMismatch,
     WeightNotSimplex,
 )
-from fjlab.metrics import brier_loss, confidence, diversity
+from fjlab.metrics import _mixture, brier_loss, confidence, diversity
 from fjlab.model import FJParameters
 from fjlab.routing import (
     LabeledSnapshotSet,
     _ambiguity_rows,
+    _mixture_losses,
     ambiguity_decomposition,
     confidence_softmax_weights,
     hard_confidence_weights,
@@ -97,6 +98,20 @@ class TestAmbiguityDecomposition:
         # mixture (.5, .5) vs one-hot 0: Brier .5; risks (0, 2), diversity .5
         assert lhs == pytest.approx(0.5, abs=1e-12)
         assert rhs == pytest.approx(0.5 * 0.0 + 0.5 * 2.0 - 0.5, abs=1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_mixture_losses_are_the_identitys_loss(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n, d = int(rng.integers(1, 9)), int(rng.integers(2, 11)), int(rng.integers(2, 11))
+        s = rng.dirichlet(np.ones(d), size=(m, n))
+        a = rng.dirichlet(np.ones(n), size=m)
+        y = rng.integers(0, d, size=m)
+        loss, _, _ = _ambiguity_rows(s, a, y)
+        assert _mixture_losses(s, y, a).tobytes() == loss.tobytes()
+        # and the one kernel gives each sample the bits of its own a @ s
+        mix = _mixture(a, s)
+        assert all(mix[k].tobytes() == (a[k] @ s[k]).tobytes() for k in range(m))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
