@@ -1,10 +1,13 @@
 """Work split with one child made by ``os.fork``: trajectory io's large
-saves and loads (``io``) and verify's checks (``verify``) use it."""
+saves and loads (``io``) and verify's checks (``verify``) use it.
+``ChildProcessError`` is the one signal that a split failed; each caller
+then runs its serial code, which raises the serial error."""
 
 from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 import sys
 import tempfile
 
@@ -50,32 +53,36 @@ def _forked(work, directory: str | None = None):
     the temp directory) that takes the child's output.
 
     Yields a function that waits for the child and returns ``part`` at its
-    start if ``work`` returned true, else None; or yields None when no child
-    could be made.  The child runs on the usable CPUs other than the one this
-    process is on, so that the scheduler does not leave both on one CPU; it
-    runs where it was placed when that CPU is unknown or the affinity cannot
-    be set.  The child ends in ``os._exit``, so it runs no exit handler and
-    flushes no buffer it inherited.  Leaving the block kills and reaps a child
-    not yet waited for, also when the block raises or is interrupted, and
-    closes ``part``.
+    start.  ``ChildProcessError`` means the split failed: entry raises it,
+    chained from the ``OSError``, when no temp file or no child could be
+    made, and the wait raises it when ``work`` raised in the child.  The
+    child runs on the usable CPUs other than the one this process is on, so
+    that the scheduler does not leave both on one CPU; it runs where it was
+    placed when that CPU is unknown or the affinity cannot be set.  The
+    child ends in ``os._exit``, 0 if ``work`` returned and 1 if it raised,
+    so it runs no exit handler and flushes no buffer it inherited.  Leaving
+    the block kills and reaps a child not yet waited for, also when the
+    block raises or is interrupted, and closes ``part``.
     """
-    part = pid = status = cpus = None
+    part = status = cpus = None
     if hasattr(os, "sched_setaffinity"):
         cpus = _child_cpus(os.sched_getaffinity(0), _current_cpu())
     try:
         part = tempfile.TemporaryFile(dir=directory)
         pid = os.fork()
-    except OSError:
-        pass
+    except OSError as exc:
+        if part is not None:
+            part.close()
+        raise ChildProcessError(f"no child for the split: {exc}") from exc
     if pid == 0:
         code = 1
         try:
             if cpus is not None:
                 with contextlib.suppress(OSError):
                     os.sched_setaffinity(0, cpus)
-            if work(part):
-                part.flush()
-                code = 0
+            work(part)
+            part.flush()
+            code = 0
         finally:
             os._exit(code)
 
@@ -84,15 +91,20 @@ def _forked(work, directory: str | None = None):
         if status is None:
             status = os.waitpid(pid, 0)[1]
         if status:
-            return None
+            raise ChildProcessError(f"the split's child ended with wait status {status}")
         part.seek(0)
         return part
 
     try:
-        yield None if pid is None else wait
+        yield wait
     finally:
-        if pid is not None and status is None:
+        if status is None:
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
-        if part is not None:
-            part.close()
+        part.close()
+
+
+def _unpickled(part):
+    """The objects pickled to ``part`` from its current offset on, in order."""
+    while part.peek(1):
+        yield pickle.load(part)

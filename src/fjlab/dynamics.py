@@ -56,9 +56,6 @@ __all__ = [
     "settle",
 ]
 
-_DRIFT_BLOCK = 1 << 15  # snapshot entries per block of simulate_pool's drift temporary
-
-
 def build_h(params: FJParameters) -> np.ndarray:
     """Linear round operator H = (I - G) (A + (I - A) W); nonnegative,
     row sums 1 - gamma_i when the weight row is stochastic."""
@@ -84,13 +81,18 @@ def fj_step(params: FJParameters, innate: np.ndarray, current: np.ndarray) -> np
     return _round(params.gamma[:, None] * innate, build_h(params), current)
 
 
-def _round(gs: np.ndarray, h: np.ndarray, current: np.ndarray) -> np.ndarray:
+def _round(
+    gs: np.ndarray, h: np.ndarray, current: np.ndarray, worst: np.ndarray | None = None
+) -> np.ndarray:
     """One round B <- G S + H B from precomputed G S and H, on one snapshot
     (n, d) or a stack (m, n, d), with G S shaped like the snapshots and H
     shared (n, n) or per sample (m, n, n); returns the renormalized
-    snapshots."""
+    snapshots.  ``worst`` (m,), when given, is raised to each sample's row
+    drift |(H B + G S).sum(-1) - 1| before renormalization."""
     out = h @ current
     out += gs
+    if worst is not None:
+        np.maximum(worst, np.abs(out.sum(axis=-1) - 1.0).max(axis=-1), out=worst)
     # Rows are convex combinations of simplex rows, so only float rounding
     # (or an empty neighborhood row) moves the mass off 1; renormalize.
     np.maximum(out, 0.0, out=out)
@@ -99,14 +101,16 @@ def _round(gs: np.ndarray, h: np.ndarray, current: np.ndarray) -> np.ndarray:
 
 
 def _run_rounds(
-    gs: np.ndarray, h: np.ndarray, start: np.ndarray, rounds: int, snaps: np.ndarray | None = None
+    gs: np.ndarray, h: np.ndarray, start: np.ndarray, rounds: int,
+    snaps: np.ndarray | None = None, worst: np.ndarray | None = None,
 ) -> np.ndarray:
     """``rounds`` rounds from the stack ``start`` (m, n, d), shapes as in
-    ``_round``; fills ``snaps[:, t + 1]`` after round t when given.  Returns
-    the final stack."""
+    ``_round``; fills ``snaps[:, t + 1]`` after round t when given, and
+    raises ``worst`` to each round's drift when given.  Returns the final
+    stack."""
     current = start
     for t in range(rounds):
-        current = _round(gs, h, current)
+        current = _round(gs, h, current, worst)
         if snaps is not None:
             snaps[:, t + 1] = current
     return current
@@ -284,15 +288,9 @@ def simulate_pool(
     snaps[:, 0] = innates
     gs = gamma[:, :, None] * innates
     h = _stack_h(gamma, alpha, w)
-    _run_rounds(gs, h, innates, rounds, snaps)
-    # each sample's worst row drift |(H B(t) + G S).sum(-1) - 1| over rounds t
-    # and agents: round t's own products on the stored snapshots, block by block
+    # each sample's worst row drift over rounds and agents
     worst = np.zeros(m)
-    step = max(1, _DRIFT_BLOCK // innates.size)
-    for t in range(0, rounds, step):
-        out = h[:, None] @ snaps[:, t : min(t + step, rounds)]
-        out += gs[:, None]
-        np.maximum(worst, np.abs(out.sum(axis=-1) - 1.0).max(axis=(1, 2)), out=worst)
+    _run_rounds(gs, h, innates, rounds, snaps, worst)
     return [
         DeliberationTrajectory(
             snapshots=snap, sample_id=sample_id, correct_label=label,

@@ -184,17 +184,14 @@ def _lstsq_failed(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-# numpy's stacked least-squares kernel (LAPACK dgelsd per matrix); numpy 1.x
-# has none under this name
-_GELSD = getattr(_umath_linalg, "lstsq", None)
+# numpy's stacked least-squares kernel (LAPACK dgelsd per matrix), numpy 2.0+
+_GELSD = _umath_linalg.lstsq
 
 
 def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.lstsq(a[g], b[g])[0] for each g of a stack of equal-shape
     problems, with the kernel call np.linalg.lstsq makes, so each problem
     gets the bits it gets alone."""
-    if _GELSD is None:
-        return np.stack([np.linalg.lstsq(ag, bg)[0] for ag, bg in zip(a, b)])
     rcond = _EPS * max(a.shape[1:])
     with np.errstate(
         call=_lstsq_failed, invalid="call", over="ignore", divide="ignore", under="ignore"

@@ -31,7 +31,7 @@ back to the pure-Python encoder), then the closing brackets.  The bytes
 equal ``json.dumps(document, allow_nan=False) + "\n"``.  The reader
 streams a file in the writer's layout: the head, then ``, {"sample_id": ``
 between samples.  It reads 64 KiB at a time, cuts the bytes at each
-separator and parses each sample on its own (``_parse_range``), so it never
+separator and parses each sample on its own (``_samples``), so it never
 holds the whole text.  Any other layout, extra whitespace included, and any
 file that is not valid JSON, is parsed whole by ``json.load``, which gives
 the exact error; the checks on the samples are the same.  Both parses pass an
@@ -69,6 +69,7 @@ import gc
 import io
 import json
 import math
+import mmap
 import os
 import pickle
 import tempfile
@@ -77,7 +78,7 @@ from typing import Any
 
 import numpy as np
 
-from ._fork import _fork_helps, _forked
+from ._fork import _fork_helps, _forked, _unpickled
 from .constants import TAU_SIMPLEX
 from .errors import (
     InvariantViolation,
@@ -217,12 +218,12 @@ def _split_pays(text_bytes: int) -> bool:
     return text_bytes >= _SPLIT_BYTES and _fork_helps()
 
 
-def _parse_range(fh, start: int, end: int, emit) -> bool:
-    """Parse bytes [start, end) of a binary file in the writer's layout one
-    sample at a time, passing each sample object to ``emit``; True if every
-    sample parsed.  The range starts with _HEAD when ``start`` is 0, else
-    with a sample, and ends with "]}" and whitespace when ``end`` is the
-    file's size, else with a sample.
+def _samples(fh, start: int, end: int):
+    """Yield the sample objects of bytes [start, end) of a binary file in the
+    writer's layout, parsed one sample at a time; raise ValueError where the
+    range is not in that layout or a sample does not parse.  The range starts
+    with _HEAD when ``start`` is 0, else with a sample, and ends with "]}"
+    and whitespace when ``end`` is the file's size, else with a sample.
 
     The range is cut at each _SEPARATOR, and each sample's bytes between two
     cuts are parsed on their own.  A JSON string cannot hold the separator,
@@ -233,55 +234,40 @@ def _parse_range(fh, start: int, end: int, emit) -> bool:
     tail = end == os.fstat(fh.fileno()).st_size
     fh.seek(start)
     if start == 0 and fh.read(len(_HEAD)) != _HEAD.encode():
-        return False
+        raise ValueError("the file does not start with the writer's head")
     left, buf, pos = end - fh.tell(), b"", 0  # buf[pos:] is not parsed yet
-    try:
-        # reads at least as long as the unparsed text: a long sample takes few
-        while data := fh.read(min(max(_CHUNK_BYTES, len(buf) - pos), left)):
-            left -= len(data)
-            buf, pos = buf[pos:] + data, 0
-            while (cut := buf.find(_SEPARATOR, pos)) >= 0:
-                emit(decode(buf[pos:cut].decode()))
-                pos = cut + len(", ")
-        last = buf[pos:]
-        if tail:
-            last = last.rstrip(b" \t\n\r")
-            if not last.endswith(b"]}"):
-                return False
-            last = last[: -len("]}")]
-        if last or not tail:  # only a document without samples ends empty
-            emit(decode(last.decode()))
-    except ValueError:  # a JSONDecodeError or bad UTF-8
-        return False
-    return True
+    # reads at least as long as the unparsed text: a long sample takes few
+    while data := fh.read(min(max(_CHUNK_BYTES, len(buf) - pos), left)):
+        left -= len(data)
+        buf, pos = buf[pos:] + data, 0
+        while (cut := buf.find(_SEPARATOR, pos)) >= 0:
+            yield decode(buf[pos:cut].decode())  # a JSONDecodeError or bad UTF-8
+            pos = cut + len(", ")
+    last = buf[pos:]
+    if tail:
+        last = last.rstrip(b" \t\n\r")
+        if not last.endswith(b"]}"):
+            raise ValueError("the file does not end with the writer's brackets")
+        last = last[: -len("]}")]
+    if last or not tail:  # only a document without samples ends empty
+        yield decode(last.decode())
 
 
 def _stream_samples(fh) -> list | None:
     """The sample objects of a binary file in the writer's layout, parsed one
     sample at a time; None for any other layout and for a file that is not
     valid JSON, which the caller then parses whole."""
-    samples: list = []
-    size = os.fstat(fh.fileno()).st_size
-    return samples if _parse_range(fh, 0, size, samples.append) else None
-
-
-def _find_separator(fh, start: int) -> int | None:
-    """The byte offset of the first sample separator at or after ``start``."""
-    fh.seek(start)
-    offset, window = start, b""
-    while chunk := fh.read(_CHUNK_BYTES):
-        window = window[1 - len(_SEPARATOR) :] + chunk
-        at = window.find(_SEPARATOR)
-        if at >= 0:
-            return offset + len(chunk) - len(window) + at
-        offset += len(chunk)
-    return None
+    try:
+        return list(_samples(fh, 0, os.fstat(fh.fileno()).st_size))
+    except ValueError:
+        return None
 
 
 def _load_halves(path: str) -> list | None:
     """The sample objects of a large file in the writer's layout, the second
     half parsed by a forked child while this process parses the first; None
-    when the split does not apply or a half does not parse to its end.
+    when the split does not apply: a small file, no fork that helps, or no
+    separator after the middle byte.
 
     The file is cut at the first writer separator ``, {"sample_id": `` after
     its middle byte.  The child parses the text after the separator's ``", "``,
@@ -291,42 +277,34 @@ def _load_halves(path: str) -> list | None:
     sample, then unpickles the child's samples after its own.  When
     both halves parse to their exact ends, the text is half one, ``", "`` and
     half two, the same JSON value, so the samples are the serial parse's.
-    Any other outcome (no separator, a half that does not parse or decode, a
-    child that exits non-zero or could not be made) leaves the serial load,
-    which raises the exact serial error.
+    A half that does not parse raises ValueError; a child that could not be
+    made or did not parse its half raises ``ChildProcessError``, an OSError.
+    The caller then runs the serial load, which raises the exact serial error.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if not _split_pays(size):
             return None
-        cut = _find_separator(fh, size // 2)
-        if cut is None:
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as text:
+            cut = text.find(_SEPARATOR, size // 2)
+        if cut < 0:
             return None
 
-        def child(part) -> bool:
-            def send(sample) -> None:
-                pickle.dump(sample, part, protocol=5)
-
+        def child(part) -> None:
             # its own file: one inherited shares its offset with this process
             with open(path, "rb") as src:
-                return _parse_range(src, cut + len(", "), size, send)
+                for sample in _samples(src, cut + len(", "), size):
+                    pickle.dump(sample, part, protocol=5)
 
         with _forked(child) as wait:
-            samples: list = []
-            if wait is not None and _parse_range(fh, 0, cut, samples.append):
-                part = wait()
-                if part is not None:
-                    while part.peek(1):
-                        samples.append(pickle.load(part))
-                    return samples
-    return None
+            return [*_samples(fh, 0, cut), *_unpickled(wait())]
 
 
 @_gc_paused()
 def load_trajectories(path: str) -> list[DeliberationTrajectory]:
     try:
         samples = _load_halves(path)
-    except (OSError, ValueError):  # the serial load below reports the error
+    except (OSError, ValueError):  # a failed split; the serial load below reports the error
         samples = None
     try:
         if samples is None:
@@ -449,36 +427,34 @@ def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
     For large text a forked child encodes the second half of the samples
     into a temp file next to the target while this process streams the head
     and the first half; this process then appends the child's text, and the
-    bytes are those of the serial writer.  When the child fails, this
-    process encodes the second half itself, so a failing sample raises its
-    own error.
+    bytes are those of the serial writer.  When the split fails
+    (``ChildProcessError``: no child, or a child that did not encode its
+    half), the serial writer writes the whole document, so a failing sample
+    raises its own error; after a failed child the first half is encoded
+    twice.
     """
     half = len(trajs) // 2
     floats = sum(t.snapshots.size for t in trajs if isinstance(t, DeliberationTrajectory))
-    if not half or not _split_pays(_FLOAT_TEXT_BYTES * floats):
-        atomic_write_chunks(path, _trajectory_chunks(trajs))
-        return
-    first, second = trajs[:half], trajs[half:]
+    if half and _split_pays(_FLOAT_TEXT_BYTES * floats):
+        first, second = trajs[:half], trajs[half:]
 
-    def write_second(part) -> bool:
-        # the encoder escapes every character past ASCII
-        part.writelines(entry.encode("ascii") for entry in _sample_entries(second, half))
-        return True
+        def write_second(part) -> None:
+            # the encoder escapes every character past ASCII
+            part.writelines(entry.encode("ascii") for entry in _sample_entries(second, half))
 
-    with _forked(write_second, os.path.dirname(os.path.abspath(path))) as wait:
-
-        def chunks() -> Iterable[str]:
+        def chunks(wait) -> Iterable[str]:
             yield _HEAD
             yield from _sample_entries(first)
-            part = None if wait is None else wait()
-            if part is not None:
-                while chunk := part.read(_CHUNK_BYTES):
-                    yield chunk.decode("ascii")
-            else:  # encoded here, so a failing sample raises its own error
-                yield from _sample_entries(second, half)
+            part = wait()
+            while chunk := part.read(_CHUNK_BYTES):
+                yield chunk.decode("ascii")
             yield "]}\n"
 
-        atomic_write_chunks(path, chunks())
+        with contextlib.suppress(ChildProcessError):
+            with _forked(write_second, os.path.dirname(os.path.abspath(path))) as wait:
+                atomic_write_chunks(path, chunks(wait))
+                return
+    atomic_write_chunks(path, _trajectory_chunks(trajs))
 
 
 def _trajectory_chunks(trajs: list[DeliberationTrajectory]) -> Iterable[str]:

@@ -10,8 +10,9 @@ Where a forked child helps (``_fork._fork_helps``), ``run_all_checks`` runs
 the selected checks whose ``_CHECKS`` entry names the child side in one
 child made by ``_fork._forked`` while this process runs the others.  The
 checks share no state and each has its own seed, so the results are the
-serial loop's.  Any failure of the split falls back to the serial loop,
-which raises the serial error.
+serial loop's.  Any failure of the split (``ChildProcessError`` for the
+child, or a check here that raises) falls back to the serial loop, which
+raises the serial error.
 
 A Monte Carlo scenario check scores each of its n·d distinct (region,
 label) snapshots once and gathers the scores by the drawn samples' keys:
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fork import _fork_helps, _forked
+from ._fork import _fork_helps, _forked, _unpickled
 from .dynamics import _checked_influence, _fixed_point, _run_rounds, _stack_h
 from .errors import ConfigError
 from .metrics import _diversity_rows, _log_loss_rows, _mixture, _pairwise_diversity_rows
@@ -400,32 +401,16 @@ def run_all_checks(
     there = [name for name in checks if _CHECKS[name][2] == "child"]
     here = [name for name in checks if name not in there]
     if here and there and _fork_helps():
-        results = _run_split(run, here, there)
-        if results is not None:
-            return [results[name] for name in checks]
-    return [run(name) for name in checks]
 
+        def child(part) -> None:
+            for name in there:
+                pickle.dump(run(name), part, protocol=5)
 
-def _run_split(run, here: list[str], there: list[str]) -> dict[str, CheckResult] | None:
-    """Each named check's result, ``there`` run by a forked child while this
-    process runs ``here``; None when the child could not be made or failed,
-    or a check here raised."""
-
-    def child(part) -> bool:
-        for name in there:
-            pickle.dump(run(name), part, protocol=5)
-        return True
-
-    with _forked(child) as wait:
-        if wait is None:
-            return None
         try:
-            results = {name: run(name) for name in here}
-        except Exception:  # the serial loop raises it again, in check order
-            return None
-        part = wait()
-        if part is None:
-            return None
-        for name in there:
-            results[name] = pickle.load(part)
-        return results
+            with _forked(child) as wait:
+                results = {name: run(name) for name in here}
+                results.update(zip(there, _unpickled(wait())))
+            return [results[name] for name in checks]
+        except Exception:  # a failed split; the serial loop raises its error in check order
+            pass
+    return [run(name) for name in checks]

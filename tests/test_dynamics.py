@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fjlab import dynamics
 from fjlab.dynamics import (
     _round,
     aggregate_pi,
@@ -174,7 +173,7 @@ class TestStackedRounds:
             for k in range(m):
                 out_k = _round(gs[k], h if h.ndim == 2 else h[k], current[k])
                 np.testing.assert_array_equal(out[k], out_k)
-        # the pool's drift, read from its stored snapshots, has each round's bits
+        # the pool's drift, taken in its round loop, has each round's bits
         innates = np.stack([innate for _, innate in systems])
         pool = simulate_pool(
             [p for p, _ in systems], innates, rounds, sample_ids=list("abcdef")[:m],
@@ -224,10 +223,7 @@ class TestStackedRounds:
                 assert traj.metadata == alone.metadata
         assert meta == {"pool": "7"}
 
-    # one round per block of the drift's temporary, three, and all twenty
-    @pytest.mark.parametrize("block", [1, 3 * 5 * 4 * 3, dynamics._DRIFT_BLOCK])
-    def test_max_drift_is_the_worst_round(self, monkeypatch, block):
-        monkeypatch.setattr(dynamics, "_DRIFT_BLOCK", block)
+    def test_max_drift_is_the_worst_round(self):
         rng = np.random.default_rng(0)
         params, _ = random_contractive(rng, n=4, d=3)
         innates = rng.dirichlet(np.ones(3), size=(5, 4))

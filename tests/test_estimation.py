@@ -437,15 +437,6 @@ class TestStackedFaces:
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value) == "SVD did not converge in Linear Least Squares"
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_fallback_without_the_stacked_kernel_gives_the_same_bits(self, seed, monkeypatch):
-        a, r, x = simplex_stack(seed, 8, 2 + 2 * seed, 6)
-        face, rhs = a[:, :, :5] - a[:, :, 5:], r - a[:, :, 5]
-        stacked = _simplex_lsq(a, r, x), _lstsq(face, rhs)
-        monkeypatch.setattr(estimation, "_GELSD", None)  # numpy 1.x
-        for got, want in zip((_simplex_lsq(a, r, x), _lstsq(face, rhs)), stacked):
-            same_bits(got, want)
-
 
 class TestFitConfig:
     @pytest.mark.parametrize(

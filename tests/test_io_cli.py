@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import stat
 import subprocess
@@ -625,6 +626,27 @@ class TestSplitTrajectoryIo:
         assert path.read_bytes() == reference_document(trajs).encode("utf-8")
         assert sorted(os.listdir(tmp_path)) == ["t.json"]
 
+    def test_a_failed_child_with_valid_samples_gives_the_serial_bytes(
+        self, tmp_path, monkeypatch, forks
+    ):
+        trajs = _escaped_trajs()
+        parent, entries = os.getpid(), fio._sample_entries
+
+        def encoded_here(batch, *args):
+            if os.getpid() != parent:
+                raise RuntimeError("no encoding in the child")
+            return entries(batch, *args)
+
+        monkeypatch.setattr(fio, "_sample_entries", encoded_here)
+        encoded = _record_calls(monkeypatch, "_sample_entries")
+        path = tmp_path / "t.json"
+        save_trajectories(str(path), trajs)
+        assert len(forks) == 1
+        # the first half, then every sample again in the serial writer
+        assert [len(args[0]) for args in encoded] == [len(trajs) // 2, len(trajs)]
+        assert path.read_bytes() == reference_document(trajs).encode("utf-8")
+        assert sorted(os.listdir(tmp_path)) == ["t.json"]
+
     @pytest.mark.parametrize("chunk", [1, 7, fio._CHUNK_BYTES])
     def test_load_equals_the_serial_load(self, tmp_path, monkeypatch, forks, chunk):
         trajs = _escaped_trajs() + corpus_trajs(count=5)
@@ -642,7 +664,7 @@ class TestSplitTrajectoryIo:
 
     @pytest.mark.parametrize("chunk", [1, 3, fio._CHUNK_BYTES])
     def test_non_ascii_file_loads_as_json_load_reads_it(self, tmp_path, monkeypatch, forks, chunk):
-        # two- to four-byte characters on both sides of the cut, with spaces
+        # two- to four-byte characters on both sides of the cut
         samples = [
             {
                 "sample_id": f"ü{'日' * k}😀{k}",
@@ -652,7 +674,6 @@ class TestSplitTrajectoryIo:
             for k in range(12)
         ]
         text = json.dumps({"schema_version": "1", "samples": samples}, ensure_ascii=False)
-        text = text.replace("]}, {", "]} ,\n {")
         path = tmp_path / "t.json"
         path.write_bytes(text.encode("utf-8") + b" \n")
         monkeypatch.setattr(fio, "_CHUNK_BYTES", chunk)
@@ -900,6 +921,51 @@ class TestChildPlacement:
             placed = set(json.loads(wait().read()))
         assert len(placed) == len(usable) - 1 and placed < usable
         assert os.sched_getaffinity(0) == usable  # this process is not moved
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkProtocol:
+    """ChildProcessError is the one signal that a split failed, and no child
+    is left behind."""
+
+    def test_a_raising_work_fails_the_wait(self):
+        def work(part):
+            part.write(b"half")
+            raise RuntimeError("the child's work failed")
+
+        with _fork._forked(work) as wait:
+            with pytest.raises(ChildProcessError):
+                wait()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_child_raises_on_entry_and_closes_the_temp_file(self, monkeypatch):
+        forks = _count_forks(monkeypatch, fail=True)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(ChildProcessError) as err:
+            with _fork._forked(lambda part: None):
+                pytest.fail("the block ran without a child")
+        assert type(err.value.__cause__) is OSError
+        assert len(forks) == 1
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_unpickled_yields_the_childs_objects_in_order(self, count):
+        objects = [{"k": k, "rounds": np.full((2, 2), k / 3)} for k in range(count)]
+
+        def work(part):
+            for obj in objects:
+                pickle.dump(obj, part, protocol=5)
+
+        with _fork._forked(work) as wait:
+            got = list(_fork._unpickled(wait()))
+        assert [obj["k"] for obj in got] == list(range(count))
+        assert all(np.array_equal(a["rounds"], b["rounds"]) for a, b in zip(got, objects))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
