@@ -363,6 +363,8 @@ def _load_fits(path: str, section: str, key: str) -> "dict[str, FJParameters]":
         where = f"{path!r}: {section} entry {pos}"
         if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
             raise ParseError(f"{where} must be an object with a string {key!r}")
+        if entry[key] in fits:
+            raise ParseError(f"{where}: duplicate {key} {entry[key]!r}")
         try:
             fits[entry[key]] = fio.params_from_dict(entry.get("params"))
         except ParseError as exc:
@@ -446,15 +448,11 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         "consensus_rate": float(np.mean(column("consensus_reached"))),
         "mean_disagreement": float(np.mean(column("disagreement"))),
         "mean_confidence": float(np.mean(column("mean_confidence"))),
-        "spearman_confidence_competence": (
-            _safe_spearman(column("confidence")[labeled].ravel(), competences)
-            if competences.size
-            else None
+        "spearman_confidence_competence": _safe_spearman(
+            column("confidence")[labeled].ravel(), competences
         ),
-        "spearman_influence_competence": (
-            _safe_spearman(column("influence")[labeled].ravel(), competences)
-            if competences.size
-            else None
+        "spearman_influence_competence": _safe_spearman(
+            column("influence")[labeled].ravel(), competences
         ),
     }
     summary_path = os.path.join(args.output_dir, "analyze_summary.json")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .constants import CONSENSUS_THRESHOLD
 from .errors import ConfigError
 from .estimation import FitConfig
 from .model import _check_rows
@@ -92,7 +93,7 @@ class AnalyzeSection:
 
     eta: str = "uniform"
     normalization: str = "max"
-    consensus_threshold: float = 0.05
+    consensus_threshold: float = CONSENSUS_THRESHOLD
     fits: str = "fits.json"
 
 

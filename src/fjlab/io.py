@@ -22,7 +22,8 @@ entry or a row off by more than TAU_SIMPLEX (1e-9) is clipped at 0 and
 renormalized; any other loads as written, bit for bit.  The worst drift
 is recorded in the sample's metadata under "ingest_max_drift".  Errors
 name the exact (sample, round, agent) cell.  label_names survive round
-trips via the metadata key "label_names" (JSON-encoded list).
+trips via the metadata key "label_names" (JSON-encoded list), so a file's
+own metadata may not hold that key.
 
 Trajectory io holds one sample's Python objects at a time.  The writer
 streams the document: the head, then each sample's entry encoded on its
@@ -46,14 +47,6 @@ Large trajectory text is split between this process and one forked child
 (``_fork``): ``save_trajectories`` and ``_load_halves`` say how, and why
 the bytes, samples and errors are those of the serial code.
 
-Loading and saving trajectories pause the cyclic garbage collector while
-they parse or build the document.  Its tree of lists and dicts holds no
-reference cycles, so reference counting alone frees it and a collection
-finds nothing there; without the pause, the collector's allocation
-thresholds fire every few hundred containers and its full passes walk
-the growing tree.  The collector's previous state is restored afterwards,
-also when the load raises.
-
 All writes are atomic (temp file in the target directory, then rename).
 JSON is written compact, on one line, with no NaN or Infinity tokens.
 CSVs are RFC 4180: CRLF line endings, minimal quoting, floats via repr
@@ -65,7 +58,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import gc
 import io
 import json
 import math
@@ -79,7 +71,7 @@ from typing import Any
 import numpy as np
 
 from ._fork import _fork_helps, _forked, _unpickled
-from .constants import TAU_SIMPLEX
+from .constants import INGEST_TOL, TAU_SIMPLEX
 from .errors import (
     InvariantViolation,
     LabelOutOfRange,
@@ -186,19 +178,6 @@ def write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
 # -- trajectory files ------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Disable the cyclic collector for the block or decorated call; re-enable
-    it afterwards only if it was enabled before."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _rounds_to_array(obj: dict) -> dict:
     """json object_hook: a nonempty ``rounds`` list becomes a float64 array as
     its object closes; one that does not convert is left for _parse_sample."""
@@ -300,7 +279,6 @@ def _load_halves(path: str) -> list | None:
             return [*_samples(fh, 0, cut), *_unpickled(wait())]
 
 
-@_gc_paused()
 def load_trajectories(path: str) -> list[DeliberationTrajectory]:
     try:
         samples = _load_halves(path)
@@ -375,7 +353,7 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
             )
     # entry and row-mass checks name the exact offending cell; NaN passes
     # every comparison, so non-finite entries are looked for explicitly
-    bad = ~np.isfinite(snaps) | (snaps < -1e-9)
+    bad = ~np.isfinite(snaps) | (snaps < -TAU_SIMPLEX)
     if bad.any():
         t, i, c = np.argwhere(bad)[0]
         value = float(snaps[t, i, c])
@@ -385,7 +363,7 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
     sums = snaps.sum(axis=2)
     err = np.abs(sums - 1.0)
     drift = float(err.max())
-    if drift > 1e-6:
+    if drift > INGEST_TOL:
         t, i = np.unravel_index(int(np.argmax(err)), err.shape)
         raise InvariantViolation(
             f"sample {sid!r}, round {t}, agent {i}: row sums to {float(sums[t, i])!r}"
@@ -405,6 +383,8 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
         isinstance(k, str) and isinstance(v, str) for k, v in meta_raw.items()
     ):
         raise ParseError(f"sample {sid!r}: metadata must map strings to strings")
+    if "label_names" in meta_raw:
+        raise ParseError(f"sample {sid!r}: metadata key 'label_names' is reserved for label_names")
     metadata = dict(meta_raw)
     names = raw.get("label_names")
     if names is not None:
@@ -420,7 +400,6 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
     return DeliberationTrajectory._from_checked(snaps, sid, label, metadata)
 
 
-@_gc_paused()
 def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
     """Write the samples as one trajectory document, atomically.
 

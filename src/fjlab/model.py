@@ -8,6 +8,7 @@ validated object stays valid.
 
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass, field
 
@@ -142,6 +143,19 @@ def _check_params(gamma: np.ndarray, alpha: np.ndarray, w: np.ndarray, mask: np.
         raise WeightNotSimplex("rows without allowed edges must be all-zero")
 
 
+def _check_label_names(text: str, d: int) -> None:
+    """The metadata value under "label_names", which the trajectory writer
+    decodes into the file's label_names: a JSON list of d strings."""
+    try:
+        names = json.loads(text)
+    except ValueError:
+        names = None
+    if not isinstance(names, list) or len(names) != d or not all(isinstance(x, str) for x in names):
+        raise ShapeMismatch(
+            f"metadata label_names must be a JSON list of {d} strings, got {text!r}"
+        )
+
+
 def check_label(y: int, d: int) -> int:
     """An integer label in [0, d); non-integers, bools among them, are
     rejected, not truncated."""
@@ -203,7 +217,8 @@ class DeliberationTrajectory:
     """Observed belief snapshots over rounds 0..T for one sample.
 
     snapshots has shape (T+1, n, d); round 0 holds the innate beliefs.
-    metadata is a flat string-to-string map carried through file I/O.
+    metadata is a flat string-to-string map carried through file I/O; its
+    "label_names", if present, is a JSON list of d strings.
     Equality is identity: comparing snapshots arrays has no single truth
     value.
     """
@@ -223,6 +238,8 @@ class DeliberationTrajectory:
             isinstance(k, str) and isinstance(v, str) for k, v in self.metadata.items()
         ):
             raise ShapeMismatch("metadata must map strings to strings")
+        if "label_names" in self.metadata:
+            _check_label_names(self.metadata["label_names"], snaps.shape[2])
         object.__setattr__(self, "snapshots", _freeze(snaps))
 
     @classmethod

@@ -1,5 +1,4 @@
 import csv
-import gc
 import hashlib
 import io
 import json
@@ -18,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fjlab.cli import _draw_pool_params, _t_quantile, build_parser, mean_ci, run
-from fjlab.config import FitSection, eta_vector, load_config
+from fjlab.config import AnalyzeSection, FitSection, eta_vector, load_config
+from fjlab.constants import CONSENSUS_THRESHOLD
 from fjlab.dynamics import influence_weights, simulate, simulate_pool
 from fjlab.estimation import FitConfig
 from fjlab.errors import (
@@ -195,6 +195,21 @@ class TestTrajectoryFiles:
         with pytest.raises(ParseError):
             load_trajectories(path)
 
+    @pytest.mark.parametrize(
+        "names", ["yes,no", json.dumps(["x", "y", "z"])], ids=["not-json", "three-names"]
+    )
+    def test_ingest_rejects_label_names_in_metadata(self, tmp_path, capsys, names):
+        # the key is the writer's home for label_names, so no saved file has it
+        path = str(tmp_path / "meta.json")
+        self._write_one(path, [[[0.5, 0.5], [0.3, 0.7]]], metadata={"label_names": names})
+        with pytest.raises(ParseError) as err:
+            load_trajectories(path)
+        assert str(err.value) == "sample 'x': metadata key 'label_names' is reserved for label_names"
+        argv = ["--output-dir", str(tmp_path), "--quiet", "fit", "--input", path]
+        assert run(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"fjlab: error: {err.value}"
+
 
 class TestTrajectoryRoundTrip:
     @settings(max_examples=60, deadline=None)
@@ -305,6 +320,14 @@ class _Raises:
 
     sample_id, n, d, correct_label = "r", 1, 2, None
     snapshots = np.array([[[0.5, 0.5]]])
+
+
+def _unreadable_label_names():
+    """A sample whose label_names the writer cannot decode: the constructor
+    checks the metadata, but the dict stays mutable after it."""
+    traj = sample_trajs(count=1)[0]
+    traj.metadata["label_names"] = "[no json"
+    return traj
 
 
 def _mixed_trajs():
@@ -796,7 +819,7 @@ class TestSplitTrajectoryIo:
         "bad",
         [
             _Raises,
-            lambda: replace(sample_trajs(count=1)[0], metadata={"label_names": "[no json"}),
+            _unreadable_label_names,
         ],
         ids=["raises", "bad-label-names"],
     )
@@ -1151,6 +1174,9 @@ class TestConfig:
         for f in fields(FitConfig):
             assert getattr(section, f.name) == f.default, f.name
 
+    def test_analyze_section_default_threshold_is_the_constant(self):
+        assert AnalyzeSection().consensus_threshold == CONSENSUS_THRESHOLD
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -1268,6 +1294,22 @@ class TestCLI:
             )
             for k in range(2)
         ]
+        save_trajectories(os.path.join(out, "trajectories.json"), trajs)
+        assert self._analyze_with(out, params_to_dict(sample_params())) == 0
+        summary = read_json(out, "analyze_summary.json")
+        assert summary["spearman_confidence_competence"] is None
+        assert summary["spearman_influence_competence"] is None
+
+    def test_analyze_writes_null_for_unlabeled_samples(self, tmp_path):
+        out = str(tmp_path)
+        trajs = sample_trajs(count=3)
+        save_trajectories(os.path.join(out, "trajectories.json"), trajs)
+        assert self._analyze_with(out, params_to_dict(sample_params())) == 0
+        summary = read_json(out, "analyze_summary.json")
+        assert summary["spearman_confidence_competence"] is not None
+        assert summary["spearman_influence_competence"] is not None
+        # the same beliefs without labels: no competence to rank against
+        trajs = [replace(t, correct_label=None) for t in trajs]
         save_trajectories(os.path.join(out, "trajectories.json"), trajs)
         assert self._analyze_with(out, params_to_dict(sample_params())) == 0
         summary = read_json(out, "analyze_summary.json")
@@ -1709,6 +1751,25 @@ class TestCLI:
         assert len(lines) == 1 and lines[0].startswith("fjlab:")
         assert "fits.json" in lines[0]
 
+    @pytest.mark.parametrize("command, section", [("analyze", "per_sample"), ("compare", "global")])
+    def test_repeated_fits_key_exits_1(self, tmp_path, capsys, command, section):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        assert run(["--output-dir", out, "--quiet", "fit", "--global"]) == 0
+        fits = read_json(out, "fits.json")
+        fits[section].append(fits[section][0])
+        atomic_write_json(os.path.join(out, "fits.json"), fits)
+        capsys.readouterr()
+        assert run(["--output-dir", out, "--quiet", command]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        key = "sample_id" if section == "per_sample" else "pool"
+        entry = len(fits[section]) - 1
+        path = os.path.join(out, "fits.json")
+        assert line == (
+            f"fjlab: error: {path!r}: {section} entry {entry}: "
+            f"duplicate {key} {fits[section][0][key]!r}"
+        )
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -1889,71 +1950,6 @@ class TestCLI:
         trajs = load_trajectories(os.path.join(out, "trajectories.json"))
         assert len(trajs) == 2
         assert trajs[0].d == 2
-
-
-class TestGCPause:
-    """Trajectory loads and saves pause the cyclic collector, then restore it."""
-
-    def _watch(self, monkeypatch, name):
-        seen = []
-        inner = getattr(fio, name)
-
-        def watched(*args, **kwargs):
-            seen.append(gc.isenabled())
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(fio, name, watched)
-        return seen
-
-    def test_paused_during_and_enabled_after(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "t.json")
-        parsed = self._watch(monkeypatch, "_parse_sample")
-        written = self._watch(monkeypatch, "atomic_write_chunks")
-        assert gc.isenabled()
-        save_trajectories(path, sample_trajs())
-        assert gc.isenabled()
-        load_trajectories(path)
-        assert gc.isenabled()
-        assert written == [False] and parsed == [False, False]
-
-    @pytest.mark.parametrize(
-        "text, error",
-        [
-            ("{not json", ParseError),
-            (
-                json.dumps(
-                    {
-                        "schema_version": "1",
-                        "samples": [{"sample_id": "a", "rounds": [[[0.5, 0.6], [0.5, 0.5]]]}],
-                    }
-                ),
-                InvariantViolation,
-            ),
-        ],
-        ids=["parse", "invariant"],
-    )
-    def test_enabled_after_a_failed_load(self, tmp_path, text, error):
-        path = tmp_path / "bad.json"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(error):
-            load_trajectories(str(path))
-        assert gc.isenabled()
-
-    def test_a_disabled_collector_stays_disabled(self, tmp_path):
-        path = str(tmp_path / "t.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json", encoding="utf-8")
-        gc.disable()
-        try:
-            save_trajectories(path, sample_trajs())
-            assert not gc.isenabled()
-            load_trajectories(path)
-            assert not gc.isenabled()
-            with pytest.raises(ParseError):
-                load_trajectories(str(bad))
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
 
 
 class TestStackedAnalyze:

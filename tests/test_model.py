@@ -309,6 +309,17 @@ class TestTrajectory:
         with pytest.raises(ShapeMismatch):
             DeliberationTrajectory(snapshots=snaps, metadata={"pool": 3})
 
+    @pytest.mark.parametrize(
+        "names",
+        ["yes,no", '["x", "y", "z"]', '"xy"', "[1, 2]"],
+        ids=["not-json", "three-names", "not-a-list", "not-strings"],
+    )
+    def test_metadata_label_names_must_be_a_json_list_of_d_strings(self, names):
+        # the trajectory writer decodes this value into the file's label_names
+        snaps = np.full((1, 2, 2), 0.5)
+        with pytest.raises(ShapeMismatch, match="label_names"):
+            DeliberationTrajectory(snapshots=snaps, metadata={"label_names": names})
+
 
     def test_equality_is_identity(self):
         traj = DeliberationTrajectory(snapshots=np.full((3, 2, 2), 0.5), sample_id="s")
