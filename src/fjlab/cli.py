@@ -188,7 +188,7 @@ def _load_params_file(sim):
     try:
         with open(sim.params_file, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {sim.params_file!r}: {exc}") from exc
     if not isinstance(raw, dict) or "innate" not in raw:
         raise ParseError("params file must be a JSON object with an 'innate' snapshot")
@@ -351,7 +351,7 @@ def _load_fits(path: str, section: str, key: str) -> "dict[str, FJParameters]":
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path!r} must hold a JSON object")

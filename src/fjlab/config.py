@@ -149,30 +149,8 @@ _SECTIONS = {
     "compare": CompareSection,
 }
 
-_BOOL_VALUES = {
-    "true": True,
-    "false": False,
-    "yes": True,
-    "no": False,
-    "1": True,
-    "0": False,
-}
-
-
-def _convert(section: str, key: str, text: str, target_type: type):
-    try:
-        if target_type is bool:
-            lowered = text.strip().lower()
-            if lowered not in _BOOL_VALUES:
-                raise ValueError(f"not a boolean: {text!r}")
-            return _BOOL_VALUES[lowered]
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        return text
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+# the parser's typed getter for each field type, by its annotation's text
+_GETTERS = {"int": "getint", "float": "getfloat", "bool": "getboolean", "str": "get"}
 
 
 def load_config(path: "str | None") -> RunConfig:
@@ -204,12 +182,13 @@ def load_config(path: "str | None") -> RunConfig:
         # CLI flag is --global, and the dataclass field cannot use that name
         keys = {("global" if name == "global_fit" else name): name for name in types}
         values = {}
-        for key, text in parser.items(section):
+        for key in parser.options(section):
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            ftype = {"int": int, "float": float, "str": str, "bool": bool}[
-                types[keys[key]]
-            ]
-            values[keys[key]] = _convert(section, key, text, ftype)
+            get = getattr(parser, _GETTERS[types[keys[key]]])
+            try:
+                values[keys[key]] = get(section, key)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
         sections[section] = cls(**values)
     return RunConfig(**sections)

@@ -21,9 +21,9 @@ within 1e-6 (entries finite and >= -1e-9).  A sample with a negative
 entry or a row off by more than TAU_SIMPLEX (1e-9) is clipped at 0 and
 renormalized; any other loads as written, bit for bit.  The worst drift
 is recorded in the sample's metadata under "ingest_max_drift".  Errors
-name the exact (sample, round, agent) cell.  label_names survive round
-trips via the metadata key "label_names" (JSON-encoded list), so a file's
-own metadata may not hold that key.
+name the exact (sample, round, agent) cell.  label_names load as the
+trajectory's label_names field, a tuple; metadata is a plain map, whatever
+its keys.
 
 Trajectory io holds one sample's Python objects at a time.  The writer
 streams the document: the head, then each sample's entry encoded on its
@@ -256,7 +256,8 @@ def _load_halves(path: str) -> list | None:
     sample, then unpickles the child's samples after its own.  When
     both halves parse to their exact ends, the text is half one, ``", "`` and
     half two, the same JSON value, so the samples are the serial parse's.
-    A half that does not parse raises ValueError; a child that could not be
+    A half that does not parse raises ValueError, or RecursionError when it
+    nests past the recursion limit; a child that could not be
     made or did not parse its half raises ``ChildProcessError``, an OSError.
     The caller then runs the serial load, which raises the exact serial error.
     """
@@ -282,7 +283,7 @@ def _load_halves(path: str) -> list | None:
 def load_trajectories(path: str) -> list[DeliberationTrajectory]:
     try:
         samples = _load_halves(path)
-    except (OSError, ValueError):  # a failed split; the serial load below reports the error
+    except (OSError, ValueError, RecursionError):  # a failed split; the serial load reports it
         samples = None
     try:
         if samples is None:
@@ -295,7 +296,8 @@ def load_trajectories(path: str) -> list[DeliberationTrajectory]:
             doc = {"schema_version": SCHEMA_VERSION, "samples": samples}
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, bad UTF-8 or an over-long integer
+    # a JSONDecodeError, bad UTF-8, an over-long integer, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -383,9 +385,6 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
         isinstance(k, str) and isinstance(v, str) for k, v in meta_raw.items()
     ):
         raise ParseError(f"sample {sid!r}: metadata must map strings to strings")
-    if "label_names" in meta_raw:
-        raise ParseError(f"sample {sid!r}: metadata key 'label_names' is reserved for label_names")
-    metadata = dict(meta_raw)
     names = raw.get("label_names")
     if names is not None:
         if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
@@ -394,10 +393,10 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
             raise ShapeMismatch(
                 f"sample {sid!r}: {len(names)} label_names for {d} labels"
             )
-        metadata["label_names"] = json.dumps(names)
-    metadata["ingest_max_drift"] = repr(drift)
+        names = tuple(names)
+    metadata = {**meta_raw, "ingest_max_drift": repr(drift)}
     # snaps passed the constructor's checks above and is this load's own array
-    return DeliberationTrajectory._from_checked(snaps, sid, label, metadata)
+    return DeliberationTrajectory._from_checked(snaps, sid, label, metadata, names)
 
 
 def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
@@ -448,10 +447,6 @@ def _sample_entries(trajs: list[DeliberationTrajectory], start: int = 0) -> Iter
     first; ``start`` is the index in the document of ``trajs[0]``."""
     encode = json.JSONEncoder(allow_nan=False).encode
     for k, traj in enumerate(trajs, start):
-        meta = dict(traj.metadata)
-        names = None
-        if "label_names" in meta:
-            names = json.loads(meta.pop("label_names"))
         entry: dict[str, Any] = {
             "sample_id": traj.sample_id,
             "n": traj.n,
@@ -459,9 +454,9 @@ def _sample_entries(trajs: list[DeliberationTrajectory], start: int = 0) -> Iter
             "rounds": traj.snapshots.tolist(),
             "correct_label": traj.correct_label,
         }
-        if names is not None:
-            entry["label_names"] = names
-        entry["metadata"] = meta
+        if traj.label_names is not None:
+            entry["label_names"] = list(traj.label_names)
+        entry["metadata"] = traj.metadata
         yield f", {encode(entry)}" if k else encode(entry)
 
 

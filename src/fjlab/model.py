@@ -8,7 +8,6 @@ validated object stays valid.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass, field
 
@@ -143,19 +142,6 @@ def _check_params(gamma: np.ndarray, alpha: np.ndarray, w: np.ndarray, mask: np.
         raise WeightNotSimplex("rows without allowed edges must be all-zero")
 
 
-def _check_label_names(text: str, d: int) -> None:
-    """The metadata value under "label_names", which the trajectory writer
-    decodes into the file's label_names: a JSON list of d strings."""
-    try:
-        names = json.loads(text)
-    except ValueError:
-        names = None
-    if not isinstance(names, list) or len(names) != d or not all(isinstance(x, str) for x in names):
-        raise ShapeMismatch(
-            f"metadata label_names must be a JSON list of {d} strings, got {text!r}"
-        )
-
-
 def check_label(y: int, d: int) -> int:
     """An integer label in [0, d); non-integers, bools among them, are
     rejected, not truncated."""
@@ -217,8 +203,8 @@ class DeliberationTrajectory:
     """Observed belief snapshots over rounds 0..T for one sample.
 
     snapshots has shape (T+1, n, d); round 0 holds the innate beliefs.
-    metadata is a flat string-to-string map carried through file I/O; its
-    "label_names", if present, is a JSON list of d strings.
+    metadata is a flat string-to-string map carried through file I/O.
+    label_names, if set, names the d labels, stored as a tuple of strings.
     Equality is identity: comparing snapshots arrays has no single truth
     value.
     """
@@ -227,25 +213,37 @@ class DeliberationTrajectory:
     sample_id: str = "sample"
     correct_label: int | None = None
     metadata: dict[str, str] = field(default_factory=dict)
+    label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         snaps = _belief_array(self.snapshots, 3, "snapshots", TAU_SIMPLEX)
+        d = snaps.shape[2]
         if self.correct_label is not None:
             # stored as a plain int, so the trajectory writer can encode it
-            label = check_label(self.correct_label, snaps.shape[2])
+            label = check_label(self.correct_label, d)
             object.__setattr__(self, "correct_label", label)
         if not all(
             isinstance(k, str) and isinstance(v, str) for k, v in self.metadata.items()
         ):
             raise ShapeMismatch("metadata must map strings to strings")
-        if "label_names" in self.metadata:
-            _check_label_names(self.metadata["label_names"], snaps.shape[2])
+        if self.label_names is not None:
+            # only a list or tuple: tuple() of a str is its characters
+            names = self.label_names
+            if not (
+                isinstance(names, (list, tuple))
+                and len(names) == d
+                and all(isinstance(x, str) for x in names)
+            ):
+                raise ShapeMismatch(
+                    f"label_names must be a list or tuple of {d} strings, got {names!r}"
+                )
+            object.__setattr__(self, "label_names", tuple(names))
         object.__setattr__(self, "snapshots", _freeze(snaps))
 
     @classmethod
     def _from_checked(
         cls, snapshots: np.ndarray, sample_id: str, correct_label: int | None,
-        metadata: dict[str, str],
+        metadata: dict[str, str], label_names: tuple[str, ...] | None,
     ) -> DeliberationTrajectory:
         """A trajectory over a float64 array that has passed the checks of
         ``__post_init__`` and that no one else holds: it is frozen in place
@@ -254,7 +252,7 @@ class DeliberationTrajectory:
         traj = object.__new__(cls)
         vars(traj).update(
             snapshots=snapshots, sample_id=sample_id, correct_label=correct_label,
-            metadata=metadata,
+            metadata=metadata, label_names=label_names,
         )
         return traj
 

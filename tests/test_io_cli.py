@@ -80,16 +80,15 @@ def sample_trajs(count=2, rounds=3):
     out = []
     for k in range(count):
         innate = rng.dirichlet(np.ones(4), size=3)
-        out.append(
-            simulate(
-                params,
-                innate,
-                rounds,
-                sample_id=f"s{k}",
-                correct_label=int(rng.integers(4)),
-                metadata={"pool": "0", "label_names": json.dumps(["a", "b", "c", "d"])},
-            )
+        traj = simulate(
+            params,
+            innate,
+            rounds,
+            sample_id=f"s{k}",
+            correct_label=int(rng.integers(4)),
+            metadata={"pool": "0"},
         )
+        out.append(replace(traj, label_names=("a", "b", "c", "d")))
     return out
 
 
@@ -105,7 +104,7 @@ class TestTrajectoryFiles:
             assert loaded.correct_label == orig.correct_label
             np.testing.assert_array_equal(loaded.snapshots, orig.snapshots)
             assert loaded.metadata["pool"] == "0"
-            assert json.loads(loaded.metadata["label_names"]) == ["a", "b", "c", "d"]
+            assert loaded.label_names == ("a", "b", "c", "d")
 
     def test_bad_json_and_schema(self, tmp_path):
         path = str(tmp_path / "bad.json")
@@ -198,17 +197,25 @@ class TestTrajectoryFiles:
     @pytest.mark.parametrize(
         "names", ["yes,no", json.dumps(["x", "y", "z"])], ids=["not-json", "three-names"]
     )
-    def test_ingest_rejects_label_names_in_metadata(self, tmp_path, capsys, names):
-        # the key is the writer's home for label_names, so no saved file has it
-        path = str(tmp_path / "meta.json")
-        self._write_one(path, [[[0.5, 0.5], [0.3, 0.7]]], metadata={"label_names": names})
-        with pytest.raises(ParseError) as err:
-            load_trajectories(path)
-        assert str(err.value) == "sample 'x': metadata key 'label_names' is reserved for label_names"
-        argv = ["--output-dir", str(tmp_path), "--quiet", "fit", "--input", path]
-        assert run(argv) == 1
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"fjlab: error: {err.value}"
+    def test_label_names_in_metadata_load_and_save_as_metadata(self, tmp_path, names):
+        # the key is plain metadata, whatever its value, beside the sample's own label_names
+        sample = {
+            "sample_id": "x",
+            "n": 2,
+            "d": 2,
+            "rounds": [[[0.5, 0.5], [0.25, 0.75]]],
+            "correct_label": 0,
+            "label_names": ["p", "q"],
+            "metadata": {"label_names": names, "ingest_max_drift": "0.0"},
+        }
+        text = json.dumps({"schema_version": "1", "samples": [sample]}) + "\n"
+        path = tmp_path / "meta.json"
+        path.write_text(text, encoding="utf-8")
+        (traj,) = load_trajectories(str(path))
+        assert traj.label_names == ("p", "q")
+        assert traj.metadata == sample["metadata"]
+        save_trajectories(str(path), [traj])
+        assert path.read_text(encoding="utf-8") == text
 
 
 class TestTrajectoryRoundTrip:
@@ -220,7 +227,7 @@ class TestTrajectoryRoundTrip:
         labelled=st.booleans(),
         named=st.booleans(),
         metadata=st.dictionaries(
-            st.text(max_size=6).filter(lambda k: k not in ("label_names", "ingest_max_drift")),
+            st.text(max_size=6).filter(lambda k: k != "ingest_max_drift"),
             st.text(max_size=6),
             max_size=3,
         ),
@@ -230,13 +237,12 @@ class TestTrajectoryRoundTrip:
     ):
         rounds, n, d = shape
         rng = np.random.default_rng(seed)
-        if named:
-            metadata = {**metadata, "label_names": json.dumps([f"c{k}" for k in range(d)])}
         orig = DeliberationTrajectory(
             snapshots=rng.dirichlet(np.ones(d), size=(rounds + 1, n)),
             sample_id=sample_id,
             correct_label=int(rng.integers(d)) if labelled else None,
             metadata=metadata,
+            label_names=tuple(f"c{k}" for k in range(d)) if named else None,
         )
         out = tmp_path_factory.mktemp("rt")
         path = str(out / "t.json")
@@ -248,6 +254,7 @@ class TestTrajectoryRoundTrip:
         np.testing.assert_array_equal(back.snapshots, orig.snapshots)
         assert back.sample_id == orig.sample_id
         assert back.correct_label == orig.correct_label
+        assert back.label_names == orig.label_names
         meta = dict(back.metadata)
         assert float(meta.pop("ingest_max_drift")) < 1e-14
         assert meta == orig.metadata
@@ -257,6 +264,7 @@ class TestTrajectoryRoundTrip:
         (again,) = load_trajectories(path)
         np.testing.assert_array_equal(again.snapshots, back.snapshots)
         assert again.metadata == back.metadata
+        assert again.label_names == back.label_names
         save_trajectories(path, [again])
         assert (out / "t.json").read_bytes() == first
 
@@ -265,8 +273,6 @@ def reference_document(trajs):
     """The trajectory file as one json.dumps call over every entry."""
     samples = []
     for traj in trajs:
-        meta = dict(traj.metadata)
-        names = json.loads(meta.pop("label_names")) if "label_names" in meta else None
         entry = {
             "sample_id": traj.sample_id,
             "n": traj.n,
@@ -274,9 +280,9 @@ def reference_document(trajs):
             "rounds": traj.snapshots.tolist(),
             "correct_label": traj.correct_label,
         }
-        if names is not None:
-            entry["label_names"] = names
-        entry["metadata"] = meta
+        if traj.label_names is not None:
+            entry["label_names"] = list(traj.label_names)
+        entry["metadata"] = traj.metadata
         samples.append(entry)
     return json.dumps({"schema_version": "1", "samples": samples}, allow_nan=False) + "\n"
 
@@ -318,16 +324,8 @@ class _Raises:
             raise self.error
         return {}
 
-    sample_id, n, d, correct_label = "r", 1, 2, None
+    sample_id, n, d, correct_label, label_names = "r", 1, 2, None, None
     snapshots = np.array([[[0.5, 0.5]]])
-
-
-def _unreadable_label_names():
-    """A sample whose label_names the writer cannot decode: the constructor
-    checks the metadata, but the dict stays mutable after it."""
-    traj = sample_trajs(count=1)[0]
-    traj.metadata["label_names"] = "[no json"
-    return traj
 
 
 def _mixed_trajs():
@@ -595,11 +593,8 @@ def _escaped_trajs(count=6):
         replace(
             traj,
             sample_id=f'é "q{k}" \\ 日本 😀',
-            metadata={
-                "note": 'café "quoted" back\\slash 日\n',
-                "q\"k": "\\",
-                "label_names": json.dumps(["ä", '"b"', "c\\", "日"]),
-            },
+            metadata={"note": 'café "quoted" back\\slash 日\n', "q\"k": "\\"},
+            label_names=("ä", '"b"', "c\\", "日"),
         )
         for k, traj in enumerate(sample_trajs(count=count))
     ]
@@ -715,7 +710,7 @@ class TestSplitTrajectoryIo:
     @given(
         ids=st.lists(_TRICKY_TEXT.filter(bool), min_size=2, max_size=5, unique=True),
         metadata=st.dictionaries(
-            _TRICKY_TEXT.filter(lambda k: k not in ("label_names", "ingest_max_drift")),
+            _TRICKY_TEXT.filter(lambda k: k != "ingest_max_drift"),
             _TRICKY_TEXT,
             max_size=3,
         ),
@@ -725,10 +720,12 @@ class TestSplitTrajectoryIo:
         self, tmp_path_factory, ids, metadata, names
     ):
         rng = np.random.default_rng(0)
-        meta = {**metadata, "label_names": json.dumps(names)}
         trajs = [
             DeliberationTrajectory(
-                snapshots=rng.dirichlet(np.ones(2), size=(3, 2)), sample_id=sid, metadata=meta
+                snapshots=rng.dirichlet(np.ones(2), size=(3, 2)),
+                sample_id=sid,
+                metadata=metadata,
+                label_names=names,
             )
             for sid in ids
         ]
@@ -750,12 +747,9 @@ class TestSplitTrajectoryIo:
             # follows the middle byte
             assert len(serial_parses) == (len(cpus) == 1 or not splits)
             assert [t.sample_id for t in got] == [s["sample_id"] for s in want]
-            assert [t.metadata["label_names"] for t in got] == [
-                json.dumps(s["label_names"]) for s in want
-            ]
+            assert [t.label_names for t in got] == [tuple(s["label_names"]) for s in want]
             assert [
-                {k: v for k, v in t.metadata.items() if k not in ("label_names", "ingest_max_drift")}
-                for t in got
+                {k: v for k, v in t.metadata.items() if k != "ingest_max_drift"} for t in got
             ] == [s["metadata"] for s in want]
             assert [t.snapshots.tolist() for t in got] == [s["rounds"] for s in want]
         with pytest.raises(ChildProcessError):
@@ -815,20 +809,12 @@ class TestSplitTrajectoryIo:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == f"fjlab: error: {serial[1]}"
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            _Raises,
-            _unreadable_label_names,
-        ],
-        ids=["raises", "bad-label-names"],
-    )
-    def test_a_failed_save_in_the_childs_half_leaves_the_target(self, tmp_path, forks, bad):
+    def test_a_failed_save_in_the_childs_half_leaves_the_target(self, tmp_path, forks):
         path = tmp_path / "t.json"
         save_trajectories(str(path), sample_trajs())
         before = path.read_bytes()
         forks.clear()
-        trajs = sample_trajs(count=5) + [bad()]
+        trajs = sample_trajs(count=5) + [_Raises()]
         with pytest.raises(Exception) as serial:
             list(fio._trajectory_chunks(trajs))
         with pytest.raises(type(serial.value)) as err:
@@ -1106,6 +1092,12 @@ class TestConfig:
         assert cfg.fit.global_fit is True
         assert cfg.fit.reg_lambda == 0.0
         assert cfg.verify.check_names() == ("ambiguity_identity", "diversity_forms")
+
+    @pytest.mark.parametrize("text, value", [("on", True), ("Off", False)])
+    def test_booleans_take_every_configparser_spelling(self, tmp_path, text, value):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[fit]\nglobal = {text}\n")
+        assert load_config(str(path)).fit.global_fit is value
 
     def test_rejects_unknown_section(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -1837,6 +1829,42 @@ class TestCLI:
         assert line.startswith("fjlab: error: ")
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python 3.10.7+
         assert (name if 0 < limit < len(literal) else message) in line
+
+    @pytest.mark.parametrize(
+        "argv, split",
+        [
+            (["fit", "--input"], False),
+            (["fit", "--input"], True),
+            (["analyze", "--fits"], False),
+            (["compare", "--fits"], False),
+            (["simulate", "--mode", "params", "--params-file"], False),
+        ],
+        ids=["trajectories", "trajectories-split", "analyze-fits", "compare-fits", "params"],
+    )
+    def test_json_nested_past_the_recursion_limit_exits_1(
+        self, tmp_path, capsys, monkeypatch, argv, split
+    ):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        path = os.path.join(out, "deep.json")
+        deep = "[" * 100_000
+        forks = _count_forks(monkeypatch)
+        if split:
+            # a sample of the first half, which this process parses in a split load
+            monkeypatch.setattr(fio, "_SPLIT_BYTES", 1)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            text = reference_document(sample_trajs(count=10))
+            text = text.replace('"pool": "0"', f'"pool": {deep}{"]" * len(deep)}', 1)
+        else:
+            text = '{"schema_version": "1", "samples": [' + deep
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        assert run(["--output-dir", out, "--quiet", *argv, path]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("fjlab: error: ") and "deep.json" in line
+        assert "recursion" in line
+        assert len(forks) == split
 
     def test_confidence_order_error_prints_plain_floats(self, tmp_path, capsys):
         argv = ["--output-dir", str(tmp_path), "--quiet", "simulate", "--mode", "scenario"]

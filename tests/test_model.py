@@ -311,15 +311,17 @@ class TestTrajectory:
 
     @pytest.mark.parametrize(
         "names",
-        ["yes,no", '["x", "y", "z"]', '"xy"', "[1, 2]"],
-        ids=["not-json", "three-names", "not-a-list", "not-strings"],
+        ["ab", ("x", "y", "z"), ["x", 2], 7],
+        ids=["str", "three-names", "not-strings", "not-a-sequence"],
     )
-    def test_metadata_label_names_must_be_a_json_list_of_d_strings(self, names):
-        # the trajectory writer decodes this value into the file's label_names
+    def test_label_names_are_a_tuple_of_d_strings(self, names):
         snaps = np.full((1, 2, 2), 0.5)
+        assert DeliberationTrajectory(snapshots=snaps).label_names is None
+        traj = DeliberationTrajectory(snapshots=snaps, label_names=["yes", "no"])
+        assert traj.label_names == ("yes", "no")
+        # tuple("ab") would be two names at d = 2, so a str is rejected whole
         with pytest.raises(ShapeMismatch, match="label_names"):
-            DeliberationTrajectory(snapshots=snaps, metadata={"label_names": names})
-
+            DeliberationTrajectory(snapshots=snaps, label_names=names)
 
     def test_equality_is_identity(self):
         traj = DeliberationTrajectory(snapshots=np.full((3, 2, 2), 0.5), sample_id="s")
