@@ -199,10 +199,8 @@ def _load_params_file(sim):
         raise ParseError(f"{sim.params_file!r}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{sim.params_file!r}: bad 'innate' snapshot: {exc}") from exc
-    label = raw.get("correct_label")
-    if label is not None and (isinstance(label, bool) or not isinstance(label, int)):
-        raise ParseError(f"correct_label must be an integer, got {label!r}")
-    return params, innate, label
+    # the trajectory's constructor checks the label
+    return params, innate, raw.get("correct_label")
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:

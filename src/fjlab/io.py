@@ -21,9 +21,9 @@ within 1e-6 (entries finite and >= -1e-9).  A sample with a negative
 entry or a row off by more than TAU_SIMPLEX (1e-9) is clipped at 0 and
 renormalized; any other loads as written, bit for bit.  The worst drift
 is recorded in the sample's metadata under "ingest_max_drift".  Errors
-name the exact (sample, round, agent) cell.  label_names load as the
-trajectory's label_names field, a tuple; metadata is a plain map, whatever
-its keys.
+name the exact (sample, round, agent) cell, so the id is checked first;
+it and the other fields then pass model._check_fields, the constructor's
+check, raised as a ParseError naming the sample; metadata keys are free.
 
 Trajectory io holds one sample's Python objects at a time.  The writer
 streams the document: the head, then each sample's entry encoded on its
@@ -74,12 +74,12 @@ from ._fork import _fork_helps, _forked, _unpickled
 from .constants import INGEST_TOL, TAU_SIMPLEX
 from .errors import (
     InvariantViolation,
-    LabelOutOfRange,
     ParseError,
     SchemaVersionUnsupported,
     ShapeMismatch,
+    ValidationError,
 )
-from .model import DeliberationTrajectory, FJParameters
+from .model import DeliberationTrajectory, FJParameters, _check_fields
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -314,14 +314,18 @@ def load_trajectories(path: str) -> list[DeliberationTrajectory]:
     samples = doc.get("samples")
     if not isinstance(samples, list):
         raise ParseError(f"{path}: samples must be a list")
+    return _unique_ids((_parse_sample(raw, pos) for pos, raw in enumerate(samples)), ParseError)
+
+
+def _unique_ids(trajs, error: type[Exception]) -> list[DeliberationTrajectory]:
+    """The trajectories as a list; ``error`` names the first repeated sample_id."""
     out: list[DeliberationTrajectory] = []
     seen: set[str] = set()
-    for pos, raw in enumerate(samples):
-        out.append(_parse_sample(raw, pos))
-        sid = out[-1].sample_id
-        if sid in seen:
-            raise ParseError(f"duplicate sample_id {sid!r}")
-        seen.add(sid)
+    for traj in trajs:
+        if traj.sample_id in seen:
+            raise error(f"duplicate sample_id {traj.sample_id!r}")
+        seen.add(traj.sample_id)
+        out.append(traj)
     return out
 
 
@@ -374,27 +378,13 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
         # repair only samples off the simplex, so a saved one loads bit for bit
         np.clip(snaps, 0.0, None, out=snaps)
         snaps /= snaps.sum(axis=2, keepdims=True)
-    label = raw.get("correct_label")
-    if label is not None:
-        if isinstance(label, bool) or not isinstance(label, int):
-            raise ParseError(f"sample {sid!r}: correct_label must be an integer")
-        if not 0 <= label < d:
-            raise LabelOutOfRange(f"sample {sid!r}: label {label} outside [0, {d})")
-    meta_raw = raw.get("metadata", {})
-    if not isinstance(meta_raw, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in meta_raw.items()
-    ):
-        raise ParseError(f"sample {sid!r}: metadata must map strings to strings")
-    names = raw.get("label_names")
-    if names is not None:
-        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-            raise ParseError(f"sample {sid!r}: label_names must be a list of strings")
-        if len(names) != d:
-            raise ShapeMismatch(
-                f"sample {sid!r}: {len(names)} label_names for {d} labels"
-            )
-        names = tuple(names)
-    metadata = {**meta_raw, "ingest_max_drift": repr(drift)}
+    try:
+        label, metadata, names = _check_fields(
+            d, sid, raw.get("correct_label"), raw.get("metadata", {}), raw.get("label_names")
+        )
+    except ValidationError as exc:
+        raise ParseError(f"sample {sid!r}: {exc}") from exc
+    metadata["ingest_max_drift"] = repr(drift)
     # snaps passed the constructor's checks above and is this load's own array
     return DeliberationTrajectory._from_checked(snaps, sid, label, metadata, names)
 
@@ -409,8 +399,9 @@ def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
     (``ChildProcessError``: no child, or a child that did not encode its
     half), the serial writer writes the whole document, so a failing sample
     raises its own error; after a failed child the first half is encoded
-    twice.
+    twice.  A repeated sample_id raises ValidationError; nothing is written.
     """
+    _unique_ids(trajs, ValidationError)
     half = len(trajs) // 2
     floats = sum(t.snapshots.size for t in trajs if isinstance(t, DeliberationTrajectory))
     if half and _split_pays(_FLOAT_TEXT_BYTES * floats):

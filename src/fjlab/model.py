@@ -3,7 +3,7 @@
 Beliefs are plain float64 numpy arrays; the functions here validate and
 normalize them. Composite objects are frozen dataclasses whose array
 fields are defensively copied and marked read-only at construction, so a
-validated object stays valid.
+validated array stays valid; a trajectory's metadata map is copied, not frozen.
 """
 
 from __future__ import annotations
@@ -156,6 +156,32 @@ def check_label(y: int, d: int) -> int:
     return y
 
 
+def _check_fields(d: int, sample_id, correct_label, metadata, label_names):
+    """The one check of a trajectory's fields but its snapshots, over d labels,
+    for the constructor and the loader.  Returns the label as a plain int, a
+    copy of the metadata that no caller holds, and the names as a tuple."""
+    if not isinstance(sample_id, str) or not sample_id:
+        raise ShapeMismatch(f"sample_id must be a nonempty string, got {sample_id!r}")
+    if correct_label is not None:
+        correct_label = check_label(correct_label, d)
+    if not isinstance(metadata, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
+    ):
+        raise ShapeMismatch("metadata must map strings to strings")
+    if label_names is not None:
+        # only a list or tuple: tuple() of a str is its characters
+        if not (
+            isinstance(label_names, (list, tuple))
+            and len(label_names) == d
+            and all(isinstance(x, str) for x in label_names)
+        ):
+            raise ShapeMismatch(
+                f"label_names must be a list or tuple of {d} strings, got {label_names!r}"
+            )
+        label_names = tuple(label_names)
+    return correct_label, dict(metadata), label_names
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=arr.dtype, copy=True)
     out.setflags(write=False)
@@ -205,8 +231,8 @@ class DeliberationTrajectory:
     snapshots has shape (T+1, n, d); round 0 holds the innate beliefs.
     metadata is a flat string-to-string map carried through file I/O.
     label_names, if set, names the d labels, stored as a tuple of strings.
-    Equality is identity: comparing snapshots arrays has no single truth
-    value.
+    _check_fields checks every field but snapshots, here and in the loader.
+    Equality is identity: compared snapshots have no single truth value.
     """
 
     snapshots: np.ndarray
@@ -217,28 +243,12 @@ class DeliberationTrajectory:
 
     def __post_init__(self):
         snaps = _belief_array(self.snapshots, 3, "snapshots", TAU_SIMPLEX)
-        d = snaps.shape[2]
-        if self.correct_label is not None:
-            # stored as a plain int, so the trajectory writer can encode it
-            label = check_label(self.correct_label, d)
-            object.__setattr__(self, "correct_label", label)
-        if not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in self.metadata.items()
-        ):
-            raise ShapeMismatch("metadata must map strings to strings")
-        if self.label_names is not None:
-            # only a list or tuple: tuple() of a str is its characters
-            names = self.label_names
-            if not (
-                isinstance(names, (list, tuple))
-                and len(names) == d
-                and all(isinstance(x, str) for x in names)
-            ):
-                raise ShapeMismatch(
-                    f"label_names must be a list or tuple of {d} strings, got {names!r}"
-                )
-            object.__setattr__(self, "label_names", tuple(names))
-        object.__setattr__(self, "snapshots", _freeze(snaps))
+        label, metadata, names = _check_fields(
+            snaps.shape[2], self.sample_id, self.correct_label, self.metadata, self.label_names
+        )
+        vars(self).update(
+            correct_label=label, metadata=metadata, label_names=names, snapshots=_freeze(snaps)
+        )
 
     @classmethod
     def _from_checked(

@@ -503,6 +503,23 @@ class TestFitSample:
         assert np.all(report.params.w[~mask] == 0.0)
         assert report.params.w[2].sum() == 0.0
 
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_mixed_degree_mask_curve_spans_the_longest_run(self, seed, monkeypatch):
+        # degrees 2, 2 and 0 solve in two stacks, which stop at different steps
+        mask = FJParameters.complete_mask(3)
+        mask[2] = False
+        steps, solve = [], estimation._solve
+
+        def recorded(*args):
+            out = solve(*args)
+            steps.extend(out[2].tolist())
+            return out
+
+        monkeypatch.setattr(estimation, "_solve", recorded)
+        report = fit_sample(noisy_traj(seed, n=3), FitConfig(objective="kl"), mask=mask)
+        assert len(set(steps)) > 1
+        assert len(report.objective_curve) == 1 + max(steps)
+
 
 class TestBatchedFits:
     def test_batch_equals_one_fit_at_a_time(self):

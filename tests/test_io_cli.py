@@ -31,6 +31,7 @@ from fjlab.errors import (
     ParseError,
     SchemaVersionUnsupported,
     ShapeMismatch,
+    ValidationError,
     WeightNotSimplex,
 )
 from fjlab import _fork
@@ -195,6 +196,42 @@ class TestTrajectoryFiles:
             load_trajectories(path)
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample_id", 5),
+            ("sample_id", ""),
+            ("correct_label", True),
+            ("correct_label", 1.0),
+            ("correct_label", 2),
+            ("metadata", None),
+            ("metadata", ["pool", "0"]),
+            ("metadata", {"pool": 0}),
+            ("label_names", "ab"),
+            ("label_names", ["a", "b", "c"]),
+            ("label_names", ["a", 1]),
+        ],
+        ids=[
+            "int-id", "empty-id", "bool-label", "float-label", "label-out-of-range",
+            "null-metadata", "list-metadata", "int-metadata-value",
+            "str-names", "three-names", "int-name",
+        ],
+    )
+    def test_one_definition_of_a_valid_sample(self, tmp_path, field, value):
+        # the constructor and the loader reject the same field with the same message
+        rounds = [[[0.5, 0.5], [0.25, 0.75]]]
+        sample = {"sample_id": "x", "correct_label": 0, "metadata": {}, field: value}
+        with pytest.raises(ValidationError) as built:
+            DeliberationTrajectory(np.array(rounds), **sample)
+        path = str(tmp_path / "bad.json")
+        self._write_one(path, rounds, **sample)
+        with pytest.raises(ParseError) as loaded:
+            load_trajectories(path)
+        if field == "sample_id":
+            assert str(loaded.value) == "sample #0: sample_id must be a nonempty string"
+        else:
+            assert str(loaded.value) == f"sample 'x': {built.value}"
+
+    @pytest.mark.parametrize(
         "names", ["yes,no", json.dumps(["x", "y", "z"])], ids=["not-json", "three-names"]
     )
     def test_label_names_in_metadata_load_and_save_as_metadata(self, tmp_path, names):
@@ -231,9 +268,10 @@ class TestTrajectoryRoundTrip:
             st.text(max_size=6),
             max_size=3,
         ),
+        more_ids=st.lists(st.text(min_size=1, max_size=2), max_size=3),
     )
     def test_save_then_load(
-        self, tmp_path_factory, seed, shape, sample_id, labelled, named, metadata
+        self, tmp_path_factory, seed, shape, sample_id, labelled, named, metadata, more_ids
     ):
         rounds, n, d = shape
         rng = np.random.default_rng(seed)
@@ -244,28 +282,39 @@ class TestTrajectoryRoundTrip:
             metadata=metadata,
             label_names=tuple(f"c{k}" for k in range(d)) if named else None,
         )
+        # further samples under ids that may repeat one
+        trajs = [orig] + [replace(orig, sample_id=sid) for sid in more_ids]
         out = tmp_path_factory.mktemp("rt")
         path = str(out / "t.json")
-        save_trajectories(path, [orig])
+        ids = [t.sample_id for t in trajs]
+        if len(set(ids)) < len(ids):
+            # the only list save refuses: the loader would reject its file
+            with pytest.raises(ValidationError, match="duplicate sample_id"):
+                save_trajectories(path, trajs)
+            assert os.listdir(out) == []
+            trajs = [orig]
+        save_trajectories(path, trajs)
         # the file holds every bit of every entry
         assert read_json(out, "t.json")["samples"][0]["rounds"] == orig.snapshots.tolist()
-        (back,) = load_trajectories(path)
-        # rows within TAU_SIMPLEX of unit mass load as written, bit for bit
-        np.testing.assert_array_equal(back.snapshots, orig.snapshots)
-        assert back.sample_id == orig.sample_id
-        assert back.correct_label == orig.correct_label
-        assert back.label_names == orig.label_names
-        meta = dict(back.metadata)
-        assert float(meta.pop("ingest_max_drift")) < 1e-14
-        assert meta == orig.metadata
+        loaded = load_trajectories(path)
+        assert [t.sample_id for t in loaded] == [t.sample_id for t in trajs]
+        for back in loaded:
+            # rows within TAU_SIMPLEX of unit mass load as written, bit for bit
+            np.testing.assert_array_equal(back.snapshots, orig.snapshots)
+            assert back.correct_label == orig.correct_label
+            assert back.label_names == orig.label_names
+            meta = dict(back.metadata)
+            assert float(meta.pop("ingest_max_drift")) < 1e-14
+            assert meta == orig.metadata
         # a second round trip changes nothing, the file included
-        save_trajectories(path, [back])
+        save_trajectories(path, loaded)
         first = (out / "t.json").read_bytes()
-        (again,) = load_trajectories(path)
-        np.testing.assert_array_equal(again.snapshots, back.snapshots)
-        assert again.metadata == back.metadata
-        assert again.label_names == back.label_names
-        save_trajectories(path, [again])
+        again = load_trajectories(path)
+        for back, twice in zip(loaded, again):
+            np.testing.assert_array_equal(twice.snapshots, back.snapshots)
+            assert twice.metadata == back.metadata
+            assert twice.label_names == back.label_names
+        save_trajectories(path, again)
         assert (out / "t.json").read_bytes() == first
 
 
@@ -368,6 +417,16 @@ class TestStreamedTrajectoryFiles:
         before = path.read_bytes()
         with pytest.raises(RuntimeError, match="boom"):
             save_trajectories(str(path), corpus_trajs(count=20) + [_Raises()])
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["t.json"]
+
+    def test_duplicate_ids_are_refused_before_writing(self, tmp_path):
+        path = tmp_path / "t.json"
+        save_trajectories(str(path), sample_trajs())
+        before = path.read_bytes()
+        trajs = corpus_trajs(count=20)
+        with pytest.raises(ValidationError, match="duplicate sample_id 'sample-0003'"):
+            save_trajectories(str(path), trajs + [replace(trajs[5], sample_id="sample-0003")])
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["t.json"]
 
@@ -1761,6 +1820,20 @@ class TestCLI:
             f"fjlab: error: {path!r}: {section} entry {entry}: "
             f"duplicate {key} {fits[section][0][key]!r}"
         )
+
+    @pytest.mark.parametrize("label", [True, 1.5, "1", 3])
+    def test_params_file_label_is_checked_by_the_trajectory(self, tmp_path, capsys, label):
+        out = str(tmp_path)
+        doc = params_to_dict(sample_params())
+        doc["innate"] = np.full((3, 3), 1.0 / 3).tolist()
+        doc["correct_label"] = label
+        pfile = os.path.join(out, "params.json")
+        atomic_write_json(pfile, doc)
+        argv = ["--output-dir", out, "--quiet", "simulate", "--mode", "params"]
+        assert run(argv + ["--params-file", pfile]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("fjlab: error: label ")
+        assert not os.path.exists(os.path.join(out, "trajectories.json"))
 
     @pytest.mark.parametrize(
         "key, value, message",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -308,6 +310,16 @@ class TestTrajectory:
         snaps = np.full((1, 2, 2), 0.5)
         with pytest.raises(ShapeMismatch):
             DeliberationTrajectory(snapshots=snaps, metadata={"pool": 3})
+
+    def test_metadata_is_the_trajectorys_own_copy(self):
+        # a map that the caller or another trajectory holds cannot undo the check
+        meta = {"pool": "0"}
+        traj = DeliberationTrajectory(snapshots=np.full((1, 2, 2), 0.5), metadata=meta)
+        meta["pool"] = 3
+        other = replace(traj, sample_id="other")
+        other.metadata["pool"] = 4
+        assert traj.metadata == {"pool": "0"}
+        assert other.metadata is not traj.metadata
 
     @pytest.mark.parametrize(
         "names",

@@ -13,7 +13,7 @@ import pytest
 
 from fjlab import verify as verify_mod
 from fjlab.cli import run
-from fjlab.config import VerifySection
+from fjlab.config import VerifySection, load_config
 from fjlab.dynamics import build_h, equilibrium, influence_weights, simulate, spectral_radius
 from fjlab.errors import InvalidScenario
 from fjlab.metrics import _log_loss_rows, _mixture, diversity
@@ -460,13 +460,19 @@ class TestRunAllChecks:
             first = next(iter(inspect.signature(check).parameters.values()))
             assert first.default == BUDGET_DEFAULTS[budget], check.__name__
 
-    def test_readme_config_shows_the_budget_defaults(self):
+    def test_readme_config_shows_the_budget_defaults(self, tmp_path):
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-        block = re.search(r"^\[verify\]\n(?:.+\n)+", readme.read_text(encoding="utf-8"), re.M)
+        text = readme.read_text(encoding="utf-8")
+        block = re.search(r"^\[verify\]\n(?:.+\n)+", text, re.M)
         parser = configparser.ConfigParser()
         parser.read_string(block.group(0))
         for name, value in BUDGET_DEFAULTS.items():
             assert parser.getint("verify", name) == value, name
+        # the whole block loads as written and holds every default
+        (ini,) = re.findall(r"^```ini\n(.*?)^```", text, re.M | re.S)
+        path = tmp_path / "readme.ini"
+        path.write_text(ini, encoding="utf-8")
+        assert load_config(str(path)) == load_config(None)
 
 
 @pytest.mark.skipif(
