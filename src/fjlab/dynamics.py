@@ -56,6 +56,11 @@ __all__ = [
     "settle",
 ]
 
+# rounds between two looks of the final-only round loop for samples that
+# repeat; at least 3, so each look sees three rounds of the live samples
+_RETIRE_EVERY = 16
+
+
 def build_h(params: FJParameters) -> np.ndarray:
     """Linear round operator H = (I - G) (A + (I - A) W); nonnegative,
     row sums 1 - gamma_i when the weight row is stochastic."""
@@ -105,15 +110,47 @@ def _run_rounds(
     snaps: np.ndarray | None = None, worst: np.ndarray | None = None,
 ) -> np.ndarray:
     """``rounds`` rounds from the stack ``start`` (m, n, d), shapes as in
-    ``_round``; fills ``snaps[:, t + 1]`` after round t when given, and
-    raises ``worst`` to each round's drift when given.  Returns the final
-    stack."""
-    current = start
-    for t in range(rounds):
-        current = _round(gs, h, current, worst)
-        if snaps is not None:
-            snaps[:, t + 1] = current
-    return current
+    ``_round`` with G S (m, n, d); fills ``snaps[:, t + 1]`` after round t
+    when given, and raises ``worst`` to each round's drift when given.
+    Returns the final stack.
+
+    Without ``snaps`` and ``worst`` only the final stack is wanted, so every
+    ``_RETIRE_EVERY`` rounds a sample whose snapshot has the bits of the one
+    a round or two rounds before leaves the stack.  A round's bits depend
+    only on the sample's own snapshot, G S and H, so from there the sample
+    repeats with that period (1 or 2), and its final snapshot is read off
+    the period: the bits of the full loop."""
+    if snaps is not None or worst is not None:
+        current = start
+        for t in range(rounds):
+            current = _round(gs, h, current, worst)
+            if snaps is not None:
+                snaps[:, t + 1] = current
+        return current
+    final = np.empty(start.shape)
+    live = np.arange(len(start))
+    previous = current = start
+    for t in range(1, rounds + 1):
+        # after the stack shrinks, older and previous hold retired samples
+        # for two more rounds; the next look is further off
+        older, previous, current = previous, current, _round(gs, h, current)
+        if t % _RETIRE_EVERY or t == rounds:
+            continue
+        bits = current.view(np.uint64)
+        one = (bits == previous.view(np.uint64)).all(axis=(1, 2))
+        done = one | (bits == older.view(np.uint64)).all(axis=(1, 2))
+        if done.any():
+            # a period-2 sample ends on this round's snapshot after an even
+            # number of rounds still to run, else on the one before
+            ends = one | ((rounds - t) % 2 == 0)
+            final[live[done]] = np.where(ends[:, None, None], current, previous)[done]
+            live, current, gs = live[~done], current[~done], gs[~done]
+            if h.ndim == 3:
+                h = h[~done]
+            if not live.size:
+                return final
+    final[live] = current
+    return final
 
 
 def spectral_radius(h: np.ndarray):

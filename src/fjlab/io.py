@@ -400,6 +400,9 @@ def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
     half), the serial writer writes the whole document, so a failing sample
     raises its own error; after a failed child the first half is encoded
     twice.  A repeated sample_id raises ValidationError; nothing is written.
+    A sample whose fields fail the loader's check, such as a metadata map
+    changed after construction, raises ValidationError naming it, and the
+    target is left as it was.
     """
     _unique_ids(trajs, ValidationError)
     half = len(trajs) // 2
@@ -438,16 +441,24 @@ def _sample_entries(trajs: list[DeliberationTrajectory], start: int = 0) -> Iter
     first; ``start`` is the index in the document of ``trajs[0]``."""
     encode = json.JSONEncoder(allow_nan=False).encode
     for k, traj in enumerate(trajs, start):
+        # the loader's check: a map changed after construction must not
+        # write a file that fails to load
+        try:
+            label, metadata, names = _check_fields(
+                traj.d, traj.sample_id, traj.correct_label, traj.metadata, traj.label_names
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"sample {traj.sample_id!r}: {exc}") from exc
         entry: dict[str, Any] = {
             "sample_id": traj.sample_id,
             "n": traj.n,
             "d": traj.d,
             "rounds": traj.snapshots.tolist(),
-            "correct_label": traj.correct_label,
+            "correct_label": label,
         }
-        if traj.label_names is not None:
-            entry["label_names"] = list(traj.label_names)
-        entry["metadata"] = traj.metadata
+        if names is not None:
+            entry["label_names"] = list(names)
+        entry["metadata"] = metadata
         yield f", {encode(entry)}" if k else encode(entry)
 
 

@@ -21,7 +21,7 @@ so every mean has the bits of scoring all samples one by one.
 
 The per-draw checks draw in a fixed order, each flat Dirichlet row as the
 exponentials ``rng.dirichlet`` draws there, then scale (``_dirichlet_rows``)
-and check each (n, d) stack once: the same stream, and the bits of one
+and check each stack once: the same stream, and the bits of one
 ``rng.dirichlet`` call and one ``FJParameters`` per draw.
 """
 
@@ -84,6 +84,8 @@ BUDGET_DEFAULTS = dict(
 # numpy sums a row of fewer than 8 entries one entry at a time, and a longer
 # one pairwise, so trailing zeros change a row sum's bits only from 8 on.
 _SEQUENTIAL_ROW = 7
+# the influence check's largest label count
+_LABELS = 8
 
 
 @dataclass(frozen=True)
@@ -104,17 +106,19 @@ def check_influence_consistency(
     ``rounds`` steps lands on the solved equilibrium in sup norm.
     """
     rng = np.random.default_rng(seed)
-    groups: dict[tuple[int, int], list] = {}
+    groups: dict[int, list] = {}
     for _ in range(draws):
         # a random all-to-all system and innate snapshot, n in 2..6, d in 2..8
-        n, d = int(rng.integers(2, 7)), int(rng.integers(2, 9))
-        draw = [rng.uniform(0.05, 0.95, n), rng.uniform(0.05, 0.95, n)]
-        draw += [rng.uniform(0.0, 1.0, (n, n)), rng.standard_exponential((n, d))]
-        groups.setdefault((n, d), []).append(draw)
+        n, d = int(rng.integers(2, 7)), int(rng.integers(2, _LABELS + 1))
+        gamma, alpha = rng.uniform(0.05, 0.95, n), rng.uniform(0.05, 0.95, n)
+        w = rng.uniform(0.0, 1.0, (n, n))
+        innate = np.zeros((n, _LABELS))
+        innate[:, :d] = rng.standard_exponential((n, d))
+        groups.setdefault(n, []).append((gamma, alpha, w, innate, d))
     min_entry, worst_row, worst_rho = np.inf, 0.0, -np.inf
     by_width: dict[int, list] = {}
-    for (n, d), members in groups.items():
-        gamma, alpha, w, innate = (np.array(column) for column in zip(*members))
+    for n, members in groups.items():
+        gamma, alpha, w, innate, d = (np.array(column) for column in zip(*members))
         # each draw's FJParameters, checked once for the stack
         mask = FJParameters.complete_mask(n)
         w[:, ~mask] = 0.0
@@ -124,20 +128,25 @@ def check_influence_consistency(
         h = _stack_h(gamma, alpha, w)
         gs = gamma[:, :, None] * innate
         # One eigenvalue call and the two solves of influence_weights and
-        # equilibrium per shape; LAPACK solves a stack one system at a time,
-        # so each draw gets its own bits.
+        # equilibrium per agent count, on snapshots zero-padded to _LABELS
+        # labels: _dirichlet_rows adds the zeros exactly, G S keeps them, and
+        # LAPACK solves a stack one system and one right-hand side column at
+        # a time, so each draw gets its own bits.
         rho, m, fixed = _fixed_point(h, gamma[:, :, None] * np.eye(n), gs)
         # the entries as solved: the check clips them at 0
         min_entry = min(min_entry, float(m.min()))
         m = _checked_influence(m, gamma)
         worst_row = max(worst_row, float(np.abs(m.sum(axis=-1) - 1.0).max()))
         worst_rho = max(worst_rho, float((rho - (1.0 - gamma.min(axis=1))).max()))
-        by_width.setdefault(max(d, _SEQUENTIAL_ROW), []).append((h, gs, innate, fixed))
+        for width, part in ((_SEQUENTIAL_ROW, d < _LABELS), (_LABELS, d == _LABELS)):
+            if part.any():
+                rows = (a[part][..., :width] for a in (gs, innate, fixed))
+                by_width.setdefault(width, []).append((h[part], *rows))
     # One round stack per label width, padded to its largest agent count by
     # agents with zero H rows and columns whose G S, start and solved rows
-    # are e_0, which a round keeps, and to its width by zero label columns.
-    # Real entries gain only zero products and zero terms, so each draw gets
-    # its own bits.
+    # are e_0, which a round keeps; the draws' zero label columns pad them
+    # to the width.  Real entries gain only zero products and zero terms, so
+    # each draw gets its own bits.
     worst_gap = 0.0
     for width, parts in by_width.items():
         count = sum(len(part[0]) for part in parts)
@@ -147,9 +156,9 @@ def check_influence_consistency(
         rows[..., 0] = 1.0
         k = 0
         for hg, gs, innate, fixed in parts:
-            group, n, d = gs.shape
+            group, n, _ = gs.shape
             h[k : k + group, :n, :n] = hg
-            rows[:, k : k + group, :n, :d] = gs, innate, fixed
+            rows[:, k : k + group, :n] = gs, innate, fixed
             k += group
         gs, start, fixed = rows
         iterated = _run_rounds(gs, h, start, rounds)
@@ -357,7 +366,7 @@ def check_condition_outcome(
 _CHECKS = {
     "influence_consistency": ("check_influence_consistency", "prop_draws", "parent"),
     "ambiguity_identity": ("check_ambiguity_identity", "identity_draws", "child"),
-    "diversity_forms": ("check_diversity_forms", "identity_draws", "child"),
+    "diversity_forms": ("check_diversity_forms", "identity_draws", "parent"),
     "exclusive_scenario": ("check_exclusive_scenario", "scenario_samples", "child"),
     "routing_threshold": ("check_routing_threshold", "scenario_samples", "child"),
     "imperfect_scenario": ("check_imperfect_scenario", "scenario_samples", "child"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fjlab.dynamics import (
     _round,
+    _run_rounds,
     aggregate_pi,
     build_h,
     equilibrium,
@@ -186,6 +187,35 @@ class TestStackedRounds:
                 np.testing.assert_array_equal(traj.snapshots[t + 1], current[k])
             np.maximum(worst, drift, out=worst)
         assert [traj.metadata["max_drift"] for traj in pool] == [repr(float(x)) for x in worst]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(2, 6),
+        st.integers(2, 8),
+        st.booleans(),
+        st.sampled_from([0, 1, 15, 16, 17]) | st.integers(0, 600),
+    )
+    def test_final_only_rounds_equal_the_plain_loop(self, seed, m, n, d, shared, rounds):
+        # stubbornness from near 0, so that some samples settle late or not
+        # at all, and retire at different looks or stay to the end
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.0, 1.0, (m, n, n))
+        w[:, np.arange(n), np.arange(n)] = 0.0
+        w /= w.sum(axis=-1, keepdims=True)
+        systems = [
+            make_params(rng.uniform(0.001, 0.95, n), rng.uniform(0.0, 0.95, n), w[k])
+            for k in range(m)
+        ]
+        gs = np.stack([p.gamma[:, None] for p in systems]) * rng.dirichlet(np.ones(d), (m, n))
+        h = build_h(systems[0]) if shared else np.stack([build_h(p) for p in systems])
+        start = rng.dirichlet(np.ones(d), size=(m, n))
+        plain = start
+        for _ in range(rounds):
+            plain = _round(gs, h, plain)
+        final = _run_rounds(gs, h, start, rounds)
+        np.testing.assert_array_equal(final.view(np.uint64), plain.view(np.uint64))
 
     @pytest.mark.parametrize("rounds", [0, 1, 7])
     @pytest.mark.parametrize("m", [1, 5])

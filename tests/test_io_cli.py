@@ -430,6 +430,23 @@ class TestStreamedTrajectoryFiles:
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["t.json"]
 
+    @pytest.mark.parametrize("key, value", [("k", 1), (1, "v")], ids=["value", "key"])
+    def test_metadata_changed_after_construction_is_refused(self, tmp_path, key, value):
+        # the constructor checked the map; the writer checks it again, so no
+        # file that fails to load is written
+        path = tmp_path / "t.json"
+        save_trajectories(str(path), sample_trajs())
+        before = path.read_bytes()
+        traj = DeliberationTrajectory(np.full((1, 2, 2), 0.5), sample_id="a")
+        traj.metadata[key] = value
+        with pytest.raises(ValidationError, match="^sample 'a': metadata must map strings"):
+            save_trajectories(str(path), sample_trajs() + [traj])
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["t.json"]
+        del traj.metadata[key]
+        save_trajectories(str(path), [traj])
+        assert load_trajectories(str(path))[0].metadata == {"ingest_max_drift": "0.0"}
+
     def test_failed_chunk_leaves_the_target(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("old\n", encoding="utf-8")
@@ -879,6 +896,25 @@ class TestSplitTrajectoryIo:
         with pytest.raises(type(serial.value)) as err:
             save_trajectories(str(path), trajs)
         assert str(err.value) == str(serial.value)
+        assert len(forks) == 1
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["t.json"]
+
+    @pytest.mark.parametrize("half", ["parent", "child"])
+    def test_changed_metadata_gives_the_serial_error(self, tmp_path, forks, half):
+        path = tmp_path / "t.json"
+        save_trajectories(str(path), sample_trajs())
+        before = path.read_bytes()
+        forks.clear()
+        trajs = sample_trajs(count=6)
+        bad = trajs[1 if half == "parent" else 4]
+        bad.metadata["pool"] = 0
+        with pytest.raises(ValidationError) as serial:
+            list(fio._trajectory_chunks(trajs))
+        with pytest.raises(ValidationError) as err:
+            save_trajectories(str(path), trajs)
+        assert str(err.value) == str(serial.value)
+        assert str(err.value).startswith(f"sample {bad.sample_id!r}: metadata")
         assert len(forks) == 1
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["t.json"]

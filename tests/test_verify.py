@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fjlab import dynamics
 from fjlab import verify as verify_mod
 from fjlab.cli import run
 from fjlab.config import VerifySection, load_config
@@ -338,7 +339,7 @@ class TestInfluenceConsistency:
 
     def test_each_stack_is_checked_once(self, monkeypatch):
         # every draw's parameters pass the check FJParameters runs, one call
-        # per (n, d) stack
+        # per agent count
         checked = []
 
         def record(gamma, alpha, w, mask):
@@ -351,7 +352,47 @@ class TestInfluenceConsistency:
         rng = np.random.default_rng(5)
         shapes = [_random_contractive(rng)[1].shape for _ in range(60)]
         assert sum(m for m, _ in checked) == 60
-        assert len(checked) == len(set(shapes))
+        assert sorted(n for _, n in checked) == sorted({n for n, _ in shapes})
+
+    def test_round_stacks_end_as_their_plain_loop(self, monkeypatch):
+        # at this seed a round stack holds draws that settle on a period of
+        # 2 rounds; each draw still ends on the plain loop's last snapshot
+        stacks = []
+
+        def record(gs, h, start, rounds):
+            stacks.append((gs, h, start, rounds))
+            return run_rounds(gs, h, start, rounds)
+
+        run_rounds = verify_mod._run_rounds
+        monkeypatch.setattr(verify_mod, "_run_rounds", record)
+        check_influence_consistency(draws=40, seed=2024)
+        period_two = 0
+        for gs, h, start, rounds in stacks:
+            snaps = np.empty((len(start), rounds + 1, *start.shape[1:]))
+            snaps[:, 0] = start
+            plain = run_rounds(gs, h, start, rounds, snaps=snaps).view(np.uint64)
+            final = run_rounds(gs, h, start, rounds).view(np.uint64)
+            np.testing.assert_array_equal(final, plain)
+            last, before, two_before = (snaps[:, t].view(np.uint64) for t in (-1, -2, -3))
+            period_two += int(
+                ((last == two_before).all(axis=(1, 2)) & (last != before).any(axis=(1, 2))).sum()
+            )
+        assert period_two > 0
+
+    def test_draws_leave_the_round_loop(self, monkeypatch):
+        # the default check runs two round stacks of 500 rounds; settled
+        # draws leave them, so fewer rounds run, on shrinking stacks
+        sizes = []
+        one_round = dynamics._round
+
+        def record(gs, h, current, worst=None):
+            sizes.append(len(current))
+            return one_round(gs, h, current, worst)
+
+        monkeypatch.setattr(dynamics, "_round", record)
+        assert check_influence_consistency().passed
+        assert len(sizes) < 2 * 500
+        assert sizes[-1] < sizes[0] and sum(sizes) < 200 * 500 / 4
 
     def test_fails_without_the_iteration(self):
         # one round is far from the fixed point, so a check that stopped
@@ -444,7 +485,6 @@ class TestRunAllChecks:
         child = {name for name, (_, _, side) in _CHECKS.items() if side == "child"}
         assert child == {
             "ambiguity_identity",
-            "diversity_forms",
             "exclusive_scenario",
             "routing_threshold",
             "imperfect_scenario",
@@ -473,6 +513,32 @@ class TestRunAllChecks:
         path = tmp_path / "readme.ini"
         path.write_text(ini, encoding="utf-8")
         assert load_config(str(path)) == load_config(None)
+
+
+def failed_checks(seeds):
+    """The (base seed, check name) of each check that fails in run_all_checks
+    at default budgets, over the base seeds."""
+    return [(seed, r.name) for seed in seeds for r in run_all_checks(seed=seed) if not r.passed]
+
+
+class TestSeedSweep:
+    """A check whose margin holds on one seed only would still pass on its
+    fixed seed; every check must pass on each of twenty base seeds."""
+
+    def test_every_check_passes_on_twenty_seeds(self):
+        assert failed_checks(range(20)) == []
+
+    def test_a_check_failing_on_one_seed_fails_the_sweep(self, monkeypatch):
+        # the check runs with the base seed plus 1 plus its position
+        failing = 7 + 1 + DEFAULT_CHECKS.index("routing_threshold")
+        check = verify_mod.check_routing_threshold
+
+        def fails_once(samples, seed):
+            result = check(samples, seed=seed)
+            return replace(result, passed=False) if seed == failing else result
+
+        monkeypatch.setattr(verify_mod, "check_routing_threshold", fails_once)
+        assert failed_checks(range(20)) == [(7, "routing_threshold")]
 
 
 @pytest.mark.skipif(
@@ -537,7 +603,7 @@ class TestSplitChecks:
             (DEFAULT_CHECKS, 1),
             (("condition_outcome_consistency", "routing_threshold"), 1),
             (("condition_outcome_consistency", "influence_consistency"), 0),
-            (("imperfect_scenario", "diversity_forms", "exclusive_scenario"), 0),
+            (("imperfect_scenario", "ambiguity_identity", "exclusive_scenario"), 0),
         ],
         ids=["default", "one-each", "here-only", "child-only"],
     )
