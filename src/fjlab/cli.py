@@ -216,6 +216,13 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     if sim.gamma_mode == "confidence" and sim.mode != "scenario":
         raise ConfigError(f"gamma_mode 'confidence' needs scenario mode, not {sim.mode!r}")
     if sim.mode in ("random", "scenario"):
+        for key in ("gamma", "alpha"):
+            low, high = getattr(sim, f"{key}_min"), getattr(sim, f"{key}_max")
+            if not 0.0 <= low <= high <= 1.0:
+                raise ConfigError(
+                    f"{key}_min and {key}_max must satisfy 0 <= min <= max <= 1, "
+                    f"got {low} and {high}"
+                )
         sset = _scenario_snapshots(sim) if sim.mode == "scenario" else None
         rng = np.random.default_rng(sim.seed)
         trajs = []

@@ -85,8 +85,10 @@ class FitConfig:
         _check_objective(self.objective)
         if self.max_iters < 1 or self.restarts < 1:
             raise ConfigError("max_iters and restarts must be positive")
-        if self.reg_lambda < 0.0:
-            raise ConfigError("reg_lambda must be nonnegative")
+        for name in ("reg_lambda", "tol"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)

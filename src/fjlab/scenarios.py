@@ -17,9 +17,9 @@ Generation is vectorized from a counter-based Philox stream keyed by the
 seed; identical (scenario, samples, seed) triples reproduce bitwise. The
 draw order is fixed: regions first, then labels (then routing-noise
 uniforms where applicable).  A sample's snapshot depends on its region and
-label alone, so both generators draw those, build the n·d distinct
-snapshots once (``_table``) and gather them; verify's Monte Carlo checks
-score that table once and gather the scores.
+label alone, so both generators build the n·d distinct snapshots once
+(``_table``, a function of the scenario alone), draw regions and labels and
+gather the rows; verify's scenario checks score the table with no draw.
 """
 
 from __future__ import annotations
@@ -116,9 +116,9 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _table(n: int, rows: np.ndarray, risks, regions: np.ndarray, labels: np.ndarray):
+def _table(n: int, rows: np.ndarray, risks) -> LabeledSnapshotSet:
     """The n·d distinct labeled snapshots as one LabeledSnapshotSet, row
-    ``region * d + label`` for each pair, and the drawn samples' rows.
+    ``region * d + label`` for each pair.
 
     ``rows`` holds the competent and the other agents' belief rows (2, d) in
     canonical columns: a snapshot's label takes column 0, its shared wrong
@@ -136,23 +136,18 @@ def _table(n: int, rows: np.ndarray, risks, regions: np.ndarray, labels: np.ndar
     beliefs[idx, where] = comp[cols]
     risk = np.full((n * d, n), risks[1])
     risk[idx, where] = risks[0]
-    table = LabeledSnapshotSet(beliefs=beliefs, labels=y, risks=risk, exact_risk=True)
-    return table, regions * d + labels
+    return LabeledSnapshotSet(beliefs=beliefs, labels=y, risks=risk, exact_risk=True)
 
 
-def _gather(table: LabeledSnapshotSet, keys: np.ndarray) -> LabeledSnapshotSet:
-    """The samples' batch: each one's row of ``_table``'s table."""
+def _gather(table: LabeledSnapshotSet, regions, labels) -> LabeledSnapshotSet:
+    """The samples' batch: each one's row ``region * d + label`` of the table."""
+    keys = regions * table.d + labels
     rows = {name: getattr(table, name)[keys] for name in ("beliefs", "labels", "risks")}
     return replace(table, **rows)
 
 
-def _exclusive_table(sc: ExclusiveScenario, samples: int, seed: int):
-    """``gen_exclusive``'s table and sample rows; see ``_table``."""
-    if samples < 1:
-        raise InvalidScenario(f"samples must be >= 1, got {samples}")
-    rng = _rng(seed)
-    regions = rng.choice(sc.n, size=samples, p=sc.rho)
-    labels = rng.integers(0, sc.d, size=samples)
+def _exclusive_table(sc: ExclusiveScenario) -> LabeledSnapshotSet:
+    """The scenario's n·d snapshots; see ``_table``."""
     p, u = sc.p, sc.u
     off = (1.0 - p) / (sc.d - 1)
     comp = np.full(sc.d, off)
@@ -160,14 +155,18 @@ def _exclusive_table(sc: ExclusiveScenario, samples: int, seed: int):
     comp_risk = (1.0 - p) ** 2 + (sc.d - 1) * off**2
     other_risk = (1.0 - u) ** 2 + (sc.d - 1) * u**2
     rows = np.stack([comp, np.full(sc.d, u)])
-    return _table(sc.n, rows, (comp_risk, other_risk), regions, labels)
+    return _table(sc.n, rows, (comp_risk, other_risk))
 
 
 def gen_exclusive(
     sc: ExclusiveScenario, samples: int, seed: int
 ) -> LabeledSnapshotSet:
     """Draw a labeled snapshot batch; risks are exact conditional risks."""
-    return _gather(*_exclusive_table(sc, samples, seed))
+    if samples < 1:
+        raise InvalidScenario(f"samples must be >= 1, got {samples}")
+    rng = _rng(seed)
+    regions = rng.choice(sc.n, size=samples, p=sc.rho)
+    return _gather(_exclusive_table(sc), regions, rng.integers(0, sc.d, size=samples))
 
 
 @dataclass(frozen=True)
@@ -344,31 +343,31 @@ class ImperfectScenario:
         return comp, other
 
 
-def _imperfect_table(sc: ImperfectScenario, samples: int, seed: int):
-    """``gen_imperfect``'s table and sample rows; see ``_table``.  The checks
-    of ``gen_imperfect`` run before anything is drawn."""
-    if samples < 1:
-        raise InvalidScenario(f"samples must be >= 1, got {samples}")
+def _imperfect_table(sc: ImperfectScenario) -> LabeledSnapshotSet:
+    """The scenario's n·d snapshots; see ``_table``.  Checks
+    ``gen_imperfect``'s confidence order first."""
     rows = np.stack(sc.profile_rows())
     c_comp, c_other = _confidence_rows(rows)
     if not c_comp > c_other:
         raise ConfidenceOrderViolated(
             f"competent confidence {float(c_comp)!r} not strictly above {float(c_other)!r}"
         )
-    rng = _rng(seed)
-    regions = rng.integers(0, sc.n, size=samples)
-    labels = rng.integers(0, sc.d, size=samples)
     risks = _brier_rows(rows[None], np.zeros(1, int))[0]
-    return _table(sc.n, rows, risks, regions, labels)
+    return _table(sc.n, rows, risks)
 
 
 def gen_imperfect(
     sc: ImperfectScenario, samples: int, seed: int
 ) -> LabeledSnapshotSet:
-    """Draw a labeled snapshot batch; raises ConfidenceOrderViolated when
-    the parameters do not leave the competent agent strictly most
-    confident (confidence routing is undefined there)."""
-    return _gather(*_imperfect_table(sc, samples, seed))
+    """Draw a labeled snapshot batch; raises ConfidenceOrderViolated, before
+    anything is drawn, when the parameters do not leave the competent agent
+    strictly most confident (confidence routing is undefined there)."""
+    if samples < 1:
+        raise InvalidScenario(f"samples must be >= 1, got {samples}")
+    table = _imperfect_table(sc)
+    rng = _rng(seed)
+    regions = rng.integers(0, sc.n, size=samples)
+    return _gather(table, regions, rng.integers(0, sc.d, size=samples))
 
 
 def imperfect_gap(sc: ImperfectScenario) -> float:

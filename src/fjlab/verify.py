@@ -14,10 +14,11 @@ serial loop's.  Any failure of the split (``ChildProcessError`` for the
 child, or a check here that raises) falls back to the serial loop, which
 raises the serial error.
 
-A Monte Carlo scenario check scores each of its n·d distinct (region,
-label) snapshots once and gathers the scores by the drawn samples' keys:
-each sample's value is the float its own snapshot gives, in sample order,
-so every mean has the bits of scoring all samples one by one.
+The scenario checks are exact by symmetry: each (region, label) snapshot
+relabels one canonical snapshot, so each check scores its n·d snapshots once,
+asserts every row's closed forms, and reports the rows' mean (regions are
+balanced) as the Monte Carlo gap.  Their ``samples`` and ``seed`` are kept
+for the frozen acceptance gate and not used.
 
 The per-draw checks draw in a fixed order, each flat Dirichlet row as the
 exponentials ``rng.dirichlet`` draws there, then scale (``_dirichlet_rows``)
@@ -235,16 +236,17 @@ def _log_losses(sset: LabeledSnapshotSet, weights: np.ndarray) -> np.ndarray:
 def check_exclusive_scenario(
     samples: int = BUDGET_DEFAULTS["scenario_samples"], seed: int = 11, mc_tol: float = 0.01
 ) -> CheckResult:
-    """Closed-form exclusive-knowledge losses vs Monte Carlo, plus the
+    """Closed-form exclusive-knowledge losses vs every snapshot's, plus the
     fixed-mixture optimality and grid-wide routing-advantage claims."""
     sc = ExclusiveScenario(n=5, d=10, epsilon=0.1)
     losses = exclusive_losses(sc, np.full(sc.n, 1.0 / sc.n))
     closed_gap = losses.gap_balanced
-    table, keys = _exclusive_table(sc, samples, seed)
-    uniform = np.full((table.m, table.n), 1.0 / table.n)
-    emp_ens = float(_log_losses(table, uniform)[keys].mean())
-    emp_moe = float(_log_losses(table, hard_confidence_weights(table.beliefs))[keys].mean())
-    emp_gap = emp_ens - emp_moe
+    table = _exclusive_table(sc)
+    ens = _log_losses(table, np.full((table.m, table.n), 1.0 / table.n))
+    moe = _log_losses(table, hard_confidence_weights(table.beliefs))
+    emp_moe = float(moe.mean())
+    emp_gap = float(ens.mean()) - emp_moe
+    exact = np.abs([ens - losses.l_ens, moe - losses.l_moe, ens - moe - closed_gap]).max()
     a_star = optimal_fixed_ensemble(sc)
     opt_dev = float(np.abs(a_star - 1.0 / sc.n).max())
     grid_ok = all(
@@ -252,7 +254,8 @@ def check_exclusive_scenario(
         for n, d, eps in itertools.product(range(2, 9), (2, 4, 10), (0.05, 0.1, 0.3))
     )
     passed = (
-        abs(emp_gap - closed_gap) <= mc_tol
+        exact <= 1e-12
+        and abs(emp_gap - closed_gap) <= mc_tol
         and opt_dev <= 1e-6
         and grid_ok
         and abs(emp_moe - losses.l_moe) <= mc_tol
@@ -265,7 +268,6 @@ def check_exclusive_scenario(
             "monte_carlo_gap": emp_gap,
             "optimal_mixture_max_dev_from_uniform": opt_dev,
             "grid_advantage_all_hold": float(grid_ok),
-            "samples": float(samples),
         },
         detail="n=5, d=10, epsilon=0.1; grid n=2..8, d in {2,4,10}, eps in {.05,.1,.3}",
     )
@@ -292,18 +294,17 @@ def check_routing_threshold(
 def check_imperfect_scenario(
     samples: int = BUDGET_DEFAULTS["scenario_samples"], seed: int = 13, mc_tol: float = 0.01
 ) -> CheckResult:
-    """Imperfect-agents gap vs Monte Carlo; exactness of confidence
+    """Imperfect-agents gap vs every snapshot's; exactness of confidence
     routing; the uniform ensemble being confidently wrong everywhere.  The
-    two rates count the n·d distinct (region, label) snapshots, which hit or
-    miss whatever the draw, and ``detail`` names the first miss."""
+    two rates count the n·d snapshots, and ``detail`` names the first miss."""
     sc = ImperfectScenario(n=5, d=4, p=0.9, u=0.05, c=0.7)
     closed = imperfect_gap(sc)
-    table, keys = _imperfect_table(sc, samples, seed)
+    table = _imperfect_table(sc)
     mix = _mixture(np.full((table.m, table.n), 1.0 / table.n), table.beliefs)
     hard = hard_confidence_weights(table.beliefs)
     routed_rows = table.beliefs[np.arange(table.m), np.argmax(hard, axis=1)]
-    ens = _log_loss_rows(mix, table.labels)[keys]
-    emp_gap = float(ens.mean() - _log_losses(table, hard)[keys].mean())
+    ens, moe = _log_loss_rows(mix, table.labels), _log_losses(table, hard)
+    emp_gap = float(ens.mean() - moe.mean())
     routed_hits = np.argmax(routed_rows, axis=1) == table.labels
     wrong = np.argmax(mix, axis=1) == (table.labels + 1) % table.d
     detail = "n=5, d=4, p=0.9, u=0.05, c=0.7"
@@ -311,9 +312,10 @@ def check_imperfect_scenario(
         if not hits.all():
             region, label = divmod(int(np.argmin(hits)), table.d)
             detail += f"; {what} at (region {region}, label {label})"
-    majority_wrong = wrong_majority_holds(sc)
     passed = (
-        abs(emp_gap - closed) <= mc_tol and routed_hits.all() and majority_wrong and wrong.all()
+        np.abs(ens - moe - closed).max() <= 1e-12
+        and abs(emp_gap - closed) <= mc_tol
+        and routed_hits.all() and wrong_majority_holds(sc) and wrong.all()
     )
     return CheckResult(
         name="imperfect_scenario",
@@ -323,7 +325,6 @@ def check_imperfect_scenario(
             "monte_carlo_gap": emp_gap,
             "confidence_routing_accuracy": float(routed_hits.mean()),
             "ensemble_shared_wrong_rate": float(wrong.mean()),
-            "samples": float(samples),
         },
         detail=detail,
     )

@@ -445,7 +445,12 @@ class TestFitConfig:
             ({"objective": "foo"}, "objective must be 'kl' or 'mse', got 'foo'"),
             ({"max_iters": 0}, "max_iters and restarts must be positive"),
             ({"restarts": 0}, "max_iters and restarts must be positive"),
-            ({"reg_lambda": -1e-3}, "reg_lambda must be nonnegative"),
+            ({"reg_lambda": -1e-3}, "reg_lambda must be finite and nonnegative, got -0.001"),
+            ({"reg_lambda": np.nan}, "reg_lambda must be finite and nonnegative, got nan"),
+            ({"reg_lambda": np.inf}, "reg_lambda must be finite and nonnegative, got inf"),
+            ({"tol": -1e-12}, "tol must be finite and nonnegative, got -1e-12"),
+            ({"tol": np.nan}, "tol must be finite and nonnegative, got nan"),
+            ({"tol": np.inf}, "tol must be finite and nonnegative, got inf"),
         ],
     )
     def test_bad_setting_is_a_config_error(self, kwargs, message):

@@ -1269,6 +1269,8 @@ class TestConfig:
         [
             ("max_iters = 0", "max_iters and restarts must be positive"),
             ("objective = foo", "objective must be 'kl' or 'mse', got 'foo'"),
+            ("reg_lambda = nan", "reg_lambda must be finite and nonnegative, got nan"),
+            ("tol = -1", "tol must be finite and nonnegative, got -1.0"),
         ],
     )
     @pytest.mark.parametrize("command", ["fit", "verify"])
@@ -1556,6 +1558,48 @@ class TestCLI:
         # the default gamma mode stays valid in the same mode
         argv = [a for a in argv if a not in ("--gamma-mode", "confidence", "--config", str(ini))]
         assert run(argv) == 0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--reg-lambda", "nan"), ("--reg-lambda", "inf"), ("--tol", "nan"), ("--tol", "-1e-9")],
+    )
+    def test_fit_rejects_a_bad_reg_lambda_or_tol(self, tmp_path, capfd, flag, value):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        capfd.readouterr()
+        assert run(["--output-dir", out, "--quiet", "fit", f"{flag}={value}"]) == 1
+        captured = capfd.readouterr()
+        name = flag[2:].replace("-", "_")
+        want = f"fjlab: error: {name} must be finite and nonnegative, got {float(value)}"
+        assert (captured.out, captured.err.splitlines()) == ("", [want])
+        assert not os.path.exists(os.path.join(out, "fits.json"))
+
+    @pytest.mark.parametrize("mode", ["random", "scenario"])
+    @pytest.mark.parametrize(
+        "low, high", [(0.9, 0.1), ("nan", 0.5), (0.2, "nan"), (-0.1, 0.5), (0.1, 1.5)]
+    )
+    @pytest.mark.parametrize("key", ["gamma", "alpha"])
+    def test_simulate_rejects_a_bad_gamma_or_alpha_range(
+        self, tmp_path, capsys, key, low, high, mode
+    ):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[simulate]\n{key}_min = {low}\n{key}_max = {high}\n")
+        out = str(tmp_path)
+        argv = ["--config", str(ini), "--output-dir", out, "--quiet", "simulate"]
+        assert run([*argv, "--mode", mode]) == 1
+        want = (
+            f"fjlab: error: {key}_min and {key}_max must satisfy 0 <= min <= max <= 1, "
+            f"got {float(low)} and {float(high)}"
+        )
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not os.path.exists(os.path.join(out, "trajectories.json"))
+
+    def test_simulate_accepts_a_range_of_one_point_at_the_ends(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[simulate]\ngamma_min = 1\ngamma_max = 1\nalpha_min = 0\nalpha_max = 0\n")
+        out = str(tmp_path)
+        assert run(["--config", str(ini), "--output-dir", out, "--quiet", "simulate"]) == 0
+        assert os.path.exists(os.path.join(out, "trajectories.json"))
 
     def test_exit_code_bad_args(self, capsys):
         assert run(["no-such-command"]) == 1

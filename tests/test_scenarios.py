@@ -484,8 +484,14 @@ class TestGeneratorTable:
         with pytest.raises(ConfidenceOrderViolated):
             gen_imperfect(sc, 10, seed=5)
         with pytest.raises(ConfidenceOrderViolated):
-            scenarios._imperfect_table(sc, 10, 5)
+            scenarios._imperfect_table(sc)
         assert drawn == []
+
+    @pytest.mark.parametrize("sc", [sc for sc, _, _ in GENERATOR_DIGESTS[:2]], ids=repr)
+    def test_no_samples_is_an_invalid_scenario(self, sc):
+        gen = gen_exclusive if isinstance(sc, ExclusiveScenario) else gen_imperfect
+        with pytest.raises(InvalidScenario, match="samples must be >= 1, got 0"):
+            gen(sc, 0, 1)
 
 
 class TestPerSampleParams:

@@ -11,12 +11,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fjlab import dynamics
+from fjlab import dynamics, scenarios
 from fjlab import verify as verify_mod
 from fjlab.cli import run
 from fjlab.config import VerifySection, load_config
 from fjlab.dynamics import build_h, equilibrium, influence_weights, simulate, spectral_radius
-from fjlab.errors import InvalidScenario
 from fjlab.metrics import _log_loss_rows, _mixture, diversity
 from fjlab.model import FJParameters
 from fjlab.routing import ambiguity_decomposition, hard_confidence_weights
@@ -128,8 +127,9 @@ def _log_losses(sset, weights):
 
 
 def exclusive_scenario_one_stack(samples, seed, mc_tol=0.01):
-    """The check on one stack of all samples, each scored on its own, as it
-    ran before the distinct snapshots were scored once; kept as the reference."""
+    """The check as a Monte Carlo draw: one stack of all samples, each scored
+    on its own, as it ran before it scored its n·d snapshots with no draw;
+    kept as the reference."""
     sc = ExclusiveScenario(n=5, d=10, epsilon=0.1)
     losses = exclusive_losses(sc, np.full(sc.n, 1.0 / sc.n))
     closed_gap = losses.gap_balanced
@@ -168,8 +168,9 @@ def exclusive_scenario_one_stack(samples, seed, mc_tol=0.01):
 
 
 def imperfect_scenario_one_stack(samples, seed, mc_tol=0.01):
-    """The check on one stack of all samples, each scored on its own, as it
-    ran before the distinct snapshots were scored once; kept as the reference."""
+    """The check as a Monte Carlo draw: one stack of all samples, each scored
+    on its own, as it ran before it scored its n·d snapshots with no draw;
+    kept as the reference."""
     sc = ImperfectScenario(n=5, d=4, p=0.9, u=0.05, c=0.7)
     closed = imperfect_gap(sc)
     sset = gen_imperfect(sc, samples, seed)
@@ -212,15 +213,22 @@ SCENARIO_CHECKS = [
 
 
 class TestScenarioTable:
-    """The Monte Carlo scenario checks score the n·d distinct snapshots once
-    and gather each sample's values by its (region, label); each result must
-    keep the bits of the per-sample reference."""
+    """The scenario checks score the n·d distinct snapshots once, with no
+    draw: each snapshot relabels one canonical snapshot, so each row's losses
+    are the closed forms and the table mean is any draw's mean to rounding.
+    Each result must equal the per-sample reference's but for that rounding."""
 
     @staticmethod
     def _same(got, want):
-        assert got == want
+        assert (got.name, got.passed, got.detail) == (want.name, want.passed, want.detail)
+        gap = "monte_carlo_gap"
+        assert abs(got.measured[gap] - want.measured[gap]) <= 1e-12
+        shared = (set(got.measured) & set(want.measured)) - {gap}
         # repr tells -0.0 from 0.0 and shows every bit of a float
-        assert repr(got) == repr(want)
+        assert {k: repr(got.measured[k]) for k in shared} == {
+            k: repr(want.measured[k]) for k in shared
+        }
+        assert set(want.measured) - set(got.measured) == {"samples"}
 
     # below n·d some (region, label) keys are never drawn, and the table
     # still holds their snapshots
@@ -236,20 +244,49 @@ class TestScenarioTable:
     @pytest.mark.parametrize("check, reference, nd", SCENARIO_CHECKS)
     def test_default_budget_matches_the_per_sample_reference(self, check, reference, nd):
         samples = BUDGET_DEFAULTS["scenario_samples"]
-        got = check(samples, seed=0)
-        assert got.passed
-        self._same(got, reference(samples, 0))
+        for seed in (0, 3):
+            got = check(samples, seed=seed)
+            assert got.passed
+            self._same(got, reference(samples, seed))
 
     @pytest.mark.parametrize("check", [check for check, _, _ in SCENARIO_CHECKS])
-    def test_no_samples_is_an_invalid_scenario(self, check):
-        with pytest.raises(InvalidScenario, match="samples must be >= 1, got 0"):
-            check(0)
+    def test_checks_run_without_a_draw(self, check, monkeypatch):
+        def no_rng(seed):
+            raise AssertionError("the scenario checks draw nothing")
+
+        monkeypatch.setattr(scenarios, "_rng", no_rng)
+        assert check().passed
+        assert check(1, seed=5).passed
+
+    @pytest.mark.parametrize("field", ["l_ens", "l_moe", "gap_balanced"])
+    def test_exclusive_rows_are_held_to_each_closed_form(self, monkeypatch, field):
+        exact = verify_mod.exclusive_losses
+
+        def off(sc, a):
+            losses = exact(sc, a)
+            return replace(losses, **{field: getattr(losses, field) + 1e-9})
+
+        monkeypatch.setattr(verify_mod, "exclusive_losses", off)
+        res = check_exclusive_scenario()
+        assert not res.passed
+        # the Monte Carlo comparison alone cannot see the error
+        assert abs(res.measured["monte_carlo_gap"] - res.measured["closed_form_gap"]) <= 0.01
+
+    def test_imperfect_rows_are_held_to_the_closed_form(self, monkeypatch):
+        exact = verify_mod.imperfect_gap
+        monkeypatch.setattr(verify_mod, "imperfect_gap", lambda sc: exact(sc) + 1e-9)
+        res = check_imperfect_scenario()
+        assert not res.passed
+        # the Monte Carlo comparison alone cannot see the error
+        assert abs(res.measured["monte_carlo_gap"] - res.measured["closed_form_gap"]) <= 0.01
+        assert res.measured["confidence_routing_accuracy"] == 1.0
+        assert res.measured["ensemble_shared_wrong_rate"] == 1.0
 
     @pytest.mark.parametrize("check", [check for check, _, _ in SCENARIO_CHECKS])
     def test_working_set_stays_small_at_the_default_budget(self, check):
         # one stack of 100,000 samples peaked at 96.1 MiB (exclusive) and
         # 50.4 MiB (imperfect), blocks of 8,192 samples at 11.5 and 8.1 MiB;
-        # the table and the drawn keys peak at 2.3 MiB
+        # scoring the n·d table alone peaks at 50 and 12 KiB
         check(1)
         tracemalloc.start()
         try:
@@ -264,16 +301,16 @@ class TestScenarioTable:
         # agent then backs the shared wrong label and the mixture the next one
         table_of = verify_mod._imperfect_table
 
-        def broken(sc, samples, seed):
-            table, keys = table_of(sc, samples, seed)
+        def broken(sc):
+            table = table_of(sc)
             beliefs = table.beliefs.copy()
             beliefs[3 * sc.d + 2] = np.roll(beliefs[3 * sc.d + 2], 1, axis=-1)
-            return replace(table, beliefs=beliefs), keys
+            return replace(table, beliefs=beliefs)
 
         monkeypatch.setattr(verify_mod, "_imperfect_table", broken)
         res = check_imperfect_scenario(1000, seed=0)
         assert not res.passed
-        # one of the n·d = 20 snapshots, however often it was drawn
+        # one of the n·d = 20 snapshots
         assert res.measured["confidence_routing_accuracy"] == 19 / 20
         assert res.measured["ensemble_shared_wrong_rate"] == 19 / 20
         assert res.detail == (
@@ -428,15 +465,18 @@ class TestIdentityChecks:
 # round still measured its drift and each draw built its own FJParameters;
 # recorded again when min_influence_entry became the solved minimum and the
 # mixtures one stacked matmul, which moved exclusive_scenario's
-# monte_carlo_gap by 3 ulps and nothing else.
+# monte_carlo_gap by 3 ulps and nothing else; recorded again when the two
+# scenario checks took the mean of their n·d snapshots in place of a draw,
+# which moved both monte_carlo_gap values by 2 ulps, dropped both scenario
+# checks' "samples" entries, and moved nothing else.
 REPORT_DIGESTS = {
     0: (
-        "fc0554cc41d7f65e1380b4dca78abb41ec8e5aba9c41306880849cf0f3bcd04a",
-        "0747fb29d51c0ce38fe74877c724d4c2ab919cde2a90ea4bb3f37dacbda1ce1d",
+        "4eca05361d1623a2272c4860c0a3968224927e495dd2af6856e11e1610fc9961",
+        "84c36c94ffbedf8719478457a40432af77f63a8db45ad56611ee9de997aeb059",
     ),
     1: (
-        "af52dee549907c70e9b35afcc9c50ffce1219bd2dbefb6eaa204c698db3e6b78",
-        "4fc61a6cdbe446c4aabeed52d4810949d49c67c4e106c09d457079b5827feaab",
+        "0094ee0d42d808041575eda76260543e19fdfc63448ffedcd7a62ad5331595dd",
+        "ab3ed6b25b861299394c5e658dade25b27b6748eea8f07152f2823d7bfa85d51",
     ),
 }
 
