@@ -84,6 +84,7 @@ from .scenarios import (
     ExclusiveLosses,
     ExclusiveScenario,
     ImperfectScenario,
+    draw_pools,
     empirical_route_crossover,
     exclusive_losses,
     gen_exclusive,
@@ -158,6 +159,7 @@ __all__ = [
     "ExclusiveLosses",
     "ExclusiveScenario",
     "ImperfectScenario",
+    "draw_pools",
     "empirical_route_crossover",
     "exclusive_losses",
     "gen_exclusive",

@@ -26,11 +26,10 @@ import sys
 from dataclasses import fields, replace
 
 import numpy as np
-import numpy.random  # lazy in numpy 2: load it with the CLI, not inside simulate
 
 from . import io as fio
 from .config import RunConfig, eta_vector, load_config
-from .dynamics import aggregate_pi, influence_weights, settle, simulate, simulate_pool
+from .dynamics import aggregate_pi, influence_weights, settle, simulate
 from .errors import (
     ConfigError,
     DegenerateStubbornness,
@@ -46,14 +45,8 @@ from .errors import (
 )
 from .estimation import fit_pools, fit_samples, parameter_variability
 from .metrics import MetricColumns, spearman, stacked_metrics
-from .model import DeliberationTrajectory, FJParameters, _dirichlet_rows
-from .scenarios import (
-    ExclusiveScenario,
-    ImperfectScenario,
-    gen_exclusive,
-    gen_imperfect,
-    per_sample_params,
-)
+from .model import DeliberationTrajectory, FJParameters
+from .scenarios import draw_pools
 from .verify import run_all_checks
 
 __all__ = ["build_parser", "run", "main"]
@@ -157,31 +150,6 @@ def _shared_n(trajs) -> int:
 # -- simulate ---------------------------------------------------------------
 
 
-def _draw_pool_params(rng: np.random.Generator, sim) -> FJParameters:
-    n = sim.agents
-    gamma = rng.uniform(sim.gamma_min, sim.gamma_max, size=n)
-    alpha = rng.uniform(sim.alpha_min, sim.alpha_max, size=n)
-    # entries bounded away from 0 keep every row comfortably stochastic
-    w = rng.uniform(0.1, 1.0, size=(n, n))
-    np.fill_diagonal(w, 0.0)
-    w /= w.sum(axis=1, keepdims=True)
-    return FJParameters(
-        gamma=gamma, alpha=alpha, w=w, mask=FJParameters.complete_mask(n)
-    )
-
-
-def _scenario_snapshots(sim):
-    total = sim.pools * sim.samples
-    if sim.scenario == "exclusive":
-        sc = ExclusiveScenario(n=sim.agents, d=sim.labels, epsilon=sim.epsilon)
-        return gen_exclusive(sc, total, sim.seed)
-    if sim.scenario == "imperfect":
-        c = None if sim.labels == 2 else sim.c
-        sc = ImperfectScenario(n=sim.agents, d=sim.labels, p=sim.p, u=sim.u, c=c)
-        return gen_imperfect(sc, total, sim.seed)
-    raise ConfigError(f"unknown scenario {sim.scenario!r}")
-
-
 def _load_params_file(sim):
     if not sim.params_file:
         raise ConfigError("simulate mode 'params' requires params_file")
@@ -223,35 +191,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
                     f"{key}_min and {key}_max must satisfy 0 <= min <= max <= 1, "
                     f"got {low} and {high}"
                 )
-        sset = _scenario_snapshots(sim) if sim.mode == "scenario" else None
-        rng = np.random.default_rng(sim.seed)
-        trajs = []
-        for pool in range(sim.pools):
-            pool_params = _draw_pool_params(rng, sim)
-            first = pool * sim.samples
-            ids = [f"sample-{first + k:04d}" for k in range(sim.samples)]
-            metadata = {"pool": str(pool)}
-            if sset is None:
-                # each sample's Dirichlet(1) rows as exponentials, then its label
-                innates, labels = [], []
-                for _ in range(sim.samples):
-                    innates.append(rng.standard_exponential((sim.agents, sim.labels)))
-                    labels.append(int(rng.integers(sim.labels)))
-                innates = _dirichlet_rows(np.stack(innates))
-            else:
-                innates = sset.beliefs[first : first + sim.samples]
-                labels = [int(y) for y in sset.labels[first : first + sim.samples]]
-                metadata["scenario"] = sim.scenario
-            trajs += simulate_pool(
-                per_sample_params(
-                    pool_params, innates, sim.gamma_mode, sim.gamma_min, sim.gamma_max
-                ),
-                innates,
-                sim.rounds,
-                sample_ids=ids,
-                correct_labels=labels,
-                metadata=metadata,
-            )
+        trajs, _ = draw_pools(sim)
     elif sim.mode == "params":
         params, innate, label = _load_params_file(sim)
         trajs = [

@@ -20,6 +20,7 @@ import numpy as np
 
 from .constants import CONSENSUS_THRESHOLD, ENTROPY_EPS, LOG_FLOOR, TAU_SIMPLEX
 from .errors import (
+    ConfigError,
     FJLabError,
     ShapeMismatch,
     TooFewAgents,
@@ -404,6 +405,8 @@ def _stacked_metrics(
     )
     pi = _source_weights(_influence_stack(gamma, alpha, w), eta)
     _check_normalization(normalization)
+    if not consensus_threshold >= 0.0:  # NaN too
+        raise ConfigError(f"consensus_threshold must be >= 0, got {consensus_threshold}")
     align, score, count = _alignment(finals)
     competence = np.full((m, n), np.nan)
     for k, y in enumerate(labels):

@@ -20,14 +20,18 @@ uniforms where applicable).  A sample's snapshot depends on its region and
 label alone, so both generators build the n·d distinct snapshots once
 (``_table``, a function of the scenario alone), draw regions and labels and
 gather the rows; verify's scenario checks score the table with no draw.
+``draw_pools`` also draws simulate's random mode, and owns its RNG order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
+import numpy.random  # lazy in numpy 2: load it on import, not inside a draw
 
+from .dynamics import simulate_pool
 from .errors import (
     ConfidenceOrderViolated,
     InvalidScenario,
@@ -35,8 +39,11 @@ from .errors import (
     UnbalancedScenario,
 )
 from .metrics import _brier_rows, _confidence_rows, confidence_metrics
-from .model import FJParameters
+from .model import DeliberationTrajectory, FJParameters, _dirichlet_rows
 from .routing import LabeledSnapshotSet
+
+if TYPE_CHECKING:  # config imports verify, which imports this module
+    from .config import SimulateConfig
 
 __all__ = [
     "ExclusiveScenario",
@@ -54,6 +61,7 @@ __all__ = [
     "uniform_mixture_profile",
     "project_simplex",
     "per_sample_params",
+    "draw_pools",
 ]
 
 _BALANCED_TOL = 1e-12
@@ -411,3 +419,55 @@ def per_sample_params(
             for conf, _ in map(confidence_metrics, innates)
         ]
     raise InvalidScenario(f"unknown gamma_mode {gamma_mode!r}")
+
+
+def _draw_pool_params(rng: np.random.Generator, sim: SimulateConfig) -> FJParameters:
+    n = sim.agents
+    gamma = rng.uniform(sim.gamma_min, sim.gamma_max, size=n)
+    alpha = rng.uniform(sim.alpha_min, sim.alpha_max, size=n)
+    # entries bounded away from 0 keep every row comfortably stochastic
+    w = rng.uniform(0.1, 1.0, size=(n, n))
+    np.fill_diagonal(w, 0.0)
+    w /= w.sum(axis=1, keepdims=True)
+    return FJParameters(gamma=gamma, alpha=alpha, w=w, mask=FJParameters.complete_mask(n))
+
+
+def _scenario_snapshots(sim: SimulateConfig) -> LabeledSnapshotSet:
+    total, n, d = sim.pools * sim.samples, sim.agents, sim.labels
+    if sim.scenario == "exclusive":
+        return gen_exclusive(ExclusiveScenario(n, d, sim.epsilon), total, sim.seed)
+    if sim.scenario == "imperfect":
+        sc = ImperfectScenario(n, d, sim.p, sim.u, None if d == 2 else sim.c)
+        return gen_imperfect(sc, total, sim.seed)
+    raise InvalidScenario(f"unknown scenario {sim.scenario!r}")
+
+
+def draw_pools(sim: SimulateConfig) -> tuple[list[DeliberationTrajectory], list[FJParameters]]:
+    """simulate's random and scenario modes: (trajectories, each sample's true
+    parameters) in file order.  Draw order: the scenario batch, then per pool on
+    ``default_rng(sim.seed)`` its γ, α and w and, in random mode, its samples'
+    innates and labels.  Ranges are checked by ``fjlab simulate``, not here."""
+    sset = _scenario_snapshots(sim) if sim.mode == "scenario" else None
+    rng = np.random.default_rng(sim.seed)
+    trajs, truth = [], []
+    for pool, first in enumerate(range(0, sim.pools * sim.samples, sim.samples)):
+        base = _draw_pool_params(rng, sim)
+        ids = [f"sample-{first + k:04d}" for k in range(sim.samples)]
+        metadata = {"pool": str(pool)}
+        if sset is None:
+            # each sample's Dirichlet(1) rows as exponentials, then its label
+            innates, labels = [], []
+            for _ in range(sim.samples):
+                innates.append(rng.standard_exponential((sim.agents, sim.labels)))
+                labels.append(int(rng.integers(sim.labels)))
+            innates = _dirichlet_rows(np.stack(innates))
+        else:
+            innates = sset.beliefs[first : first + sim.samples]
+            labels = [int(y) for y in sset.labels[first : first + sim.samples]]
+            metadata["scenario"] = sim.scenario
+        params = per_sample_params(base, innates, sim.gamma_mode, sim.gamma_min, sim.gamma_max)
+        trajs += simulate_pool(
+            params, innates, sim.rounds, sample_ids=ids, correct_labels=labels, metadata=metadata
+        )
+        truth += params
+    return trajs, truth

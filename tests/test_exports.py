@@ -18,3 +18,10 @@ def test_every_exported_name_resolves(module):
     exported = getattr(module, "__all__", ())
     assert [name for name in exported if not hasattr(module, name)] == []
     assert len(set(exported)) == len(exported)
+
+
+def test_draw_pools_is_exported_by_the_package_and_scenarios():
+    from fjlab import scenarios
+
+    assert "draw_pools" in fjlab.__all__ and "draw_pools" in scenarios.__all__
+    assert fjlab.draw_pools is scenarios.draw_pools

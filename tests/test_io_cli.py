@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fjlab.cli import _draw_pool_params, _t_quantile, build_parser, mean_ci, run
+from fjlab.cli import _t_quantile, build_parser, mean_ci, run
 from fjlab.config import AnalyzeSection, FitSection, eta_vector, load_config
 from fjlab.constants import CONSENSUS_THRESHOLD
 from fjlab.dynamics import influence_weights, simulate, simulate_pool
@@ -49,7 +49,14 @@ from fjlab.io import (
 )
 from fjlab.metrics import MetricColumns, confidence_metrics, stacked_metrics
 from fjlab.model import DeliberationTrajectory, FJParameters
-from fjlab.scenarios import ImperfectScenario, gen_imperfect
+from fjlab.scenarios import (
+    ExclusiveScenario,
+    ImperfectScenario,
+    _draw_pool_params,
+    draw_pools,
+    gen_exclusive,
+    gen_imperfect,
+)
 
 
 def read_json(out, name):
@@ -1441,10 +1448,13 @@ class TestCLI:
 
     @staticmethod
     def _inline_gamma_document(sim):
-        """simulate's trajectories.json as it was built with the γ rule written
-        inline, before the rule moved into the library, and one json.dumps."""
+        """simulate's trajectories.json built without draw_pools: the draw loop
+        and the γ rule written inline, and one json.dumps."""
         sset = None
-        if sim.mode == "scenario":
+        if sim.mode == "scenario" and sim.scenario == "exclusive":
+            sc = ExclusiveScenario(n=sim.agents, d=sim.labels, epsilon=sim.epsilon)
+            sset = gen_exclusive(sc, sim.pools * sim.samples, sim.seed)
+        elif sim.mode == "scenario":
             sc = ImperfectScenario(n=sim.agents, d=sim.labels, p=sim.p, u=sim.u, c=sim.c)
             sset = gen_imperfect(sc, sim.pools * sim.samples, sim.seed)
         rng = np.random.default_rng(sim.seed)
@@ -1475,21 +1485,32 @@ class TestCLI:
             )
         return reference_document(trajs).encode("utf-8")
 
-    @pytest.mark.parametrize(
-        "mode, gamma_mode",
-        [("random", "random"), ("scenario", "random"), ("scenario", "confidence")],
-    )
-    def test_gamma_rule_keeps_the_file(self, tmp_path, mode, gamma_mode):
-        out = str(tmp_path)
-        size = dict(pools=2, samples=3, agents=4, labels=3, rounds=4)
-        argv = ["--output-dir", out, "--seed", "11", "--quiet", "simulate", "--mode", mode]
-        argv += ["--gamma-mode", gamma_mode]
+    # (mode, scenario, gamma_mode): random mode and both scenarios x both γ modes
+    DRAW_CASES = [
+        ("random", None, "random"),
+        ("scenario", "exclusive", "random"),
+        ("scenario", "exclusive", "confidence"),
+        ("scenario", "imperfect", "random"),
+        ("scenario", "imperfect", "confidence"),
+    ]
+
+    @staticmethod
+    def _simulate_case(out, seed, mode, scenario, gamma_mode, **size):
+        """Run simulate on one draw case; return the SimulateConfig it resolved."""
+        argv = ["--output-dir", out, "--seed", str(seed), "--quiet", "simulate", "--mode", mode]
+        argv += ["--gamma-mode", gamma_mode] + (["--scenario", scenario] if scenario else [])
         for key, value in size.items():
             argv += [f"--{key}", str(value)]
         assert run(argv) == 0
-        sim = replace(
-            load_config(None).with_seed(11).simulate, mode=mode, gamma_mode=gamma_mode, **size
-        )
+        sim = load_config(None).with_seed(seed).simulate
+        scenario = scenario or sim.scenario
+        return replace(sim, mode=mode, scenario=scenario, gamma_mode=gamma_mode, **size)
+
+    @pytest.mark.parametrize("mode, scenario, gamma_mode", DRAW_CASES)
+    def test_gamma_rule_keeps_the_file(self, tmp_path, mode, scenario, gamma_mode):
+        out = str(tmp_path)
+        size = dict(pools=2, samples=3, agents=4, labels=3, rounds=4)
+        sim = self._simulate_case(out, 11, mode, scenario, gamma_mode, **size)
         with open(os.path.join(out, "trajectories.json"), "rb") as fh:
             assert fh.read() == self._inline_gamma_document(sim)
 
@@ -1510,31 +1531,30 @@ class TestCLI:
         written = (tmp_path / "trajectories.json").read_bytes()
         assert hashlib.sha256(written).hexdigest() == digest
 
-    def test_scenario_mode_with_confidence_gamma(self, tmp_path):
+    @pytest.mark.parametrize("mode, scenario, gamma_mode", DRAW_CASES)
+    def test_returned_truth_resimulates_every_saved_sample(
+        self, tmp_path, mode, scenario, gamma_mode
+    ):
         out = str(tmp_path)
-        rc = run(
-            [
-                "--output-dir", out, "--seed", "7", "--quiet",
-                "simulate", "--mode", "scenario", "--scenario", "imperfect",
-                "--agents", "5", "--labels", "4", "--samples", "3",
-                "--rounds", "2", "--gamma-mode", "confidence",
-            ]
-        )
-        assert rc == 0
-        trajs = load_trajectories(os.path.join(out, "trajectories.json"))
-        assert len(trajs) == 3
-        assert trajs[0].metadata["scenario"] == "imperfect"
-        # each sample runs alone under the pool's parameters with gamma set
-        # to the clipped confidence of its own innate beliefs
-        sim = replace(
-            load_config(None).with_seed(7).simulate,
-            mode="scenario", scenario="imperfect", agents=5, labels=4, samples=3,
-        )
-        pool_params = _draw_pool_params(np.random.default_rng(7), sim)
-        for traj in trajs:
-            gamma = np.clip(confidence_metrics(traj.innate)[0], sim.gamma_min, sim.gamma_max)
-            alone = simulate(replace(pool_params, gamma=gamma), traj.innate, 2)
-            np.testing.assert_array_equal(traj.snapshots, alone.snapshots)
+        size = dict(pools=2, samples=3, agents=5, labels=4, rounds=3)
+        sim = self._simulate_case(out, 7, mode, scenario, gamma_mode, **size)
+        saved = load_trajectories(os.path.join(out, "trajectories.json"))
+        trajs, truth = draw_pools(sim)
+        assert [t.sample_id for t in trajs] == [t.sample_id for t in saved]
+        assert len(truth) == len(saved) == 6
+        for k, (traj, params, kept) in enumerate(zip(trajs, truth, saved)):
+            assert kept.metadata.get("scenario") == scenario
+            # each sample runs alone under its returned parameters
+            alone = simulate(params, traj.innate, sim.rounds)
+            assert alone.snapshots.tobytes() == kept.snapshots.tobytes()
+            assert alone.metadata["max_drift"] == kept.metadata["max_drift"]
+            # a pool shares α and w, and γ too unless γ follows confidence
+            base = truth[k - k % sim.samples]
+            shared = ("alpha", "w", "gamma") if gamma_mode == "random" else ("alpha", "w")
+            for name in shared:
+                np.testing.assert_array_equal(getattr(params, name), getattr(base, name))
+        if gamma_mode == "confidence":
+            assert len({params.gamma.tobytes() for params in truth}) > 1
 
     @pytest.mark.parametrize("mode", ["random", "params"])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -1600,6 +1620,41 @@ class TestCLI:
         out = str(tmp_path)
         assert run(["--config", str(ini), "--output-dir", out, "--quiet", "simulate"]) == 0
         assert os.path.exists(os.path.join(out, "trajectories.json"))
+
+    @pytest.mark.parametrize(
+        "lines, want",
+        [
+            ("mode = foo", "unknown simulate mode 'foo'"),
+            ("mode = scenario\nscenario = foo", "unknown scenario 'foo'"),
+            ("mode = random\ngamma_mode = fixed", "unknown gamma_mode 'fixed'"),
+            ("mode = scenario\ngamma_mode = fixed", "unknown gamma_mode 'fixed'"),
+            ("mode = params\ngamma_mode = fixed", "unknown gamma_mode 'fixed'"),
+        ],
+        ids=["mode", "scenario", "gamma_mode-random", "gamma_mode-scenario", "gamma_mode-params"],
+    )
+    def test_simulate_rejects_a_config_only_value(self, tmp_path, capsys, lines, want):
+        # argparse's choices guard the flags; the config file reaches cmd_simulate
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[simulate]\n{lines}\n")
+        out = str(tmp_path)
+        assert run(["--config", str(ini), "--output-dir", out, "--quiet", "simulate"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"fjlab: error: {want}"]
+        assert not os.path.exists(os.path.join(out, "trajectories.json"))
+
+    def test_simulate_rejects_an_imperfect_scenario_without_confidence_order(
+        self, tmp_path, capsys
+    ):
+        # at the default p = 0.9 and u = 0.05, d = 2 forces the other agents'
+        # row to (0.05, 0.95), more confident than the competent (0.9, 0.1)
+        out = str(tmp_path)
+        argv = ["--output-dir", out, "--quiet", "simulate", "--mode", "scenario"]
+        assert run([*argv, "--scenario", "imperfect", "--labels", "2"]) == 1
+        want = (
+            "fjlab: error: competent confidence 0.5310044064107189 "
+            "not strictly above 0.7136030428840439"
+        )
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not os.path.exists(os.path.join(out, "trajectories.json"))
 
     def test_exit_code_bad_args(self, capsys):
         assert run(["no-such-command"]) == 1
@@ -2078,6 +2133,28 @@ class TestCLI:
         assert self._analyze_with(out, doc) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("fjlab:")
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_analyze_rejects_a_bad_consensus_threshold(self, tmp_path, capsys, source, value):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        assert run(["--output-dir", out, "--quiet", "fit"]) == 0
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[analyze]\nconsensus_threshold = {value}\n")
+        argv = ["--output-dir", out, "--quiet"]
+        if source == "config":
+            argv += ["--config", str(ini), "analyze"]
+        else:
+            argv += ["analyze", f"--consensus-threshold={value}"]
+        capsys.readouterr()
+        assert run(argv) == 1
+        want = f"fjlab: error: consensus_threshold must be >= 0, got {float(value)}"
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not os.path.exists(os.path.join(out, "agents.csv"))
+        argv = ["--output-dir", out, "--quiet", "analyze"]
+        for value in ("0", "inf"):
+            assert run([*argv, f"--consensus-threshold={value}"]) == 0
 
     def test_analyze_empty_neighbourhood_exits_two(self, tmp_path, capsys):
         out = str(tmp_path)

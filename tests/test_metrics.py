@@ -10,6 +10,7 @@ from scipy.stats import rankdata
 
 from fjlab.constants import CONSENSUS_THRESHOLD, ENTROPY_EPS, TAU_SIMPLEX
 from fjlab.errors import (
+    ConfigError,
     FJLabError,
     LabelOutOfRange,
     NotContractive,
@@ -487,6 +488,21 @@ class TestStackedMetrics:
         cols = stacked_metrics(finals, [random_params(rng, 4) for _ in range(2)])
         assert (cols.confidence == 0.0).all() and (cols.relative_confidence == 1.0).all()
         assert cols.consensus_reached.all()
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, -1e-300])
+    def test_consensus_threshold_must_be_nonnegative(self, threshold):
+        rng = np.random.default_rng(5)
+        finals = rng.dirichlet(np.ones(3), size=(2, 3))
+        params = [random_params(rng, 3) for _ in range(2)]
+        with pytest.raises(ConfigError, match=f"consensus_threshold must be >= 0, got {threshold}"):
+            stacked_metrics(finals, params, consensus_threshold=threshold)
+
+    def test_consensus_threshold_zero_and_infinity_are_accepted(self):
+        finals = np.full((1, 3, 2), 0.5)
+        params = [random_params(np.random.default_rng(6), 3)]
+        # uniform rows agree exactly: disagreement 0 is not below 0
+        assert not stacked_metrics(finals, params, consensus_threshold=0.0).consensus_reached[0]
+        assert stacked_metrics(finals, params, consensus_threshold=math.inf).consensus_reached[0]
 
     def test_first_failing_sample_in_stack_order_raises(self):
         rng = np.random.default_rng(4)
