@@ -29,7 +29,7 @@ import numpy as np
 
 from . import io as fio
 from .config import RunConfig, eta_vector, load_config
-from .dynamics import aggregate_pi, influence_weights, settle, simulate
+from .dynamics import aggregate_pi, influence_weights, settle
 from .errors import (
     ConfigError,
     DegenerateStubbornness,
@@ -150,62 +150,9 @@ def _shared_n(trajs) -> int:
 # -- simulate ---------------------------------------------------------------
 
 
-def _load_params_file(sim):
-    if not sim.params_file:
-        raise ConfigError("simulate mode 'params' requires params_file")
-    try:
-        with open(sim.params_file, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ParseError(f"cannot read {sim.params_file!r}: {exc}") from exc
-    if not isinstance(raw, dict) or "innate" not in raw:
-        raise ParseError("params file must be a JSON object with an 'innate' snapshot")
-    try:
-        params = fio.params_from_dict(raw)
-        innate = np.asarray(raw["innate"], dtype=np.float64)
-    except ParseError as exc:
-        raise ParseError(f"{sim.params_file!r}: {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{sim.params_file!r}: bad 'innate' snapshot: {exc}") from exc
-    # the trajectory's constructor checks the label
-    return params, innate, raw.get("correct_label")
-
-
 def cmd_simulate(args, cfg: RunConfig) -> int:
     sim = _override(cfg.simulate, args)
-    if sim.samples < 1 or sim.pools < 1:
-        raise ConfigError("samples and pools must be positive")
-    if sim.mode in ("random", "scenario") and min(sim.agents, sim.labels) < 2:
-        raise ConfigError("agents and labels must be at least 2")
-    if sim.rounds < 0:
-        raise ConfigError("rounds must be >= 0")
-    if sim.gamma_mode not in ("random", "confidence"):
-        raise ConfigError(f"unknown gamma_mode {sim.gamma_mode!r}")
-    if sim.gamma_mode == "confidence" and sim.mode != "scenario":
-        raise ConfigError(f"gamma_mode 'confidence' needs scenario mode, not {sim.mode!r}")
-    if sim.mode in ("random", "scenario"):
-        for key in ("gamma", "alpha"):
-            low, high = getattr(sim, f"{key}_min"), getattr(sim, f"{key}_max")
-            if not 0.0 <= low <= high <= 1.0:
-                raise ConfigError(
-                    f"{key}_min and {key}_max must satisfy 0 <= min <= max <= 1, "
-                    f"got {low} and {high}"
-                )
-        trajs, _ = draw_pools(sim)
-    elif sim.mode == "params":
-        params, innate, label = _load_params_file(sim)
-        trajs = [
-            simulate(
-                params,
-                innate,
-                sim.rounds,
-                sample_id="sample-0000",
-                correct_label=label,
-                metadata={"pool": "0"},
-            )
-        ]
-    else:
-        raise ConfigError(f"unknown simulate mode {sim.mode!r}")
+    trajs, _ = draw_pools(sim)
     out_path = os.path.join(args.output_dir, "trajectories.json")
     fio.save_trajectories(out_path, trajs)
     _say(args, f"wrote {out_path} ({len(trajs)} samples, {sim.rounds} rounds)")

@@ -50,13 +50,13 @@ def eta_vector(section: str, eta: str, n: int) -> "np.ndarray | None":
 
 @dataclass(frozen=True)
 class SimulateConfig:
-    """[simulate] section.
+    """[simulate] section, checked by ``scenarios.draw_pools`` when simulate
+    runs, with its flags applied, not when the config loads.
 
     mode "random" draws contractive systems with uniform-random labels;
-    "scenario" draws initial beliefs from a synthetic scenario (optionally
-    followed by deliberation rounds with gamma tied to confidence);
-    "params" simulates one explicit system from params_file.  gamma_mode
-    "confidence" is valid in scenario mode only.
+    "scenario" draws initial beliefs from a synthetic scenario; "params"
+    simulates one explicit system from params_file.  gamma_mode
+    "confidence" (gamma tied to confidence) is valid in scenario mode only.
     """
 
     mode: str = "random"

@@ -1,4 +1,4 @@
-"""File formats: trajectory JSON, fitted-parameter JSON, metric CSVs.
+"""File formats: trajectory JSON, fitted-parameter JSON, params files, metric CSVs.
 
 Trajectory files are JSON with schema_version "1":
 
@@ -79,7 +79,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .model import DeliberationTrajectory, FJParameters, _check_fields
+from .model import DeliberationTrajectory, FJParameters, _check_fields, validate_snapshot
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -118,6 +118,7 @@ _SAMPLE_KEYS = {
     "label_names",
     "metadata",
 }
+_PARAMS_FILE_KEYS = {"gamma", "alpha", "w", "mask", "innate", "correct_label"}
 
 
 def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
@@ -487,3 +488,29 @@ def params_from_dict(raw: dict[str, Any]) -> FJParameters:
     if mask is None:
         mask = FJParameters.complete_mask(gamma.shape[0] if gamma.ndim == 1 else 0)
     return FJParameters(gamma=gamma, alpha=alpha, w=w, mask=mask)
+
+
+def _load_params_file(path: str) -> tuple[FJParameters, np.ndarray, Any]:
+    """A params file's parameters, innate snapshot and raw correct_label."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"cannot read {path!r}: {exc}") from exc
+    if not isinstance(raw, dict) or "innate" not in raw:
+        raise ParseError("params file must be a JSON object with an 'innate' snapshot")
+    extra = set(raw) - _PARAMS_FILE_KEYS
+    if extra:
+        raise ParseError(f"{path!r}: unknown keys {sorted(extra)}")
+    try:
+        params = params_from_dict(raw)
+    except ParseError as exc:
+        raise ParseError(f"{path!r}: {exc}") from exc
+    try:
+        innate = validate_snapshot(raw["innate"])
+        if len(innate) != params.n:
+            raise ShapeMismatch(f"snapshot has {len(innate)} rows, n={params.n}")
+    except (ValidationError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path!r}: bad 'innate' snapshot: {exc}") from exc
+    # the trajectory's constructor checks the label
+    return params, innate, raw.get("correct_label")

@@ -20,7 +20,7 @@ uniforms where applicable).  A sample's snapshot depends on its region and
 label alone, so both generators build the n·d distinct snapshots once
 (``_table``, a function of the scenario alone), draw regions and labels and
 gather the rows; verify's scenario checks score the table with no draw.
-``draw_pools`` also draws simulate's random mode, and owns its RNG order.
+``draw_pools`` holds simulate's checks and RNG order, in all three modes.
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ import numpy.random  # lazy in numpy 2: load it on import, not inside a draw
 from .dynamics import simulate_pool
 from .errors import (
     ConfidenceOrderViolated,
+    ConfigError,
     InvalidScenario,
     NoConvergence,
     UnbalancedScenario,
 )
+from .io import _load_params_file
 from .metrics import _brier_rows, _confidence_rows, confidence_metrics
 from .model import DeliberationTrajectory, FJParameters, _dirichlet_rows
 from .routing import LabeledSnapshotSet
@@ -443,10 +445,41 @@ def _scenario_snapshots(sim: SimulateConfig) -> LabeledSnapshotSet:
 
 
 def draw_pools(sim: SimulateConfig) -> tuple[list[DeliberationTrajectory], list[FJParameters]]:
-    """simulate's random and scenario modes: (trajectories, each sample's true
-    parameters) in file order.  Draw order: the scenario batch, then per pool on
-    ``default_rng(sim.seed)`` its γ, α and w and, in random mode, its samples'
-    innates and labels.  Ranges are checked by ``fjlab simulate``, not here."""
+    """What ``fjlab simulate`` writes, in all three modes: (trajectories, each
+    sample's true parameters) in file order.  ``sim`` is checked first, as given;
+    a fault raises ConfigError.  Params mode runs the file's system as sample-0000
+    of pool "0".  Otherwise the draw order is: the scenario batch, then per pool
+    on ``default_rng(sim.seed)`` its γ, α and w and, in random mode, its samples'
+    innates and labels."""
+    if sim.samples < 1 or sim.pools < 1:
+        raise ConfigError("samples and pools must be positive")
+    if sim.mode in ("random", "scenario") and min(sim.agents, sim.labels) < 2:
+        raise ConfigError("agents and labels must be at least 2")
+    if sim.rounds < 0:
+        raise ConfigError("rounds must be >= 0")
+    if sim.gamma_mode not in ("random", "confidence"):
+        raise ConfigError(f"unknown gamma_mode {sim.gamma_mode!r}")
+    if sim.gamma_mode == "confidence" and sim.mode != "scenario":
+        raise ConfigError(f"gamma_mode 'confidence' needs scenario mode, not {sim.mode!r}")
+    if sim.mode in ("random", "scenario"):
+        for key in ("gamma", "alpha"):
+            low, high = getattr(sim, f"{key}_min"), getattr(sim, f"{key}_max")
+            if not 0.0 <= low <= high <= 1.0:
+                raise ConfigError(
+                    f"{key}_min and {key}_max must satisfy 0 <= min <= max <= 1, "
+                    f"got {low} and {high}"
+                )
+    elif sim.mode == "params":
+        if not sim.params_file:
+            raise ConfigError("simulate mode 'params' requires params_file")
+        params, innate, label = _load_params_file(sim.params_file)
+        trajs = simulate_pool(
+            [params], innate[None], sim.rounds, sample_ids=["sample-0000"],
+            correct_labels=[label], metadata={"pool": "0"},
+        )
+        return trajs, [params]
+    else:
+        raise ConfigError(f"unknown simulate mode {sim.mode!r}")
     sset = _scenario_snapshots(sim) if sim.mode == "scenario" else None
     rng = np.random.default_rng(sim.seed)
     trajs, truth = [], []

@@ -1656,6 +1656,27 @@ class TestCLI:
         assert capsys.readouterr().err.splitlines() == [want]
         assert not os.path.exists(os.path.join(out, "trajectories.json"))
 
+    def test_simulate_checks_the_config_after_its_flags(self, tmp_path):
+        # a [simulate] value that a flag makes valid is not an error
+        ini = tmp_path / "run.ini"
+        ini.write_text("[simulate]\ngamma_mode = confidence\n")
+        both, mixed = tmp_path / "both", tmp_path / "mixed"
+        argv = ["--quiet", "simulate", "--mode", "scenario", "--rounds", "3"]
+        assert run(["--output-dir", str(both), *argv, "--gamma-mode", "confidence"]) == 0
+        assert run(["--config", str(ini), "--output-dir", str(mixed), *argv]) == 0
+        written = (mixed / "trajectories.json").read_bytes()
+        assert written == (both / "trajectories.json").read_bytes()
+        ini.write_text("[simulate]\nsamples = 0\n")
+        argv = ["--config", str(ini), "--output-dir", str(mixed), "--quiet", "simulate"]
+        assert run([*argv, "--samples", "2"]) == 0
+        assert len(load_trajectories(str(mixed / "trajectories.json"))) == 2
+
+    def test_a_bad_simulate_section_does_not_fail_verify(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[simulate]\nsamples = 0\ngamma_min = 0.9\ngamma_max = 0.1\nmode = foo\n")
+        argv = ["--config", str(ini), "--output-dir", str(tmp_path / "out"), "--quiet", "verify"]
+        assert run([*argv, "--checks", "diversity_forms"]) == 0
+
     def test_exit_code_bad_args(self, capsys):
         assert run(["no-such-command"]) == 1
         assert run(["--config", "/no/such.ini", "verify"]) == 1
@@ -1975,6 +1996,10 @@ class TestCLI:
         [
             ("innate", "abc", "bad 'innate' snapshot"),
             ("mask", [[False, True, True], [True, False], [True]], "bad parameter dictionary"),
+            ("innate", np.full((4, 3), 1.0 / 3).tolist(), "bad 'innate' snapshot"),
+            ("innate", [1.0 / 3] * 3, "bad 'innate' snapshot"),
+            ("innate", [[0.5, 0.6, 0.1]] * 3, "bad 'innate' snapshot"),
+            ("innate", [[1.0]] * 3, "bad 'innate' snapshot"),
         ],
     )
     def test_malformed_params_file_exits_1(self, tmp_path, capsys, key, value, message):
@@ -1988,6 +2013,21 @@ class TestCLI:
         assert run(argv + ["--params-file", pfile]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"fjlab: error: {pfile!r}: {message}: ")
+        assert not os.path.exists(os.path.join(out, "trajectories.json"))
+
+    def test_params_file_with_an_unknown_key_exits_1(self, tmp_path, capsys):
+        out = str(tmp_path)
+        doc = params_to_dict(sample_params())
+        doc["innate"] = np.full((3, 3), 1.0 / 3).tolist()
+        doc["correct_lable"] = 0
+        doc["beta"] = 1.0
+        pfile = os.path.join(out, "params.json")
+        atomic_write_json(pfile, doc)
+        argv = ["--output-dir", out, "--quiet", "simulate", "--mode", "params"]
+        assert run(argv + ["--params-file", pfile]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"fjlab: error: {pfile!r}: unknown keys ['beta', 'correct_lable']"
+        assert not os.path.exists(os.path.join(out, "trajectories.json"))
 
     @pytest.mark.parametrize(
         "literal", ["1" + "0" * 400, "1" * 5000], ids=["float-overflow", "digit-limit"]

@@ -6,18 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
+from fjlab.config import SimulateConfig
 from fjlab.errors import (
     ConfidenceOrderViolated,
+    ConfigError,
     InvalidScenario,
     NoConvergence,
     UnbalancedScenario,
 )
+from fjlab import io as fio
 from fjlab import scenarios
 from fjlab.metrics import confidence_metrics
 from fjlab.model import FJParameters
 from fjlab.scenarios import (
     ExclusiveScenario,
     ImperfectScenario,
+    draw_pools,
     empirical_route_crossover,
     exclusive_losses,
     gen_exclusive,
@@ -523,3 +527,57 @@ class TestPerSampleParams:
     def test_unknown_mode_is_rejected(self):
         with pytest.raises(InvalidScenario, match="gamma_mode"):
             per_sample_params(self.base(), np.full((1, 5, 4), 0.25), "fixed", 0.1, 0.9)
+
+
+class TestDrawPools:
+    """draw_pools checks the SimulateConfig it is given, with the messages
+    ``fjlab simulate`` prints; pytest turns any numpy warning into an error."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(mode="params"), "simulate mode 'params' requires params_file"),
+            (dict(mode="foo"), "unknown simulate mode 'foo'"),
+            (
+                dict(gamma_mode="confidence"),
+                "gamma_mode 'confidence' needs scenario mode, not 'random'",
+            ),
+            (dict(samples=0), "samples and pools must be positive"),
+            (dict(agents=1), "agents and labels must be at least 2"),
+            (
+                dict(gamma_min=0.9, gamma_max=0.1),
+                "gamma_min and gamma_max must satisfy 0 <= min <= max <= 1, got 0.9 and 0.1",
+            ),
+            (
+                dict(alpha_min=float("nan")),
+                "alpha_min and alpha_max must satisfy 0 <= min <= max <= 1, got nan and 0.9",
+            ),
+        ],
+        ids=["params-no-file", "mode", "confidence-random", "samples", "agents", "inverted", "nan"],
+    )
+    def test_a_bad_config_raises_the_cli_message(self, changes, message):
+        with pytest.raises(ConfigError) as info:
+            draw_pools(SimulateConfig(**changes))
+        assert str(info.value) == message
+
+    def test_params_mode_returns_the_file_as_truth(self, tmp_path):
+        w = np.array([[0.0, 0.5, 0.5], [0.3, 0.0, 0.7], [0.6, 0.4, 0.0]])
+        params = FJParameters(
+            gamma=np.array([0.3, 0.5, 0.4]), alpha=np.array([0.2, 0.4, 0.6]), w=w,
+            mask=FJParameters.complete_mask(3),
+        )
+        innate = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]])
+        path = str(tmp_path / "params.json")
+        fio.atomic_write_json(
+            path, {**fio.params_to_dict(params), "innate": innate.tolist(), "correct_label": 2}
+        )
+        # pools and samples do not apply: the file is one system
+        sim = SimulateConfig(mode="params", params_file=path, pools=3, samples=4, rounds=6)
+        trajs, truth = draw_pools(sim)
+        assert len(trajs) == len(truth) == 1
+        (traj,) = trajs
+        assert (traj.sample_id, traj.correct_label, traj.rounds) == ("sample-0000", 2, 6)
+        assert traj.metadata["pool"] == "0"
+        np.testing.assert_array_equal(traj.innate, innate)
+        for name in ("gamma", "alpha", "w", "mask"):
+            np.testing.assert_array_equal(getattr(truth[0], name), getattr(params, name))
