@@ -990,6 +990,90 @@ class TestSplitTrajectoryIo:
         assert forks == []
 
 
+def _bad_cell(entry):
+    return re.sub(r'"rounds": \[\[\[[^,]*', '"rounds": [[[-0.5', entry, count=1)
+
+
+def _bad_json(entry):
+    return entry.replace('"rounds": [[[0.', '"rounds": [[[00.', 1)
+
+
+def _bad_label(entry):
+    return re.sub(r'"correct_label": \d+', '"correct_label": 99', entry)
+
+
+def _repeated_id(entry):
+    return re.sub(r'^"s\d+"', '"s0"', entry)
+
+
+class TestErrorPrecedence:
+    """A file with two faults raises one error, the same on every path: a
+    JSON error anywhere beats every sample check; otherwise the first failing
+    sample in file order raises, whichever check it fails."""
+
+    # (first fault, second fault, the error raised); None: the JSON error
+    CASES = {
+        "json-after-cell": (_bad_cell, _bad_json, None),
+        "repeated-id-before-cell": (
+            _repeated_id, _bad_cell, lambda a, b: (ParseError, "duplicate sample_id 's0'")
+        ),
+        "cell-before-repeated-id": (
+            _bad_cell,
+            _repeated_id,
+            lambda a, b: (InvariantViolation, f"sample 's{a}', round 0, agent 0: entry 0 is -0.5"),
+        ),
+        "label-before-json": (_bad_label, _bad_json, None),
+    }
+    # sample positions of the two faults: both in the split's first half,
+    # one in each, both in the second
+    PLACES = [(1, 3), (2, 7), (7, 9)]
+
+    @classmethod
+    def _write(cls, tmp_path, case, places):
+        first, second, want = cls.CASES[case]
+        entries = reference_document(sample_trajs(count=10)).split(", {\"sample_id\": ")
+        a, b = places
+        entries[a], entries[b] = first(entries[a]), second(entries[b])
+        text = ', {"sample_id": '.join(entries)
+        path = tmp_path / "t.json"
+        path.write_text(text, encoding="utf-8")
+        if want is not None:
+            return path, want(a, b)
+        with pytest.raises(ValueError) as exc:
+            json.loads(text)
+        return path, (ParseError, f"{path} is not valid JSON: {exc.value}")
+
+    @staticmethod
+    def _paths(monkeypatch, split):
+        monkeypatch.setattr(fio, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if split else {0}, raising=False)
+        return _count_forks(monkeypatch)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    @pytest.mark.parametrize("places", PLACES, ids=["first-half", "both-halves", "second-half"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_load_raises_the_first_error(self, tmp_path, monkeypatch, case, places, split):
+        path, (error, message) = self._write(tmp_path, case, places)
+        forks = self._paths(monkeypatch, split)
+        with pytest.raises(ValidationError) as err:
+            load_trajectories(str(path))
+        assert (type(err.value), str(err.value)) == (error, message)
+        assert len(forks) == split
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_analyze_and_compare_exit_1_with_it(
+        self, tmp_path, monkeypatch, capsys, case, split, command
+    ):
+        path, (_, message) = self._write(tmp_path, case, (2, 7))
+        forks = self._paths(monkeypatch, split)
+        argv = ["--output-dir", str(tmp_path), "--quiet", command, "--input", str(path)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"fjlab: error: {message}"]
+        assert len(forks) == split
+
+
 class TestChildPlacement:
     """A forked child runs on the usable CPUs other than its parent's."""
 
