@@ -45,7 +45,7 @@ from .errors import (
 )
 from .estimation import fit_pools, fit_samples, parameter_variability
 from .metrics import MetricColumns, spearman, stacked_metrics
-from .model import DeliberationTrajectory, FJParameters
+from .model import FJParameters
 from .scenarios import draw_pools
 from .verify import run_all_checks
 
@@ -120,19 +120,20 @@ def _ci_entry(values) -> dict:
     return {"mean": mean, "ci95": half, "n": len(values)}
 
 
-def _by_pool(trajs) -> "dict[str, list[DeliberationTrajectory]]":
+def _by_pool(trajs: list) -> dict[str, list]:
     """Samples grouped by their ``pool`` metadata, "0" when it is absent."""
-    groups: dict[str, list[DeliberationTrajectory]] = {}
+    groups: dict[str, list] = {}
     for traj in trajs:
         groups.setdefault(traj.metadata.get("pool", "0"), []).append(traj)
     return groups
 
 
-def _load_input(args) -> "list[DeliberationTrajectory]":
-    """The trajectories of --input, or of trajectories.json in the output
-    directory; a file without samples raises EmptyInput."""
+def _load_input(args, load) -> list:
+    """What ``load`` reads of --input, or of trajectories.json in the output
+    directory: ``fio.load_trajectories`` for every round, ``fio._load_ends``
+    for the first and last; a file without samples raises EmptyInput."""
     path = args.input or os.path.join(args.output_dir, "trajectories.json")
-    trajs = fio.load_trajectories(path)
+    trajs = load(path)
     if not trajs:
         raise EmptyInput(f"{path!r} holds no samples")
     return trajs
@@ -180,7 +181,7 @@ def _fit_entry(head: dict, report, **extra) -> dict:
 
 def cmd_fit(args, cfg: RunConfig) -> int:
     sec = _override(cfg.fit, args)
-    trajs = _load_input(args)
+    trajs = _load_input(args, fio.load_trajectories)
     reports = fit_samples(trajs, sec)
     capped = sum(r.termination == "max_iters" for r in reports)
     per_sample = []
@@ -235,6 +236,21 @@ def cmd_fit(args, cfg: RunConfig) -> int:
 # -- analyze ----------------------------------------------------------------
 
 
+def _params_to_arrays(obj: dict) -> dict:
+    """json object_hook: as an object with a ``params`` object closes, that
+    object's gamma, alpha and w lists become float64 arrays and its mask a
+    bool array; a list that does not convert is left for params_from_dict."""
+    params = obj.get("params")
+    if type(params) is dict:
+        for name in ("gamma", "alpha", "w", "mask"):
+            if type(params.get(name)) is list:
+                try:
+                    params[name] = np.asarray(params[name], bool if name == "mask" else np.float64)
+                except (TypeError, ValueError, OverflowError):
+                    pass
+    return obj
+
+
 def _load_fits(path: str, section: str, key: str) -> "dict[str, FJParameters]":
     """The parameters of each entry of one fits.json section, by the entry's
     ``key``; a malformed entry raises ParseError naming the file and entry."""
@@ -242,7 +258,7 @@ def _load_fits(path: str, section: str, key: str) -> "dict[str, FJParameters]":
         raise MissingParams(f"{path!r} not found; run 'fjlab fit' first")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_hook=_params_to_arrays)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -276,7 +292,7 @@ def _safe_spearman(x, y) -> "float | None":
 def cmd_analyze(args, cfg: RunConfig) -> int:
     sec = _override(cfg.analyze, args)
     fits_path = args.fits or os.path.join(args.output_dir, sec.fits)
-    trajs = _load_input(args)
+    trajs = _load_input(args, fio._load_ends)
     by_sample = _load_fits(fits_path, "per_sample", "sample_id")
     n = _shared_n(trajs)
     eta = eta_vector("analyze", sec.eta, n)
@@ -303,21 +319,24 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         done += len(run)
     if done < len(trajs):
         raise MissingParams(f"no fitted parameters for sample {trajs[done].sample_id!r}")
-    agent_rows = []
-    system_rows = []
-    for run, cols in runs:
-        agent = [getattr(cols, f).tolist() for f in MetricColumns.AGENT_FIELDS]
-        system = [
-            c.tolist()
-            for c in (cols.disagreement, cols.mean_confidence, cols.consensus_reached, cols.pi)
-        ]
-        for k, traj in enumerate(run):
-            agent_rows += (
-                [traj.sample_id, j, *cells]
-                for j, cells in enumerate(zip(*(c[k] for c in agent)))
+
+    def agent_rows():
+        for run, cols in runs:
+            for k, traj in enumerate(run):
+                agent = [getattr(cols, f)[k].tolist() for f in MetricColumns.AGENT_FIELDS]
+                for j, cells in enumerate(zip(*agent)):
+                    yield [traj.sample_id, j, *cells]
+
+    def system_rows():
+        for run, cols in runs:
+            system = zip(
+                cols.disagreement.tolist(),
+                cols.mean_confidence.tolist(),
+                cols.consensus_reached.tolist(),
+                cols.pi.tolist(),
             )
-            dis, mean_conf, consensus, pi = (c[k] for c in system)
-            system_rows.append([traj.sample_id, dis, mean_conf, consensus, *pi])
+            for traj, (dis, mean_conf, consensus, pi) in zip(run, system):
+                yield [traj.sample_id, dis, mean_conf, consensus, *pi]
 
     def column(name: str) -> np.ndarray:
         return np.concatenate([getattr(cols, name) for _, cols in runs])
@@ -326,12 +345,12 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     competences = column("competence")[labeled].ravel()
     agents_path = os.path.join(args.output_dir, "agents.csv")
     system_path = os.path.join(args.output_dir, "system.csv")
-    fio.write_csv(agents_path, ["sample_id", "agent_id", *MetricColumns.AGENT_FIELDS], agent_rows)
+    fio.write_csv(agents_path, ["sample_id", "agent_id", *MetricColumns.AGENT_FIELDS], agent_rows())
     fio.write_csv(
         system_path,
         ["sample_id", "disagreement", "mean_confidence", "consensus_reached"]
         + [f"pi_{j}" for j in range(n)],
-        system_rows,
+        system_rows(),
     )
     summary = {
         "schema_version": fio.SCHEMA_VERSION,
@@ -352,7 +371,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     _say(
         args,
         f"wrote {agents_path}, {system_path}, {summary_path} "
-        f"({len(trajs)} samples, {len(agent_rows)} agent rows)",
+        f"({len(trajs)} samples, {len(trajs) * n} agent rows)",
     )
     return 0
 
@@ -411,7 +430,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
             f"compare.fallback_rounds must be >= 1, got {sec.fallback_rounds}"
         )
     fits_path = args.fits or os.path.join(args.output_dir, "fits.json")
-    trajs = _load_input(args)
+    trajs = _load_input(args, fio._load_ends)
     pooled = _load_fits(fits_path, "global", "pool")
     if not pooled:
         raise MissingParams(

@@ -43,15 +43,25 @@ list, and the sample check raises on it.  A trajectory adopts the array
 its load checked, frozen in place, without the constructor's second check
 and copy.
 
+Every load checks each sample as soon as a parse produces it (``_Checked``),
+so it holds one sample's parsed objects beside what it keeps:
+``load_trajectories``, which ``fit`` uses, keeps every round; ``_load_ends``,
+which ``analyze`` and ``compare`` use, keeps per sample its id, label,
+metadata and copies of its first and last snapshots (``_Ends``), once every
+round has passed the same checks and repair.  A file with several faults
+raises one error on every path: a JSON error anywhere beats every sample
+check; otherwise the first failing sample in file order raises, whether it
+fails a cell, a field or the repeated-id check.
+
 Large trajectory text is split between this process and one forked child
 (``_fork``): ``save_trajectories`` and ``_load_halves`` say how, and why
 the bytes, samples and errors are those of the serial code.
 
 All writes are atomic (temp file in the target directory, then rename).
 JSON is written compact, on one line, with no NaN or Infinity tokens.
-CSVs are RFC 4180: CRLF line endings, minimal quoting, floats via repr
-(shortest round-trip form), booleans as "true"/"false", missing values
-as empty cells.
+CSVs are written a block of rows at a time, RFC 4180: CRLF line endings,
+minimal quoting, floats via repr (shortest round-trip form), booleans as
+"true"/"false", missing values as empty cells.
 """
 
 from __future__ import annotations
@@ -59,14 +69,15 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import mmap
 import os
 import pickle
 import tempfile
-from collections.abc import Iterable
-from typing import Any
+from collections.abc import Callable, Iterable
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -79,7 +90,7 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .model import DeliberationTrajectory, FJParameters, _check_fields, validate_snapshot
+from .model import DeliberationTrajectory, FJParameters, _check_fields, _freeze, validate_snapshot
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -108,6 +119,8 @@ _SEPARATOR = b', {"sample_id": '
 # child; a float and its ", " take about 20 bytes of it
 _SPLIT_BYTES = 4 << 20
 _FLOAT_TEXT_BYTES = 20
+# CSV rows formatted and written at a time: about 200 KiB of text for agents.csv
+_CSV_BLOCK_ROWS = 1024
 
 _SAMPLE_KEYS = {
     "sample_id",
@@ -164,16 +177,34 @@ def format_cell(value: Any) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(header)
-    # plain floats, nearly every cell, are formatted inline: format_cell's bytes without its call
-    writer.writerows(
-        [(repr(v) if math.isfinite(v) else "") if type(v) is float else format_cell(v) for v in row]
-        for row in rows
-    )
-    atomic_write_text(path, buf.getvalue())
+def write_csv(path: str, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
+    """Write the header and rows as CSV, atomically; the rows are read and
+    their text written ``_CSV_BLOCK_ROWS`` at a time, so a generator of rows
+    is never held whole."""
+
+    def blocks() -> Iterable[str]:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
+        writer.writerow(header)
+        left = iter(rows)
+        while True:
+            block = list(itertools.islice(left, _CSV_BLOCK_ROWS))
+            # plain floats, nearly every cell, are formatted inline: format_cell's
+            # bytes without its call
+            writer.writerows(
+                [
+                    (repr(v) if math.isfinite(v) else "") if type(v) is float else format_cell(v)
+                    for v in row
+                ]
+                for row in block
+            )
+            yield buf.getvalue()
+            if len(block) < _CSV_BLOCK_ROWS:
+                return
+            buf.seek(0)
+            buf.truncate()
+
+    atomic_write_chunks(path, blocks())
 
 
 # -- trajectory files ------------------------------------------------------
@@ -233,30 +264,33 @@ def _samples(fh, start: int, end: int):
         yield decode(last.decode())
 
 
-def _stream_samples(fh) -> list | None:
-    """The sample objects of a binary file in the writer's layout, parsed one
-    sample at a time; None for any other layout and for a file that is not
-    valid JSON, which the caller then parses whole."""
+def _stream_samples(fh, keep: Callable[[DeliberationTrajectory], Any]) -> _Checked | None:
+    """The samples of a binary file in the writer's layout, each checked and
+    kept by ``_Checked(keep)`` as it is parsed; None for any other layout and
+    for a file that is not valid JSON, which the caller then parses whole."""
+    checked = _Checked(keep)
     try:
-        return list(_samples(fh, 0, os.fstat(fh.fileno()).st_size))
+        checked.feed(_samples(fh, 0, os.fstat(fh.fileno()).st_size))
     except ValueError:
         return None
+    return checked
 
 
-def _load_halves(path: str) -> list | None:
-    """The sample objects of a large file in the writer's layout, the second
-    half parsed by a forked child while this process parses the first; None
-    when the split does not apply: a small file, no fork that helps, or no
-    separator after the middle byte.
+def _load_halves(path: str, keep: Callable[[DeliberationTrajectory], Any]) -> _Checked | None:
+    """The samples of a large file in the writer's layout, each checked and
+    kept by ``_Checked(keep)``, the second half parsed by a forked child while
+    this process parses the first; None when the split does not apply: a
+    small file, no fork that helps, or no separator after the middle byte.
 
     The file is cut at the first writer separator ``, {"sample_id": `` after
     its middle byte.  The child parses the text after the separator's ``", "``,
     which must end in ``]}`` and whitespace, and pickles each sample object,
     rounds array and all, to its temp file.  This process parses the text
     before the cut, which must start with the writer's head and end after a
-    sample, then unpickles the child's samples after its own.  When
-    both halves parse to their exact ends, the text is half one, ``", "`` and
-    half two, the same JSON value, so the samples are the serial parse's.
+    sample, checking each sample as it parses, then checks the child's
+    samples as it unpickles them.  When both halves parse to their exact
+    ends, the text is half one, ``", "`` and half two, the same JSON value,
+    so the samples, and the first that fails, are the serial parse's.
     A half that does not parse raises ValueError, or RecursionError when it
     nests past the recursion limit; a child that could not be
     made or did not parse its half raises ``ChildProcessError``, an OSError.
@@ -278,56 +312,116 @@ def _load_halves(path: str) -> list | None:
                     pickle.dump(sample, part, protocol=5)
 
         with _forked(child) as wait:
-            return [*_samples(fh, 0, cut), *_unpickled(wait())]
+            checked = _Checked(keep)
+            checked.feed(_samples(fh, 0, cut))
+            checked.feed(_unpickled(wait()))
+            return checked
 
 
 def load_trajectories(path: str) -> list[DeliberationTrajectory]:
+    return _load(path, lambda traj: traj)
+
+
+class _Ends(NamedTuple):
+    """What analyze and compare read of a sample: its id, label, metadata,
+    and copies of its first and last snapshots; n and d as a trajectory's."""
+
+    sample_id: str
+    correct_label: int | None
+    metadata: dict[str, str]
+    innate: np.ndarray
+    final: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.innate.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.innate.shape[1]
+
+
+def _ends(traj: DeliberationTrajectory) -> _Ends:
+    innate, final = _freeze(traj.innate), _freeze(traj.final)
+    return _Ends(traj.sample_id, traj.correct_label, traj.metadata, innate, final)
+
+
+def _load_ends(path: str) -> list[_Ends]:
+    """``load_trajectories`` keeping only each sample's ``_Ends``: every round
+    is checked and repaired as the full load checks it, then dropped."""
+    return _load(path, _ends)
+
+
+def _load(path: str, keep: Callable[[DeliberationTrajectory], Any]) -> list:
+    """What ``keep`` makes of each sample of a trajectory file, in file order."""
     try:
-        samples = _load_halves(path)
+        checked = _load_halves(path, keep)
     except (OSError, ValueError, RecursionError):  # a failed split; the serial load reports it
-        samples = None
+        checked = None
     try:
-        if samples is None:
+        if checked is None:
             with open(path, "rb") as fh:
-                samples = _stream_samples(fh)
-        if samples is None:
+                checked = _stream_samples(fh, keep)
+        if checked is None:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh, object_hook=_rounds_to_array)
-        if samples is not None:
-            doc = {"schema_version": SCHEMA_VERSION, "samples": samples}
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     # a JSONDecodeError, bad UTF-8, an over-long integer, or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    if "schema_version" not in doc:
-        raise ParseError(f"{path}: missing schema_version")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise SchemaVersionUnsupported(
-            f"{path}: schema_version {doc['schema_version']!r}, "
-            f"this reader supports {SCHEMA_VERSION!r}"
-        )
-    extra = set(doc) - {"schema_version", "samples"}
-    if extra:
-        raise ParseError(f"{path}: unknown top-level keys {sorted(extra)}")
-    samples = doc.get("samples")
-    if not isinstance(samples, list):
-        raise ParseError(f"{path}: samples must be a list")
-    return _unique_ids((_parse_sample(raw, pos) for pos, raw in enumerate(samples)), ParseError)
+    if checked is None:
+        if not isinstance(doc, dict):
+            raise ParseError(f"{path}: top level must be an object")
+        if "schema_version" not in doc:
+            raise ParseError(f"{path}: missing schema_version")
+        if doc["schema_version"] != SCHEMA_VERSION:
+            raise SchemaVersionUnsupported(
+                f"{path}: schema_version {doc['schema_version']!r}, "
+                f"this reader supports {SCHEMA_VERSION!r}"
+            )
+        extra = set(doc) - {"schema_version", "samples"}
+        if extra:
+            raise ParseError(f"{path}: unknown top-level keys {sorted(extra)}")
+        if not isinstance(doc.get("samples"), list):
+            raise ParseError(f"{path}: samples must be a list")
+        checked = _Checked(keep)
+        checked.feed(doc["samples"])
+    return checked.result()
 
 
-def _unique_ids(trajs, error: type[Exception]) -> list[DeliberationTrajectory]:
-    """The trajectories as a list; ``error`` names the first repeated sample_id."""
-    out: list[DeliberationTrajectory] = []
-    seen: set[str] = set()
-    for traj in trajs:
-        if traj.sample_id in seen:
-            raise error(f"duplicate sample_id {traj.sample_id!r}")
-        seen.add(traj.sample_id)
-        out.append(traj)
-    return out
+class _Checked:
+    """One load's sample pipeline: each sample object, fed in file order as
+    a parse produces it, passes ``_parse_sample``'s checks and repair and the
+    repeated-id check, and ``keep`` makes what the load holds of it.  The
+    first failing sample's error is held and later samples go unchecked, but
+    the parse runs on to its end, since a JSON error anywhere beats it;
+    ``result`` then raises it."""
+
+    def __init__(self, keep: Callable[[DeliberationTrajectory], Any]):
+        self.keep = keep
+        self.kept: list = []
+        self.ids: set[str] = set()
+        self.error: ValidationError | None = None
+
+    def feed(self, raws: Iterable) -> None:
+        for raw in raws:
+            if self.error is not None:
+                continue
+            try:
+                traj = _parse_sample(raw, len(self.kept))
+                if traj.sample_id in self.ids:
+                    raise ParseError(f"duplicate sample_id {traj.sample_id!r}")
+            except ValidationError as exc:
+                self.error = exc
+                continue
+            self.ids.add(traj.sample_id)
+            self.kept.append(self.keep(traj))
+
+    def result(self) -> list:
+        if self.error is not None:
+            raise self.error
+        return self.kept
 
 
 def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
@@ -405,7 +499,11 @@ def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
     changed after construction, raises ValidationError naming it, and the
     target is left as it was.
     """
-    _unique_ids(trajs, ValidationError)
+    ids: set[str] = set()
+    for traj in trajs:
+        if traj.sample_id in ids:
+            raise ValidationError(f"duplicate sample_id {traj.sample_id!r}")
+        ids.add(traj.sample_id)
     half = len(trajs) // 2
     floats = sum(t.snapshots.size for t in trajs if isinstance(t, DeliberationTrajectory))
     if half and _split_pays(_FLOAT_TEXT_BYTES * floats):
@@ -498,13 +596,13 @@ def _load_params_file(path: str) -> tuple[FJParameters, np.ndarray, Any]:
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     if not isinstance(raw, dict) or "innate" not in raw:
-        raise ParseError("params file must be a JSON object with an 'innate' snapshot")
+        raise ParseError(f"{path!r}: params file must be a JSON object with an 'innate' snapshot")
     extra = set(raw) - _PARAMS_FILE_KEYS
     if extra:
         raise ParseError(f"{path!r}: unknown keys {sorted(extra)}")
     try:
         params = params_from_dict(raw)
-    except ParseError as exc:
+    except ValidationError as exc:  # a bad dictionary, or parameters FJParameters rejects
         raise ParseError(f"{path!r}: {exc}") from exc
     try:
         innate = validate_snapshot(raw["innate"])

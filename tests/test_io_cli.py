@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fjlab.cli import _t_quantile, build_parser, mean_ci, run
+from fjlab.cli import _params_to_arrays, _t_quantile, build_parser, mean_ci, run
 from fjlab.config import AnalyzeSection, FitSection, eta_vector, load_config
 from fjlab.constants import CONSENSUS_THRESHOLD
 from fjlab.dynamics import influence_weights, simulate, simulate_pool
@@ -527,9 +527,9 @@ class TestStreamedTrajectoryFiles:
         whole.write_text(json.dumps(json.loads(text), indent=1), encoding="utf-8")
         monkeypatch.setattr(fio, "_CHUNK_BYTES", chunk)
         with open(path, "rb") as fh:
-            assert fio._stream_samples(fh) is not None
+            assert fio._stream_samples(fh, lambda t: t) is not None
         with open(whole, "rb") as fh:
-            assert fio._stream_samples(fh) is None
+            assert fio._stream_samples(fh, lambda t: t) is None
         got = self._as_tuples(load_trajectories(str(path)))
         assert got == self._as_tuples(load_trajectories(str(whole)))
         assert len(got) == len(trajs)
@@ -548,7 +548,7 @@ class TestStreamedTrajectoryFiles:
         path.write_text(text, encoding="utf-8")
         monkeypatch.setattr(fio, "_CHUNK_BYTES", chunk)
         with open(path, "rb") as fh:
-            assert fio._stream_samples(fh) is None
+            assert fio._stream_samples(fh, lambda t: t) is None
         got = self._as_tuples(load_trajectories(str(path)))
         assert got == self._as_tuples(load_trajectories(str(written)))
         assert len(got) == len(trajs)
@@ -615,6 +615,25 @@ class TestStreamedTrajectoryFiles:
         for a, b in zip(back, trajs):
             assert a.snapshots.tobytes() == b.snapshots.tobytes()
             assert not a.snapshots.flags.writeable
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "split"])
+    def test_ends_load_peak_is_below_fifteen_hundredths_of_the_file(
+        self, tmp_path, monkeypatch, cpus
+    ):
+        path = str(tmp_path / "t.json")
+        trajs = corpus_trajs()
+        save_trajectories(path, trajs)
+        monkeypatch.setattr(fio, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        forks = _count_forks(monkeypatch)
+        back = []
+        peak = traced_peak(lambda: back.extend(fio._load_ends(path)))
+        # each sample is checked as it is parsed and only its ends are kept
+        assert peak <= 0.15 * os.path.getsize(path)
+        assert len(forks) == (len(cpus) == 2)
+        for a, b in zip(back, trajs, strict=True):
+            assert a.innate.tobytes() == b.innate.tobytes()
+            assert a.final.tobytes() == b.final.tobytes()
 
     def test_each_sample_is_decoded_once(self, tmp_path, monkeypatch):
         trajs = corpus_trajs()
@@ -815,7 +834,7 @@ class TestSplitTrajectoryIo:
         path = tmp_path_factory.mktemp("escaped") / "t.json"
         save_trajectories(str(path), trajs)
         with open(path, "rb") as fh:
-            assert fio._stream_samples(fh) is not None
+            assert fio._stream_samples(fh, lambda t: t) is not None
         with open(path, encoding="utf-8") as fh:
             want = json.load(fh)["samples"]
         text = path.read_bytes()
@@ -1074,6 +1093,62 @@ class TestErrorPrecedence:
         assert len(forks) == split
 
 
+class TestEndsLoad:
+    """analyze and compare keep each sample's ends, after every round of it
+    passed the full load's checks and repair."""
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    @pytest.mark.parametrize(
+        "row, reason",
+        [([-0.5, 0.5, 0.5, 0.5], "entry 0 is -0.5"), ([0.5, 0.5, 0.5, 0.0], "row sums to 1.5")],
+        ids=["bad-cell", "bad-row-sum"],
+    )
+    def test_a_fault_in_round_3_exits_1(
+        self, tmp_path, monkeypatch, capsys, command, split, row, reason
+    ):
+        doc = json.loads(reference_document(sample_trajs(count=8, rounds=5)))
+        doc["samples"][5]["rounds"][3][1] = row
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        monkeypatch.setattr(fio, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if split else {0}, raising=False)
+        forks = _count_forks(monkeypatch)
+        argv = ["--output-dir", str(tmp_path), "--quiet", command, "--input", str(path)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"fjlab: error: sample 's5', round 3, agent 1: {reason}"
+        ]
+        assert len(forks) == split
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_repaired_ends_equal_the_full_loads_bit_for_bit(self, tmp_path, monkeypatch, split):
+        doc = json.loads(reference_document(sample_trajs(count=6, rounds=4) + _mixed_trajs()))
+        drifted = doc["samples"][4]["rounds"]
+        drifted[0][2][1] += 3e-7  # off the simplex by more than 1e-9: renormalized
+        drifted[-1][0] = [-1e-10, 1.0 + 1e-10, 0.0, 0.0]  # negative: clipped
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        monkeypatch.setattr(fio, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if split else {0}, raising=False)
+        forks = _count_forks(monkeypatch)
+        ends = fio._load_ends(str(path))
+        full = load_trajectories(str(path))
+        assert len(forks) == 2 * split
+        assert float(full[4].metadata["ingest_max_drift"]) > 2e-7
+        assert full[4].innate[2].tolist() != drifted[0][2]
+        assert full[4].final[0].tolist() == [0.0, 1.0, 0.0, 0.0]
+        for end, traj in zip(ends, full, strict=True):
+            assert (end.sample_id, end.correct_label, end.metadata) == (
+                traj.sample_id, traj.correct_label, traj.metadata
+            )
+            assert (end.n, end.d) == (traj.n, traj.d)
+            for got, want in ((end.innate, traj.innate), (end.final, traj.final)):
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape
+                assert not got.flags.writeable
+                assert got.base is None  # a copy, not a view of every round
+
+
 class TestChildPlacement:
     """A forked child runs on the usable CPUs other than its parent's."""
 
@@ -1200,6 +1275,31 @@ class TestCSV:
         with open(path, "rb") as fh:
             raw = fh.read()
         assert raw == b"a,b\r\n1,\r\n0.5,true\r\n"
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 14, 15])
+    def test_blocks_join_to_one_writers_text(self, tmp_path, monkeypatch, block, count):
+        rows = [[f"s{k}", k, k / 3, k % 2 == 0, None] for k in range(count)]
+        want = tmp_path / "want.csv"
+        write_csv(str(want), ["id", "k", "x", "even", "none"], rows)
+        monkeypatch.setattr(fio, "_CSV_BLOCK_ROWS", block)
+        got = tmp_path / "got.csv"
+        write_csv(str(got), ["id", "k", "x", "even", "none"], (row for row in rows))
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_bytes().splitlines()) == count + 1
+
+    def test_a_row_generator_is_written_in_blocks(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        header = ["sample_id", "agent_id", *MetricColumns.AGENT_FIELDS]
+
+        def rows():
+            for k in range(80_000):
+                yield [f"sample-{k // 8:04d}", k % 8, *(k / (j + 7) for j in range(len(header) - 2))]
+
+        peak = traced_peak(lambda: write_csv(path, header, rows()))
+        assert peak < 4 << 20
+        with open(path, "rb") as fh:
+            assert sum(1 for _ in fh) == 80_001
 
     @given(
         st.lists(
@@ -2061,6 +2161,21 @@ class TestCLI:
             f"duplicate {key} {fits[section][0][key]!r}"
         )
 
+    def test_fits_parse_params_to_arrays(self):
+        good = params_to_dict(sample_params())
+        ragged = {**good, "mask": [[False, True, True], [True, False]]}
+        text = json.dumps(
+            {"per_sample": [{"params": good}, {"params": ragged}], "variability": {"gamma": [1, 2]}}
+        )
+        doc = json.loads(text, object_hook=_params_to_arrays)
+        first, second = (entry["params"] for entry in doc["per_sample"])
+        for name in ("gamma", "alpha", "w"):
+            assert first[name].dtype == np.float64 and first[name].tolist() == good[name]
+        assert first["mask"].dtype == bool and first["mask"].tolist() == good["mask"]
+        # a list that does not convert is left for params_from_dict to reject
+        assert second["mask"] == ragged["mask"] and second["w"].dtype == np.float64
+        assert doc["variability"] == {"gamma": [1, 2]}  # not a params object
+
     @pytest.mark.parametrize("label", [True, 1.5, "1", 3])
     def test_params_file_label_is_checked_by_the_trajectory(self, tmp_path, capsys, label):
         out = str(tmp_path)
@@ -2097,6 +2212,33 @@ class TestCLI:
         assert run(argv + ["--params-file", pfile]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"fjlab: error: {pfile!r}: {message}: ")
+        assert not os.path.exists(os.path.join(out, "trajectories.json"))
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda doc: {**doc, "gamma": [0.5, 1.5, 0.5]}, "gamma entries must lie in [0, 1]"),
+            (
+                lambda doc: {**doc, "gamma": [0.5, 0.5]},
+                "inconsistent shapes: gamma (2,), alpha (3,), w (3, 3), mask (3, 3)",
+            ),
+            (lambda doc: [doc], "params file must be a JSON object with an 'innate' snapshot"),
+            (
+                lambda doc: {k: v for k, v in doc.items() if k != "innate"},
+                "params file must be a JSON object with an 'innate' snapshot",
+            ),
+        ],
+        ids=["gamma-range", "gamma-count", "not-an-object", "no-innate"],
+    )
+    def test_params_file_errors_name_the_file(self, tmp_path, capsys, edit, reason):
+        out = str(tmp_path)
+        doc = params_to_dict(sample_params())
+        doc["innate"] = np.full((3, 3), 1.0 / 3).tolist()
+        pfile = os.path.join(out, "params.json")
+        atomic_write_json(pfile, edit(doc))
+        argv = ["--output-dir", out, "--quiet", "simulate", "--mode", "params"]
+        assert run(argv + ["--params-file", pfile]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"fjlab: error: {pfile!r}: {reason}"]
         assert not os.path.exists(os.path.join(out, "trajectories.json"))
 
     def test_params_file_with_an_unknown_key_exits_1(self, tmp_path, capsys):
