@@ -20,9 +20,11 @@ asserts every row's closed forms, and reports the rows' mean (regions are
 balanced) as the Monte Carlo gap.  Their ``samples`` and ``seed`` are kept
 for the frozen acceptance gate and not used.
 
-The per-draw checks draw in a fixed order, each flat Dirichlet row as the
-exponentials ``rng.dirichlet`` draws there, then scale (``_dirichlet_rows``)
-and check each stack once: the same stream, and the bits of one
+The per-draw checks draw every draw's agent count, then every label count,
+then, for each shape group in order of first appearance ((n, d) for the
+identity checks, n for the influence check), one stack per quantity, each
+flat Dirichlet row as the exponentials ``rng.dirichlet`` draws for it.  They
+scale (``_dirichlet_rows``) and check each stack once: the bits of one
 ``rng.dirichlet`` call and one ``FJParameters`` per draw.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import pickle
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,26 +109,25 @@ def check_influence_consistency(
     the contraction bound rho(H) <= 1 - min(gamma), and that iterating
     ``rounds`` steps lands on the solved equilibrium in sup norm.
     """
+    _check_draws(draws)
+    if rounds < 0:
+        raise ConfigError(f"rounds must be at least 0, got {rounds}")
     rng = np.random.default_rng(seed)
-    groups: dict[int, list] = {}
-    for _ in range(draws):
-        # a random all-to-all system and innate snapshot, n in 2..6, d in 2..8
-        n, d = int(rng.integers(2, 7)), int(rng.integers(2, _LABELS + 1))
-        gamma, alpha = rng.uniform(0.05, 0.95, n), rng.uniform(0.05, 0.95, n)
-        w = rng.uniform(0.0, 1.0, (n, n))
-        innate = np.zeros((n, _LABELS))
-        innate[:, :d] = rng.standard_exponential((n, d))
-        groups.setdefault(n, []).append((gamma, alpha, w, innate, d))
+    # random all-to-all systems and innate snapshots, n in 2..6, d in 2..8
+    ns, ds = rng.integers(2, 7, draws), rng.integers(2, _LABELS + 1, draws)
     min_entry, worst_row, worst_rho = np.inf, 0.0, -np.inf
     by_width: dict[int, list] = {}
-    for n, members in groups.items():
-        gamma, alpha, w, innate, d = (np.array(column) for column in zip(*members))
+    for n in dict.fromkeys(ns.tolist()):
+        d = ds[ns == n]
+        gamma, alpha = (rng.uniform(0.05, 0.95, (len(d), n)) for _ in range(2))
+        w = rng.uniform(0.0, 1.0, (len(d), n, n))
+        exps = rng.standard_exponential((len(d), n, _LABELS))
         # each draw's FJParameters, checked once for the stack
         mask = FJParameters.complete_mask(n)
         w[:, ~mask] = 0.0
         w /= w.sum(axis=-1, keepdims=True)
         _check_params(gamma, alpha, w, mask)
-        innate = _dirichlet_rows(innate)
+        innate = _dirichlet_rows(np.where(np.arange(_LABELS) < d[:, None, None], exps, 0.0))
         h = _stack_h(gamma, alpha, w)
         gs = gamma[:, :, None] * innate
         # One eigenvalue call and the two solves of influence_weights and
@@ -179,24 +181,27 @@ def check_influence_consistency(
     )
 
 
+def _check_draws(draws: int) -> None:
+    if draws < 1:
+        raise ConfigError(f"draws must be at least 1, got {draws}")
+
+
 def _grouped_draws(draws: int, seed: int, labels: bool) -> list[tuple[np.ndarray, ...]]:
     """Random Dirichlet(1) snapshots s (n, d) and weights a (n,), plus a label
-    y when ``labels``, drawn one at a time in that order (s and a as
-    exponentials), stacked by (n, d), scaled and checked once per stack.  The
-    identity checks run the stacked kernels behind ``ambiguity_decomposition``
-    and ``diversity``, so each draw gets the bits those give it alone."""
+    y when ``labels``: every draw's n, then every d, then per (n, d) group in
+    order of first appearance one stack each of s and a (as exponentials) and
+    y, scaled and checked once per stack.  The identity checks run the stacked
+    kernels behind ``ambiguity_decomposition`` and ``diversity``, so each draw
+    gets the bits those give it alone."""
+    _check_draws(draws)
     rng = np.random.default_rng(seed)
-    groups: dict[tuple[int, int], list] = {}
-    for _ in range(draws):
-        n, d = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-        draw = [rng.standard_exponential((n, d)), rng.standard_exponential(n)]
-        if labels:
-            draw.append(int(rng.integers(0, d)))
-        groups.setdefault((n, d), []).append(draw)
-    stacks = [tuple(np.array(column) for column in zip(*g)) for g in groups.values()]
-    for s, a, *_ in stacks:
+    shapes = zip(rng.integers(2, 7, draws).tolist(), rng.integers(2, 7, draws).tolist())
+    stacks = []
+    for (n, d), count in Counter(shapes).items():
+        s, a = rng.standard_exponential((count, n, d)), rng.standard_exponential((count, n))
         _check_rows(_dirichlet_rows(s), "snapshot")
         _check_rows(_dirichlet_rows(a), "weights")
+        stacks.append((s, a, rng.integers(0, d, count)) if labels else (s, a))
     return stacks
 
 
