@@ -12,7 +12,8 @@ Five subcommands form a pipeline over one output directory:
 Global flags (before the subcommand): --config FILE, --seed N (overrides
 every section seed), --output-dir DIR, --quiet.  Subcommand flags override
 the matching config keys.  Exit codes: 0 success, 1 invalid input or
-configuration, 2 numerical failure (including failed verify checks).
+configuration or an unwritable output path, 2 numerical failure (including
+failed verify checks).
 """
 
 from __future__ import annotations
@@ -462,7 +463,8 @@ def cmd_compare(args, cfg: RunConfig) -> int:
             ]
         record = {"group": pool, "n_samples": len(labeled)}
         for method, mix in mixes.items():
-            record[method] = float(np.mean(np.argmax(mix, axis=1) == labels))
+            # one argmax per sample: a pool may mix label counts
+            record[method] = float(np.mean(np.array([np.argmax(m) for m in mix]) == labels))
         records.append(record)
     if not records:
         raise MissingLabels("no labeled samples to score")
@@ -586,7 +588,7 @@ def run(argv: "list[str] | None" = None) -> int:
     except NumericalError as exc:
         print(f"fjlab: numerical error: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"fjlab: error: {exc}", file=sys.stderr)
         return 1
 

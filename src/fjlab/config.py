@@ -3,9 +3,11 @@
 The dialect is stdlib configparser syntax (``key = value`` under
 ``[section]`` headers, ``#`` comments) with no interpolation.  Unknown
 sections and unknown keys are rejected, as are unparsable values; every
-key therefore has exactly one meaning and a documented default.  The
-recognized sections are [simulate], [fit], [analyze], [verify], and
-[compare]; all are optional and default as in the dataclasses below.
+key therefore has exactly one meaning and a documented default.  Every
+section is optional and defaults as in its dataclass: [simulate] is
+``scenarios.SimulateConfig``, beside ``draw_pools``, which checks it; [fit]
+is ``FitSection`` below, ``estimation.FitConfig`` plus the global switch;
+[analyze], [verify] and [compare] are defined below.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .constants import CONSENSUS_THRESHOLD
 from .errors import ConfigError
 from .estimation import FitConfig
 from .model import _check_rows
+from .scenarios import SimulateConfig
 from .verify import BUDGET_DEFAULTS, DEFAULT_CHECKS
 
 __all__ = [
@@ -46,37 +49,6 @@ def eta_vector(section: str, eta: str, n: int) -> "np.ndarray | None":
     if vec.size != n:
         raise ConfigError(f"{section}.eta has {vec.size} entries for n={n}")
     return _check_rows(vec, f"{section}.eta")
-
-
-@dataclass(frozen=True)
-class SimulateConfig:
-    """[simulate] section, checked by ``scenarios.draw_pools`` when simulate
-    runs, with its flags applied, not when the config loads.
-
-    mode "random" draws contractive systems with uniform-random labels;
-    "scenario" draws initial beliefs from a synthetic scenario; "params"
-    simulates one explicit system from params_file.  gamma_mode
-    "confidence" (gamma tied to confidence) is valid in scenario mode only.
-    """
-
-    mode: str = "random"
-    samples: int = 8
-    pools: int = 1
-    agents: int = 5
-    labels: int = 4
-    rounds: int = 5
-    seed: int = 0
-    gamma_min: float = 0.1
-    gamma_max: float = 0.9
-    alpha_min: float = 0.1
-    alpha_max: float = 0.9
-    params_file: str = ""
-    scenario: str = "imperfect"
-    epsilon: float = 0.1
-    p: float = 0.9
-    u: float = 0.05
-    c: float = 0.7
-    gamma_mode: str = "random"
 
 
 @dataclass(frozen=True)

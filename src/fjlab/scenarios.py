@@ -20,13 +20,13 @@ uniforms where applicable).  A sample's snapshot depends on its region and
 label alone, so both generators build the n·d distinct snapshots once
 (``_table``, a function of the scenario alone), draw regions and labels and
 gather the rows; verify's scenario checks score the table with no draw.
-``draw_pools`` holds simulate's checks and RNG order, in all three modes.
+``SimulateConfig`` holds simulate's settings, and ``draw_pools`` beside it
+their checks and the RNG order, in all three modes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.random  # lazy in numpy 2: load it on import, not inside a draw
@@ -44,9 +44,6 @@ from .metrics import _brier_rows, _confidence_rows, confidence_metrics
 from .model import DeliberationTrajectory, FJParameters, _dirichlet_rows
 from .routing import LabeledSnapshotSet
 
-if TYPE_CHECKING:  # config imports verify, which imports this module
-    from .config import SimulateConfig
-
 __all__ = [
     "ExclusiveScenario",
     "ExclusiveLosses",
@@ -63,6 +60,7 @@ __all__ = [
     "uniform_mixture_profile",
     "project_simplex",
     "per_sample_params",
+    "SimulateConfig",
     "draw_pools",
 ]
 
@@ -423,6 +421,43 @@ def per_sample_params(
     raise InvalidScenario(f"unknown gamma_mode {gamma_mode!r}")
 
 
+@dataclass(frozen=True)
+class SimulateConfig:
+    """[simulate] section, checked by ``scenarios.draw_pools`` when simulate
+    runs, with its flags applied, not when the config loads.
+
+    mode "random" draws contractive systems with uniform-random labels;
+    "scenario" draws initial beliefs from a synthetic scenario; "params"
+    simulates one explicit system from params_file.  gamma_mode
+    "confidence" (gamma tied to confidence) is valid in scenario mode only.
+    """
+
+    mode: str = "random"
+    samples: int = 8
+    pools: int = 1
+    agents: int = 5
+    labels: int = 4
+    rounds: int = 5
+    seed: int = 0
+    gamma_min: float = 0.1
+    gamma_max: float = 0.9
+    alpha_min: float = 0.1
+    alpha_max: float = 0.9
+    params_file: str = ""
+    scenario: str = "imperfect"
+    epsilon: float = 0.1
+    p: float = 0.9
+    u: float = 0.05
+    c: float = 0.7
+    gamma_mode: str = "random"
+
+
+def _check_seed(seed: int) -> None:
+    """numpy refuses a negative seed, and Philox a key of 2**128 or more."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _draw_pool_params(rng: np.random.Generator, sim: SimulateConfig) -> FJParameters:
     n = sim.agents
     gamma = rng.uniform(sim.gamma_min, sim.gamma_max, size=n)
@@ -469,6 +504,7 @@ def draw_pools(sim: SimulateConfig) -> tuple[list[DeliberationTrajectory], list[
                     f"{key}_min and {key}_max must satisfy 0 <= min <= max <= 1, "
                     f"got {low} and {high}"
                 )
+        _check_seed(sim.seed)
     elif sim.mode == "params":
         if not sim.params_file:
             raise ConfigError("simulate mode 'params' requires params_file")

@@ -53,6 +53,7 @@ from .routing import (
 from .scenarios import (
     ExclusiveScenario,
     ImperfectScenario,
+    _check_seed,
     _exclusive_table,
     _imperfect_table,
     empirical_route_crossover,
@@ -403,6 +404,7 @@ def run_all_checks(
     for key, value in budgets.items():
         if value < 1:
             raise ConfigError(f"{key} must be at least 1, got {value}")
+    _check_seed(seed)  # then every check's seed + 1 + position suits numpy and Philox
     if not checks or len(set(checks)) != len(checks):
         raise ConfigError(f"checks must name one or more checks, none twice: {checks!r}")
     for name in checks:

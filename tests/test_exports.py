@@ -25,3 +25,10 @@ def test_draw_pools_is_exported_by_the_package_and_scenarios():
 
     assert "draw_pools" in fjlab.__all__ and "draw_pools" in scenarios.__all__
     assert fjlab.draw_pools is scenarios.draw_pools
+
+
+def test_simulate_config_lives_in_scenarios_and_config_keeps_it():
+    from fjlab import config, scenarios
+
+    assert "SimulateConfig" in scenarios.__all__ and "SimulateConfig" in config.__all__
+    assert config.SimulateConfig is scenarios.SimulateConfig

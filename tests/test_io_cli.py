@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from fjlab.cli import _params_to_arrays, _t_quantile, build_parser, mean_ci, run
 from fjlab.config import AnalyzeSection, FitSection, eta_vector, load_config
 from fjlab.constants import CONSENSUS_THRESHOLD
-from fjlab.dynamics import influence_weights, simulate, simulate_pool
+from fjlab.dynamics import aggregate_pi, influence_weights, simulate, simulate_pool
 from fjlab.estimation import FitConfig
 from fjlab.errors import (
     ConfigError,
@@ -2475,6 +2475,91 @@ class TestCLI:
         assert len(trajs) == 2
         assert trajs[0].d == 2
 
+
+    def test_compare_scores_a_pool_that_mixes_label_counts(self, tmp_path):
+        # two simulate outputs in one file: each pool holds 3- and 4-label samples
+        out = str(tmp_path)
+        trajs = []
+        for labels in ("3", "4"):
+            part = str(tmp_path / f"d{labels}")
+            assert self._simulate(part, ["--samples", "4", "--labels", labels]) == 0
+            trajs += [
+                replace(t, sample_id=f"d{labels}-{t.sample_id}")
+                for t in load_trajectories(os.path.join(part, "trajectories.json"))
+            ]
+        save_trajectories(os.path.join(out, "trajectories.json"), trajs)
+        for command in (["fit", "--global"], ["analyze"], ["compare"]):
+            assert run(["--output-dir", out, "--quiet", *command]) == 0, command
+        pooled = {
+            entry["pool"]: params_from_dict(entry["params"])
+            for entry in read_json(out, "fits.json")["global"]
+        }
+        eta = np.full(3, 1.0 / 3.0)
+        groups = read_json(out, "compare.json")["groups"]
+        assert [g["group"] for g in groups] == ["0", "1"]
+        for group in groups:
+            pool = [t for t in trajs if t.metadata["pool"] == group["group"]]
+            assert {t.d for t in pool} == {3, 4} and group["n_samples"] == len(pool)
+            pi = aggregate_pi(influence_weights(pooled[group["group"]]), eta)
+            weights = {"innate_mix": (eta, 0), "final_mix": (eta, -1), "influence_mix": (pi, 0)}
+            for method, (w, snapshot) in weights.items():
+                hits = [np.argmax(w @ t.snapshots[snapshot]) == t.correct_label for t in pool]
+                assert group[method] == np.mean(hits), method
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**128])
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["simulate", "--mode", "scenario"], ["verify"]],
+        ids=["random", "scenario", "verify"],
+    )
+    def test_a_seed_outside_the_generators_range_exits_1(self, tmp_path, capsys, command, seed):
+        capsys.readouterr()
+        assert run(["--output-dir", str(tmp_path), "--quiet", "--seed", str(seed), *command]) == 1
+        want = f"fjlab: error: seed must be in [0, 2**64), got {seed}"
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert os.listdir(str(tmp_path)) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate"],
+            ["simulate", "--mode", "scenario"],
+            ["verify", "--prop-draws", "3", "--identity-draws", "20",
+             "--consistency-samples", "50"],
+        ],
+        ids=["random", "scenario", "verify"],
+    )
+    def test_the_largest_seed_runs(self, tmp_path, command):
+        argv = ["--output-dir", str(tmp_path), "--quiet", "--seed", str(2**64 - 1)]
+        assert run([*argv, *command]) == 0
+
+    def test_params_mode_draws_nothing_and_takes_any_seed(self, tmp_path):
+        doc = params_to_dict(sample_params())
+        doc["innate"] = np.random.default_rng(3).dirichlet(np.ones(3), size=3).tolist()
+        pfile = str(tmp_path / "params.json")
+        atomic_write_json(pfile, doc)
+        out = str(tmp_path / "out")
+        argv = ["--output-dir", out, "--quiet", "--seed", "-1"]
+        assert run([*argv, "simulate", "--mode", "params", "--params-file", pfile]) == 0
+        assert os.listdir(out) == ["trajectories.json"]
+
+    def test_an_output_dir_that_is_a_file_exits_1(self, tmp_path, capsys):
+        target = tmp_path / "out"
+        target.write_text("kept\n")
+        capsys.readouterr()
+        assert run(["--output-dir", str(target), "--quiet", "simulate"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fjlab: error: [Errno"), err
+        assert os.listdir(str(tmp_path)) == ["out"] and target.read_text() == "kept\n"
+
+    def test_an_artifact_path_that_is_a_directory_exits_1(self, tmp_path, capsys):
+        (tmp_path / "trajectories.json").mkdir()
+        capsys.readouterr()
+        assert run(["--output-dir", str(tmp_path), "--quiet", "simulate"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fjlab: error: [Errno"), err
+        assert os.listdir(str(tmp_path)) == ["trajectories.json"]
+        assert os.listdir(str(tmp_path / "trajectories.json")) == []
 
 class TestStackedAnalyze:
     """analyze stacks the samples that share d: rows and errors keep file order."""
