@@ -1,7 +1,9 @@
 """Work split with one child made by ``os.fork``: trajectory io's large
-saves and loads (``io``) and verify's checks (``verify``) use it.
-``ChildProcessError`` is the one signal that a split failed; each caller
-then runs its serial code, which raises the serial error."""
+saves and loads (``io``) and verify's checks (``verify``) use it.  The
+child pickles the objects it produces to a temp file, and this process
+iterates them in order.  ``ChildProcessError`` is the one signal that a
+split failed; each caller then runs its serial code, which raises the
+serial error."""
 
 from __future__ import annotations
 
@@ -47,22 +49,24 @@ def _child_cpus(usable: set[int], current: int | None) -> set[int] | None:
 
 
 @contextlib.contextmanager
-def _forked(work, directory: str | None = None):
-    """Run ``work(part)`` in a child made by ``os.fork`` while the block runs;
-    ``part`` is an anonymous binary temp file in ``directory`` (by default
-    the temp directory) that takes the child's output.
+def _forked(produce, directory: str | None = None):
+    """Run ``produce()`` in a child made by ``os.fork`` while the block runs;
+    the child pickles each object it yields to an anonymous binary temp file
+    in ``directory`` (by default the temp directory).
 
-    Yields a function that waits for the child and returns ``part`` at its
-    start.  ``ChildProcessError`` means the split failed: entry raises it,
+    Yields an iterator over those objects, in order; it waits for the child
+    when it is first advanced, so the block's own work runs beside the
+    child's.  ``ChildProcessError`` means the split failed: entry raises it,
     chained from the ``OSError``, when no temp file or no child could be
-    made, and the wait raises it when ``work`` raised in the child.  The
-    child runs on the usable CPUs other than the one this process is on, so
-    that the scheduler does not leave both on one CPU; it runs where it was
-    placed when that CPU is unknown or the affinity cannot be set.  The
-    child ends in ``os._exit``, 0 if ``work`` returned and 1 if it raised,
-    so it runs no exit handler and flushes no buffer it inherited.  Leaving
-    the block kills and reaps a child not yet waited for, also when the
-    block raises or is interrupted, and closes ``part``.
+    made, and the iterator raises it when the child did not write every
+    object.  The child runs on the usable CPUs other than the one this
+    process is on, so that the scheduler does not leave both on one CPU; it
+    runs where it was placed when that CPU is unknown or the affinity cannot
+    be set.  The child ends in ``os._exit``, 0 once every object is written
+    and 1 if ``produce`` or a write raised, so it runs no exit handler and
+    flushes no buffer it inherited.  Leaving the block kills and reaps a
+    child not yet waited for, also when the block raises or is interrupted,
+    and closes the file.
     """
     part = status = cpus = None
     if hasattr(os, "sched_setaffinity"):
@@ -80,31 +84,26 @@ def _forked(work, directory: str | None = None):
             if cpus is not None:
                 with contextlib.suppress(OSError):
                     os.sched_setaffinity(0, cpus)
-            work(part)
+            for obj in produce():
+                pickle.dump(obj, part, protocol=5)
             part.flush()
             code = 0
         finally:
             os._exit(code)
 
-    def wait():
+    def objects():
         nonlocal status
-        if status is None:
-            status = os.waitpid(pid, 0)[1]
+        status = os.waitpid(pid, 0)[1]
         if status:
             raise ChildProcessError(f"the split's child ended with wait status {status}")
         part.seek(0)
-        return part
+        while part.peek(1):
+            yield pickle.load(part)
 
     try:
-        yield wait
+        yield objects()
     finally:
         if status is None:
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
         part.close()
-
-
-def _unpickled(part):
-    """The objects pickled to ``part`` from its current offset on, in order."""
-    while part.peek(1):
-        yield pickle.load(part)

@@ -254,7 +254,9 @@ def _params_to_arrays(obj: dict) -> dict:
 
 def _load_fits(path: str, section: str, key: str) -> "dict[str, FJParameters]":
     """The parameters of each entry of one fits.json section, by the entry's
-    ``key``; a malformed entry raises ParseError naming the file and entry."""
+    ``key``; a missing or unsupported schema_version raises as a trajectory
+    file's does, and a malformed entry raises ParseError naming the file and
+    entry."""
     if not os.path.exists(path):
         raise MissingParams(f"{path!r} not found; run 'fjlab fit' first")
     try:
@@ -264,6 +266,7 @@ def _load_fits(path: str, section: str, key: str) -> "dict[str, FJParameters]":
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path!r} must hold a JSON object")
+    fio._check_schema_version(raw, repr(path))
     entries = raw.get(section, [])
     if not isinstance(entries, list):
         raise ParseError(f"{path!r}: {section!r} must be a list")
@@ -276,7 +279,7 @@ def _load_fits(path: str, section: str, key: str) -> "dict[str, FJParameters]":
             raise ParseError(f"{where}: duplicate {key} {entry[key]!r}")
         try:
             fits[entry[key]] = fio.params_from_dict(entry.get("params"))
-        except ParseError as exc:
+        except ValidationError as exc:  # a bad dictionary, or parameters FJParameters rejects
             raise ParseError(f"{where}: {exc}") from exc
     return fits
 
@@ -473,7 +476,10 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     fio.write_csv(
         csv_path,
         ["pool", "samples", "acc_innate_mix", "acc_final_mix", "acc_influence_mix"],
-        [list(record.values()) for record in records],
+        [
+            [r["group"], r["n_samples"], r["innate_mix"], r["final_mix"], r["influence_mix"]]
+            for r in records
+        ],
     )
     fio.atomic_write_json(
         json_path,

@@ -43,7 +43,7 @@ list, and the sample check raises on it.  A trajectory adopts the array
 its load checked, frozen in place, without the constructor's second check
 and copy.
 
-Every load checks each sample as soon as a parse produces it (``_Checked``),
+Every load checks each sample as soon as a parse produces it (``_checked``),
 so it holds one sample's parsed objects beside what it keeps:
 ``load_trajectories``, which ``fit`` uses, keeps every round; ``_load_ends``,
 which ``analyze`` and ``compare`` use, keeps per sample its id, label,
@@ -74,14 +74,13 @@ import json
 import math
 import mmap
 import os
-import pickle
 import tempfile
 from collections.abc import Callable, Iterable
 from typing import Any, NamedTuple
 
 import numpy as np
 
-from ._fork import _fork_helps, _forked, _unpickled
+from ._fork import _fork_helps, _forked
 from .constants import INGEST_TOL, TAU_SIMPLEX
 from .errors import (
     InvariantViolation,
@@ -264,33 +263,31 @@ def _samples(fh, start: int, end: int):
         yield decode(last.decode())
 
 
-def _stream_samples(fh, keep: Callable[[DeliberationTrajectory], Any]) -> _Checked | None:
-    """The samples of a binary file in the writer's layout, each checked and
-    kept by ``_Checked(keep)`` as it is parsed; None for any other layout and
-    for a file that is not valid JSON, which the caller then parses whole."""
-    checked = _Checked(keep)
+def _stream_samples(fh, keep: Callable[[DeliberationTrajectory], Any]) -> list | None:
+    """What ``_checked`` keeps of the samples of a binary file in the writer's
+    layout, each checked as it is parsed; None for any other layout and for a
+    file that is not valid JSON, which the caller then parses whole."""
     try:
-        checked.feed(_samples(fh, 0, os.fstat(fh.fileno()).st_size))
+        return _checked(_samples(fh, 0, os.fstat(fh.fileno()).st_size), keep)
     except ValueError:
         return None
-    return checked
 
 
-def _load_halves(path: str, keep: Callable[[DeliberationTrajectory], Any]) -> _Checked | None:
-    """The samples of a large file in the writer's layout, each checked and
-    kept by ``_Checked(keep)``, the second half parsed by a forked child while
-    this process parses the first; None when the split does not apply: a
-    small file, no fork that helps, or no separator after the middle byte.
+def _load_halves(path: str, keep: Callable[[DeliberationTrajectory], Any]) -> list | None:
+    """What ``_checked`` keeps of the samples of a large file in the writer's
+    layout, the second half parsed by a forked child while this process
+    parses the first; None when the split does not apply: a small file, no
+    fork that helps, or no separator after the middle byte.
 
     The file is cut at the first writer separator ``, {"sample_id": `` after
     its middle byte.  The child parses the text after the separator's ``", "``,
-    which must end in ``]}`` and whitespace, and pickles each sample object,
-    rounds array and all, to its temp file.  This process parses the text
-    before the cut, which must start with the writer's head and end after a
-    sample, checking each sample as it parses, then checks the child's
-    samples as it unpickles them.  When both halves parse to their exact
-    ends, the text is half one, ``", "`` and half two, the same JSON value,
-    so the samples, and the first that fails, are the serial parse's.
+    which must end in ``]}`` and whitespace, and passes back each sample
+    object, rounds array and all.  This process parses the text before the
+    cut, which must start with the writer's head and end after a sample,
+    checking each sample as it parses, then checks the child's samples as it
+    iterates them.  When both halves parse to their exact ends, the text is
+    half one, ``", "`` and half two, the same JSON value, so the samples, and
+    the first that fails, are the serial parse's.
     A half that does not parse raises ValueError, or RecursionError when it
     nests past the recursion limit; a child that could not be
     made or did not parse its half raises ``ChildProcessError``, an OSError.
@@ -305,17 +302,13 @@ def _load_halves(path: str, keep: Callable[[DeliberationTrajectory], Any]) -> _C
         if cut < 0:
             return None
 
-        def child(part) -> None:
+        def second_half():
             # its own file: one inherited shares its offset with this process
             with open(path, "rb") as src:
-                for sample in _samples(src, cut + len(", "), size):
-                    pickle.dump(sample, part, protocol=5)
+                yield from _samples(src, cut + len(", "), size)
 
-        with _forked(child) as wait:
-            checked = _Checked(keep)
-            checked.feed(_samples(fh, 0, cut))
-            checked.feed(_unpickled(wait()))
-            return checked
+        with _forked(second_half) as theirs:
+            return _checked(itertools.chain(_samples(fh, 0, cut), theirs), keep)
 
 
 def load_trajectories(path: str) -> list[DeliberationTrajectory]:
@@ -355,73 +348,70 @@ def _load_ends(path: str) -> list[_Ends]:
 def _load(path: str, keep: Callable[[DeliberationTrajectory], Any]) -> list:
     """What ``keep`` makes of each sample of a trajectory file, in file order."""
     try:
-        checked = _load_halves(path, keep)
+        kept = _load_halves(path, keep)
     except (OSError, ValueError, RecursionError):  # a failed split; the serial load reports it
-        checked = None
+        kept = None
     try:
-        if checked is None:
+        if kept is None:
             with open(path, "rb") as fh:
-                checked = _stream_samples(fh, keep)
-        if checked is None:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh, object_hook=_rounds_to_array)
+                kept = _stream_samples(fh, keep)
+        if kept is not None:
+            return kept
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, object_hook=_rounds_to_array)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     # a JSONDecodeError, bad UTF-8, an over-long integer, or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    if checked is None:
-        if not isinstance(doc, dict):
-            raise ParseError(f"{path}: top level must be an object")
-        if "schema_version" not in doc:
-            raise ParseError(f"{path}: missing schema_version")
-        if doc["schema_version"] != SCHEMA_VERSION:
-            raise SchemaVersionUnsupported(
-                f"{path}: schema_version {doc['schema_version']!r}, "
-                f"this reader supports {SCHEMA_VERSION!r}"
-            )
-        extra = set(doc) - {"schema_version", "samples"}
-        if extra:
-            raise ParseError(f"{path}: unknown top-level keys {sorted(extra)}")
-        if not isinstance(doc.get("samples"), list):
-            raise ParseError(f"{path}: samples must be a list")
-        checked = _Checked(keep)
-        checked.feed(doc["samples"])
-    return checked.result()
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be an object")
+    _check_schema_version(doc, path)
+    extra = set(doc) - {"schema_version", "samples"}
+    if extra:
+        raise ParseError(f"{path}: unknown top-level keys {sorted(extra)}")
+    if not isinstance(doc.get("samples"), list):
+        raise ParseError(f"{path}: samples must be a list")
+    return _checked(doc["samples"], keep)
 
 
-class _Checked:
-    """One load's sample pipeline: each sample object, fed in file order as
-    a parse produces it, passes ``_parse_sample``'s checks and repair and the
+def _check_schema_version(doc: dict, where: str) -> None:
+    """Raise unless the document ``doc`` holds this reader's schema_version;
+    ``where`` names its file in the message."""
+    if "schema_version" not in doc:
+        raise ParseError(f"{where}: missing schema_version")
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise SchemaVersionUnsupported(
+            f"{where}: schema_version {doc['schema_version']!r}, "
+            f"this reader supports {SCHEMA_VERSION!r}"
+        )
+
+
+def _checked(raws: Iterable, keep: Callable[[DeliberationTrajectory], Any]) -> list:
+    """One load's sample pipeline: each sample object, in file order as a
+    parse produces it, passes ``_parse_sample``'s checks and repair and the
     repeated-id check, and ``keep`` makes what the load holds of it.  The
     first failing sample's error is held and later samples go unchecked, but
-    the parse runs on to its end, since a JSON error anywhere beats it;
-    ``result`` then raises it."""
-
-    def __init__(self, keep: Callable[[DeliberationTrajectory], Any]):
-        self.keep = keep
-        self.kept: list = []
-        self.ids: set[str] = set()
-        self.error: ValidationError | None = None
-
-    def feed(self, raws: Iterable) -> None:
-        for raw in raws:
-            if self.error is not None:
-                continue
-            try:
-                traj = _parse_sample(raw, len(self.kept))
-                if traj.sample_id in self.ids:
-                    raise ParseError(f"duplicate sample_id {traj.sample_id!r}")
-            except ValidationError as exc:
-                self.error = exc
-                continue
-            self.ids.add(traj.sample_id)
-            self.kept.append(self.keep(traj))
-
-    def result(self) -> list:
-        if self.error is not None:
-            raise self.error
-        return self.kept
+    the parse runs on to its end, since a JSON error anywhere beats it; the
+    error is then raised."""
+    kept: list = []
+    ids: set[str] = set()
+    error: ValidationError | None = None
+    for raw in raws:
+        if error is not None:
+            continue
+        try:
+            traj = _parse_sample(raw, len(kept))
+            if traj.sample_id in ids:
+                raise ParseError(f"duplicate sample_id {traj.sample_id!r}")
+        except ValidationError as exc:
+            error = exc
+            continue
+        ids.add(traj.sample_id)
+        kept.append(keep(traj))
+    if error is not None:
+        raise error
+    return kept
 
 
 def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
@@ -487,17 +477,17 @@ def _parse_sample(raw: Any, pos: int) -> DeliberationTrajectory:
 def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
     """Write the samples as one trajectory document, atomically.
 
-    For large text a forked child encodes the second half of the samples
-    into a temp file next to the target while this process streams the head
-    and the first half; this process then appends the child's text, and the
-    bytes are those of the serial writer.  When the split fails
-    (``ChildProcessError``: no child, or a child that did not encode its
-    half), the serial writer writes the whole document, so a failing sample
-    raises its own error; after a failed child the first half is encoded
-    twice.  A repeated sample_id raises ValidationError; nothing is written.
-    A sample whose fields fail the loader's check, such as a metadata map
-    changed after construction, raises ValidationError naming it, and the
-    target is left as it was.
+    For large text a forked child encodes the second half of the samples,
+    passing back each entry's text through a temp file next to the target,
+    while this process streams the head and the first half; this process
+    then appends the child's entries, and the bytes are those of the serial
+    writer.  When the split fails (``ChildProcessError``: no child, or a
+    child that did not encode its half), the serial writer writes the whole
+    document, so a failing sample raises its own error; after a failed child
+    the first half is encoded twice.  A repeated sample_id raises
+    ValidationError; nothing is written.  A sample whose fields fail the
+    loader's check, such as a metadata map changed after construction,
+    raises ValidationError naming it, and the target is left as it was.
     """
     ids: set[str] = set()
     for traj in trajs:
@@ -509,21 +499,16 @@ def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
     if half and _split_pays(_FLOAT_TEXT_BYTES * floats):
         first, second = trajs[:half], trajs[half:]
 
-        def write_second(part) -> None:
-            # the encoder escapes every character past ASCII
-            part.writelines(entry.encode("ascii") for entry in _sample_entries(second, half))
-
-        def chunks(wait) -> Iterable[str]:
+        def chunks(theirs: Iterable[str]) -> Iterable[str]:
             yield _HEAD
             yield from _sample_entries(first)
-            part = wait()
-            while chunk := part.read(_CHUNK_BYTES):
-                yield chunk.decode("ascii")
+            yield from theirs
             yield "]}\n"
 
         with contextlib.suppress(ChildProcessError):
-            with _forked(write_second, os.path.dirname(os.path.abspath(path))) as wait:
-                atomic_write_chunks(path, chunks(wait))
+            directory = os.path.dirname(os.path.abspath(path))
+            with _forked(lambda: _sample_entries(second, half), directory) as theirs:
+                atomic_write_chunks(path, chunks(theirs))
                 return
     atomic_write_chunks(path, _trajectory_chunks(trajs))
 

@@ -31,13 +31,12 @@ scale (``_dirichlet_rows``) and check each stack once: the bits of one
 from __future__ import annotations
 
 import itertools
-import pickle
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fork import _fork_helps, _forked, _unpickled
+from ._fork import _fork_helps, _forked
 from .dynamics import _checked_influence, _fixed_point, _run_rounds, _stack_h
 from .errors import ConfigError
 from .metrics import _diversity_rows, _log_loss_rows, _mixture, _pairwise_diversity_rows
@@ -418,15 +417,10 @@ def run_all_checks(
     there = [name for name in checks if _CHECKS[name][2] == "child"]
     here = [name for name in checks if name not in there]
     if here and there and _fork_helps():
-
-        def child(part) -> None:
-            for name in there:
-                pickle.dump(run(name), part, protocol=5)
-
         try:
-            with _forked(child) as wait:
+            with _forked(lambda: map(run, there)) as theirs:
                 results = {name: run(name) for name in here}
-                results.update(zip(there, _unpickled(wait())))
+                results.update(zip(there, theirs))
             return [results[name] for name in checks]
         except Exception:  # a failed split; the serial loop raises its error in check order
             pass

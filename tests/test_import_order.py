@@ -1,6 +1,6 @@
 """The package's modules import one another in one acyclic order, counting
 every relative import: at the top, under ``if TYPE_CHECKING:`` and inside
-functions alike."""
+functions alike; and only the fork split's module imports ``pickle``."""
 
 import ast
 import os
@@ -60,3 +60,30 @@ def test_the_package_imports_form_one_order():
     graph = import_graph()
     assert {"cli", "config", "scenarios", "verify"} <= set(graph)
     assert find_cycle(graph) is None
+
+
+def importers(name, package=PACKAGE):
+    """The package's module files that import the top-level module ``name``,
+    anywhere in the file."""
+    found = set()
+    for file in sorted(os.listdir(package)):
+        if not file.endswith(".py"):
+            continue
+        with open(os.path.join(package, file), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == name for n in names):
+                found.add(file)
+    return found
+
+
+def test_only_the_fork_module_imports_pickle():
+    # the split's transport stays in one module: callers pass a producer to
+    # _fork._forked and iterate the objects it passes back
+    assert importers("pickle") == {"_fork.py"}

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import pickle
 import re
 import stat
 import subprocess
@@ -1183,12 +1182,11 @@ class TestChildPlacement:
     def test_child_runs_on_the_other_cpus(self):
         usable = os.sched_getaffinity(0)
 
-        def work(part) -> bool:
-            part.write(json.dumps(sorted(os.sched_getaffinity(0))).encode())
-            return True
+        def produce():
+            yield from sorted(os.sched_getaffinity(0))
 
-        with _fork._forked(work) as wait:
-            placed = set(json.loads(wait().read()))
+        with _fork._forked(produce) as theirs:
+            placed = set(theirs)
         assert len(placed) == len(usable) - 1 and placed < usable
         assert os.sched_getaffinity(0) == usable  # this process is not moved
         with pytest.raises(ChildProcessError):
@@ -1200,14 +1198,14 @@ class TestForkProtocol:
     """ChildProcessError is the one signal that a split failed, and no child
     is left behind."""
 
-    def test_a_raising_work_fails_the_wait(self):
-        def work(part):
-            part.write(b"half")
-            raise RuntimeError("the child's work failed")
+    def test_a_raising_producer_fails_the_iterator(self):
+        def produce():
+            yield "half"
+            raise RuntimeError("the child's producer failed")
 
-        with _fork._forked(work) as wait:
+        with _fork._forked(produce) as theirs:
             with pytest.raises(ChildProcessError):
-                wait()
+                next(theirs)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -1216,7 +1214,7 @@ class TestForkProtocol:
         forks = _count_forks(monkeypatch, fail=True)
         before = sorted(os.listdir("/proc/self/fd"))
         with pytest.raises(ChildProcessError) as err:
-            with _fork._forked(lambda part: None):
+            with _fork._forked(lambda: ()):
                 pytest.fail("the block ran without a child")
         assert type(err.value.__cause__) is OSError
         assert len(forks) == 1
@@ -1225,17 +1223,33 @@ class TestForkProtocol:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("count", [0, 1, 3])
-    def test_unpickled_yields_the_childs_objects_in_order(self, count):
+    def test_iterator_yields_the_childs_objects_in_order(self, count):
         objects = [{"k": k, "rounds": np.full((2, 2), k / 3)} for k in range(count)]
 
-        def work(part):
-            for obj in objects:
-                pickle.dump(obj, part, protocol=5)
-
-        with _fork._forked(work) as wait:
-            got = list(_fork._unpickled(wait()))
+        with _fork._forked(lambda: iter(objects)) as theirs:
+            got = list(theirs)
         assert [obj["k"] for obj in got] == list(range(count))
         assert all(np.array_equal(a["rounds"], b["rounds"]) for a, b in zip(got, objects))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_iterator_waits_for_the_child_when_first_advanced(self, monkeypatch):
+        # a split load chains its own half before the child's iterator; a
+        # wait on entry would run the halves one after the other
+        waits = []
+        waitpid = os.waitpid
+
+        def counted(pid, options):
+            waits.append(pid)
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", counted)
+        with _fork._forked(lambda: iter("ab")) as theirs:
+            assert waits == []
+            assert next(theirs) == "a"
+            assert len(waits) == 1
+            assert list(theirs) == ["b"]
+        assert len(waits) == 1  # the child was waited for, so not killed
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -2128,6 +2142,32 @@ class TestCLI:
                     ]
                 },
             ),
+            # arrays that parse, but that FJParameters rejects
+            (
+                "analyze",
+                {
+                    "per_sample": [
+                        {
+                            "sample_id": "sample-0000",
+                            "params": {
+                                **params_to_dict(sample_params()),
+                                "mask": [[False, True], [True, False]],
+                            },
+                        }
+                    ]
+                },
+            ),
+            (
+                "compare",
+                {
+                    "global": [
+                        {
+                            "pool": "0",
+                            "params": {**params_to_dict(sample_params()), "gamma": [1.5, 0.5, 0.5]},
+                        }
+                    ]
+                },
+            ),
         ],
     )
     def test_malformed_fits_entries_exit_1(self, tmp_path, capsys, command, fits):
@@ -2141,6 +2181,30 @@ class TestCLI:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("fjlab:")
         assert "fits.json" in lines[0]
+
+    @pytest.mark.parametrize("version", ["2", None], ids=["unsupported", "missing"])
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_fits_schema_version_is_checked(self, tmp_path, capsys, command, version):
+        out = str(tmp_path)
+        assert self._simulate(out) == 0
+        assert run(["--output-dir", out, "--quiet", "fit", "--global"]) == 0
+        fits = read_json(out, "fits.json")
+        assert fits["schema_version"] == "1"
+        if version is None:
+            del fits["schema_version"]
+        else:
+            fits["schema_version"] = version
+        atomic_write_json(os.path.join(out, "fits.json"), fits)
+        capsys.readouterr()
+        assert run(["--output-dir", out, "--quiet", command]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        path = os.path.join(out, "fits.json")
+        if version is None:
+            assert line == f"fjlab: error: {path!r}: missing schema_version"
+        else:
+            assert line == (
+                f"fjlab: error: {path!r}: schema_version '2', this reader supports '1'"
+            )
 
     @pytest.mark.parametrize("command, section", [("analyze", "per_sample"), ("compare", "global")])
     def test_repeated_fits_key_exits_1(self, tmp_path, capsys, command, section):
