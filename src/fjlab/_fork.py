@@ -2,8 +2,9 @@
 saves and loads (``io``) and verify's checks (``verify``) use it.  The
 child pickles the objects it produces to a temp file, and this process
 iterates them in order.  ``ChildProcessError`` is the one signal that a
-split failed; each caller then runs its serial code, which raises the
-serial error."""
+split failed.  Each caller tries the split in one ``with`` block that
+returns from within, under ``contextlib.suppress``, and a failed split falls
+through to the caller's serial code, which raises the serial error."""
 
 from __future__ import annotations
 

@@ -54,7 +54,7 @@ check; otherwise the first failing sample in file order raises, whether it
 fails a cell, a field or the repeated-id check.
 
 Large trajectory text is split between this process and one forked child
-(``_fork``): ``save_trajectories`` and ``_load_halves`` say how, and why
+(``_fork``): ``save_trajectories`` and ``_load`` say how, and why
 the bytes, samples and errors are those of the serial code.
 
 All writes are atomic (temp file in the target directory, then rename).
@@ -273,44 +273,6 @@ def _stream_samples(fh, keep: Callable[[DeliberationTrajectory], Any]) -> list |
         return None
 
 
-def _load_halves(path: str, keep: Callable[[DeliberationTrajectory], Any]) -> list | None:
-    """What ``_checked`` keeps of the samples of a large file in the writer's
-    layout, the second half parsed by a forked child while this process
-    parses the first; None when the split does not apply: a small file, no
-    fork that helps, or no separator after the middle byte.
-
-    The file is cut at the first writer separator ``, {"sample_id": `` after
-    its middle byte.  The child parses the text after the separator's ``", "``,
-    which must end in ``]}`` and whitespace, and passes back each sample
-    object, rounds array and all.  This process parses the text before the
-    cut, which must start with the writer's head and end after a sample,
-    checking each sample as it parses, then checks the child's samples as it
-    iterates them.  When both halves parse to their exact ends, the text is
-    half one, ``", "`` and half two, the same JSON value, so the samples, and
-    the first that fails, are the serial parse's.
-    A half that does not parse raises ValueError, or RecursionError when it
-    nests past the recursion limit; a child that could not be
-    made or did not parse its half raises ``ChildProcessError``, an OSError.
-    The caller then runs the serial load, which raises the exact serial error.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if not _split_pays(size):
-            return None
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as text:
-            cut = text.find(_SEPARATOR, size // 2)
-        if cut < 0:
-            return None
-
-        def second_half():
-            # its own file: one inherited shares its offset with this process
-            with open(path, "rb") as src:
-                yield from _samples(src, cut + len(", "), size)
-
-        with _forked(second_half) as theirs:
-            return _checked(itertools.chain(_samples(fh, 0, cut), theirs), keep)
-
-
 def load_trajectories(path: str) -> list[DeliberationTrajectory]:
     return _load(path, lambda traj: traj)
 
@@ -346,15 +308,44 @@ def _load_ends(path: str) -> list[_Ends]:
 
 
 def _load(path: str, keep: Callable[[DeliberationTrajectory], Any]) -> list:
-    """What ``keep`` makes of each sample of a trajectory file, in file order."""
+    """What ``keep`` makes of each sample of a trajectory file, in file order.
+
+    Three parses are tried in turn, each checking every sample as it
+    produces it (``_checked``), and the first that reaches its end gives the
+    result.  First, a large file in the writer's layout is split with a
+    forked child, when a fork helps: the file is cut at the first writer
+    separator ``, {"sample_id": `` after its middle byte; the child parses
+    the text after the separator's ``", "``, which must end in ``]}`` and
+    whitespace, and passes back each sample object, rounds array and all,
+    while this process parses the text before the cut, which must start with
+    the writer's head and end after a sample, then checks the child's
+    samples as it iterates them.  When both halves parse to their exact
+    ends, the text is half one, ``", "`` and half two, the same JSON value,
+    so the samples, and the first that fails, are the serial parse's.  A
+    half that does not parse (ValueError, or RecursionError when it nests
+    past the recursion limit) or a child that could not be made or did not
+    parse its half (``ChildProcessError``, an OSError) falls through.  Next
+    the whole file is streamed in the writer's layout (``_stream_samples``);
+    last it is parsed whole by ``json.load``, which raises the exact error.
+    """
+
+    def second_half():
+        # the text after the cut, in its own file: one inherited shares its
+        # offset with this process
+        with open(path, "rb") as src:
+            yield from _samples(src, cut + len(", "), size)
+
     try:
-        kept = _load_halves(path, keep)
-    except (OSError, ValueError, RecursionError):  # a failed split; the serial load reports it
-        kept = None
-    try:
-        if kept is None:
-            with open(path, "rb") as fh:
-                kept = _stream_samples(fh, keep)
+        with open(path, "rb") as fh:
+            with contextlib.suppress(OSError, ValueError, RecursionError):
+                size = os.fstat(fh.fileno()).st_size
+                if _split_pays(size):
+                    with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as text:
+                        cut = text.find(_SEPARATOR, size // 2)
+                    if cut >= 0:
+                        with _forked(second_half) as theirs:
+                            return _checked(itertools.chain(_samples(fh, 0, cut), theirs), keep)
+            kept = _stream_samples(fh, keep)
         if kept is not None:
             return kept
         with open(path, encoding="utf-8") as fh:
@@ -497,26 +488,23 @@ def save_trajectories(path: str, trajs: list[DeliberationTrajectory]) -> None:
     half = len(trajs) // 2
     floats = sum(t.snapshots.size for t in trajs if isinstance(t, DeliberationTrajectory))
     if half and _split_pays(_FLOAT_TEXT_BYTES * floats):
-        first, second = trajs[:half], trajs[half:]
-
-        def chunks(theirs: Iterable[str]) -> Iterable[str]:
-            yield _HEAD
-            yield from _sample_entries(first)
-            yield from theirs
-            yield "]}\n"
-
+        directory = os.path.dirname(os.path.abspath(path))
         with contextlib.suppress(ChildProcessError):
-            directory = os.path.dirname(os.path.abspath(path))
-            with _forked(lambda: _sample_entries(second, half), directory) as theirs:
-                atomic_write_chunks(path, chunks(theirs))
+            with _forked(lambda: _sample_entries(trajs[half:], half), directory) as theirs:
+                atomic_write_chunks(path, _trajectory_chunks(trajs[:half], theirs))
                 return
     atomic_write_chunks(path, _trajectory_chunks(trajs))
 
 
-def _trajectory_chunks(trajs: list[DeliberationTrajectory]) -> Iterable[str]:
-    """The trajectory document as text, one sample's entry per chunk."""
+def _trajectory_chunks(
+    trajs: list[DeliberationTrajectory], theirs: Iterable[str] = ()
+) -> Iterable[str]:
+    """The trajectory document as text, one sample's entry per chunk: the
+    entries of ``trajs``, then the chunks of ``theirs``, the entries of the
+    samples that follow them."""
     yield _HEAD
     yield from _sample_entries(trajs)
+    yield from theirs
     yield "]}\n"
 
 

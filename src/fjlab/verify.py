@@ -30,6 +30,7 @@ scale (``_dirichlet_rows``) and check each stack once: the bits of one
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -417,11 +418,9 @@ def run_all_checks(
     there = [name for name in checks if _CHECKS[name][2] == "child"]
     here = [name for name in checks if name not in there]
     if here and there and _fork_helps():
-        try:
-            with _forked(lambda: map(run, there)) as theirs:
-                results = {name: run(name) for name in here}
-                results.update(zip(there, theirs))
+        # a failed split falls through; the serial loop raises its error in check order
+        with contextlib.suppress(Exception), _forked(lambda: map(run, there)) as theirs:
+            results = {name: run(name) for name in here}
+            results.update(zip(there, theirs))
             return [results[name] for name in checks]
-        except Exception:  # a failed split; the serial loop raises its error in check order
-            pass
     return [run(name) for name in checks]

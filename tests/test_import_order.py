@@ -1,6 +1,8 @@
 """The package's modules import one another in one acyclic order, counting
 every relative import: at the top, under ``if TYPE_CHECKING:`` and inside
-functions alike; and only the fork split's module imports ``pickle``."""
+functions alike.  Only the fork split's module imports ``pickle`` and makes,
+waits for and kills children, and only trajectory io and verify split their
+work with it."""
 
 import ast
 import os
@@ -87,3 +89,35 @@ def test_only_the_fork_module_imports_pickle():
     # the split's transport stays in one module: callers pass a producer to
     # _fork._forked and iterate the objects it passes back
     assert importers("pickle") == {"_fork.py"}
+
+
+def callers(names, package=PACKAGE):
+    """The package's module files that call one of ``names``, each a plain
+    name (``_forked``) or a module's attribute (``os.fork``)."""
+    found = set()
+    for file in sorted(os.listdir(package)):
+        if not file.endswith(".py"):
+            continue
+        with open(os.path.join(package, file), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                name = f"{func.value.id}.{func.attr}"
+            else:
+                continue
+            if name in names:
+                found.add(file)
+    return found
+
+
+def test_only_the_fork_module_makes_and_ends_children():
+    assert callers({"os.fork", "os.waitpid", "os.kill"}) == {"_fork.py"}
+
+
+def test_only_trajectory_io_and_verify_split_with_a_child():
+    assert callers({"_forked", "_fork._forked"}) == {"io.py", "verify.py"}
