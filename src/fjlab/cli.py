@@ -19,6 +19,7 @@ failed verify checks).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -582,8 +583,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser run() reuses: parse_args fills a new namespace on each
+    call, an error raises ConfigError, and --help formats at the terminal's
+    width of the moment, so no call leaves state for the next."""
+    return build_parser()
+
+
 def run(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
+    """Run one fjlab command (sys.argv[1:] when argv is None) and return its
+    exit code: 0 success, 1 invalid input or configuration, 2 numerical
+    failure.  Only --help raises SystemExit, with code 0.  The parser is
+    built on the first call and reused by later calls in the process;
+    build_parser() returns a new one each time."""
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)

@@ -34,6 +34,7 @@ from fjlab.errors import (
     WeightNotSimplex,
 )
 from fjlab import _fork
+from fjlab import cli
 from fjlab import io as fio
 from fjlab import verify as verify_mod
 from fjlab.io import (
@@ -2712,3 +2713,84 @@ class TestStackedAnalyze:
         assert run(["--output-dir", out, "--quiet", "analyze"]) == code
         assert capsys.readouterr().err.splitlines() == [line]
         assert not os.path.exists(os.path.join(out, "agents.csv"))
+
+
+class TestParserReuse:
+    """run() builds its parser once per process, and no call leaves state
+    in it for the next."""
+
+    SHAPE = ["--pools", "2", "--samples", "2", "--agents", "3", "--labels", "3", "--rounds", "3"]
+
+    @staticmethod
+    def _argv(out, *argv, quiet=True):
+        return ["--output-dir", str(out), "--seed", "5", *(["--quiet"] if quiet else []), *argv]
+
+    def test_a_global_fit_does_not_carry_over(self, tmp_path):
+        assert run(self._argv(tmp_path, "simulate", *self.SHAPE)) == 0
+        assert run(self._argv(tmp_path, "fit", "--global")) == 0
+        assert "global" in read_json(tmp_path, "fits.json")
+        assert run(self._argv(tmp_path, "fit")) == 0
+        assert "global" not in read_json(tmp_path, "fits.json")
+
+    def test_an_objective_does_not_carry_over(self, tmp_path):
+        assert run(self._argv(tmp_path, "simulate", *self.SHAPE)) == 0
+        assert run(self._argv(tmp_path, "fit", "--objective", "mse")) == 0
+        assert read_json(tmp_path, "fits.json")["objective"] == "mse"
+        assert run(self._argv(tmp_path, "fit")) == 0
+        assert read_json(tmp_path, "fits.json")["objective"] == "kl"
+
+    def test_quiet_does_not_carry_over(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(self._argv(tmp_path, "simulate", *self.SHAPE)) == 0
+        assert capsys.readouterr().out == ""
+        assert run(self._argv(tmp_path, "simulate", *self.SHAPE, quiet=False)) == 0
+        path = os.path.join(str(tmp_path), "trajectories.json")
+        assert capsys.readouterr().out.splitlines() == [f"wrote {path} (4 samples, 3 rounds)"]
+
+    def test_an_unknown_flag_leaves_the_parser_usable(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(self._argv(tmp_path, "simulate", "--no-such-flag")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "fjlab: error: unrecognized arguments: --no-such-flag"
+        ]
+        assert run(self._argv(tmp_path, "simulate", *self.SHAPE)) == 0
+
+    def test_help_prints_the_same_text_twice(self, capsys):
+        capsys.readouterr()
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: fjlab")
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_five_runs_build_one_parser(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def counting():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            codes = [
+                run(self._argv(tmp_path, *argv))
+                for argv in (
+                    ["simulate", *self.SHAPE],
+                    ["fit", "--global"],
+                    ["analyze"],
+                    ["compare"],
+                    ["no-such-command"],
+                )
+            ]
+        finally:
+            cli._parser.cache_clear()  # later tests build from the real build_parser
+        capsys.readouterr()
+        assert codes == [0, 0, 0, 0, 1]
+        assert len(built) == 1

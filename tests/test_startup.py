@@ -15,12 +15,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 # Runs in a fresh interpreter: imports the CLI, then runs all five stages
-# on tiny inputs and reports which modules each part loaded.
+# on tiny inputs and reports which modules each part loaded and how many
+# parsers run() kept after each part.
 PIPELINE = textwrap.dedent(
     """
     import json, sys, tempfile
     import fjlab.cli
     after_import = sorted(sys.modules)
+    parsers_after_import = fjlab.cli._parser.cache_info().currsize
     before = set(sys.modules)
     out = tempfile.mkdtemp()
     base = ["--output-dir", out, "--quiet", "--seed", "1"]
@@ -40,6 +42,7 @@ PIPELINE = textwrap.dedent(
         "after_import": after_import,
         "during_stages": sorted(set(sys.modules) - before),
         "codes": codes,
+        "parsers": [parsers_after_import, fjlab.cli._parser.cache_info().currsize],
     }))
     """
 )
@@ -54,6 +57,8 @@ def test_cli_loads_no_scipy_and_stages_import_no_numpy_module():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0, 0, 0, 0]
+    # the import builds no parser, and the five stages share one
+    assert report["parsers"] == [0, 1]
     assert [m for m in report["after_import"] if m.startswith("scipy")] == []
     # numpy.ma costs about 20 ms of every command's start-up
     assert "numpy.ma" not in report["after_import"]
